@@ -76,11 +76,14 @@ pub struct Evicted {
 /// ```
 /// use mobistore_cache::dram::{BufferCache, WritePolicy};
 /// use mobistore_device::params::dram_nec;
+/// use mobistore_sim::obs::NoopObserver;
+/// use mobistore_sim::time::SimTime;
 ///
 /// let mut cache = BufferCache::new(dram_nec(), 8 * 1024, 1024, WritePolicy::WriteThrough);
-/// assert_eq!(cache.read_probe(&[1, 2]).len(), 2, "both blocks miss");
+/// let t = SimTime::ZERO;
+/// assert_eq!(cache.read_probe(t, &[1, 2], &mut NoopObserver).len(), 2, "both blocks miss");
 /// cache.insert(1, false);
-/// assert!(cache.read_probe(&[1]).is_empty(), "now a hit");
+/// assert!(cache.read_probe(t, &[1], &mut NoopObserver).is_empty(), "now a hit");
 /// ```
 #[derive(Debug, Clone)]
 pub struct BufferCache {
@@ -176,9 +179,12 @@ impl BufferCache {
         self.stats = CacheStats::default();
     }
 
-    /// Probes a read: touches the blocks that hit and returns the blocks
-    /// that miss, updating hit/miss counters.
-    pub fn read_probe(&mut self, lbns: &[u64]) -> Vec<u64> {
+    /// Probes a read issued at `now`: touches the blocks that hit and
+    /// returns the blocks that miss, updating hit/miss counters. The split
+    /// is reported to `obs` as an [`Event::CacheRead`] plus a
+    /// [`SpanKind::CacheLookup`] span covering the cache's access time for
+    /// the probed blocks.
+    pub fn read_probe<O: Observer>(&mut self, now: SimTime, lbns: &[u64], obs: &mut O) -> Vec<u64> {
         let mut misses = Vec::new();
         for &lbn in lbns {
             if self.lru.touch(lbn) {
@@ -188,20 +194,6 @@ impl BufferCache {
                 misses.push(lbn);
             }
         }
-        misses
-    }
-
-    /// [`read_probe`](Self::read_probe), reporting the hit/miss split to
-    /// an observer as a [`Event::CacheRead`] stamped `now` plus a
-    /// [`SpanKind::CacheLookup`] span covering the cache's access time
-    /// for the probed blocks.
-    pub fn read_probe_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbns: &[u64],
-        obs: &mut O,
-    ) -> Vec<u64> {
-        let misses = self.read_probe(lbns);
         let hits = (lbns.len() - misses.len()) as u32;
         obs.record(&Event::CacheRead {
             t: now,
@@ -243,9 +235,11 @@ impl BufferCache {
         evicted
     }
 
-    /// Records a write of the given blocks, inserting them; returns the
-    /// dirty evictions the caller must flush (write-back only).
-    pub fn write(&mut self, lbns: &[u64]) -> Vec<Evicted> {
+    /// Records a write of the given blocks issued at `now`, inserting them;
+    /// returns the dirty evictions the caller must flush (write-back only).
+    /// The absorbed blocks and dirty evictions are reported to `obs` as an
+    /// [`Event::CacheWrite`].
+    pub fn write<O: Observer>(&mut self, now: SimTime, lbns: &[u64], obs: &mut O) -> Vec<Evicted> {
         let mut out = Vec::new();
         for &lbn in lbns {
             self.stats.writes += 1;
@@ -255,18 +249,6 @@ impl BufferCache {
                 }
             }
         }
-        out
-    }
-
-    /// [`write`](Self::write), reporting the absorbed blocks and dirty
-    /// evictions to an observer as a [`Event::CacheWrite`] stamped `now`.
-    pub fn write_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbns: &[u64],
-        obs: &mut O,
-    ) -> Vec<Evicted> {
-        let out = self.write(lbns);
         obs.record(&Event::CacheWrite {
             t: now,
             blocks: lbns.len() as u32,
@@ -326,6 +308,9 @@ impl BufferCache {
 mod tests {
     use super::*;
     use mobistore_device::params::dram_nec;
+    use mobistore_sim::obs::NoopObserver;
+
+    const T0: SimTime = SimTime::ZERO;
 
     fn cache(blocks: u64, policy: WritePolicy) -> BufferCache {
         BufferCache::new(dram_nec(), blocks * 1024, 1024, policy)
@@ -336,7 +321,7 @@ mod tests {
         let mut c = cache(4, WritePolicy::WriteThrough);
         c.insert(1, false);
         c.insert(2, false);
-        let misses = c.read_probe(&[1, 2, 3]);
+        let misses = c.read_probe(T0, &[1, 2, 3], &mut NoopObserver);
         assert_eq!(misses, vec![3]);
         let s = c.stats();
         assert_eq!(s.read_hits, 2);
@@ -356,7 +341,7 @@ mod tests {
     #[test]
     fn write_through_never_reports_dirty_evictions() {
         let mut c = cache(2, WritePolicy::WriteThrough);
-        let flushes = c.write(&[1, 2, 3, 4]);
+        let flushes = c.write(T0, &[1, 2, 3, 4], &mut NoopObserver);
         assert!(flushes.is_empty());
         assert_eq!(c.stats().writebacks, 0);
     }
@@ -364,18 +349,21 @@ mod tests {
     #[test]
     fn power_fail_clear_empties_and_counts_lost_dirt() {
         let mut c = cache(4, WritePolicy::WriteBack);
-        c.write(&[1, 2]);
+        c.write(T0, &[1, 2], &mut NoopObserver);
         c.insert(3, false);
         assert_eq!(c.power_fail_clear(), 2, "two dirty blocks lost");
         // Everything is gone: all three blocks now miss.
-        assert_eq!(c.read_probe(&[1, 2, 3]), vec![1, 2, 3]);
+        assert_eq!(
+            c.read_probe(T0, &[1, 2, 3], &mut NoopObserver),
+            vec![1, 2, 3]
+        );
         assert!(c.drain_dirty().is_empty());
     }
 
     #[test]
     fn write_back_reports_dirty_evictions() {
         let mut c = cache(2, WritePolicy::WriteBack);
-        let flushes = c.write(&[1, 2, 3]);
+        let flushes = c.write(T0, &[1, 2, 3], &mut NoopObserver);
         assert_eq!(flushes.len(), 1);
         assert_eq!(flushes[0].lbn, 1);
         assert!(flushes[0].dirty);
@@ -385,7 +373,7 @@ mod tests {
     #[test]
     fn drain_dirty_returns_sorted_blocks() {
         let mut c = cache(8, WritePolicy::WriteBack);
-        c.write(&[5, 1, 3]);
+        c.write(T0, &[5, 1, 3], &mut NoopObserver);
         assert_eq!(c.drain_dirty(), vec![1, 3, 5]);
         assert!(c.drain_dirty().is_empty(), "drained");
     }
@@ -393,17 +381,17 @@ mod tests {
     #[test]
     fn invalidate_drops_block() {
         let mut c = cache(4, WritePolicy::WriteBack);
-        c.write(&[7]);
+        c.write(T0, &[7], &mut NoopObserver);
         assert!(c.invalidate(7));
         assert!(!c.invalidate(7));
-        assert_eq!(c.read_probe(&[7]), vec![7]);
+        assert_eq!(c.read_probe(T0, &[7], &mut NoopObserver), vec![7]);
         assert!(c.drain_dirty().is_empty(), "invalidate clears dirty state");
     }
 
     #[test]
     fn clean_reinsert_clears_dirty_bit() {
         let mut c = cache(4, WritePolicy::WriteBack);
-        c.write(&[1]);
+        c.write(T0, &[1], &mut NoopObserver);
         // E.g. the block was flushed by the caller and refilled clean.
         c.insert(1, false);
         assert!(c.drain_dirty().is_empty());

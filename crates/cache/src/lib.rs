@@ -18,12 +18,11 @@ pub mod sram;
 pub use dram::{BufferCache, CacheStats, Evicted, WritePolicy};
 pub use sram::{SramStats, SramWriteBuffer};
 
-/// A typed cache-layer failure, replacing the historical `panic!` paths.
+/// A typed cache-layer failure.
 ///
-/// The panicking constructors ([`BufferCache::new`],
-/// [`SramWriteBuffer::new`], [`SramWriteBuffer::absorb`]) remain as thin
-/// wrappers over the fallible `try_*` variants and format the same
-/// messages.
+/// [`SramWriteBuffer::absorb`] returns it on overflow; the constructors come
+/// in fallible `try_new` form and as panicking [`BufferCache::new`] /
+/// [`SramWriteBuffer::new`] for configurations known to be valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheError {
     /// A cache was configured with a zero block size.

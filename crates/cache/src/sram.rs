@@ -47,10 +47,12 @@ impl SramStats {
 /// ```
 /// use mobistore_cache::sram::SramWriteBuffer;
 /// use mobistore_device::params::sram_nec;
+/// use mobistore_sim::obs::NoopObserver;
+/// use mobistore_sim::time::SimTime;
 ///
 /// let mut buf = SramWriteBuffer::new(sram_nec(), 4 * 1024, 1024);
 /// assert!(buf.fits(&[1, 2, 3]));
-/// buf.absorb(&[1, 2, 3]);
+/// buf.absorb(SimTime::ZERO, &[1, 2, 3], &mut NoopObserver).unwrap();
 /// assert!(buf.contains(2));
 /// assert!(!buf.fits(&[4, 5]), "only one slot left");
 /// ```
@@ -155,22 +157,16 @@ impl SramWriteBuffer {
         self.blocks.len() + new <= self.capacity_blocks
     }
 
-    /// Buffers the given blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if they do not fit; callers must check [`fits`](Self::fits)
-    /// and flush first.
-    pub fn absorb(&mut self, lbns: &[u64]) {
-        if let Err(e) = self.try_absorb(lbns) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`absorb`](Self::absorb): returns
-    /// [`crate::CacheError::Overflow`] (buffering nothing) instead of
-    /// panicking when the blocks do not fit.
-    pub fn try_absorb(&mut self, lbns: &[u64]) -> Result<(), crate::CacheError> {
+    /// Buffers the given blocks, written at `now`, and reports a
+    /// [`Event::SramAbsorb`] to `obs`. Returns
+    /// [`crate::CacheError::Overflow`] (buffering nothing) when they do not
+    /// fit; callers check [`fits`](Self::fits) and flush first.
+    pub fn absorb<O: Observer>(
+        &mut self,
+        now: SimTime,
+        lbns: &[u64],
+        obs: &mut O,
+    ) -> Result<(), crate::CacheError> {
         if !self.fits(lbns) {
             let incoming = lbns.iter().filter(|lbn| !self.blocks.contains(lbn)).count();
             return Err(crate::CacheError::Overflow {
@@ -183,21 +179,11 @@ impl SramWriteBuffer {
             self.blocks.insert(lbn);
         }
         self.stats.absorbed += 1;
-        Ok(())
-    }
-
-    /// [`absorb`](Self::absorb), reporting a [`Event::SramAbsorb`] stamped
-    /// `now` to an observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks do not fit, like [`absorb`](Self::absorb).
-    pub fn absorb_obs<O: Observer>(&mut self, now: SimTime, lbns: &[u64], obs: &mut O) {
-        self.absorb(lbns);
         obs.record(&Event::SramAbsorb {
             t: now,
             blocks: lbns.len() as u32,
         });
+        Ok(())
     }
 
     /// True if the block is buffered (a read of it needs no disk access).
@@ -205,41 +191,22 @@ impl SramWriteBuffer {
         self.blocks.contains(&lbn)
     }
 
-    /// Records a read served from the buffer.
-    pub fn note_read_hit(&mut self) {
+    /// Records a read served from the buffer at `now`, reporting a
+    /// [`Event::SramReadHit`] to `obs`.
+    pub fn note_read_hit<O: Observer>(&mut self, now: SimTime, obs: &mut O) {
         self.stats.read_hits += 1;
-    }
-
-    /// [`note_read_hit`](Self::note_read_hit), reporting a
-    /// [`Event::SramReadHit`] stamped `now` to an observer.
-    pub fn note_read_hit_obs<O: Observer>(&mut self, now: SimTime, obs: &mut O) {
-        self.note_read_hit();
         obs.record(&Event::SramReadHit { t: now, blocks: 1 });
     }
 
-    /// Empties the buffer for a flush, returning the bytes to write to the
-    /// backing store.
-    pub fn drain_for_flush(&mut self) -> u64 {
-        self.drain_blocks().len() as u64 * self.block_size
-    }
-
-    /// Empties the buffer for a flush, returning the buffered blocks in
-    /// ascending order (backends that address blocks — the flash card —
-    /// need the addresses, not just the byte count).
-    pub fn drain_blocks(&mut self) -> Vec<u64> {
+    /// Empties the buffer for a flush at `now`, returning the buffered
+    /// blocks in ascending order (block-mapped backends need the
+    /// addresses); a non-empty drain counts as a flush and is reported to
+    /// `obs` as an [`Event::SramFlush`].
+    pub fn drain_blocks<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Vec<u64> {
         let mut blocks: Vec<u64> = self.blocks.drain().collect();
         blocks.sort_unstable();
         if !blocks.is_empty() {
             self.stats.flushes += 1;
-        }
-        blocks
-    }
-
-    /// [`drain_blocks`](Self::drain_blocks), reporting a non-empty drain to
-    /// an observer as a [`Event::SramFlush`] stamped `now`.
-    pub fn drain_blocks_obs<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Vec<u64> {
-        let blocks = self.drain_blocks();
-        if !blocks.is_empty() {
             obs.record(&Event::SramFlush {
                 t: now,
                 blocks: blocks.len() as u32,
@@ -276,17 +243,23 @@ impl SramWriteBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheError;
     use mobistore_device::params::sram_nec;
+    use mobistore_sim::obs::NoopObserver;
 
     fn buf(blocks: u64) -> SramWriteBuffer {
         SramWriteBuffer::new(sram_nec(), blocks * 512, 512)
+    }
+
+    fn absorb(b: &mut SramWriteBuffer, lbns: &[u64]) -> Result<(), CacheError> {
+        b.absorb(SimTime::ZERO, lbns, &mut NoopObserver)
     }
 
     #[test]
     fn absorb_until_full() {
         let mut b = buf(4);
         assert!(b.fits(&[1, 2, 3, 4]));
-        b.absorb(&[1, 2, 3, 4]);
+        absorb(&mut b, &[1, 2, 3, 4]).unwrap();
         assert!(!b.fits(&[5]));
         assert_eq!(b.len(), 4);
         assert_eq!(b.stats().absorbed, 1);
@@ -295,24 +268,16 @@ mod tests {
     #[test]
     fn overwrite_in_place_consumes_no_space() {
         let mut b = buf(2);
-        b.absorb(&[1, 2]);
+        absorb(&mut b, &[1, 2]).unwrap();
         assert!(b.fits(&[1]), "overwrite of a buffered block fits");
-        b.absorb(&[1]);
+        absorb(&mut b, &[1]).unwrap();
         assert_eq!(b.len(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "overflow")]
-    fn absorb_past_capacity_panics() {
+    fn absorb_rejects_overflow_without_buffering() {
         let mut b = buf(1);
-        b.absorb(&[1, 2]);
-    }
-
-    #[test]
-    fn try_absorb_rejects_overflow_without_buffering() {
-        use crate::CacheError;
-        let mut b = buf(1);
-        let e = b.try_absorb(&[1, 2]).expect_err("two blocks into one slot");
+        let e = absorb(&mut b, &[1, 2]).expect_err("two blocks into one slot");
         assert_eq!(
             e,
             CacheError::Overflow {
@@ -322,26 +287,29 @@ mod tests {
             }
         );
         assert!(b.is_empty(), "a rejected absorb buffers nothing");
-        assert!(b.try_absorb(&[1]).is_ok());
+        assert!(absorb(&mut b, &[1]).is_ok());
         assert!(b.contains(1));
     }
 
     #[test]
-    fn drain_returns_bytes_and_clears() {
+    fn drain_returns_sorted_blocks_and_clears() {
         let mut b = buf(4);
-        b.absorb(&[1, 2, 3]);
-        assert_eq!(b.drain_for_flush(), 3 * 512);
+        absorb(&mut b, &[3, 1, 2]).unwrap();
+        assert_eq!(
+            b.drain_blocks(SimTime::ZERO, &mut NoopObserver),
+            vec![1, 2, 3]
+        );
         assert!(b.is_empty());
         assert_eq!(b.stats().flushes, 1);
         // Draining an empty buffer is free and not a flush.
-        assert_eq!(b.drain_for_flush(), 0);
+        assert!(b.drain_blocks(SimTime::ZERO, &mut NoopObserver).is_empty());
         assert_eq!(b.stats().flushes, 1);
     }
 
     #[test]
     fn contains_and_invalidate() {
         let mut b = buf(4);
-        b.absorb(&[9]);
+        absorb(&mut b, &[9]).unwrap();
         assert!(b.contains(9));
         assert!(b.invalidate(9));
         assert!(!b.contains(9));

@@ -1,22 +1,29 @@
 //! The crash-consistency torture driver.
 //!
-//! [`torture`] replays a trace prefix against a backend and injects a
-//! power failure at every selected operation boundary — plus torn
-//! mid-operation crashes on odd boundaries — then runs the device's
-//! recovery and checks the recovered state:
+//! [`torture`] replays a trace prefix against a backend, injects a power
+//! failure at every selected operation boundary, runs the device's
+//! recovery and checks the recovered state. One replay loop drives every
+//! device; what differs is what a recovery must satisfy:
 //!
-//! * on the **flash card**, a differential [`ShadowModel`] mirrors every
-//!   write and trim; after each crash the recovered `(lbn, generation)`
+//! * the **flash card** and the **erasure-coded array** keep per-block
+//!   contents, so they are checked differentially. Each crash point
+//!   replays on a fresh, preloaded device, odd boundaries tear the write
+//!   in flight (only a prefix of its blocks reaches media), and a
+//!   [`ShadowModel`] mirrors every write and trim: after each crash — and
+//!   again once the trace is drained — the recovered `(lbn, generation)`
 //!   mapping must be a legal post-crash state (acknowledged writes
 //!   survive, the in-flight write is old/new/absent, nothing is
-//!   resurrected), the block census must still partition capacity,
-//!   retired segments must stay retired, and an interrupted cleaning pass
-//!   must leave no block mapped into its victim segment (copy-before-
-//!   erase makes cleaning atomic);
-//! * on the **magnetic disk** and **flash disk**, which recover behind
-//!   their controllers, the driver checks the accounting story: every
-//!   crash is counted, recovery time accrues monotonically, and the
-//!   device serves requests again after the scan.
+//!   resurrected). On top of that, the card's block census must still
+//!   partition capacity, retired segments must stay retired, and an
+//!   interrupted cleaning pass must leave no block mapped into its victim
+//!   segment (copy-before-erase makes cleaning atomic); the array must not
+//!   fail under its tolerated deaths, and every block it can no longer
+//!   decode must have been reported;
+//! * the **magnetic disk** and **flash disk** recover behind their
+//!   controllers, so one device replays the prefix once, crashing at every
+//!   point, and the accounting story is checked: every crash is counted,
+//!   recovery time accrues, and the device serves requests again after
+//!   the scan.
 //!
 //! Crash instants are drawn deterministically from the torture seed, one
 //! RNG stream per crash point, so a boundary crash lands anywhere in the
@@ -27,17 +34,18 @@
 use std::collections::BTreeSet;
 
 use mobistore_device::array::ArrayDevice;
-use mobistore_device::disk::MagneticDisk;
-use mobistore_device::flashdisk::FlashDisk;
-use mobistore_device::{DeviceError, Dir};
+use mobistore_device::disk::{DiskCounters, MagneticDisk};
+use mobistore_device::flashdisk::{FlashDisk, FlashDiskCounters};
+use mobistore_device::{Request, Service};
 use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
 use mobistore_sim::crashcheck::{ShadowModel, Violation};
 use mobistore_sim::fault::DeathSchedule;
-use mobistore_sim::obs::{Event, NoopObserver, Observer};
+use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::rng::SimRng;
 use mobistore_sim::time::{SimDuration, SimTime};
-use mobistore_trace::record::{DiskOp, DiskOpKind, Trace};
+use mobistore_trace::record::{working_set, DiskOp, DiskOpKind, Trace};
 
+use crate::backend::Backend;
 use crate::config::{BackendConfig, SystemConfig};
 
 /// How many operation boundaries receive an injected crash.
@@ -60,10 +68,11 @@ pub struct TortureOptions {
     pub crash_points: CrashPoints,
     /// Seed for the crash-instant jitter streams.
     pub seed: u64,
-    /// Test-only: silently drop this logical block from the flash card's
-    /// map after every recovery — a deliberately broken recovery that the
-    /// device's own invariants cannot see. Exists to prove the shadow
-    /// model has teeth; leave `None` for real checking.
+    /// Test-only: silently damage this logical block after every recovery
+    /// — the flash card drops it from its map, the array corrupts its
+    /// surviving shards — a deliberately broken recovery that the device's
+    /// own invariants cannot see. Exists to prove the shadow model has
+    /// teeth; leave `None` for real checking.
     pub sabotage_lbn: Option<u64>,
 }
 
@@ -79,7 +88,7 @@ impl Default for TortureOptions {
 }
 
 /// The outcome of one torture sweep on one configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TortureReport {
     /// The configuration's label.
     pub name: String,
@@ -113,14 +122,98 @@ impl TortureReport {
     }
 }
 
-/// Runs the torture sweep appropriate for `config`'s backend.
+/// Runs the torture sweep on `config`'s backend.
 pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
+    let n = trace.ops.len().min(opts.max_ops);
+    let ops = &trace.ops[..n];
+    let working = working_set(ops);
+    let mut sweep = Sweep {
+        ops,
+        block_size: trace.block_size,
+        opts,
+        report: TortureReport {
+            name: config.name.clone(),
+            truncated_ops: (trace.ops.len() - n) as u64,
+            ..TortureReport::default()
+        },
+    };
+    let queueing = config.queueing;
     match &config.backend {
-        BackendConfig::Disk { .. } => torture_disk(config, trace, opts),
-        BackendConfig::FlashDisk { .. } => torture_flash_disk(config, trace, opts),
-        BackendConfig::FlashCard { .. } => torture_flash_card(config, trace, opts),
-        BackendConfig::Array { .. } => torture_array(config, trace, opts),
+        BackendConfig::Disk {
+            params,
+            spin_down,
+            seek_model,
+        } => sweep.run("magnetic disk", &[], || {
+            Ok(MagneticDisk::with_policy(params.clone(), *spin_down)
+                .with_queueing(queueing)
+                .with_seek_model(*seek_model)
+                .with_fat_scan_bytes(config.fault.fat_scan_bytes))
+        }),
+        BackendConfig::FlashDisk { params } => sweep.run("flash disk", &[], || {
+            Ok(FlashDisk::new(params.clone()).with_queueing(queueing))
+        }),
+        BackendConfig::FlashCard {
+            params,
+            capacity_bytes,
+            mode,
+            victim_policy,
+            ..
+        } => {
+            let card_config = FlashCardConfig {
+                params: params.clone(),
+                block_size: trace.block_size,
+                capacity_bytes: *capacity_bytes,
+                mode: *mode,
+                victim_policy: *victim_policy,
+                queueing,
+            };
+            sweep.run("flash card", &working, || {
+                let mut card = FlashCardStore::try_new(card_config.clone())
+                    .map_err(|e| format!("cannot build card: {e}"))?
+                    .with_faults(config.fault)
+                    .with_integrity(config.integrity);
+                if working.len() as u64 > card.capacity_blocks() {
+                    return Err(format!(
+                        "working set ({} blocks) exceeds card capacity ({} blocks)",
+                        working.len(),
+                        card.capacity_blocks()
+                    ));
+                }
+                card.preload_aged(working.iter().copied());
+                Ok(card)
+            })
+        }
+        BackendConfig::Array {
+            k,
+            m,
+            children,
+            spares,
+            rebuild_rate,
+        } => {
+            // Exactly `m` children die, spread across both the child set
+            // and the replayed window — the worst loss pattern the
+            // geometry claims to tolerate.
+            let span_ns = ops
+                .last()
+                .map_or(0, |op| op.time.saturating_since(SimTime::ZERO).as_nanos());
+            let mut deaths: Vec<Option<SimTime>> = vec![None; children.len()];
+            for d in 0..*m {
+                let child = d * children.len() / *m;
+                let at = span_ns * (d as u64 + 1) / (*m as u64 + 1);
+                deaths[child] = Some(SimTime::from_nanos(at));
+            }
+            sweep.run("ec-array", &working, || {
+                let mut arr = ArrayDevice::new(*k, *m, children, trace.block_size)
+                    .with_queueing(queueing)
+                    .with_deaths(DeathSchedule::explicit(deaths.clone()))
+                    .with_spares(*spares)
+                    .with_rebuild_rate(*rebuild_rate);
+                arr.preload(working.iter().copied());
+                Ok(arr)
+            })
+        }
     }
+    sweep.report
 }
 
 /// The op-boundary indices to crash at, in ascending order.
@@ -164,9 +257,9 @@ fn boundary_crash_instant(ops: &[DiskOp], k: usize, rng: &mut SimRng) -> SimTime
     }
 }
 
-/// Collects every block the flash card reports uncorrectable (via the
-/// typed [`Event::UncorrectableRead`] stream), so the driver can mirror
-/// the *reported* loss into the shadow model. Reported loss is a legal
+/// Collects every block the device reports uncorrectable (via the typed
+/// [`Event::UncorrectableRead`] stream), so the driver can mirror the
+/// *reported* loss into the shadow model. Reported loss is a legal
 /// outcome of the integrity model; silent loss never is.
 #[derive(Default)]
 struct UncorrectableCollector {
@@ -181,721 +274,455 @@ impl Observer for UncorrectableCollector {
     }
 }
 
-/// Applies every freshly-reported uncorrectable block to the shadow (the
-/// host was told the data is gone, so its absence is now expected) and
-/// the excused set used by the verifier.
-fn drain_reported(
-    obs: &mut UncorrectableCollector,
-    shadow: &mut ShadowModel,
-    reported: &mut BTreeSet<u64>,
-    report: &mut TortureReport,
-) {
-    for lbn in obs.fresh.drain(..) {
-        if reported.insert(lbn) {
-            report.uncorrectable_blocks += 1;
-        }
-        shadow.trim(lbn, 1);
-    }
+/// The differential oracle: the shadow of legal block contents, and the
+/// losses the device reported along the way.
+struct Oracle {
+    shadow: ShadowModel,
+    /// Every block reported uncorrectable: the verifier excuses exactly
+    /// these.
+    reported: BTreeSet<u64>,
+    /// The observer every device operation reports to.
+    obs: UncorrectableCollector,
 }
 
-fn working_set(ops: &[DiskOp]) -> Vec<u64> {
-    let mut blocks: Vec<u64> = ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
-        .collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks
-}
-
-/// The differential flash-card sweep: a fresh card (and shadow) per crash
-/// point, full replay to the boundary, crash, recovery, verification,
-/// then replay of the remainder with a final consistency check.
-pub fn torture_flash_card(
-    config: &SystemConfig,
-    trace: &Trace,
-    opts: &TortureOptions,
-) -> TortureReport {
-    let BackendConfig::FlashCard {
-        params,
-        capacity_bytes,
-        mode,
-        victim_policy,
-        ..
-    } = &config.backend
-    else {
-        panic!("torture_flash_card needs a flash-card configuration");
-    };
-    let card_config = FlashCardConfig {
-        params: params.clone(),
-        block_size: trace.block_size,
-        capacity_bytes: *capacity_bytes,
-        mode: *mode,
-        victim_policy: *victim_policy,
-        queueing: config.queueing,
-    };
-
-    let n = trace.ops.len().min(opts.max_ops);
-    let ops = &trace.ops[..n];
-    let working = working_set(ops);
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        device: "flash card",
-        crashes: 0,
-        mid_op_crashes: 0,
-        mid_cleaning_crashes: 0,
-        recoveries: 0,
-        ops_replayed: 0,
-        truncated_ops: (trace.ops.len() - n) as u64,
-        uncorrectable_blocks: 0,
-        violations: Vec::new(),
-    };
-
-    for k in select_points(n, opts.crash_points) {
-        let mut rng = SimRng::seed_with_stream(opts.seed, k as u64);
-        let mut obs = UncorrectableCollector::default();
-        let mut reported: BTreeSet<u64> = BTreeSet::new();
-        let mut card = match FlashCardStore::try_new(card_config.clone()) {
-            Ok(card) => card
-                .with_faults(config.fault)
-                .with_integrity(config.integrity),
-            Err(e) => {
-                report.violations.push(format!("cannot build card: {e}"));
-                return report;
-            }
-        };
+impl Oracle {
+    /// An oracle for a device preloaded with `preloaded`: the device
+    /// stamps generations in iteration order, and so does the shadow.
+    fn new(preloaded: &[u64]) -> Self {
         let mut shadow = ShadowModel::new();
-        if working.len() as u64 > card.capacity_blocks() {
-            report.violations.push(format!(
-                "working set ({} blocks) exceeds card capacity ({} blocks)",
-                working.len(),
-                card.capacity_blocks()
-            ));
-            return report;
-        }
-        // Mirror the aged preload: the card stamps generations in
-        // iteration order, and so does the shadow.
-        card.preload_aged(working.iter().copied());
-        for &lbn in &working {
+        for &lbn in preloaded {
             shadow.write(lbn, 1);
         }
-
-        // Replay everything before the crash point, fully acknowledged.
-        let mut aborted = false;
-        for op in &ops[..k] {
-            if !replay_card_op(
-                &mut card,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k,
-            ) {
-                aborted = true;
-                break;
-            }
-            report.ops_replayed += 1;
-        }
-        if aborted {
-            continue;
-        }
-
-        // Crash: torn mid-write on odd boundaries (only a prefix of the
-        // op's blocks reaches media), otherwise jittered into the
-        // preceding inter-op gap — which lands some crashes mid-cleaning
-        // and mid-erase, since settle truncates the background job.
-        let mid_op = k % 2 == 1 && ops[k].kind == DiskOpKind::Write;
-        let crash_at = if mid_op {
-            let op = &ops[k];
-            shadow.begin_write(op.lbn, op.blocks);
-            let prefix = op.blocks / 2;
-            if prefix > 0 {
-                let torn = card.try_write_obs(op.time, op.lbn, prefix, &mut obs);
-                drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
-                if let Err(e) = torn {
-                    report
-                        .violations
-                        .push(format!("crash point {k}: unexpected write failure: {e}"));
-                    continue;
-                }
-            }
-            report.mid_op_crashes += 1;
-            op.time + SimDuration::from_nanos(1 + rng.below(1_000_000))
-        } else {
-            boundary_crash_instant(ops, k, &mut rng)
-        };
-
-        let bad_before = card.bad_segments();
-        let victim = card.cleaning_victim();
-        if victim.is_some() {
-            report.mid_cleaning_crashes += 1;
-        }
-        report.crashes += 1;
-        card.power_fail_obs(crash_at, &mut obs);
-        drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
-        report.recoveries += 1;
-        if let Some(lbn) = opts.sabotage_lbn {
-            card.sabotage_lose_block(lbn);
-        }
-
-        // Verify the recovered state against the shadow and the device's
-        // structural invariants.
-        let snap: Vec<(u64, u64)> = card
-            .snapshot()
-            .iter()
-            .map(|e| (e.lbn, e.generation))
-            .collect();
-        let ctx = format!(
-            "crash point {k}{} at t={:.6}s",
-            if mid_op { " (mid-op)" } else { "" },
-            crash_at.as_secs_f64()
-        );
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
-        }
-        check_card_structure(
-            &card,
-            &shadow,
-            mid_op,
-            &bad_before,
-            victim,
-            &ctx,
-            &mut report.violations,
-        );
-
-        // Resolve the torn write from what actually survived, re-align
-        // the generation counters, and drain the rest of the trace.
-        shadow.observe_recovery(&snap);
-        shadow.resync_generations(card.next_generation());
-        let resume = k + usize::from(mid_op);
-        let mut aborted = false;
-        for op in &ops[resume..] {
-            if !replay_card_op(
-                &mut card,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k,
-            ) {
-                aborted = true;
-                break;
-            }
-            report.ops_replayed += 1;
-        }
-        if aborted {
-            continue;
-        }
-
-        let snap: Vec<(u64, u64)> = card
-            .snapshot()
-            .iter()
-            .map(|e| (e.lbn, e.generation))
-            .collect();
-        let ctx = format!("crash point {k}, after draining the trace");
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
-        }
-        card.check_invariants();
-    }
-    report
-}
-
-/// Replays one fully-acknowledged op against card and shadow, mirroring
-/// any uncorrectable blocks the card reports along the way (scrub passes
-/// and read-path drops surface through `obs`). Returns false (after
-/// recording a violation) if the device refused the write.
-fn replay_card_op(
-    card: &mut FlashCardStore,
-    shadow: &mut ShadowModel,
-    obs: &mut UncorrectableCollector,
-    reported: &mut BTreeSet<u64>,
-    op: &DiskOp,
-    report: &mut TortureReport,
-    crash_point: usize,
-) -> bool {
-    match op.kind {
-        DiskOpKind::Read => {
-            // An uncorrectable result is a *reported* loss: legal, and
-            // already mirrored into the shadow by the drain below.
-            let _ = card.try_read_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
-        }
-        DiskOpKind::Write => {
-            shadow.begin_write(op.lbn, op.blocks);
-            let res = card.try_write_obs(op.time, op.lbn, op.blocks, obs);
-            // Scrubbing during the write's settle may have dropped old
-            // copies; apply those before acknowledging the new write.
-            drain_reported(obs, shadow, reported, report);
-            match res {
-                Ok(_) => shadow.ack_write(),
-                Err(e @ DeviceError::ReadOnly { .. }) => {
-                    report.violations.push(format!(
-                        "crash point {crash_point}: card refused a write during replay: {e}"
-                    ));
-                    return false;
-                }
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("crash point {crash_point}: write failed: {e}"));
-                    return false;
-                }
-            }
-        }
-        DiskOpKind::Trim => {
-            card.trim_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
-            shadow.trim(op.lbn, op.blocks);
+        Oracle {
+            shadow,
+            reported: BTreeSet::new(),
+            obs: UncorrectableCollector::default(),
         }
     }
-    true
+
+    /// Applies every freshly-reported uncorrectable block to the shadow
+    /// (the host was told the data is gone, so its absence is now
+    /// expected) and the excused set.
+    fn drain(&mut self, report: &mut TortureReport) {
+        for lbn in self.obs.fresh.drain(..) {
+            if self.reported.insert(lbn) {
+                report.uncorrectable_blocks += 1;
+            }
+            self.shadow.trim(lbn, 1);
+        }
+    }
+
+    /// Checks a recovered `(lbn, generation)` mapping against the shadow.
+    fn verify(&self, snap: &[(u64, u64)], ctx: &str, violations: &mut Vec<String>) {
+        for v in self.shadow.verify_with_uncorrectable(snap, &self.reported) {
+            violations.push(format!("{ctx}: {v}"));
+        }
+    }
 }
 
-/// Structural post-recovery checks that go beyond per-block contents.
-fn check_card_structure(
-    card: &FlashCardStore,
-    shadow: &ShadowModel,
-    mid_op: bool,
-    bad_before: &[u32],
-    victim: Option<u32>,
-    ctx: &str,
-    violations: &mut Vec<String>,
-) {
-    let census = card.census();
-    if census.total() != card.capacity_blocks() {
-        violations.push(format!(
-            "{ctx}: {}",
-            Violation::CensusImbalance {
+/// One injected crash, as a device's recovery checks see it.
+struct Crash<B> {
+    /// The violation prefix naming the crash point and instant.
+    ctx: String,
+    /// When the power failed.
+    at: SimTime,
+    /// Whether the crash tore a write in flight.
+    torn: bool,
+    /// The recovery interval.
+    recovery: Service,
+    /// The device state captured just before the crash.
+    before: B,
+}
+
+/// What the sweep needs from a device beyond its [`Device`] operations.
+/// A block-mapped device ([`Backend::BLOCK_MAPPED`]) is checked
+/// differentially and implements the mapping hooks; the others only check
+/// their recovery accounting.
+///
+/// [`Device`]: mobistore_device::Device
+trait Subject: Backend {
+    /// Device state the recovery checks compare against.
+    type Before;
+
+    /// Captures that state just before a crash, with whether background
+    /// work (a cleaning pass, a rebuild after a child loss) is in flight.
+    fn before_crash(&self) -> (Self::Before, bool);
+
+    /// The device-specific checks of a recovery.
+    fn check_recovery(
+        &self,
+        crash: &Crash<Self::Before>,
+        oracle: &Oracle,
+        violations: &mut Vec<String>,
+    );
+
+    /// The `(lbn, generation)` mapping the device can still deliver.
+    fn mapping(&self) -> Vec<(u64, u64)> {
+        Vec::new()
+    }
+
+    /// The generation the device stamps on its next write.
+    fn next_write_generation(&self) -> u64 {
+        0
+    }
+
+    /// Test-only: silently damages `lbn` (see
+    /// [`TortureOptions::sabotage_lbn`]).
+    fn sabotage(&mut self, _lbn: u64) {}
+
+    /// Structural self-check once the trace is drained (panics on
+    /// corruption).
+    fn check_drained(&self) {}
+}
+
+impl Subject for MagneticDisk {
+    type Before = DiskCounters;
+
+    fn before_crash(&self) -> (DiskCounters, bool) {
+        (self.counters(), false)
+    }
+
+    /// Spin-up plus synchronous-FAT replay: counted, never shrinking the
+    /// recovery time, charging time for the FAT it re-reads.
+    fn check_recovery(&self, crash: &Crash<DiskCounters>, _: &Oracle, out: &mut Vec<String>) {
+        let (before, after) = (crash.before, self.counters());
+        let mut fail = |what: &str| out.push(format!("{}: {what}", crash.ctx));
+        if after.power_failures != before.power_failures + 1 {
+            fail("power failure not counted");
+        }
+        if after.recovery_time < before.recovery_time {
+            fail("recovery time went backwards");
+        }
+        if after.bytes_read > before.bytes_read && after.recovery_time == before.recovery_time {
+            fail("FAT replay charged no recovery time");
+        }
+        if crash.recovery.end < crash.at {
+            fail("recovery ended before the crash");
+        }
+    }
+}
+
+impl Subject for FlashDisk {
+    type Before = FlashDiskCounters;
+
+    fn before_crash(&self) -> (FlashDiskCounters, bool) {
+        (self.counters(), false)
+    }
+
+    /// The spare-pool remap-header rescan: counted, and always charged.
+    fn check_recovery(&self, crash: &Crash<FlashDiskCounters>, _: &Oracle, out: &mut Vec<String>) {
+        let (before, after) = (crash.before, self.counters());
+        let mut fail = |what: &str| out.push(format!("{}: {what}", crash.ctx));
+        if after.power_failures != before.power_failures + 1 {
+            fail("power failure not counted");
+        }
+        if after.recovery_time <= before.recovery_time {
+            fail("remap rescan charged no recovery time");
+        }
+        if crash.recovery.end <= crash.at {
+            fail("recovery ended before the crash");
+        }
+    }
+}
+
+impl Subject for FlashCardStore {
+    /// The retired segments and the in-flight cleaning victim.
+    type Before = (Vec<u32>, Option<u32>);
+
+    fn before_crash(&self) -> (Self::Before, bool) {
+        let victim = self.cleaning_victim();
+        ((self.bad_segments(), victim), victim.is_some())
+    }
+
+    /// Structural checks beyond per-block contents.
+    fn check_recovery(&self, crash: &Crash<Self::Before>, oracle: &Oracle, out: &mut Vec<String>) {
+        let mut fail = |v: Violation| out.push(format!("{}: {v}", crash.ctx));
+        let census = self.census();
+        if census.total() != self.capacity_blocks() {
+            fail(Violation::CensusImbalance {
                 total: census.total(),
-                capacity: card.capacity_blocks(),
-            }
-        ));
-    }
-    // With a write in flight the recovered live count is legitimately
-    // ambiguous (never-acked blocks may or may not have reached media),
-    // so the exact comparison applies only to boundary crashes.
-    if !mid_op && census.live != shadow.live_blocks() {
-        violations.push(format!(
-            "{ctx}: {}",
-            Violation::LiveCountMismatch {
-                device: census.live,
-                shadow: shadow.live_blocks(),
-            }
-        ));
-    }
-    let bad_after = card.bad_segments();
-    for &seg in bad_before {
-        if !bad_after.contains(&seg) {
-            violations.push(format!(
-                "{ctx}: {}",
-                Violation::RetirementRegressed { segment: seg }
-            ));
+                capacity: self.capacity_blocks(),
+            });
         }
-    }
-    // Copy-before-erase: recovery completes an interrupted cleaning pass,
-    // so no block may still map into the victim segment.
-    if let Some(victim) = victim {
-        let still = card
-            .snapshot()
-            .iter()
-            .filter(|e| e.segment == victim)
-            .count() as u64;
-        if still > 0 {
-            violations.push(format!(
-                "{ctx}: {}",
-                Violation::CleaningNotAtomic {
+        // With a write in flight the recovered live count is legitimately
+        // ambiguous (never-acked blocks may or may not have reached
+        // media), so the exact comparison applies only to boundary
+        // crashes.
+        if !crash.torn && census.live != oracle.shadow.live_blocks() {
+            fail(Violation::LiveCountMismatch {
+                device: census.live,
+                shadow: oracle.shadow.live_blocks(),
+            });
+        }
+        let (bad_before, victim) = &crash.before;
+        let bad_after = self.bad_segments();
+        for &segment in bad_before {
+            if !bad_after.contains(&segment) {
+                fail(Violation::RetirementRegressed { segment });
+            }
+        }
+        // Copy-before-erase: recovery completes an interrupted cleaning
+        // pass, so no block may still map into the victim segment.
+        if let Some(victim) = *victim {
+            let still = self
+                .snapshot()
+                .iter()
+                .filter(|e| e.segment == victim)
+                .count() as u64;
+            if still > 0 {
+                fail(Violation::CleaningNotAtomic {
                     victim,
                     still_in_victim: still,
-                }
+                });
+            }
+        }
+    }
+
+    fn mapping(&self) -> Vec<(u64, u64)> {
+        self.snapshot()
+            .iter()
+            .map(|e| (e.lbn, e.generation))
+            .collect()
+    }
+
+    fn next_write_generation(&self) -> u64 {
+        self.next_generation()
+    }
+
+    fn sabotage(&mut self, lbn: u64) {
+        self.sabotage_lose_block(lbn);
+    }
+
+    fn check_drained(&self) {
+        self.check_invariants();
+    }
+}
+
+impl Subject for ArrayDevice {
+    type Before = ();
+
+    fn before_crash(&self) -> ((), bool) {
+        ((), self.lost_children() > 0)
+    }
+
+    /// With at most `m` losses every acked block must decode, so a failed
+    /// array — or an unreadable block that was never reported — is silent
+    /// loss.
+    fn check_recovery(&self, crash: &Crash<()>, oracle: &Oracle, out: &mut Vec<String>) {
+        if self.is_failed() {
+            out.push(format!(
+                "{}: array failed under {} tolerated deaths",
+                crash.ctx,
+                self.parity_shards()
             ));
         }
+        for lbn in self.unreadable_blocks() {
+            if !oracle.reported.contains(&lbn) {
+                out.push(format!(
+                    "{}: block {lbn} unreadable but never reported",
+                    crash.ctx
+                ));
+            }
+        }
+    }
+
+    fn mapping(&self) -> Vec<(u64, u64)> {
+        self.snapshot()
+    }
+
+    fn next_write_generation(&self) -> u64 {
+        self.next_generation()
+    }
+
+    fn sabotage(&mut self, lbn: u64) {
+        self.sabotage_corrupt(lbn);
     }
 }
 
-/// The differential erasure-coded-array sweep: a fresh array (and shadow)
-/// per crash point, with exactly `m` permanent child deaths injected on a
-/// fixed schedule spread across the replayed window. The oracle's core
-/// claim is that no tolerated loss pattern can lose acknowledged data:
-/// after every crash and at the end of every drain, the decoded
-/// `(lbn, generation)` mapping must verify against the shadow, with only
-/// *reported* losses excused — a sabotaged survivor shard is still a
-/// violation.
-pub fn torture_array(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
-    let BackendConfig::Array {
-        k,
-        m,
-        children,
-        spares,
-        rebuild_rate,
-    } = &config.backend
-    else {
-        panic!("torture_array needs an ec-array configuration");
-    };
+/// One sweep in progress: the capped trace prefix and the report it fills.
+struct Sweep<'a> {
+    ops: &'a [DiskOp],
+    block_size: u64,
+    opts: &'a TortureOptions,
+    report: TortureReport,
+}
 
-    let n = trace.ops.len().min(opts.max_ops);
-    let ops = &trace.ops[..n];
-    let working = working_set(ops);
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        device: "ec-array",
-        crashes: 0,
-        mid_op_crashes: 0,
-        mid_cleaning_crashes: 0,
-        recoveries: 0,
-        ops_replayed: 0,
-        truncated_ops: (trace.ops.len() - n) as u64,
-        uncorrectable_blocks: 0,
-        violations: Vec::new(),
-    };
-
-    // Exactly `m` children die, spread across both the child set and the
-    // replayed window — the worst loss pattern the geometry claims to
-    // tolerate.
-    let span_ns = ops
-        .last()
-        .map_or(0, |op| op.time.saturating_since(SimTime::ZERO).as_nanos());
-    let mut deaths: Vec<Option<SimTime>> = vec![None; children.len()];
-    for d in 0..*m {
-        let child = d * children.len() / *m;
-        let at = span_ns * (d as u64 + 1) / (*m as u64 + 1);
-        deaths[child] = Some(SimTime::from_nanos(at));
+impl Sweep<'_> {
+    /// Sweeps the crash points over devices from `build`, each holding
+    /// `preloaded`. A block-mapped device gets a fresh device per crash
+    /// point; any other replays the prefix once, crashing at every point.
+    /// A device that cannot be built ends the sweep with a violation.
+    fn run<D: Subject>(
+        &mut self,
+        device: &'static str,
+        preloaded: &[u64],
+        mut build: impl FnMut() -> Result<D, String>,
+    ) {
+        self.report.device = device;
+        let points = select_points(self.ops.len(), self.opts.crash_points);
+        let runs: Vec<&[usize]> = if D::BLOCK_MAPPED {
+            points.chunks(1).collect()
+        } else {
+            vec![&points]
+        };
+        for crashes in runs {
+            match build() {
+                Ok(dev) => self.replay(dev, crashes, &mut Oracle::new(preloaded)),
+                Err(e) => {
+                    self.report.violations.push(e);
+                    return;
+                }
+            }
+        }
     }
 
-    for k_point in select_points(n, opts.crash_points) {
-        let mut rng = SimRng::seed_with_stream(opts.seed, k_point as u64);
-        let mut obs = UncorrectableCollector::default();
-        let mut reported: BTreeSet<u64> = BTreeSet::new();
-        let mut arr = ArrayDevice::new(*k, *m, children, trace.block_size)
-            .with_queueing(config.queueing)
-            .with_deaths(DeathSchedule::explicit(deaths.clone()))
-            .with_spares(*spares)
-            .with_rebuild_rate(*rebuild_rate);
-        let mut shadow = ShadowModel::new();
-        // Mirror the preload: the array stamps generations in iteration
-        // order, and so does the shadow.
-        arr.preload(working.iter().copied());
-        for &lbn in &working {
-            shadow.write(lbn, 1);
-        }
-
-        // Replay everything before the crash point, fully acknowledged.
-        let mut aborted = false;
-        for op in &ops[..k_point] {
-            if !replay_array_op(
-                &mut arr,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k_point,
-            ) {
-                aborted = true;
-                break;
+    /// Replays the whole prefix on `dev`, crashing before each op in
+    /// `crashes`, then verifies the drained contents of a block-mapped
+    /// device. A refused write abandons the replay.
+    fn replay<D: Subject>(&mut self, mut dev: D, crashes: &[usize], oracle: &mut Oracle) {
+        for i in 0..self.ops.len() {
+            if crashes.binary_search(&i).is_ok() {
+                match self.crash(&mut dev, i, oracle) {
+                    // Recovery resolved the torn op; it is not replayed.
+                    Ok(true) => continue,
+                    Ok(false) => {}
+                    Err(e) => {
+                        self.report.violations.push(e);
+                        return;
+                    }
+                }
             }
-            report.ops_replayed += 1;
+            if let Err(e) = self.step(&mut dev, i, oracle) {
+                self.report.violations.push(e);
+                return;
+            }
+            self.report.ops_replayed += 1;
         }
-        if aborted {
-            continue;
+        if D::BLOCK_MAPPED {
+            let ctx = format!("crash point {}, after draining the trace", crashes[0]);
+            oracle.verify(&dev.mapping(), &ctx, &mut self.report.violations);
+            dev.check_drained();
         }
+    }
 
-        // Crash: torn mid-write on odd boundaries (only a prefix of the
-        // op's blocks reaches the stripes), otherwise jittered into the
-        // preceding inter-op gap — which lands some crashes mid-rebuild,
-        // since settle paces the background reconstruction.
-        let mid_op = k_point % 2 == 1 && ops[k_point].kind == DiskOpKind::Write;
-        let crash_at = if mid_op {
-            let op = &ops[k_point];
-            shadow.begin_write(op.lbn, op.blocks);
+    /// Crashes `dev` at boundary `k`, recovers and checks it; returns
+    /// whether the crash tore op `k`.
+    ///
+    /// On a block-mapped device an odd boundary tears the write issued
+    /// there (only a prefix of its blocks reaches media); otherwise the
+    /// crash is jittered into the preceding inter-op gap — which lands
+    /// some crashes mid-cleaning, mid-erase and mid-rebuild, since settle
+    /// truncates background work at the crash instant.
+    fn crash<D: Subject>(
+        &mut self,
+        dev: &mut D,
+        k: usize,
+        oracle: &mut Oracle,
+    ) -> Result<bool, String> {
+        let op = &self.ops[k];
+        let mut rng = SimRng::seed_with_stream(self.opts.seed, k as u64);
+        let torn = D::BLOCK_MAPPED && k % 2 == 1 && op.kind == DiskOpKind::Write;
+        let at = if torn {
+            oracle.shadow.begin_write(op.lbn, op.blocks);
             let prefix = op.blocks / 2;
             if prefix > 0 {
-                let torn = arr.try_write_obs(op.time, op.lbn, prefix, &mut obs);
-                drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
-                if let Err(e) = torn {
-                    report.violations.push(format!(
-                        "crash point {k_point}: unexpected write failure: {e}"
-                    ));
-                    continue;
+                let req = Request::blocks(op.lbn, prefix, self.block_size).of_file(op.file.0);
+                let written = dev.write(op.time, req, &mut oracle.obs);
+                oracle.drain(&mut self.report);
+                if let Err(e) = written {
+                    return Err(format!("crash point {k}: unexpected write failure: {e}"));
                 }
             }
-            report.mid_op_crashes += 1;
+            self.report.mid_op_crashes += 1;
             op.time + SimDuration::from_nanos(1 + rng.below(1_000_000))
         } else {
-            boundary_crash_instant(ops, k_point, &mut rng)
+            boundary_crash_instant(self.ops, k, &mut rng)
         };
 
-        if arr.lost_children() > 0 {
-            report.mid_cleaning_crashes += 1;
+        let (before, busy) = dev.before_crash();
+        if busy {
+            self.report.mid_cleaning_crashes += 1;
         }
-        report.crashes += 1;
-        arr.power_fail_obs(crash_at, &mut obs);
-        drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
-        report.recoveries += 1;
-        if let Some(lbn) = opts.sabotage_lbn {
-            arr.sabotage_corrupt(lbn);
-        }
-
-        // Verify the recovered state against the shadow: with at most `m`
-        // losses every acked block must decode, so any unreadable block
-        // that was never reported is silent loss.
-        let ctx = format!(
-            "crash point {k_point}{} at t={:.6}s",
-            if mid_op { " (mid-op)" } else { "" },
-            crash_at.as_secs_f64()
-        );
-        if arr.is_failed() {
-            report
-                .violations
-                .push(format!("{ctx}: array failed under {} tolerated deaths", m));
-        }
-        for lbn in arr.unreadable_blocks() {
-            if !reported.contains(&lbn) {
-                report
-                    .violations
-                    .push(format!("{ctx}: block {lbn} unreadable but never reported"));
-            }
-        }
-        let snap = arr.snapshot();
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
+        self.report.crashes += 1;
+        let recovery = dev.power_fail(at, &mut oracle.obs);
+        oracle.drain(&mut self.report);
+        self.report.recoveries += 1;
+        if let Some(lbn) = self.opts.sabotage_lbn {
+            dev.sabotage(lbn);
         }
 
-        // Resolve the torn write from what actually survived, re-align
-        // the generation counters, and drain the rest of the trace.
-        shadow.observe_recovery(&snap);
-        shadow.resync_generations(arr.next_generation());
-        let resume = k_point + usize::from(mid_op);
-        let mut aborted = false;
-        for op in &ops[resume..] {
-            if !replay_array_op(
-                &mut arr,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k_point,
-            ) {
-                aborted = true;
-                break;
-            }
-            report.ops_replayed += 1;
+        let crash = Crash {
+            ctx: format!(
+                "crash point {k}{} at t={:.6}s",
+                if torn { " (mid-op)" } else { "" },
+                at.as_secs_f64()
+            ),
+            at,
+            torn,
+            recovery,
+            before,
+        };
+        let violations = &mut self.report.violations;
+        if D::BLOCK_MAPPED {
+            let snap = dev.mapping();
+            oracle.verify(&snap, &crash.ctx, violations);
+            dev.check_recovery(&crash, oracle, violations);
+            // Resolve the torn write from what actually survived and
+            // re-align the generation counters.
+            oracle.shadow.observe_recovery(&snap);
+            oracle
+                .shadow
+                .resync_generations(dev.next_write_generation());
+        } else {
+            dev.check_recovery(&crash, oracle, violations);
         }
-        if aborted {
-            continue;
-        }
-
-        let snap = arr.snapshot();
-        let ctx = format!("crash point {k_point}, after draining the trace");
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
-        }
+        Ok(torn)
     }
-    report
-}
 
-/// Replays one fully-acknowledged op against array and shadow, mirroring
-/// any blocks the array reports unreconstructable along the way. Returns
-/// false (after recording a violation) if the array refused the write —
-/// with at most `m` tolerated deaths a write must never fail.
-fn replay_array_op(
-    arr: &mut ArrayDevice,
-    shadow: &mut ShadowModel,
-    obs: &mut UncorrectableCollector,
-    reported: &mut BTreeSet<u64>,
-    op: &DiskOp,
-    report: &mut TortureReport,
-    crash_point: usize,
-) -> bool {
-    match op.kind {
-        DiskOpKind::Read => {
-            // A reported reconstruction failure is a *reported* loss:
-            // legal, and mirrored into the shadow by the drain below.
-            let _ = arr.try_read_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
-        }
-        DiskOpKind::Write => {
-            shadow.begin_write(op.lbn, op.blocks);
-            let res = arr.try_write_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
-            match res {
-                Ok(_) => shadow.ack_write(),
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("crash point {crash_point}: write failed: {e}"));
-                    return false;
-                }
+    /// Replays op `i`, fully acknowledged, mirroring it into the shadow
+    /// along with any losses the device reports on the way (scrub passes
+    /// and read-path drops surface through the collector). Returns an
+    /// error if the device refused a write.
+    fn step<D: Subject>(
+        &mut self,
+        dev: &mut D,
+        i: usize,
+        oracle: &mut Oracle,
+    ) -> Result<(), String> {
+        let op = &self.ops[i];
+        let req = Request::blocks(op.lbn, op.blocks, self.block_size).of_file(op.file.0);
+        let served = match op.kind {
+            DiskOpKind::Read => {
+                // An uncorrectable result is a *reported* loss: legal, and
+                // mirrored into the shadow by the drain.
+                let (svc, _) = dev.read(op.time, req, &mut oracle.obs);
+                oracle.drain(&mut self.report);
+                Some(svc)
             }
-        }
-        DiskOpKind::Trim => {
-            arr.trim(op.lbn, op.blocks);
-            shadow.trim(op.lbn, op.blocks);
-        }
-    }
-    true
-}
-
-/// The magnetic-disk sweep: one pass over the trace, crashing before each
-/// selected op; the disk recovers behind its controller (spin-up plus
-/// synchronous-FAT replay), so the checks are on the accounting story.
-pub fn torture_disk(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
-    let BackendConfig::Disk {
-        params,
-        spin_down,
-        seek_model,
-    } = &config.backend
-    else {
-        panic!("torture_disk needs a magnetic-disk configuration");
-    };
-    let mut disk = MagneticDisk::with_policy(params.clone(), *spin_down)
-        .with_queueing(config.queueing)
-        .with_seek_model(*seek_model);
-
-    let n = trace.ops.len().min(opts.max_ops);
-    let ops = &trace.ops[..n];
-    let points: BTreeSet<usize> = select_points(n, opts.crash_points).into_iter().collect();
-    let fat_bytes = config.fault.fat_scan_bytes;
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        device: "magnetic disk",
-        crashes: 0,
-        mid_op_crashes: 0,
-        mid_cleaning_crashes: 0,
-        recoveries: 0,
-        ops_replayed: 0,
-        truncated_ops: (trace.ops.len() - n) as u64,
-        uncorrectable_blocks: 0,
-        violations: Vec::new(),
-    };
-
-    let mut obs = NoopObserver;
-    for (i, op) in ops.iter().enumerate() {
-        if points.contains(&i) {
-            let mut rng = SimRng::seed_with_stream(opts.seed, i as u64);
-            let at = boundary_crash_instant(ops, i, &mut rng);
-            let before = disk.counters();
-            let svc = disk.power_fail_obs(at, fat_bytes, &mut obs);
-            report.crashes += 1;
-            report.recoveries += 1;
-            let after = disk.counters();
-            if after.power_failures != before.power_failures + 1 {
-                report
-                    .violations
-                    .push(format!("crash {i}: power failure not counted"));
+            DiskOpKind::Write => {
+                oracle.shadow.begin_write(op.lbn, op.blocks);
+                let written = dev.write(op.time, req, &mut oracle.obs);
+                // Scrubbing during the write's settle may have dropped old
+                // copies; apply those before acknowledging the new write.
+                oracle.drain(&mut self.report);
+                let svc = written.map_err(|e| format!("op {i}: write failed: {e}"))?;
+                oracle.shadow.ack_write();
+                Some(svc)
             }
-            if after.recovery_time < before.recovery_time {
-                report
-                    .violations
-                    .push(format!("crash {i}: recovery time went backwards"));
-            }
-            if fat_bytes > 0 && after.recovery_time == before.recovery_time {
-                report
-                    .violations
-                    .push(format!("crash {i}: FAT replay charged no recovery time"));
-            }
-            if svc.end < at {
-                report
-                    .violations
-                    .push(format!("crash {i}: recovery ended before the crash"));
-            }
-        }
-        let dir = match op.kind {
-            DiskOpKind::Read => Dir::Read,
-            DiskOpKind::Write => Dir::Write,
             DiskOpKind::Trim => {
-                report.ops_replayed += 1;
-                continue;
+                dev.trim(op.time, req, &mut oracle.obs);
+                oracle.drain(&mut self.report);
+                oracle.shadow.trim(op.lbn, op.blocks);
+                None
             }
         };
-        let bytes = op.bytes(trace.block_size);
-        let svc = disk.access_at_obs(op.time, dir, bytes, Some(op.file.0), Some(op.lbn), &mut obs);
-        if svc.end < op.time {
-            report
+        if served.is_some_and(|svc| svc.end < op.time) {
+            self.report
                 .violations
                 .push(format!("op {i}: service ended before issue"));
         }
-        report.ops_replayed += 1;
+        Ok(())
     }
-    report
-}
-
-/// The flash-disk sweep: the controller rescans its spare-pool remap
-/// headers on recovery; the checks mirror [`torture_disk`]'s.
-pub fn torture_flash_disk(
-    config: &SystemConfig,
-    trace: &Trace,
-    opts: &TortureOptions,
-) -> TortureReport {
-    let BackendConfig::FlashDisk { params } = &config.backend else {
-        panic!("torture_flash_disk needs a flash-disk configuration");
-    };
-    let mut fd = FlashDisk::new(params.clone()).with_queueing(config.queueing);
-
-    let n = trace.ops.len().min(opts.max_ops);
-    let ops = &trace.ops[..n];
-    let points: BTreeSet<usize> = select_points(n, opts.crash_points).into_iter().collect();
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        device: "flash disk",
-        crashes: 0,
-        mid_op_crashes: 0,
-        mid_cleaning_crashes: 0,
-        recoveries: 0,
-        ops_replayed: 0,
-        truncated_ops: (trace.ops.len() - n) as u64,
-        uncorrectable_blocks: 0,
-        violations: Vec::new(),
-    };
-
-    let mut obs = NoopObserver;
-    for (i, op) in ops.iter().enumerate() {
-        if points.contains(&i) {
-            let mut rng = SimRng::seed_with_stream(opts.seed, i as u64);
-            let at = boundary_crash_instant(ops, i, &mut rng);
-            let before = fd.counters();
-            let svc = fd.power_fail_obs(at, &mut obs);
-            report.crashes += 1;
-            report.recoveries += 1;
-            let after = fd.counters();
-            if after.power_failures != before.power_failures + 1 {
-                report
-                    .violations
-                    .push(format!("crash {i}: power failure not counted"));
-            }
-            if after.recovery_time <= before.recovery_time {
-                report
-                    .violations
-                    .push(format!("crash {i}: remap rescan charged no recovery time"));
-            }
-            if svc.end <= at {
-                report
-                    .violations
-                    .push(format!("crash {i}: recovery ended before the crash"));
-            }
-        }
-        let dir = match op.kind {
-            DiskOpKind::Read => Dir::Read,
-            DiskOpKind::Write => Dir::Write,
-            DiskOpKind::Trim => {
-                report.ops_replayed += 1;
-                continue;
-            }
-        };
-        let bytes = op.bytes(trace.block_size);
-        let svc = fd.access_obs(op.time, dir, bytes, &mut obs);
-        if svc.end < op.time {
-            report
-                .violations
-                .push(format!("op {i}: service ended before issue"));
-        }
-        report.ops_replayed += 1;
-    }
-    report
 }
 
 #[cfg(test)]
@@ -942,7 +769,7 @@ mod tests {
             crash_points: CrashPoints::Exhaustive,
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&card_config(), &trace, &opts);
+        let report = torture(&card_config(), &trace, &opts);
         assert!(
             report.passed(),
             "violations: {:#?}",
@@ -969,7 +796,7 @@ mod tests {
             sabotage_lbn: Some(2),
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&card_config(), &trace, &opts);
+        let report = torture(&card_config(), &trace, &opts);
         assert!(!report.passed(), "sabotage went undetected");
         assert!(
             report.violations.iter().any(|v| v.contains("lost write")),
@@ -997,7 +824,7 @@ mod tests {
             crash_points: CrashPoints::Sampled(12),
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&config, &trace, &opts);
+        let report = torture(&config, &trace, &opts);
         assert!(
             report.passed(),
             "violations: {:#?}",
@@ -1027,7 +854,7 @@ mod tests {
             sabotage_lbn: Some(2),
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&config, &trace, &opts);
+        let report = torture(&config, &trace, &opts);
         assert!(
             !report.passed(),
             "sabotage went undetected with integrity enabled"
@@ -1089,7 +916,7 @@ mod tests {
             sabotage_lbn: Some(2),
             ..TortureOptions::default()
         };
-        let report = torture_array(&array_config(), &trace, &opts);
+        let report = torture(&array_config(), &trace, &opts);
         assert!(!report.passed(), "sabotage went undetected");
     }
 
@@ -1101,8 +928,8 @@ mod tests {
             crash_points: CrashPoints::Sampled(6),
             ..TortureOptions::default()
         };
-        let a = torture_array(&array_config(), &trace, &opts);
-        let b = torture_array(&array_config(), &trace, &opts);
+        let a = torture(&array_config(), &trace, &opts);
+        let b = torture(&array_config(), &trace, &opts);
         assert_eq!(a.ops_replayed, b.ops_replayed);
         assert_eq!(a.mid_op_crashes, b.mid_op_crashes);
         assert_eq!(a.uncorrectable_blocks, b.uncorrectable_blocks);

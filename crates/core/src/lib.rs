@@ -52,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backend;
 pub mod battery;
 pub mod config;
 pub mod crashcheck;

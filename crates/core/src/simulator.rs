@@ -18,15 +18,16 @@ use mobistore_cache::sram::SramWriteBuffer;
 use mobistore_device::array::ArrayDevice;
 use mobistore_device::disk::MagneticDisk;
 use mobistore_device::flashdisk::FlashDisk;
-use mobistore_device::{Dir, Service};
+use mobistore_device::{QueueDiscipline, Request, Service};
 use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
 use mobistore_sim::fault::{DeathSchedule, PowerFailSchedule};
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
-use mobistore_trace::record::{DiskOp, DiskOpKind, Trace};
+use mobistore_trace::record::{working_set, DiskOp, DiskOpKind, Trace};
 
+use crate::backend::Backend;
 use crate::config::{BackendConfig, SystemConfig};
 use crate::metrics::Metrics;
 
@@ -47,15 +48,6 @@ impl Default for RunOptions {
             reset_wear_at_warm: true,
         }
     }
-}
-
-// One instance per simulation; the variant size skew costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Disk(MagneticDisk),
-    FlashDisk(FlashDisk),
-    FlashCard(FlashCardStore),
-    Array(ArrayDevice),
 }
 
 /// Runs `trace` against `config` with default options (10% warm-up).
@@ -259,6 +251,10 @@ pub fn try_simulate(
 
 /// [`try_simulate`], streaming structured [`Event`]s to `obs` as the
 /// simulation progresses.
+///
+/// This is the one place that looks at the configured backend: it builds
+/// the device (preloading the block-mapped ones with the trace's working
+/// set) and hands it to a simulator monomorphised for that device.
 pub fn try_simulate_observed<O: Observer>(
     config: &SystemConfig,
     trace: &Trace,
@@ -268,47 +264,97 @@ pub fn try_simulate_observed<O: Observer>(
     if options.warm_percent >= 100 {
         return Err(ConfigError::NothingToMeasure.into());
     }
-    if let BackendConfig::FlashCard {
-        params,
-        capacity_bytes,
-        utilization: Some(frac),
-        ..
-    } = &config.backend
-    {
-        let capacity_blocks =
-            (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
-        let target = (capacity_blocks as f64 * frac).round() as u64;
-        let working = working_set(trace);
-        if working > target {
-            return Err(ConfigError::FlashOverfull {
-                working_set_blocks: working,
-                target_blocks: target,
-            }
-            .into());
+    let queueing = config.queueing;
+    let metrics = match &config.backend {
+        BackendConfig::Disk {
+            params,
+            spin_down,
+            seek_model,
+        } => {
+            let disk = MagneticDisk::with_policy(params.clone(), *spin_down)
+                .with_queueing(queueing)
+                .with_seek_model(*seek_model)
+                .with_fat_scan_bytes(config.fault.fat_scan_bytes);
+            Simulator::new(config, trace, disk, obs).run(trace, options)
         }
-    }
-    Ok(Simulator::new(config, trace, obs).run(trace, options))
+        BackendConfig::FlashDisk { params } => {
+            let fd = FlashDisk::new(params.clone())
+                .with_queueing(queueing)
+                .with_integrity(config.integrity);
+            Simulator::new(config, trace, fd, obs).run(trace, options)
+        }
+        BackendConfig::FlashCard {
+            params,
+            capacity_bytes,
+            utilization,
+            mode,
+            victim_policy,
+        } => {
+            let working = working_set(&trace.ops);
+            let w = working.len() as u64;
+            let capacity_blocks =
+                (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
+            let target =
+                utilization.map_or(w, |frac| (capacity_blocks as f64 * frac).round() as u64);
+            if w > target {
+                return Err(ConfigError::FlashOverfull {
+                    working_set_blocks: w,
+                    target_blocks: target,
+                }
+                .into());
+            }
+            let mut card = FlashCardStore::new(FlashCardConfig {
+                params: params.clone(),
+                block_size: trace.block_size,
+                capacity_bytes: *capacity_bytes,
+                mode: *mode,
+                victim_policy: *victim_policy,
+                queueing,
+            })
+            .with_faults(config.fault)
+            .with_integrity(config.integrity);
+            // §5.2's setup: the working set plus filler up to the target
+            // utilization, in the aged layout — spread across all segments,
+            // so free space exists as cleanable garbage rather than
+            // pristine erased segments.
+            let filler_base = trace
+                .blocks_spanned()
+                .max(working.last().map_or(0, |l| l + 1));
+            card.preload_aged(
+                working
+                    .into_iter()
+                    .chain(filler_base..filler_base + (target - w)),
+            );
+            Simulator::new(config, trace, card, obs).run(trace, options)
+        }
+        BackendConfig::Array {
+            k,
+            m,
+            children,
+            spares,
+            rebuild_rate,
+        } => {
+            let mut arr = ArrayDevice::new(*k, *m, children, trace.block_size)
+                .with_queueing(queueing)
+                .with_deaths(DeathSchedule::new(&config.fault, children.len()))
+                .with_spares(*spares)
+                .with_rebuild_rate(*rebuild_rate);
+            // Every block the trace reads gets a generation-stamped stripe
+            // to decode (the crash checker preloads the same way).
+            arr.preload(working_set(&trace.ops).into_iter());
+            Simulator::new(config, trace, arr, obs).run(trace, options)
+        }
+    };
+    Ok(metrics)
 }
 
-/// Counts distinct non-trim blocks in the trace.
-fn working_set(trace: &Trace) -> u64 {
-    let mut blocks: Vec<u64> = trace
-        .ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
-        .collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks.len() as u64
-}
-
-struct Simulator<'o, O: Observer> {
+/// One replay of a trace through DRAM, the SRAM buffer and device `D`.
+struct Simulator<'o, D, O: Observer> {
     dram: Option<BufferCache>,
     sram: Option<SramWriteBuffer>,
     write_policy: WritePolicy,
-    queueing: mobistore_device::QueueDiscipline,
-    backend: Backend,
+    queueing: QueueDiscipline,
+    device: D,
     block_size: u64,
     read_ms: LatencyRecorder,
     write_ms: LatencyRecorder,
@@ -317,16 +363,14 @@ struct Simulator<'o, O: Observer> {
     /// Pending power-failure instants (fault injection); `None` when the
     /// configuration disables them.
     power_fails: Option<PowerFailSchedule>,
-    /// FAT metadata rescanned by the magnetic disk after a power failure.
-    fat_scan_bytes: u64,
     /// Dirty write-back blocks lost to power failures (volatile DRAM).
     lost_dirty_blocks: u64,
-    /// Write operations the backend refused in read-only end-of-life
-    /// mode; the run drains instead of aborting.
+    /// Write requests the device refused in read-only mode (a worn-out
+    /// card, a failed array); the run drains instead of aborting.
     rejected_writes: u64,
     /// Blocks those refused writes covered.
     rejected_blocks: u64,
-    /// Backend read accesses that came back uncorrectable (data-integrity
+    /// Device read accesses that came back uncorrectable (data-integrity
     /// study): the access still pays its time/energy, but the result is
     /// reported lost and never fills the cache.
     uncorrectable_reads: u64,
@@ -338,93 +382,32 @@ struct Simulator<'o, O: Observer> {
     obs: &'o mut O,
 }
 
-impl<'o, O: Observer> Simulator<'o, O> {
-    fn new(config: &SystemConfig, trace: &Trace, obs: &'o mut O) -> Self {
+impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
+    fn new(config: &SystemConfig, trace: &Trace, device: D, obs: &'o mut O) -> Self {
         let block_size = trace.block_size;
-        let dram = if config.dram_bytes >= block_size {
-            Some(BufferCache::new(
+        let dram = (config.dram_bytes >= block_size).then(|| {
+            BufferCache::new(
                 config.dram_params.clone(),
                 config.dram_bytes,
                 block_size,
                 config.write_policy,
-            ))
-        } else {
-            None
-        };
-        let sram = if config.sram_bytes >= block_size {
-            Some(SramWriteBuffer::new(
-                config.sram_params.clone(),
-                config.sram_bytes,
-                block_size,
-            ))
-        } else {
-            None
-        };
-        let backend = match &config.backend {
-            BackendConfig::Disk {
-                params,
-                spin_down,
-                seek_model,
-            } => {
-                let disk = MagneticDisk::with_policy(params.clone(), *spin_down)
-                    .with_queueing(config.queueing)
-                    .with_seek_model(*seek_model);
-                Backend::Disk(disk)
-            }
-            BackendConfig::FlashDisk { params } => Backend::FlashDisk(
-                FlashDisk::new(params.clone())
-                    .with_queueing(config.queueing)
-                    .with_integrity(config.integrity),
-            ),
-            BackendConfig::FlashCard {
-                params,
-                capacity_bytes,
-                utilization,
-                mode,
-                victim_policy,
-            } => {
-                let mut card = FlashCardStore::new(FlashCardConfig {
-                    params: params.clone(),
-                    block_size,
-                    capacity_bytes: *capacity_bytes,
-                    mode: *mode,
-                    victim_policy: *victim_policy,
-                    queueing: config.queueing,
-                })
-                .with_faults(config.fault)
-                .with_integrity(config.integrity);
-                preload_card(&mut card, trace, *utilization);
-                Backend::FlashCard(card)
-            }
-            BackendConfig::Array {
-                k,
-                m,
-                children,
-                spares,
-                rebuild_rate,
-            } => {
-                let mut arr = ArrayDevice::new(*k, *m, children, block_size)
-                    .with_queueing(config.queueing)
-                    .with_deaths(DeathSchedule::new(&config.fault, children.len()))
-                    .with_spares(*spares)
-                    .with_rebuild_rate(*rebuild_rate);
-                preload_array(&mut arr, trace);
-                Backend::Array(arr)
-            }
-        };
+            )
+        });
+        let sram = (config.sram_bytes >= block_size).then(|| {
+            SramWriteBuffer::new(config.sram_params.clone(), config.sram_bytes, block_size)
+        });
         Simulator {
             dram,
             sram,
             write_policy: config.write_policy,
             queueing: config.queueing,
-            backend,
+            device,
             block_size,
             read_ms: LatencyRecorder::new(),
             write_ms: LatencyRecorder::new(),
             all_ms: LatencyRecorder::new(),
             last_completion: SimTime::ZERO,
             power_fails: PowerFailSchedule::from_config(&config.fault),
-            fat_scan_bytes: config.fault.fat_scan_bytes,
             lost_dirty_blocks: 0,
             rejected_writes: 0,
             rejected_blocks: 0,
@@ -527,7 +510,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
 
         let misses = match self.dram.as_mut() {
             Some(cache) => {
-                let misses = cache.read_probe_obs(now, &lbns, self.obs);
+                let misses = cache.read_probe(now, &lbns, self.obs);
                 cache.charge_access(bytes);
                 misses
             }
@@ -552,7 +535,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
                             }
                         }
                     }
-                    self.flush_writeback(now, &flushes, op);
+                    self.flush_writeback(now, &flushes);
                 } else {
                     // The device reported the access uncorrectable: never
                     // cache data it could not deliver intact.
@@ -580,7 +563,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
         for &lbn in misses {
             match self.sram.as_mut() {
                 Some(buf) if buf.contains(lbn) => {
-                    buf.note_read_hit_obs(now, self.obs);
+                    buf.note_read_hit(now, self.obs);
                     sram_blocks += 1;
                 }
                 _ => device_blocks += 1,
@@ -596,25 +579,9 @@ impl<'o, O: Observer> Simulator<'o, O> {
         if device_blocks == 0 {
             return (resp, true);
         }
-        let bytes = device_blocks * block_size;
-        let (svc, read) = match &mut self.backend {
-            Backend::Disk(disk) => (
-                disk.access_at_obs(
-                    now,
-                    Dir::Read,
-                    bytes,
-                    Some(op.file.0),
-                    Some(op.lbn),
-                    self.obs,
-                ),
-                Ok(()),
-            ),
-            Backend::FlashDisk(fd) => fd.try_read_obs(now, op.lbn, bytes, self.obs),
-            Backend::FlashCard(card) => {
-                card.try_read_obs(now, misses[0], device_blocks as u32, self.obs)
-            }
-            Backend::Array(arr) => arr.try_read_obs(now, misses[0], device_blocks as u32, self.obs),
-        };
+        let lbn = if D::BLOCK_MAPPED { misses[0] } else { op.lbn };
+        let req = Request::new(lbn, device_blocks * block_size).of_file(op.file.0);
+        let (svc, read) = self.device.read(now, req, self.obs);
         if read.is_err() {
             self.uncorrectable_reads += 1;
         }
@@ -639,7 +606,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
         let mut dram_time = SimDuration::ZERO;
         let mut writeback_evictions = Vec::new();
         if let Some(cache) = self.dram.as_mut() {
-            let flushed = cache.write_obs(now, &lbns, self.obs);
+            let flushed = cache.write(now, &lbns, self.obs);
             cache.charge_access(bytes);
             dram_time = cache.access_time(bytes);
             writeback_evictions = flushed.into_iter().map(|e| e.lbn).collect();
@@ -649,7 +616,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
             WritePolicy::WriteBack if self.dram.is_some() => {
                 // Dirty data stays in DRAM; only evictions reach storage,
                 // off the critical path of this write.
-                self.flush_writeback(now, &writeback_evictions, op);
+                self.flush_writeback(now, &writeback_evictions);
                 dram_time
             }
             _ => dram_time + self.write_to_backend(now, op, &lbns),
@@ -666,21 +633,21 @@ impl<'o, O: Observer> Simulator<'o, O> {
     /// flush happens in the background (the device still pays the time
     /// and energy); under FIFO it delays the triggering write.
     fn write_to_backend(&mut self, now: SimTime, op: &DiskOp, lbns: &[u64]) -> SimDuration {
-        let block_size = self.block_size;
-        let bytes = lbns.len() as u64 * block_size;
+        let bytes = lbns.len() as u64 * self.block_size;
         match self.sram.take() {
             Some(mut buf) if lbns.len() <= buf.capacity_blocks() => {
                 let mut resp = SimDuration::ZERO;
                 if !buf.fits(lbns) {
-                    let blocks = buf.drain_blocks_obs(now, self.obs);
-                    let svc = self.flush_blocks(now, &blocks);
+                    let blocks = buf.drain_blocks(now, self.obs);
+                    let svc = self.flush(now, &blocks, true);
                     self.last_completion = self.last_completion.max(svc.end);
-                    if self.queueing == mobistore_device::QueueDiscipline::Fifo {
+                    if self.queueing == QueueDiscipline::Fifo {
                         resp += svc.response(now);
                         self.note_critical_service(now, &svc);
                     }
                 }
-                buf.absorb_obs(now, lbns, self.obs);
+                buf.absorb(now, lbns, self.obs)
+                    .expect("a drained buffer holds any write no larger than itself");
                 buf.charge_access(bytes);
                 let out = resp + buf.access_time(bytes);
                 self.sram = Some(buf);
@@ -690,164 +657,70 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 // No buffer, or the write is bigger than the buffer:
                 // straight to the device.
                 self.sram = other;
-                let svc = match &mut self.backend {
-                    Backend::Disk(disk) => disk.access_at_obs(
-                        now,
-                        Dir::Write,
-                        bytes,
-                        Some(op.file.0),
-                        Some(op.lbn),
-                        self.obs,
-                    ),
-                    Backend::FlashDisk(fd) => fd.access_obs(now, Dir::Write, bytes, self.obs),
-                    Backend::FlashCard(card) => {
-                        match card.try_write_obs(now, op.lbn, lbns.len() as u32, self.obs) {
-                            Ok(svc) => svc,
-                            Err(_) => {
-                                // Read-only end of life: account for the
-                                // refused write and keep draining the
-                                // trace instead of aborting.
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += lbns.len() as u64;
-                                return SimDuration::ZERO;
-                            }
-                        }
+                let req = Request::new(op.lbn, bytes).of_file(op.file.0);
+                match self.device.write(now, req, self.obs) {
+                    Ok(svc) => {
+                        self.note_critical_service(now, &svc);
+                        self.last_completion = self.last_completion.max(svc.end);
+                        svc.response(now)
                     }
-                    Backend::Array(arr) => {
-                        match arr.try_write_obs(now, op.lbn, lbns.len() as u32, self.obs) {
-                            Ok(svc) => svc,
-                            Err(_) => {
-                                // Array failed beyond its parity budget:
-                                // it is read-only now; drain the trace.
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += lbns.len() as u64;
-                                return SimDuration::ZERO;
-                            }
-                        }
+                    Err(_) => {
+                        // A read-only device (a worn-out card, a failed
+                        // array): account for the refused write and keep
+                        // draining the trace instead of aborting.
+                        self.rejected_writes += 1;
+                        self.rejected_blocks += lbns.len() as u64;
+                        SimDuration::ZERO
                     }
-                };
-                self.note_critical_service(now, &svc);
-                self.last_completion = self.last_completion.max(svc.end);
-                svc.response(now)
+                }
             }
         }
     }
 
-    /// Writes a sorted set of flushed blocks to the backend as one burst
-    /// (contiguous runs become single requests on the flash card).
-    fn flush_blocks(&mut self, now: SimTime, blocks: &[u64]) -> Service {
-        let block_size = self.block_size;
-        let bytes = blocks.len() as u64 * block_size;
-        match &mut self.backend {
-            Backend::Disk(disk) => disk.access_obs(now, Dir::Write, bytes, None, self.obs),
-            Backend::FlashDisk(fd) => fd.access_obs(now, Dir::Write, bytes, self.obs),
-            Backend::FlashCard(card) => {
-                let mut start = None;
-                let mut end = now;
-                let mut run_start = 0usize;
-                for i in 1..=blocks.len() {
-                    let run_ends = i == blocks.len() || blocks[i] != blocks[i - 1] + 1;
-                    if run_ends {
-                        let lbn = blocks[run_start];
-                        let count = (i - run_start) as u32;
-                        match card.try_write_obs(end, lbn, count, self.obs) {
-                            Ok(svc) => {
-                                start.get_or_insert(svc.start);
-                                end = svc.end;
-                            }
-                            Err(_) => {
-                                // Read-only: the run is dropped but
-                                // counted; later runs fail fast too.
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += u64::from(count);
-                            }
-                        }
-                        run_start = i;
-                    }
+    /// Writes flushed blocks to the device from `now`, returning the
+    /// interval they kept it busy. A device without a block map takes
+    /// them as one burst with no file tag. A block-mapped device takes one
+    /// request per contiguous run (`coalesce`: an SRAM drain, sorted) or
+    /// per block (write-back evictions), each issued when the previous one
+    /// ends; a refused request is counted and dropped.
+    fn flush(&mut self, now: SimTime, blocks: &[u64], coalesce: bool) -> Service {
+        let mut start = None;
+        let mut end = now;
+        let mut rest = blocks;
+        while let Some(&lbn) = rest.first() {
+            let len = if !D::BLOCK_MAPPED {
+                rest.len()
+            } else if coalesce {
+                1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count()
+            } else {
+                1
+            };
+            let req = Request::blocks(lbn, len as u32, self.block_size);
+            match self.device.write(end, req, self.obs) {
+                Ok(svc) => {
+                    start.get_or_insert(svc.start);
+                    end = svc.end;
                 }
-                Service {
-                    start: start.unwrap_or(now),
-                    end,
+                Err(_) => {
+                    self.rejected_writes += 1;
+                    self.rejected_blocks += len as u64;
                 }
             }
-            Backend::Array(arr) => {
-                let mut start = None;
-                let mut end = now;
-                let mut run_start = 0usize;
-                for i in 1..=blocks.len() {
-                    let run_ends = i == blocks.len() || blocks[i] != blocks[i - 1] + 1;
-                    if run_ends {
-                        let lbn = blocks[run_start];
-                        let count = (i - run_start) as u32;
-                        match arr.try_write_obs(end, lbn, count, self.obs) {
-                            Ok(svc) => {
-                                start.get_or_insert(svc.start);
-                                end = svc.end;
-                            }
-                            Err(_) => {
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += u64::from(count);
-                            }
-                        }
-                        run_start = i;
-                    }
-                }
-                Service {
-                    start: start.unwrap_or(now),
-                    end,
-                }
-            }
+            rest = &rest[len..];
+        }
+        Service {
+            start: start.unwrap_or(now),
+            end,
         }
     }
 
     /// Flushes dirty write-back evictions to storage, off the critical
     /// path (the device still becomes busy, delaying later requests).
-    fn flush_writeback(&mut self, now: SimTime, lbns: &[u64], op: &DiskOp) {
-        if lbns.is_empty() {
-            return;
+    fn flush_writeback(&mut self, now: SimTime, lbns: &[u64]) {
+        if !lbns.is_empty() {
+            let svc = self.flush(now, lbns, false);
+            self.last_completion = self.last_completion.max(svc.end);
         }
-        let block_size = self.block_size;
-        let bytes = lbns.len() as u64 * block_size;
-        let svc: Service = match &mut self.backend {
-            Backend::Disk(disk) => disk.access_obs(now, Dir::Write, bytes, None, self.obs),
-            Backend::FlashDisk(fd) => fd.access_obs(now, Dir::Write, bytes, self.obs),
-            Backend::FlashCard(card) => {
-                let mut end = now;
-                let mut start = now;
-                for &lbn in lbns {
-                    match card.try_write_obs(end, lbn, 1, self.obs) {
-                        Ok(svc) => {
-                            start = start.min(svc.start);
-                            end = svc.end;
-                        }
-                        Err(_) => {
-                            self.rejected_writes += 1;
-                            self.rejected_blocks += 1;
-                        }
-                    }
-                }
-                Service { start, end }
-            }
-            Backend::Array(arr) => {
-                let mut end = now;
-                let mut start = now;
-                for &lbn in lbns {
-                    match arr.try_write_obs(end, lbn, 1, self.obs) {
-                        Ok(svc) => {
-                            start = start.min(svc.start);
-                            end = svc.end;
-                        }
-                        Err(_) => {
-                            self.rejected_writes += 1;
-                            self.rejected_blocks += 1;
-                        }
-                    }
-                }
-                Service { start, end }
-            }
-        };
-        let _ = op;
-        self.last_completion = self.last_completion.max(svc.end);
     }
 
     /// Fires every scheduled power failure due at or before `until`.
@@ -867,11 +740,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
 
     /// Applies one whole-system power failure at `at`: volatile DRAM
     /// contents are lost (the battery-backed SRAM buffer survives, §5.5),
-    /// and the backend runs its recovery scan — synchronous-FAT replay on
-    /// the magnetic disk, log scan plus orphaned-segment reclaim on the
-    /// flash card, and a spare-pool remap-header rescan on the flash disk
-    /// (its controller rebuilds the remap table behind the emulation
-    /// layer).
+    /// and the device runs its own recovery.
     fn power_fail(&mut self, at: SimTime) {
         let mut lost = 0;
         if let Some(cache) = self.dram.as_mut() {
@@ -882,23 +751,18 @@ impl<'o, O: Observer> Simulator<'o, O> {
             t: at,
             lost_dirty_blocks: lost,
         });
-        let svc = match &mut self.backend {
-            Backend::Disk(disk) => Some(disk.power_fail_obs(at, self.fat_scan_bytes, self.obs)),
-            Backend::FlashDisk(fd) => Some(fd.power_fail_obs(at, self.obs)),
-            Backend::FlashCard(card) => Some(card.power_fail_obs(at, self.obs)),
-            Backend::Array(arr) => Some(arr.power_fail_obs(at, self.obs)),
-        };
-        if let Some(svc) = svc {
-            self.obs.record(&Event::RecoveryEnd {
-                t: svc.end,
-                duration: svc.end.saturating_since(at),
-            });
-            self.obs
-                .span(&Span::new(SpanKind::Recovery, at, svc.end.max(at)));
-            self.last_completion = self.last_completion.max(svc.end);
-        }
+        let svc = self.device.power_fail(at, self.obs);
+        self.obs.record(&Event::RecoveryEnd {
+            t: svc.end,
+            duration: svc.end.saturating_since(at),
+        });
+        self.obs
+            .span(&Span::new(SpanKind::Recovery, at, svc.end.max(at)));
+        self.last_completion = self.last_completion.max(svc.end);
     }
 
+    /// Trims one block at a time: the caches drop it, and a block-mapped
+    /// device unmaps it.
     fn do_trim(&mut self, op: &DiskOp) {
         for lbn in op.lbn..op.lbn + u64::from(op.blocks) {
             if let Some(cache) = self.dram.as_mut() {
@@ -907,33 +771,14 @@ impl<'o, O: Observer> Simulator<'o, O> {
             if let Some(buf) = self.sram.as_mut() {
                 buf.invalidate(lbn);
             }
-            match &mut self.backend {
-                Backend::FlashCard(card) => card.trim_obs(op.time, lbn, 1, self.obs),
-                Backend::Array(arr) => arr.trim(lbn, 1),
-                _ => {}
-            }
+            let req = Request::blocks(lbn, 1, self.block_size);
+            self.device.trim(op.time, req, self.obs);
         }
     }
 
     fn reset_at_boundary(&mut self, at: SimTime, reset_wear: bool) {
-        match &mut self.backend {
-            Backend::Disk(disk) => {
-                disk.finish_obs(at, self.obs);
-                disk.reset_metrics();
-            }
-            Backend::FlashDisk(fd) => {
-                fd.finish_obs(at, self.obs);
-                fd.reset_metrics();
-            }
-            Backend::FlashCard(card) => {
-                card.finish_obs(at, self.obs);
-                card.reset_metrics(reset_wear);
-            }
-            Backend::Array(arr) => {
-                arr.finish_obs(at, self.obs);
-                arr.reset_metrics();
-            }
-        }
+        self.device.finish(at, self.obs);
+        self.device.warm_up_reset(reset_wear);
         if let Some(buf) = self.sram.as_mut() {
             buf.reset_metrics();
         }
@@ -953,150 +798,38 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 .as_mut()
                 .map(|c| c.drain_dirty())
                 .unwrap_or_default();
-            if !dirty.is_empty() {
-                let fake = DiskOp {
-                    time: end,
-                    kind: DiskOpKind::Write,
-                    lbn: dirty[0],
-                    blocks: dirty.len() as u32,
-                    file: mobistore_trace::record::FileId(0),
-                };
-                self.flush_writeback(end, &dirty, &fake);
-            }
+            self.flush_writeback(end, &dirty);
         }
         let end = end.max(self.last_completion);
         let span = end.saturating_since(measure_start);
+        self.device.finish(end, self.obs);
 
-        let mut components: Vec<(&'static str, mobistore_sim::energy::Joules)> = Vec::new();
-        let mut backoff = LatencyRecorder::new();
-        let mut degraded = LatencyRecorder::new();
-        let (disk_c, fd_c, card_c, array_c, wear, backend_states) = match &mut self.backend {
-            Backend::Disk(disk) => {
-                disk.finish_obs(end, self.obs);
-                components.push(("disk", disk.energy()));
-                let states = disk.meter().breakdown_timed().collect();
-                (Some(disk.counters()), None, None, None, None, states)
-            }
-            Backend::FlashDisk(fd) => {
-                fd.finish_obs(end, self.obs);
-                components.push(("flash", fd.energy()));
-                let states = fd.meter().breakdown_timed().collect();
-                (None, Some(fd.counters()), None, None, None, states)
-            }
-            Backend::FlashCard(card) => {
-                card.finish_obs(end, self.obs);
-                components.push(("flash", card.energy()));
-                let states = card.meter().breakdown_timed().collect();
-                backoff = card.backoff_recorder().clone();
-                (
-                    None,
-                    None,
-                    Some(card.counters()),
-                    None,
-                    Some(card.wear()),
-                    states,
-                )
-            }
-            Backend::Array(arr) => {
-                arr.finish_obs(end, self.obs);
-                components.push(("array", arr.energy()));
-                let states = arr.meter().breakdown_timed().collect();
-                degraded = arr.degraded_recorder().clone();
-                (None, None, None, Some(arr.counters()), None, states)
-            }
-        };
+        let mut m = Metrics::empty("");
+        self.device.report(&mut m);
         if let Some(buf) = self.sram.as_mut() {
             buf.charge_idle_span(span);
-            components.push(("sram", buf.energy()));
+            m.energy_by_component.push(("sram", buf.energy()));
+            m.sram = Some(buf.stats());
         }
         if let Some(cache) = self.dram.as_mut() {
             cache.charge_idle_span(span);
-            components.push(("dram", cache.energy()));
+            m.energy_by_component.push(("dram", cache.energy()));
+            m.cache = Some(cache.stats());
         }
-        let energy = components.iter().map(|(_, j)| *j).sum();
-
-        let sram_stats = self.sram.as_ref().map(|buf| buf.stats());
-
-        Metrics {
-            name: String::new(),
-            energy,
-            energy_by_component: components,
-            backend_states,
-            read_response_ms: self.read_ms.summary(),
-            write_response_ms: self.write_ms.summary(),
-            overall_response_ms: self.all_ms.summary(),
-            read_latency: std::mem::take(&mut self.read_ms).into_histogram(),
-            write_latency: std::mem::take(&mut self.write_ms).into_histogram(),
-            overall_latency: std::mem::take(&mut self.all_ms).into_histogram(),
-            backoff_ms: backoff.summary(),
-            backoff_latency: backoff.into_histogram(),
-            degraded_read_ms: degraded.summary(),
-            degraded_read_latency: degraded.into_histogram(),
-            duration: span,
-            cache: self.dram.as_ref().map(|c| c.stats()),
-            sram: sram_stats,
-            disk: disk_c,
-            flash_disk: fd_c,
-            flash_card: card_c,
-            array: array_c,
-            wear,
-            lost_dirty_blocks: self.lost_dirty_blocks,
-            rejected_writes: self.rejected_writes,
-            rejected_blocks: self.rejected_blocks,
-            uncorrectable_reads: self.uncorrectable_reads,
-        }
+        m.energy = m.energy_by_component.iter().map(|(_, j)| *j).sum();
+        m.read_response_ms = self.read_ms.summary();
+        m.write_response_ms = self.write_ms.summary();
+        m.overall_response_ms = self.all_ms.summary();
+        m.read_latency = self.read_ms.into_histogram();
+        m.write_latency = self.write_ms.into_histogram();
+        m.overall_latency = self.all_ms.into_histogram();
+        m.duration = span;
+        m.lost_dirty_blocks = self.lost_dirty_blocks;
+        m.rejected_writes = self.rejected_writes;
+        m.rejected_blocks = self.rejected_blocks;
+        m.uncorrectable_reads = self.uncorrectable_reads;
+        m
     }
-}
-
-/// Preloads a flash card with the trace's working set plus filler blocks
-/// up to the target utilization (§5.2's experimental setup).
-fn preload_card(card: &mut FlashCardStore, trace: &Trace, utilization: Option<f64>) {
-    let mut working: Vec<u64> = trace
-        .ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
-        .collect();
-    working.sort_unstable();
-    working.dedup();
-    let w = working.len() as u64;
-
-    let target = match utilization {
-        Some(frac) => {
-            let t = (card.capacity_blocks() as f64 * frac).round() as u64;
-            assert!(
-                t >= w,
-                "trace working set ({w} blocks) exceeds {frac:.0}% of a {}-block card; \
-                 increase the flash capacity",
-                card.capacity_blocks()
-            );
-            t
-        }
-        None => w,
-    };
-    let filler_base = trace
-        .blocks_spanned()
-        .max(working.last().map_or(0, |l| l + 1));
-    let filler = target - w;
-    // Aged layout (§5.2): the preallocated data is spread across all
-    // segments, so free space exists as cleanable garbage rather than
-    // pristine erased segments.
-    card.preload_aged(working.into_iter().chain(filler_base..filler_base + filler));
-}
-
-/// Preloads an erasure-coded array with the trace's working set, so every
-/// block the trace reads has a generation-stamped stripe to decode (the
-/// crashcheck oracle preloads the same way).
-fn preload_array(arr: &mut ArrayDevice, trace: &Trace) {
-    let mut working: Vec<u64> = trace
-        .ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
-        .collect();
-    working.sort_unstable();
-    working.dedup();
-    arr.preload(working.into_iter());
 }
 
 #[cfg(test)]
@@ -1361,23 +1094,43 @@ mod tests {
 
     #[test]
     fn observer_sees_ops_and_matches_unobserved_run() {
-        use mobistore_sim::obs::CountingObserver;
-        let trace = small_trace(300, 50);
-        let cfg = SystemConfig::disk(cu140_datasheet());
-        let plain = simulate(&cfg, &trace);
-        let mut obs = CountingObserver::default();
-        let observed = simulate_observed(&cfg, &trace, RunOptions::default(), &mut obs);
-        // The observer is passive: results are bit-identical with and
-        // without it.
-        assert_eq!(plain.energy.get(), observed.energy.get());
-        assert_eq!(plain.read_response_ms, observed.read_response_ms);
-        // Every trace op produces an issue and a completion.
-        let n = trace.ops.len() as u64;
-        assert_eq!(obs.counts.get("op_issued"), n);
-        assert_eq!(obs.counts.get("op_completed"), n);
-        assert!(obs.counts.get("cache_read") > 0);
-        assert!(obs.counts.get("cache_write") > 0);
-        assert!(obs.counts.get("sram_absorb") > 0);
+        use mobistore_device::array::ChildClass;
+        use mobistore_sim::fault::FaultConfig;
+        use mobistore_sim::integrity::IntegrityConfig;
+        use mobistore_sim::obs::RecordingObserver;
+        let trace = small_trace(300, 1000);
+        let fault = FaultConfig::with_rate(0.05, 9)
+            .with_power_failures(SimDuration::from_secs(30))
+            .with_death_rate(20.0);
+        let integrity = IntegrityConfig {
+            base_errors: 2.0,
+            seed: 3,
+            ..IntegrityConfig::none()
+        };
+        for cfg in [
+            SystemConfig::disk(cu140_datasheet()),
+            SystemConfig::flash_disk(sdp5_datasheet()),
+            SystemConfig::flash_card(intel_datasheet()).with_flash_capacity(4 * MIB),
+            SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3]),
+        ] {
+            let cfg = cfg.with_faults(fault).with_integrity(integrity);
+            let name = &cfg.name;
+            let plain = simulate(&cfg, &trace);
+            let mut obs = RecordingObserver::default();
+            let observed = simulate_observed(&cfg, &trace, RunOptions::default(), &mut obs);
+            // The observer is passive: energy, summaries, histograms and
+            // counters are bit-identical with and without it (`Debug`
+            // renders every field, floats in round-trip form).
+            assert_eq!(format!("{plain:?}"), format!("{observed:?}"), "{name}");
+            // Every trace op produces an issue and a completion, and the
+            // fault plan fired.
+            let count = |name| obs.events.iter().filter(|e| e.name() == name).count();
+            assert_eq!(count("op_issued"), trace.ops.len(), "{name}");
+            assert_eq!(count("op_completed"), trace.ops.len(), "{name}");
+            assert!(count("power_fail") > 0, "{name}");
+            assert!(count("cache_read") > 0 && count("cache_write") > 0);
+            assert_eq!(count("sram_absorb") > 0, plain.sram.is_some(), "{name}");
+        }
     }
 
     #[test]

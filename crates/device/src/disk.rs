@@ -20,16 +20,12 @@
 //! `mobistore-cache`; this model only serves raw accesses.
 
 use mobistore_sim::energy::{EnergyMeter, Joules};
-use mobistore_sim::obs::{Event, NoopObserver, Observer};
+use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 
 use crate::params::DiskParams;
-use crate::{Dir, Service};
-
-/// Identifier used for the seek heuristic; mirrors
-/// `mobistore_trace::record::FileId` without depending on that crate.
-pub type FileTag = u64;
+use crate::{Device, Dir, FileTag, ReadOutcome, Request, Service, WriteOutcome};
 
 /// When the disk spins down.
 ///
@@ -144,11 +140,13 @@ impl DiskCounters {
 /// ```
 /// use mobistore_device::disk::MagneticDisk;
 /// use mobistore_device::params::cu140_datasheet;
-/// use mobistore_device::Dir;
+/// use mobistore_device::{Device, Request};
+/// use mobistore_sim::obs::NoopObserver;
 /// use mobistore_sim::time::{SimDuration, SimTime};
 ///
 /// let mut disk = MagneticDisk::new(cu140_datasheet(), Some(SimDuration::from_secs(5)));
-/// let svc = disk.access(SimTime::ZERO, Dir::Read, 4096, Some(1));
+/// let req = Request::blocks(0, 4, 1024).of_file(1);
+/// let (svc, _) = disk.read(SimTime::ZERO, req, &mut NoopObserver);
 /// // 25.7 ms seek+rotation plus the 4-Kbyte transfer.
 /// assert!(svc.end.as_secs_f64() > 0.0257);
 /// ```
@@ -169,6 +167,9 @@ pub struct MagneticDisk {
     last_file: Option<FileTag>,
     /// Head position (logical block) for the distance-based seek model.
     head_lbn: u64,
+    /// FAT and root-directory bytes the recovery scan re-reads after a
+    /// power failure.
+    fat_scan_bytes: u64,
 }
 
 const CATEGORIES: &[&str] = &["active", "idle", "spinup", "spindown", "standby", "recover"];
@@ -197,6 +198,7 @@ impl MagneticDisk {
             free_at: SimTime::ZERO,
             last_file: None,
             head_lbn: 0,
+            fat_scan_bytes: 0,
         }
     }
 
@@ -209,6 +211,13 @@ impl MagneticDisk {
     /// Sets the seek model (see [`SeekModel`]).
     pub fn with_seek_model(mut self, model: SeekModel) -> Self {
         self.seek_model = model;
+        self
+    }
+
+    /// Sets the FAT and root-directory bytes the post-power-failure
+    /// recovery scan re-reads (none by default).
+    pub fn with_fat_scan_bytes(mut self, bytes: u64) -> Self {
+        self.fat_scan_bytes = bytes;
         self
     }
 
@@ -304,68 +313,29 @@ impl MagneticDisk {
         }
     }
 
-    /// Serves one access issued at `now`.
-    ///
-    /// Under the default seek model, `file` drives the heuristic:
-    /// accesses to the same tag as the previous access skip the seek;
-    /// `None` always seeks (used for SRAM flushes, which interleave many
-    /// files). See [`access_at`](Self::access_at) for the distance-based
-    /// model.
-    ///
-    /// Returns the [`Service`] interval; the caller computes response time
-    /// as `service.end - now`.
-    pub fn access(&mut self, now: SimTime, dir: Dir, bytes: u64, file: Option<FileTag>) -> Service {
-        self.access_at(now, dir, bytes, file, None)
-    }
-
-    /// [`access`](Self::access), reporting spin-state transitions to an
-    /// observer.
-    pub fn access_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        dir: Dir,
-        bytes: u64,
-        file: Option<FileTag>,
-        obs: &mut O,
-    ) -> Service {
-        self.access_at_obs(now, dir, bytes, file, None, obs)
-    }
-
-    /// Serves one access issued at `now`, with an optional target block
-    /// address for the distance-based seek model ([`SeekModel`]); `lbn` is
-    /// ignored under the default model.
-    pub fn access_at(
-        &mut self,
-        now: SimTime,
-        dir: Dir,
-        bytes: u64,
-        file: Option<FileTag>,
-        lbn: Option<u64>,
-    ) -> Service {
-        self.access_at_obs(now, dir, bytes, file, lbn, &mut NoopObserver)
-    }
-
-    /// [`access_at`](Self::access_at), reporting spin-state transitions
-    /// ([`Event::DiskSpinUp`]/[`Event::DiskSpinDown`]) to an observer.
-    pub fn access_at_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        dir: Dir,
-        bytes: u64,
-        file: Option<FileTag>,
-        lbn: Option<u64>,
-        obs: &mut O,
-    ) -> Service {
+    /// Serves one access issued at `now`, returning its [`Service`]
+    /// interval. Under the default seek model the request's file drives
+    /// the heuristic: the same tag as the previous access skips the seek,
+    /// and `None` (an SRAM flush interleaving many files) always seeks.
+    /// The distance-based model travels to the request's `lbn`.
+    fn serve<O: Observer>(&mut self, now: SimTime, dir: Dir, req: Request, obs: &mut O) -> Service {
         let ready = self.settle(now, obs);
+        let bytes = req.bytes;
 
         let seek = match self.seek_model {
-            SeekModel::SameFileAverage => match (file, self.last_file) {
+            SeekModel::SameFileAverage => match (req.file, self.last_file) {
                 (Some(f), Some(prev)) if f == prev => SimDuration::ZERO,
                 _ => self.params.avg_seek,
             },
             SeekModel::AlwaysAverage => self.params.avg_seek,
             SeekModel::DistanceBased { capacity_blocks } => {
-                let target = lbn.unwrap_or(self.head_lbn);
+                // A burst of many files has no single target: the head
+                // stays where it is.
+                let target = if req.file.is_some() {
+                    req.lbn
+                } else {
+                    self.head_lbn
+                };
                 let distance = target.abs_diff(self.head_lbn);
                 self.head_lbn = target + bytes.div_ceil(512).max(1);
                 // sqrt(distance / (capacity/2)) x avg_seek: the classic
@@ -397,72 +367,11 @@ impl MagneticDisk {
             Dir::Read => self.counters.bytes_read += bytes,
             Dir::Write => self.counters.bytes_written += bytes,
         }
-        self.last_file = file;
+        self.last_file = req.file;
         // Open-loop accesses may overlap; keep the last-activity marker
         // monotone so spin-down timing stays well defined.
         self.free_at = self.free_at.max(end);
         Service { start: ready, end }
-    }
-
-    /// Simulates a power failure at `now` followed by the recovery scan the
-    /// paper's DOS model implies: with the FAT written synchronously the
-    /// on-disk metadata is consistent, but the reboot still re-reads the
-    /// FAT and root directory (`fat_bytes`) before the volume is usable.
-    ///
-    /// The disk loses spindle state, so recovery always pays a spin-up,
-    /// then one average seek + rotation and the FAT transfer. The scan is
-    /// charged to the `"recover"` energy category at active power.
-    pub fn power_fail(&mut self, now: SimTime, fat_bytes: u64) -> Service {
-        self.power_fail_obs(now, fat_bytes, &mut NoopObserver)
-    }
-
-    /// [`power_fail`](Self::power_fail), reporting spin-state transitions
-    /// to an observer (the recovery spin-up is a [`Event::DiskSpinUp`]).
-    pub fn power_fail_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        fat_bytes: u64,
-        obs: &mut O,
-    ) -> Service {
-        // Settle history up to the failure instant; whatever state the
-        // platters were in, the outage leaves them stopped.
-        let ready = self.settle(now, obs).max(now);
-        obs.record(&Event::DiskSpinUp { t: ready });
-        let spun_up = ready + self.params.spin_up_time;
-        self.meter.charge_for(
-            "spinup",
-            self.params.spin_up_power,
-            self.params.spin_up_time,
-        );
-        self.counters.spin_ups += 1;
-
-        let scan = self.params.avg_seek
-            + self.params.avg_rotation
-            + self.params.read_bandwidth.transfer_time(fat_bytes);
-        let end = spun_up + scan;
-        self.meter
-            .charge_for("recover", self.params.active_power, scan);
-
-        self.counters.power_failures += 1;
-        self.counters.recovery_time += end - ready;
-        self.counters.bytes_read += fat_bytes;
-        // The scan moved the head; the same-file heuristic must re-seek.
-        self.last_file = None;
-        self.head_lbn = 0;
-        self.free_at = self.free_at.max(end);
-        Service { start: ready, end }
-    }
-
-    /// Accounts for the trailing idle period at the end of a simulation so
-    /// the energy integral covers `[0, end_of_trace]`.
-    pub fn finish(&mut self, end: SimTime) {
-        self.finish_obs(end, &mut NoopObserver);
-    }
-
-    /// [`finish`](Self::finish), reporting a trailing spin-down, if any,
-    /// to an observer.
-    pub fn finish_obs<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
-        self.settle_idle_only(end, obs);
     }
 
     /// Settles the idle gap before a request arriving at `now` and returns
@@ -562,20 +471,107 @@ impl MagneticDisk {
     }
 }
 
+impl Device for MagneticDisk {
+    fn read<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> ReadOutcome {
+        (self.serve(now, Dir::Read, req, obs), Ok(()))
+    }
+
+    fn write<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> WriteOutcome {
+        Ok(self.serve(now, Dir::Write, req, obs))
+    }
+
+    /// The disk keeps no block map: trims are file-system bookkeeping.
+    fn trim<O: Observer>(&mut self, _now: SimTime, _req: Request, _obs: &mut O) {}
+
+    /// Simulates a power failure at `now` followed by the recovery scan the
+    /// paper's DOS model implies: with the FAT written synchronously the
+    /// on-disk metadata is consistent, but the reboot still re-reads the
+    /// FAT and root directory (see
+    /// [`with_fat_scan_bytes`](MagneticDisk::with_fat_scan_bytes)) before
+    /// the volume is usable.
+    ///
+    /// The disk loses spindle state, so recovery always pays a spin-up
+    /// (an [`Event::DiskSpinUp`]), then one average seek + rotation and the
+    /// FAT transfer. The scan is charged to the `"recover"` energy category
+    /// at active power.
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
+        // Settle history up to the failure instant; whatever state the
+        // platters were in, the outage leaves them stopped.
+        let ready = self.settle(now, obs).max(now);
+        obs.record(&Event::DiskSpinUp { t: ready });
+        let spun_up = ready + self.params.spin_up_time;
+        self.meter.charge_for(
+            "spinup",
+            self.params.spin_up_power,
+            self.params.spin_up_time,
+        );
+        self.counters.spin_ups += 1;
+
+        let fat_bytes = self.fat_scan_bytes;
+        let scan = self.params.avg_seek
+            + self.params.avg_rotation
+            + self.params.read_bandwidth.transfer_time(fat_bytes);
+        let end = spun_up + scan;
+        self.meter
+            .charge_for("recover", self.params.active_power, scan);
+
+        self.counters.power_failures += 1;
+        self.counters.recovery_time += end - ready;
+        self.counters.bytes_read += fat_bytes;
+        // The scan moved the head; the same-file heuristic must re-seek.
+        self.last_file = None;
+        self.head_lbn = 0;
+        self.free_at = self.free_at.max(end);
+        Service { start: ready, end }
+    }
+
+    /// Settles the trailing idle period, reporting a trailing spin-down,
+    /// if any.
+    fn finish<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        self.settle_idle_only(end, obs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::cu140_datasheet;
+    use mobistore_sim::obs::NoopObserver;
     use mobistore_sim::units::KIB;
 
     fn disk() -> MagneticDisk {
         MagneticDisk::new(cu140_datasheet(), Some(SimDuration::from_secs(5)))
     }
 
+    /// A request of `bytes` for `file` at block `lbn`.
+    fn req(lbn: u64, bytes: u64, file: Option<FileTag>) -> Request {
+        Request { lbn, bytes, file }
+    }
+
+    /// Unobserved requests of `bytes` for `file` at block 0.
+    fn read(d: &mut MagneticDisk, now: SimTime, bytes: u64, file: Option<FileTag>) -> Service {
+        d.read(now, req(0, bytes, file), &mut NoopObserver).0
+    }
+
+    fn write(d: &mut MagneticDisk, now: SimTime, bytes: u64, file: Option<FileTag>) -> Service {
+        let written = d.write(now, req(0, bytes, file), &mut NoopObserver);
+        written.expect("disk writes never fail")
+    }
+
+    /// An unobserved zero-byte read for `file` that seeks to block `lbn`.
+    fn read_at(d: &mut MagneticDisk, now: SimTime, file: Option<FileTag>, lbn: u64) -> Service {
+        d.read(now, req(lbn, 0, file), &mut NoopObserver).0
+    }
+
+    /// A zero-byte read of file 1 at `t`; returns when it ends.
+    fn poke(d: &mut MagneticDisk, t: SimTime) -> SimTime {
+        read(d, t, 0, Some(1)).end
+    }
+
     #[test]
     fn first_access_pays_seek_and_rotation() {
         let mut d = disk();
-        let svc = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
+        let svc = read(&mut d, SimTime::ZERO, 0, Some(1));
         assert_eq!(svc.start, SimTime::ZERO);
         // 17.4 ms seek + 8.3 ms rotation, no transfer.
         assert_eq!((svc.end - svc.start).as_millis_f64(), 25.7);
@@ -584,26 +580,26 @@ mod tests {
     #[test]
     fn same_file_skips_seek() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
-        let second = d.access(first.end, Dir::Read, 0, Some(1));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
+        let second = read(&mut d, first.end, 0, Some(1));
         assert_eq!((second.end - second.start).as_millis_f64(), 8.3);
         // A different file seeks again.
-        let third = d.access(second.end, Dir::Read, 0, Some(2));
+        let third = read(&mut d, second.end, 0, Some(2));
         assert_eq!((third.end - third.start).as_millis_f64(), 25.7);
     }
 
     #[test]
     fn none_tag_always_seeks() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Write, 0, None);
-        let second = d.access(first.end, Dir::Write, 0, None);
+        let first = write(&mut d, SimTime::ZERO, 0, None);
+        let second = write(&mut d, first.end, 0, None);
         assert_eq!((second.end - second.start).as_millis_f64(), 25.7);
     }
 
     #[test]
     fn transfer_time_uses_bandwidth() {
         let mut d = disk();
-        let svc = d.access(SimTime::ZERO, Dir::Read, 2125 * KIB, Some(1));
+        let svc = read(&mut d, SimTime::ZERO, 2125 * KIB, Some(1));
         let expect = 25.7e-3 + 1.0;
         assert!(((svc.end - svc.start).as_secs_f64() - expect).abs() < 1e-9);
     }
@@ -611,19 +607,19 @@ mod tests {
     #[test]
     fn requests_queue_behind_busy_disk() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 2125 * KIB, Some(1));
+        let first = read(&mut d, SimTime::ZERO, 2125 * KIB, Some(1));
         // Issued while the first is still transferring.
-        let second = d.access(SimTime::from_secs_f64(0.1), Dir::Read, 0, Some(1));
+        let second = read(&mut d, SimTime::from_secs_f64(0.1), 0, Some(1));
         assert_eq!(second.start, first.end);
     }
 
     #[test]
     fn idle_within_timeout_keeps_spinning() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
         let later = first.end + SimDuration::from_secs(4);
         assert!(!d.is_spun_down(later));
-        let svc = d.access(later, Dir::Read, 0, Some(1));
+        let svc = read(&mut d, later, 0, Some(1));
         assert_eq!(svc.start, later, "no spin-up penalty");
         assert_eq!(d.counters().spin_ups, 0);
     }
@@ -631,10 +627,10 @@ mod tests {
     #[test]
     fn long_idle_spins_down_and_next_access_spins_up() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
         let later = first.end + SimDuration::from_secs(60);
         assert!(d.is_spun_down(later));
-        let svc = d.access(later, Dir::Read, 0, Some(1));
+        let svc = read(&mut d, later, 0, Some(1));
         // Full spin-up delay precedes service.
         assert_eq!(svc.start, later + SimDuration::from_secs(1));
         assert_eq!(d.counters().spin_ups, 1);
@@ -646,10 +642,10 @@ mod tests {
         let p = cu140_datasheet();
         let (timeout, down, up) = (SimDuration::from_secs(5), p.spin_down_time, p.spin_up_time);
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
         // Arrive 1 s into the 2.5 s spin-down window.
         let arrival = first.end + timeout + SimDuration::from_secs(1);
-        let svc = d.access(arrival, Dir::Read, 0, Some(1));
+        let svc = read(&mut d, arrival, 0, Some(1));
         let expected_start = first.end + timeout + down + up;
         assert_eq!(svc.start, expected_start);
         // This is the worst case: response exceeds spin-up alone.
@@ -659,10 +655,10 @@ mod tests {
     #[test]
     fn never_spin_down_policy() {
         let mut d = MagneticDisk::new(cu140_datasheet(), None);
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
         let later = first.end + SimDuration::from_hours(1);
         assert!(!d.is_spun_down(later));
-        let svc = d.access(later, Dir::Read, 0, Some(1));
+        let svc = read(&mut d, later, 0, Some(1));
         assert_eq!(svc.start, later);
         // The whole hour was spinning idle at 0.7 W.
         let idle = d.meter().category("idle");
@@ -672,9 +668,9 @@ mod tests {
     #[test]
     fn energy_accounts_every_state() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Write, 4 * KIB, Some(1));
+        let first = write(&mut d, SimTime::ZERO, 4 * KIB, Some(1));
         let later = first.end + SimDuration::from_secs(100);
-        let _ = d.access(later, Dir::Read, 4 * KIB, Some(1));
+        let _ = read(&mut d, later, 4 * KIB, Some(1));
         let m = d.meter();
         for cat in ["active", "idle", "spinup", "spindown", "standby"] {
             assert!(m.category(cat).get() > 0.0, "missing energy in {cat}");
@@ -690,14 +686,14 @@ mod tests {
     #[test]
     fn finish_settles_trailing_idle() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
-        d.finish(first.end + SimDuration::from_secs(2));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
+        d.finish(first.end + SimDuration::from_secs(2), &mut NoopObserver);
         assert!((d.meter().category("idle").get() - 1.4).abs() < 1e-9);
 
         // And a trailing gap long enough to spin down reaches standby.
         let mut d2 = disk();
-        let first = d2.access(SimTime::ZERO, Dir::Read, 0, Some(1));
-        d2.finish(first.end + SimDuration::from_secs(100));
+        let first = read(&mut d2, SimTime::ZERO, 0, Some(1));
+        d2.finish(first.end + SimDuration::from_secs(100), &mut NoopObserver);
         assert!(d2.meter().category("standby").get() > 0.0);
         assert_eq!(d2.counters().spin_downs, 1);
     }
@@ -705,12 +701,12 @@ mod tests {
     #[test]
     fn reset_metrics_keeps_state() {
         let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(7));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(7));
         d.reset_metrics();
         assert_eq!(d.energy().get(), 0.0);
         assert_eq!(d.counters().ops, 0);
         // Mechanical state survives: same-file access still skips the seek.
-        let svc = d.access(first.end, Dir::Read, 0, Some(7));
+        let svc = read(&mut d, first.end, 0, Some(7));
         assert_eq!((svc.end - svc.start).as_millis_f64(), 8.3);
     }
 
@@ -733,10 +729,10 @@ mod tests {
         };
         let mut d = MagneticDisk::with_policy(cu140_datasheet(), policy);
         assert_eq!(d.current_threshold(), Some(SimDuration::from_secs(2)));
-        let svc = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
+        let end = poke(&mut d, SimTime::ZERO);
         // A 3 s pause: spin-down fired (threshold 2 s) but the pause ended
         // far before breakeven -> threshold doubles.
-        let _ = d.access(svc.end + SimDuration::from_secs(3), Dir::Read, 0, Some(1));
+        poke(&mut d, end + SimDuration::from_secs(3));
         assert_eq!(d.current_threshold(), Some(SimDuration::from_secs(4)));
     }
 
@@ -748,13 +744,11 @@ mod tests {
             initial: SimDuration::from_secs(40),
         };
         let mut d = MagneticDisk::with_policy(cu140_datasheet(), policy);
-        let mut t = d.access(SimTime::ZERO, Dir::Read, 0, Some(1)).end;
+        let mut t = poke(&mut d, SimTime::ZERO);
         // 30 s pauses never trigger the 40 s threshold, but exceed
         // breakeven: the policy should lower the threshold toward them.
         for _ in 0..4 {
-            t = d
-                .access(t + SimDuration::from_secs(30), Dir::Read, 0, Some(1))
-                .end;
+            t = poke(&mut d, t + SimDuration::from_secs(30));
         }
         let threshold = d.current_threshold().unwrap();
         assert!(
@@ -772,18 +766,14 @@ mod tests {
             initial: SimDuration::from_secs(8),
         };
         let mut d = MagneticDisk::with_policy(cu140_datasheet(), policy);
-        let mut t = d.access(SimTime::ZERO, Dir::Read, 0, Some(1)).end;
+        let mut t = poke(&mut d, SimTime::ZERO);
         for _ in 0..10 {
-            t = d
-                .access(t + SimDuration::from_secs(3600), Dir::Read, 0, Some(1))
-                .end;
+            t = poke(&mut d, t + SimDuration::from_secs(3600));
         }
         // Long pauses push the threshold down, but never below min.
         assert_eq!(d.current_threshold(), Some(SimDuration::from_secs(2)));
         for _ in 0..10 {
-            t = d
-                .access(t + SimDuration::from_secs(6), Dir::Read, 0, Some(1))
-                .end;
+            t = poke(&mut d, t + SimDuration::from_secs(6));
         }
         // Eager spin-downs push it up, but never above max.
         assert_eq!(d.current_threshold(), Some(SimDuration::from_secs(8)));
@@ -792,11 +782,9 @@ mod tests {
     #[test]
     fn fixed_policy_never_adapts() {
         let mut d = disk();
-        let mut t = d.access(SimTime::ZERO, Dir::Read, 0, Some(1)).end;
+        let mut t = poke(&mut d, SimTime::ZERO);
         for _ in 0..5 {
-            t = d
-                .access(t + SimDuration::from_secs(6), Dir::Read, 0, Some(1))
-                .end;
+            t = poke(&mut d, t + SimDuration::from_secs(6));
         }
         assert_eq!(d.current_threshold(), Some(SimDuration::from_secs(5)));
     }
@@ -805,8 +793,8 @@ mod tests {
     fn always_average_model_seeks_every_time() {
         let mut d = MagneticDisk::new(cu140_datasheet(), Some(SimDuration::from_secs(5)))
             .with_seek_model(SeekModel::AlwaysAverage);
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
-        let second = d.access(first.end, Dir::Read, 0, Some(1));
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
+        let second = read(&mut d, first.end, 0, Some(1));
         // Same file, but the fragmented model still pays the full seek.
         assert_eq!((second.end - second.start).as_millis_f64(), 25.7);
     }
@@ -818,16 +806,16 @@ mod tests {
                 capacity_blocks: 80_000,
             });
         // Head starts at 0; a far target costs more than a near one.
-        let far = d.access_at(SimTime::ZERO, Dir::Read, 0, Some(1), Some(40_000));
+        let far = read_at(&mut d, SimTime::ZERO, Some(1), 40_000);
         let far_time = far.end - far.start;
         // Now a short hop from ~40_000.
-        let near = d.access_at(far.end, Dir::Read, 0, Some(2), Some(40_100));
+        let near = read_at(&mut d, far.end, Some(2), 40_100);
         let near_time = near.end - near.start;
         assert!(far_time > near_time, "far {far_time} vs near {near_time}");
         // Half-capacity travel costs exactly seek + rotation.
         assert!((far_time.as_millis_f64() - 25.7).abs() < 0.1, "{far_time}");
-        // A zero-distance access costs rotation only.
-        let stay = d.access_at(near.end, Dir::Read, 0, Some(3), None);
+        // A burst with no file tag leaves the head in place: rotation only.
+        let stay = read_at(&mut d, near.end, None, 0);
         assert!(((stay.end - stay.start).as_millis_f64() - 8.3).abs() < 0.1);
     }
 
@@ -838,16 +826,16 @@ mod tests {
                 capacity_blocks: 100,
             });
         // Travel far beyond capacity: the sqrt curve is clamped at 2x.
-        let svc = d.access_at(SimTime::ZERO, Dir::Read, 0, Some(1), Some(1_000_000));
+        let svc = read_at(&mut d, SimTime::ZERO, Some(1), 1_000_000);
         let ms = (svc.end - svc.start).as_millis_f64();
         assert!((ms - (2.0 * 17.4 + 8.3)).abs() < 0.1, "{ms}");
     }
 
     #[test]
     fn power_fail_replays_fat_after_spin_up() {
-        let mut d = disk();
-        let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
-        let svc = d.power_fail(first.end, 128 * KIB);
+        let mut d = disk().with_fat_scan_bytes(128 * KIB);
+        let first = read(&mut d, SimTime::ZERO, 0, Some(1));
+        let svc = d.power_fail(first.end, &mut NoopObserver);
         let c = d.counters();
         assert_eq!(c.power_failures, 1);
         assert_eq!(c.spin_ups, 1);
@@ -856,7 +844,7 @@ mod tests {
         // Recovery pays the 1 s spin-up before the 25.7 ms scan starts.
         assert!((svc.end - svc.start).as_secs_f64() > 1.0257);
         // The scan moved the head: the same-file heuristic seeks again.
-        let next = d.access(svc.end, Dir::Read, 0, Some(1));
+        let next = read(&mut d, svc.end, 0, Some(1));
         assert_eq!((next.end - next.start).as_millis_f64(), 25.7);
     }
 
@@ -865,9 +853,10 @@ mod tests {
         use mobistore_sim::obs::CountingObserver;
         let mut d = disk();
         let mut obs = CountingObserver::default();
-        let first = d.access_obs(SimTime::ZERO, Dir::Read, 0, Some(1), &mut obs);
+        let req = Request::blocks(0, 0, 1024).of_file(1);
+        let (first, _) = d.read(SimTime::ZERO, req, &mut obs);
         let later = first.end + SimDuration::from_secs(60);
-        let _ = d.access_obs(later, Dir::Read, 0, Some(1), &mut obs);
+        let _ = d.read(later, req, &mut obs);
         assert_eq!(obs.counts.get("disk_spin_down"), 1);
         assert_eq!(obs.counts.get("disk_spin_up"), 1);
         // The observed run's counters match the unobserved model's.
@@ -878,8 +867,8 @@ mod tests {
     #[test]
     fn counters_track_bytes() {
         let mut d = disk();
-        let s = d.access(SimTime::ZERO, Dir::Read, 1000, Some(1));
-        let _ = d.access(s.end, Dir::Write, 500, Some(1));
+        let s = read(&mut d, SimTime::ZERO, 1000, Some(1));
+        let _ = write(&mut d, s.end, 500, Some(1));
         let c = d.counters();
         assert_eq!(c.ops, 2);
         assert_eq!(c.bytes_read, 1000);

@@ -15,12 +15,12 @@
 
 use mobistore_sim::energy::{EnergyMeter, Joules};
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
-use mobistore_sim::obs::{Event, NoopObserver, Observer};
+use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::SimTime;
 
 use crate::params::{ErasePolicy, FlashDiskParams};
-use crate::{DeviceError, Dir, Service};
+use crate::{Device, DeviceError, ReadOutcome, Request, Service, WriteOutcome};
 
 /// Counters the flash disk maintains alongside energy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,11 +71,12 @@ impl FlashDiskCounters {
 /// ```
 /// use mobistore_device::flashdisk::FlashDisk;
 /// use mobistore_device::params::sdp5_datasheet;
-/// use mobistore_device::Dir;
+/// use mobistore_device::{Device, Request};
+/// use mobistore_sim::obs::NoopObserver;
 /// use mobistore_sim::time::SimTime;
 ///
 /// let mut fd = FlashDisk::new(sdp5_datasheet());
-/// let svc = fd.access(SimTime::ZERO, Dir::Read, 1024);
+/// let (svc, _) = fd.read(SimTime::ZERO, Request::blocks(0, 1, 1024), &mut NoopObserver);
 /// // 1.5 ms latency + 1 Kbyte at 600 Kbytes/s.
 /// assert!((svc.end.as_secs_f64() - (0.0015 + 1.0 / 600.0)).abs() < 1e-6);
 /// ```
@@ -182,184 +183,6 @@ impl FlashDisk {
         self.counters = FlashDiskCounters::default();
     }
 
-    /// Serves one access issued at `now`.
-    pub fn access(&mut self, now: SimTime, dir: Dir, bytes: u64) -> Service {
-        self.access_obs(now, dir, bytes, &mut NoopObserver)
-    }
-
-    /// [`access`](Self::access), reporting background pre-erasure
-    /// ([`Event::FlashPreErase`]) to an observer.
-    pub fn access_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        dir: Dir,
-        bytes: u64,
-        obs: &mut O,
-    ) -> Service {
-        let start = self.settle(now, obs);
-        let service = match dir {
-            Dir::Read => self.params.read_bandwidth.transfer_time(bytes),
-            Dir::Write => self.write_time(bytes),
-        };
-        let total = self.params.access_latency + service;
-        let end = start + total;
-        self.meter
-            .charge_for("active", self.params.active_power, total);
-
-        self.counters.ops += 1;
-        let span_kind = match dir {
-            Dir::Read => {
-                self.counters.bytes_read += bytes;
-                SpanKind::FlashRead { bytes }
-            }
-            Dir::Write => {
-                self.counters.bytes_written += bytes;
-                self.last_write = self.last_write.max(end);
-                SpanKind::FlashProgram { bytes }
-            }
-        };
-        obs.span(&Span::new(span_kind, start, end));
-        // Open-loop accesses may overlap; keep the marker monotone.
-        self.free_at = self.free_at.max(end);
-        Service { start, end }
-    }
-
-    /// Fallible read: one bit-error classification per access (the flash
-    /// disk's controller remaps sectors internally, so errors are modeled
-    /// per request, with the retention clock reset by any write). Time and
-    /// energy are always accounted; an error count past the ECC budget and
-    /// the bounded read-retry yields [`DeviceError::Uncorrectable`] —
-    /// reported, never silent.
-    pub fn try_read(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        bytes: u64,
-    ) -> (Service, Result<(), DeviceError>) {
-        self.try_read_obs(now, lbn, bytes, &mut NoopObserver)
-    }
-
-    /// [`try_read`](Self::try_read), reporting ECC corrections, retries,
-    /// and uncorrectable losses to an observer.
-    pub fn try_read_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        bytes: u64,
-        obs: &mut O,
-    ) -> (Service, Result<(), DeviceError>) {
-        let start = self.settle(now, obs);
-        let transfer = self.params.read_bandwidth.transfer_time(bytes);
-        let mut total = self.params.access_latency + transfer;
-        let mut retry = None;
-        let mut result = Ok(());
-        let verdict = self
-            .integrity
-            .classify_read(0, start.saturating_since(self.last_write));
-        match verdict {
-            ReadVerdict::Clean => {}
-            ReadVerdict::Corrected { errors } => {
-                self.counters.ecc_corrected += 1;
-                total += self.integrity.config().correction_penalty;
-                obs.record(&Event::EccCorrected {
-                    t: start,
-                    lbn,
-                    errors,
-                });
-            }
-            ReadVerdict::Retried {
-                errors: _,
-                attempts,
-            } => {
-                self.counters.read_retries += u64::from(attempts);
-                // Each retry backs off and re-runs the transfer.
-                let extra =
-                    (self.integrity.config().retry_backoff + transfer) * u64::from(attempts);
-                total += extra;
-                retry = Some((attempts, extra));
-                obs.record(&Event::ReadRetry {
-                    t: start,
-                    lbn,
-                    attempts,
-                });
-            }
-            ReadVerdict::Uncorrectable { errors } => {
-                self.counters.uncorrectable_reads += 1;
-                obs.record(&Event::UncorrectableRead {
-                    t: start,
-                    lbn,
-                    errors,
-                });
-                result = Err(DeviceError::Uncorrectable { lbn, errors });
-            }
-        }
-        let end = start + total;
-        self.meter
-            .charge_for("active", self.params.active_power, total);
-        obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
-        if let Some((attempts, extra)) = retry {
-            obs.span(&Span::new(
-                SpanKind::EccRetry { lbn, attempts },
-                end - extra,
-                end,
-            ));
-        }
-        self.counters.ops += 1;
-        self.counters.bytes_read += bytes;
-        self.free_at = self.free_at.max(end);
-        (Service { start, end }, result)
-    }
-
-    /// Accounts for the trailing idle period (and any final background
-    /// erasure) at the end of a simulation.
-    pub fn finish(&mut self, end: SimTime) {
-        self.finish_obs(end, &mut NoopObserver);
-    }
-
-    /// [`finish`](Self::finish), reporting trailing background erasure to
-    /// an observer.
-    pub fn finish_obs<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
-        let settled = self.settle(end, obs);
-        debug_assert!(settled >= end || settled == end.max(settled));
-    }
-
-    /// Loses power at `now` and recovers.
-    ///
-    /// Flash is non-volatile, so the pre-erased pool and pending garbage
-    /// survive; an in-flight access is abandoned. The emulation layer hides
-    /// recovery inside the controller: on power-up it re-reads the remap
-    /// and erase-state headers of its spare pool (one
-    /// [`REMAP_HEADER_BYTES`] header per [`SECTOR_BYTES`] sector) before
-    /// serving requests. Returns the recovery interval.
-    pub fn power_fail(&mut self, now: SimTime) -> Service {
-        self.power_fail_obs(now, &mut NoopObserver)
-    }
-
-    /// [`power_fail`](Self::power_fail), reporting background erasure cut
-    /// short by the crash to an observer.
-    pub fn power_fail_obs<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
-        if now < self.free_at {
-            // The in-flight access dies with the power; the controller is
-            // free the instant power returns.
-            self.free_at = now;
-        } else {
-            let _ = self.settle(now, obs);
-        }
-        let sectors = self.params.spare_pool_bytes.div_ceil(SECTOR_BYTES);
-        let scan = self
-            .params
-            .read_bandwidth
-            .transfer_time(sectors * REMAP_HEADER_BYTES);
-        let total = self.params.access_latency + scan;
-        let end = now + total;
-        self.meter
-            .charge_for("recover", self.params.active_power, total);
-        self.counters.power_failures += 1;
-        self.counters.recovery_time += total;
-        self.free_at = end;
-        Service { start: now, end }
-    }
-
     fn write_time(&mut self, bytes: u64) -> mobistore_sim::time::SimDuration {
         match self.params.erase_policy {
             ErasePolicy::OnDemand => self.params.write_bandwidth.transfer_time(bytes),
@@ -432,17 +255,161 @@ impl FlashDisk {
     }
 }
 
+impl Device for FlashDisk {
+    /// One bit-error classification per access (the controller remaps
+    /// sectors internally, so errors are modeled per request, with the
+    /// retention clock reset by any write); the request's `lbn` only labels
+    /// the events. Corrections ([`Event::EccCorrected`]) and bounded
+    /// retries ([`Event::ReadRetry`]) cost time; an error count past the
+    /// ECC budget and the read-retry bound yields
+    /// [`DeviceError::Uncorrectable`] ([`Event::UncorrectableRead`]) —
+    /// reported, never silent.
+    fn read<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> ReadOutcome {
+        let (lbn, bytes) = (req.lbn, req.bytes);
+        let start = self.settle(now, obs);
+        let transfer = self.params.read_bandwidth.transfer_time(bytes);
+        let mut total = self.params.access_latency + transfer;
+        let mut retry = None;
+        let mut result = Ok(());
+        let verdict = self
+            .integrity
+            .classify_read(0, start.saturating_since(self.last_write));
+        match verdict {
+            ReadVerdict::Clean => {}
+            ReadVerdict::Corrected { errors } => {
+                self.counters.ecc_corrected += 1;
+                total += self.integrity.config().correction_penalty;
+                obs.record(&Event::EccCorrected {
+                    t: start,
+                    lbn,
+                    errors,
+                });
+            }
+            ReadVerdict::Retried {
+                errors: _,
+                attempts,
+            } => {
+                self.counters.read_retries += u64::from(attempts);
+                // Each retry backs off and re-runs the transfer.
+                let extra =
+                    (self.integrity.config().retry_backoff + transfer) * u64::from(attempts);
+                total += extra;
+                retry = Some((attempts, extra));
+                obs.record(&Event::ReadRetry {
+                    t: start,
+                    lbn,
+                    attempts,
+                });
+            }
+            ReadVerdict::Uncorrectable { errors } => {
+                self.counters.uncorrectable_reads += 1;
+                obs.record(&Event::UncorrectableRead {
+                    t: start,
+                    lbn,
+                    errors,
+                });
+                result = Err(DeviceError::Uncorrectable { lbn, errors });
+            }
+        }
+        let end = start + total;
+        self.meter
+            .charge_for("active", self.params.active_power, total);
+        obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
+        if let Some((attempts, extra)) = retry {
+            obs.span(&Span::new(
+                SpanKind::EccRetry { lbn, attempts },
+                end - extra,
+                end,
+            ));
+        }
+        self.counters.ops += 1;
+        self.counters.bytes_read += bytes;
+        self.free_at = self.free_at.max(end);
+        (Service { start, end }, result)
+    }
+
+    /// Writes never fail: the emulation layer always has sectors to erase.
+    /// Background pre-erasure in the idle gap before the write is reported
+    /// as [`Event::FlashPreErase`].
+    fn write<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> WriteOutcome {
+        let bytes = req.bytes;
+        let start = self.settle(now, obs);
+        let total = self.params.access_latency + self.write_time(bytes);
+        let end = start + total;
+        self.meter
+            .charge_for("active", self.params.active_power, total);
+
+        self.counters.ops += 1;
+        self.counters.bytes_written += bytes;
+        self.last_write = self.last_write.max(end);
+        obs.span(&Span::new(SpanKind::FlashProgram { bytes }, start, end));
+        // Open-loop accesses may overlap; keep the marker monotone.
+        self.free_at = self.free_at.max(end);
+        Ok(Service { start, end })
+    }
+
+    /// The emulation layer keeps no block map the host can trim.
+    fn trim<O: Observer>(&mut self, _now: SimTime, _req: Request, _obs: &mut O) {}
+
+    /// Loses power at `now` and recovers.
+    ///
+    /// Flash is non-volatile, so the pre-erased pool and pending garbage
+    /// survive; an in-flight access is abandoned. The emulation layer hides
+    /// recovery inside the controller: on power-up it re-reads the remap
+    /// and erase-state headers of its spare pool (one
+    /// [`REMAP_HEADER_BYTES`] header per [`SECTOR_BYTES`] sector) before
+    /// serving requests. Returns the recovery interval.
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
+        if now < self.free_at {
+            // The in-flight access dies with the power; the controller is
+            // free the instant power returns.
+            self.free_at = now;
+        } else {
+            let _ = self.settle(now, obs);
+        }
+        let sectors = self.params.spare_pool_bytes.div_ceil(SECTOR_BYTES);
+        let scan = self
+            .params
+            .read_bandwidth
+            .transfer_time(sectors * REMAP_HEADER_BYTES);
+        let total = self.params.access_latency + scan;
+        let end = now + total;
+        self.meter
+            .charge_for("recover", self.params.active_power, total);
+        self.counters.power_failures += 1;
+        self.counters.recovery_time += total;
+        self.free_at = end;
+        Service { start: now, end }
+    }
+
+    /// Settles the trailing idle period, reporting any final background
+    /// erasure.
+    fn finish<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        let _ = self.settle(end, obs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{sdp10_measured, sdp5_datasheet, sdp5a_datasheet};
+    use mobistore_sim::obs::NoopObserver;
     use mobistore_sim::time::SimDuration;
     use mobistore_sim::units::KIB;
+
+    fn write(fd: &mut FlashDisk, now: SimTime, bytes: u64) -> Service {
+        let written = fd.write(now, Request::new(0, bytes), &mut NoopObserver);
+        written.expect("flash disk writes never fail")
+    }
+
+    fn read(fd: &mut FlashDisk, now: SimTime, lbn: u64, bytes: u64) -> ReadOutcome {
+        fd.read(now, Request::new(lbn, bytes), &mut NoopObserver)
+    }
 
     #[test]
     fn on_demand_write_uses_combined_rate() {
         let mut fd = FlashDisk::new(sdp5_datasheet());
-        let svc = fd.access(SimTime::ZERO, Dir::Write, 109 * KIB);
+        let svc = write(&mut fd, SimTime::ZERO, 109 * KIB);
         // ~1 s transfer at the combined 109.09 Kbytes/s rate + 1.5 ms.
         let secs = (svc.end - svc.start).as_secs_f64();
         assert!((secs - (0.0015 + 109.0 / 109.0909)).abs() < 1e-3, "{secs}");
@@ -451,14 +418,14 @@ mod tests {
     #[test]
     fn sdp10_write_is_slow() {
         let mut fd = FlashDisk::new(sdp10_measured());
-        let svc = fd.access(SimTime::ZERO, Dir::Write, 40 * KIB);
+        let svc = write(&mut fd, SimTime::ZERO, 40 * KIB);
         assert!(((svc.end - svc.start).as_secs_f64() - 1.0015).abs() < 1e-6);
     }
 
     #[test]
     fn async_write_from_pool_is_fast() {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
-        let svc = fd.access(SimTime::ZERO, Dir::Write, 400 * KIB);
+        let svc = write(&mut fd, SimTime::ZERO, 400 * KIB);
         // Entirely from the 512-Kbyte pre-erased pool: 1 s at 400 Kbytes/s.
         let secs = (svc.end - svc.start).as_secs_f64();
         assert!((secs - 1.0015).abs() < 1e-6, "{secs}");
@@ -471,8 +438,8 @@ mod tests {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
         // Exhaust the 512-Kbyte pool, then write more with no idle time to
         // replenish it.
-        let first = fd.access(SimTime::ZERO, Dir::Write, 512 * KIB);
-        let svc = fd.access(first.end, Dir::Write, 150 * KIB);
+        let first = write(&mut fd, SimTime::ZERO, 512 * KIB);
+        let svc = write(&mut fd, first.end, 150 * KIB);
         // Deficit of 150 Kbytes: erase 1 s at 150 + write at 400.
         let secs = (svc.end - svc.start).as_secs_f64();
         let expect = 0.0015 + 1.0 + 150.0 / 400.0;
@@ -483,10 +450,10 @@ mod tests {
     #[test]
     fn idle_gap_replenishes_pool() {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
-        let first = fd.access(SimTime::ZERO, Dir::Write, 512 * KIB);
+        let first = write(&mut fd, SimTime::ZERO, 512 * KIB);
         // 1 s of idle erases 150 Kbytes of the garbage.
         let later = first.end + SimDuration::from_secs(1);
-        let svc = fd.access(later, Dir::Write, 150 * KIB);
+        let svc = write(&mut fd, later, 150 * KIB);
         let secs = (svc.end - svc.start).as_secs_f64();
         let expect = 0.0015 + 150.0 / 400.0;
         assert!((secs - expect).abs() < 1e-4, "{secs} vs {expect}");
@@ -498,8 +465,8 @@ mod tests {
         // by ~2.5x. Compare transfer-dominated writes.
         let mut sync = FlashDisk::new(sdp5_datasheet());
         let mut asy = FlashDisk::new(sdp5a_datasheet());
-        let t_sync = sync.access(SimTime::ZERO, Dir::Write, 32 * KIB);
-        let t_asy = asy.access(SimTime::ZERO, Dir::Write, 32 * KIB);
+        let t_sync = write(&mut sync, SimTime::ZERO, 32 * KIB);
+        let t_asy = write(&mut asy, SimTime::ZERO, 32 * KIB);
         let ratio =
             (t_sync.end - t_sync.start).as_secs_f64() / (t_asy.end - t_asy.start).as_secs_f64();
         assert!((2.0..4.0).contains(&ratio), "speedup {ratio}");
@@ -508,8 +475,8 @@ mod tests {
     #[test]
     fn energy_covers_idle_and_erase() {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
-        let first = fd.access(SimTime::ZERO, Dir::Write, 512 * KIB);
-        fd.finish(first.end + SimDuration::from_secs(10));
+        let first = write(&mut fd, SimTime::ZERO, 512 * KIB);
+        fd.finish(first.end + SimDuration::from_secs(10), &mut NoopObserver);
         let m = fd.meter();
         assert!(m.category("active").get() > 0.0);
         assert!(
@@ -530,16 +497,12 @@ mod tests {
         let mut t1 = SimTime::ZERO;
         let mut t2 = SimTime::ZERO;
         for _ in 0..50 {
-            t1 = sync
-                .access(t1 + SimDuration::from_secs(1), Dir::Write, 16 * KIB)
-                .end;
-            t2 = asy
-                .access(t2 + SimDuration::from_secs(1), Dir::Write, 16 * KIB)
-                .end;
+            t1 = write(&mut sync, t1 + SimDuration::from_secs(1), 16 * KIB).end;
+            t2 = write(&mut asy, t2 + SimDuration::from_secs(1), 16 * KIB).end;
         }
         let end = t1.max(t2) + SimDuration::from_secs(1);
-        sync.finish(end);
-        asy.finish(end);
+        sync.finish(end, &mut NoopObserver);
+        asy.finish(end, &mut NoopObserver);
         let (e1, e2) = (sync.energy().get(), asy.energy().get());
         assert!((e1 - e2).abs() / e1 < 0.1, "sync {e1} vs async {e2}");
     }
@@ -547,17 +510,17 @@ mod tests {
     #[test]
     fn reads_queue_behind_busy_device() {
         let mut fd = FlashDisk::new(sdp5_datasheet());
-        let w = fd.access(SimTime::ZERO, Dir::Write, 109 * KIB); // ~1 s
-        let r = fd.access(SimTime::from_nanos(1_000_000), Dir::Read, KIB);
+        let w = write(&mut fd, SimTime::ZERO, 109 * KIB); // ~1 s
+        let r = read(&mut fd, SimTime::from_nanos(1_000_000), 0, KIB).0;
         assert_eq!(r.start, w.end);
     }
 
     #[test]
     fn power_fail_preserves_pool_and_charges_recovery() {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
-        let first = fd.access(SimTime::ZERO, Dir::Write, 100 * KIB);
+        let first = write(&mut fd, SimTime::ZERO, 100 * KIB);
         let pool = fd.erased_pool();
-        let svc = fd.power_fail(first.end);
+        let svc = fd.power_fail(first.end, &mut NoopObserver);
         assert!(svc.end > svc.start, "remap scan takes time");
         assert_eq!(fd.erased_pool(), pool, "flash state is non-volatile");
         assert_eq!(fd.counters().power_failures, 1);
@@ -567,11 +530,11 @@ mod tests {
         // A crash mid-access abandons the in-flight request: the device is
         // free for recovery at the crash instant, not at the access's
         // would-be completion.
-        let w = fd.access(svc.end, Dir::Write, 100 * KIB);
+        let w = write(&mut fd, svc.end, 100 * KIB);
         let mid = w.start + SimDuration::from_nanos((w.end - w.start).as_nanos() / 2);
-        let svc2 = fd.power_fail(mid);
+        let svc2 = fd.power_fail(mid, &mut NoopObserver);
         assert_eq!(svc2.start, mid);
-        let after = fd.access(svc2.end, Dir::Read, KIB);
+        let after = read(&mut fd, svc2.end, 0, KIB).0;
         assert_eq!(after.start, svc2.end, "device serves as soon as recovered");
     }
 
@@ -581,8 +544,8 @@ mod tests {
         let mut quiet = FlashDisk::new(sdp5_datasheet()).with_integrity(IntegrityConfig::none());
         for i in 0..20u64 {
             let t = SimTime::from_secs_f64(i as f64);
-            let a = plain.access(t, Dir::Read, 4 * KIB);
-            let (b, res) = quiet.try_read(t, i, 4 * KIB);
+            let (a, _) = read(&mut plain, t, i, 4 * KIB);
+            let (b, res) = read(&mut quiet, t, i, 4 * KIB);
             assert_eq!(a, b);
             assert!(res.is_ok());
         }
@@ -598,19 +561,19 @@ mod tests {
             ..IntegrityConfig::none()
         };
         let mut fd = FlashDisk::new(sdp5_datasheet()).with_integrity(cfg);
-        let w = fd.access(SimTime::ZERO, Dir::Write, 4 * KIB);
+        let w = write(&mut fd, SimTime::ZERO, 4 * KIB);
         // Immediately after the write λ ≈ 0: the read is clean.
-        let (_, fresh) = fd.try_read(w.end, 0, 4 * KIB);
+        let (_, fresh) = read(&mut fd, w.end, 0, 4 * KIB);
         assert!(fresh.is_ok());
         // An hour later λ = 40: far past the retry threshold.
-        let (svc, stale) = fd.try_read(w.end + SimDuration::from_hours(1), 0, 4 * KIB);
+        let (svc, stale) = read(&mut fd, w.end + SimDuration::from_hours(1), 0, 4 * KIB);
         assert!(svc.end > svc.start, "time accounted even on failure");
         let err = stale.expect_err("an hour at 40 errors/hour is fatal");
         assert!(matches!(err, DeviceError::Uncorrectable { lbn: 0, .. }));
         assert_eq!(fd.counters().uncorrectable_reads, 1);
         // A fresh write resets the retention clock.
-        let w2 = fd.access(svc.end, Dir::Write, 4 * KIB);
-        let (_, res) = fd.try_read(w2.end, 0, 4 * KIB);
+        let w2 = write(&mut fd, svc.end, 4 * KIB);
+        let (_, res) = read(&mut fd, w2.end, 0, 4 * KIB);
         assert!(res.is_ok());
     }
 
@@ -623,8 +586,8 @@ mod tests {
         };
         let mut clean = FlashDisk::new(sdp5_datasheet());
         let mut noisy = FlashDisk::new(sdp5_datasheet()).with_integrity(cfg);
-        let ok = clean.access(SimTime::ZERO, Dir::Read, 4 * KIB);
-        let (slow, res) = noisy.try_read(SimTime::ZERO, 0, 4 * KIB);
+        let ok = read(&mut clean, SimTime::ZERO, 0, 4 * KIB).0;
+        let (slow, res) = read(&mut noisy, SimTime::ZERO, 0, 4 * KIB);
         assert!(res.is_ok());
         assert_eq!(noisy.counters().ecc_corrected, 1);
         assert_eq!(
@@ -636,7 +599,7 @@ mod tests {
     #[test]
     fn reset_metrics_preserves_pool_state() {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
-        let _ = fd.access(SimTime::ZERO, Dir::Write, 100 * KIB);
+        let _ = write(&mut fd, SimTime::ZERO, 100 * KIB);
         let pool = fd.erased_pool();
         fd.reset_metrics();
         assert_eq!(fd.energy().get(), 0.0);

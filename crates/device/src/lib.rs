@@ -18,10 +18,16 @@
 //! All devices account energy with per-state [`mobistore_sim::EnergyMeter`]s
 //! and model request queueing internally (a request issued while the device
 //! is busy waits), which is what produces the paper's maximum-response
-//! columns.
+//! columns. Every storage alternative — the disk and flash disk here, the
+//! flash card store in `mobistore-flash`, and the erasure-coded
+//! [`ArrayDevice`] — serves the same five operations through the
+//! [`Device`] trait, each reporting its internal events to an observer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use mobistore_sim::obs::Observer;
+use mobistore_sim::time::{SimDuration, SimTime};
 
 pub mod array;
 pub mod disk;
@@ -32,12 +38,99 @@ pub use array::ArrayDevice;
 pub use disk::MagneticDisk;
 pub use flashdisk::FlashDisk;
 
+/// Identifier of the file a request belongs to, for the disk's seek
+/// heuristic; mirrors `mobistore_trace::record::FileId` without depending
+/// on that crate.
+pub type FileTag = u64;
+
+/// One request to a [`Device`]: `bytes` starting at logical block `lbn`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request {
+    /// First logical block. The flash card and the array address their
+    /// block maps with it, the disk's distance-based seek travels to it,
+    /// and the flash disk only labels its events with it.
+    pub lbn: u64,
+    /// Bytes the request covers. Block-mapped devices (flash card, array)
+    /// serve `bytes / block_size` whole blocks of their configured size.
+    pub bytes: u64,
+    /// The file the request belongs to, for the disk's seek model: a
+    /// request to the previous request's file skips the seek (§4.2).
+    /// `None` marks a burst spanning many files (an SRAM or write-back
+    /// flush): it always seeks under the paper's model and leaves the head
+    /// where it is under the distance model.
+    pub file: Option<FileTag>,
+}
+
+impl Request {
+    /// `bytes` from `lbn`, with no file.
+    pub fn new(lbn: u64, bytes: u64) -> Self {
+        Request {
+            lbn,
+            bytes,
+            file: None,
+        }
+    }
+
+    /// `blocks` blocks of `block_size` bytes from `lbn`, with no file.
+    pub fn blocks(lbn: u64, blocks: u32, block_size: u64) -> Self {
+        Request::new(lbn, u64::from(blocks) * block_size)
+    }
+
+    /// The whole blocks of `block_size` bytes the request covers.
+    pub fn block_count(&self, block_size: u64) -> u32 {
+        (self.bytes / block_size) as u32
+    }
+
+    /// The same request, tagged with the file it belongs to.
+    pub fn of_file(self, file: FileTag) -> Self {
+        Request {
+            file: Some(file),
+            ..self
+        }
+    }
+}
+
+/// What a read returns: the service interval — the device works either
+/// way — and whether the data came back intact.
+pub type ReadOutcome = (Service, Result<(), DeviceError>);
+
+/// What a write returns: its service interval, or why it was refused.
+pub type WriteOutcome = Result<Service, DeviceError>;
+
+/// The operations every storage alternative serves (§4.2: one trace, one
+/// memory hierarchy, interchangeable devices behind it).
+///
+/// Each operation takes an [`Observer`] that sees the device's internal
+/// events and spans; pass [`mobistore_sim::obs::NoopObserver`] for none —
+/// it compiles away. Time and energy are accounted inside the device.
+pub trait Device {
+    /// Serves a read issued at `now`. An error reports data the device
+    /// could not deliver intact (an uncorrectable block, a stripe with too
+    /// few surviving shards) — never silently.
+    fn read<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> ReadOutcome;
+
+    /// Serves a write issued at `now`, or refuses it with a typed error (a
+    /// flash card at end of life, a failed array). The disk and the flash
+    /// disk never refuse.
+    fn write<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> WriteOutcome;
+
+    /// Discards the request's blocks (file deletion) at `now`, taking no
+    /// device time. Devices without a block map ignore it.
+    fn trim<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O);
+
+    /// Loses power at `now` and runs the device's recovery; returns the
+    /// recovery interval.
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service;
+
+    /// Settles the idle time (and any background work it allows) up to
+    /// `end`, so the energy integral covers the whole run.
+    fn finish<O: Observer>(&mut self, end: SimTime, obs: &mut O);
+}
+
 /// A typed, recoverable device failure.
 ///
-/// These replace the library's historical `panic!` paths: callers that can
-/// degrade gracefully (the simulator's drain mode, the `repro` binary's
-/// exit-code mapping) match on the variant, while the old panicking entry
-/// points remain as thin wrappers that format the same message.
+/// Callers that can degrade gracefully (the simulator's drain mode, the
+/// `repro` binary's exit-code mapping) match on the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceError {
     /// The flash card has exhausted its cleanable capacity (spare guard
@@ -176,14 +269,14 @@ pub enum Dir {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Service {
     /// When the device began working on the request.
-    pub start: mobistore_sim::time::SimTime,
+    pub start: SimTime,
     /// When the request completed.
-    pub end: mobistore_sim::time::SimTime,
+    pub end: SimTime,
 }
 
 impl Service {
     /// The time spent servicing (excluding queueing).
-    pub fn service_time(&self) -> mobistore_sim::time::SimDuration {
+    pub fn service_time(&self) -> SimDuration {
         self.end - self.start
     }
 
@@ -192,10 +285,7 @@ impl Service {
     /// # Panics
     ///
     /// Panics if `issued` is after `end`.
-    pub fn response(
-        &self,
-        issued: mobistore_sim::time::SimTime,
-    ) -> mobistore_sim::time::SimDuration {
+    pub fn response(&self, issued: SimTime) -> SimDuration {
         self.end - issued
     }
 }
@@ -203,7 +293,6 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobistore_sim::time::{SimDuration, SimTime};
 
     #[test]
     fn service_and_response() {

@@ -12,8 +12,9 @@
 use std::fmt;
 
 use mobistore_device::params::intel_datasheet;
-use mobistore_device::QueueDiscipline;
+use mobistore_device::{Device, QueueDiscipline, Request};
 use mobistore_flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
+use mobistore_sim::obs::NoopObserver;
 use mobistore_sim::rng::SimRng;
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_sim::units::MIB;
@@ -70,11 +71,13 @@ pub fn run(scale: Scale) -> EnvyCheck {
             let mut response = mobistore_sim::stats::OnlineStats::new();
             for _ in 0..writes {
                 now += SimDuration::from_micros(500);
-                let svc = card.write(now, rng.below(live), 1);
+                let req = Request::blocks(rng.below(live), 1, 1024);
+                let written = card.write(now, req, &mut NoopObserver);
+                let svc = written.unwrap_or_else(|e| panic!("{e}"));
                 response.record((svc.end - now).as_millis_f64());
                 now = svc.end;
             }
-            card.finish(now);
+            card.finish(now, &mut NoopObserver);
 
             let meter = card.meter();
             let clean = meter.category_time("clean").as_secs_f64();

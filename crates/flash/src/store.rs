@@ -25,13 +25,13 @@
 use std::collections::HashMap;
 
 use mobistore_device::params::FlashCardParams;
-use mobistore_device::{DeviceError, Service};
+use mobistore_device::{Device, DeviceError, ReadOutcome, Request, Service, WriteOutcome};
 use mobistore_sim::crashcheck::FIRST_GENERATION;
 use mobistore_sim::energy::{EnergyMeter, Joules};
 use mobistore_sim::fault::{EraseOutcome, FaultConfig, FaultPlan};
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
-use mobistore_sim::obs::{Event, FaultKind, NoopObserver, Observer};
+use mobistore_sim::obs::{Event, FaultKind, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 
@@ -292,7 +292,9 @@ impl WearStats {
 ///
 /// ```
 /// use mobistore_device::params::intel_datasheet;
+/// use mobistore_device::{Device, Request};
 /// use mobistore_flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
+/// use mobistore_sim::obs::NoopObserver;
 /// use mobistore_sim::time::SimTime;
 ///
 /// let mut card = FlashCardStore::new(FlashCardConfig {
@@ -303,7 +305,8 @@ impl WearStats {
 ///     victim_policy: VictimPolicy::GreedyMinLive,
 ///     queueing: mobistore_device::QueueDiscipline::Fifo,
 /// });
-/// let svc = card.write(SimTime::ZERO, 0, 4);
+/// let req = Request::blocks(0, 4, 1024);
+/// let svc = card.write(SimTime::ZERO, req, &mut NoopObserver).unwrap();
 /// assert!(svc.end > svc.start);
 /// assert_eq!(card.live_blocks(), 4);
 /// ```
@@ -520,7 +523,7 @@ impl FlashCardStore {
     }
 
     /// True once the card has entered read-only end-of-life mode (see
-    /// [`try_write`](Self::try_write)). Sticky: reads and trims are still
+    /// [`Device::write`]). Sticky: reads and trims are still
     /// served, writes fail with [`DeviceError::ReadOnly`].
     pub fn is_read_only(&self) -> bool {
         self.read_only
@@ -697,150 +700,10 @@ impl FlashCardStore {
         self.debug_check();
     }
 
-    /// Serves a read of `blocks` logical blocks issued at `now`.
-    ///
-    /// Reads never wait for cleaning (erasure is suspended during I/O), but
-    /// do queue behind earlier requests. Any uncorrectable-read error is
-    /// dropped; see [`try_read`](Self::try_read) for the checked path.
-    pub fn read(&mut self, now: SimTime, lbn: u64, blocks: u32) -> Service {
-        self.read_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// [`read`](Self::read), reporting background-cleaning completions that
-    /// settle during the preceding idle gap — and any bit-error activity —
-    /// to an observer.
-    pub fn read_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-        obs: &mut O,
-    ) -> Service {
-        self.try_read_obs(now, lbn, blocks, obs).0
-    }
-
-    /// Fallible [`read`](Self::read): classifies every mapped block through
-    /// the bit-error/ECC model. Time and energy are always accounted (the
-    /// device worked either way), so the service interval is returned
-    /// alongside the verdict; the first block that exceeds both the ECC
-    /// budget and the read-retry bound yields
-    /// [`DeviceError::Uncorrectable`] and is unmapped — its data is gone,
-    /// and the loss is *reported*, never silent.
-    pub fn try_read(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-    ) -> (Service, Result<(), DeviceError>) {
-        self.try_read_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// [`try_read`](Self::try_read), reporting ECC corrections
-    /// ([`Event::EccCorrected`]), bounded retries ([`Event::ReadRetry`]),
-    /// uncorrectable losses ([`Event::UncorrectableRead`]), and
-    /// wear-triggered relocations ([`Event::BlockRelocated`]) to an
-    /// observer.
-    pub fn try_read_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-        obs: &mut O,
-    ) -> (Service, Result<(), DeviceError>) {
-        let start = self.settle(now, obs);
-        let bytes = u64::from(blocks) * self.config.block_size;
-        let mut dur = self.config.params.access_latency
-            + self.config.params.read_bandwidth.transfer_time(bytes);
-        let block_read = self
-            .config
-            .params
-            .read_bandwidth
-            .transfer_time(self.config.block_size);
-        let mut result = Ok(());
-        let mut retry_extra = SimDuration::ZERO;
-        let mut retry_attempts = 0u32;
-        let mut retry_lbn = 0u64;
-        for i in 0..u64::from(blocks) {
-            let b = lbn + i;
-            let Some(loc) = self.map.get(&b) else {
-                // Unmapped blocks have no stored charge to decay; they are
-                // served (as before) without consuming a bit-error draw.
-                continue;
-            };
-            let seg = loc.seg;
-            let s = &self.segments[seg as usize];
-            let verdict = self.integrity.classify_read(
-                u64::from(s.erase_count),
-                start.saturating_since(s.written_at),
-            );
-            match verdict {
-                ReadVerdict::Clean => {}
-                ReadVerdict::Corrected { errors } => {
-                    self.counters.ecc_corrected += 1;
-                    dur += self.integrity.config().correction_penalty;
-                    obs.record(&Event::EccCorrected {
-                        t: start,
-                        lbn: b,
-                        errors,
-                    });
-                    if self.integrity.config().wants_relocation(errors) {
-                        self.try_relocate(start, b, seg, errors, obs);
-                    }
-                }
-                ReadVerdict::Retried { errors, attempts } => {
-                    self.counters.read_retries += u64::from(attempts);
-                    // Each retry backs off and re-reads the block.
-                    let extra =
-                        (self.plan.config().retry_backoff + block_read) * u64::from(attempts);
-                    self.backoff.record(extra);
-                    dur += extra;
-                    retry_extra += extra;
-                    if retry_attempts == 0 {
-                        retry_lbn = b;
-                    }
-                    retry_attempts += attempts;
-                    obs.record(&Event::ReadRetry {
-                        t: start,
-                        lbn: b,
-                        attempts,
-                    });
-                    if self.integrity.config().wants_relocation(errors) {
-                        self.try_relocate(start, b, seg, errors, obs);
-                    }
-                }
-                ReadVerdict::Uncorrectable { errors } => {
-                    self.counters.uncorrectable_reads += 1;
-                    obs.record(&Event::UncorrectableRead {
-                        t: start,
-                        lbn: b,
-                        errors,
-                    });
-                    self.drop_block(b);
-                    if result.is_ok() {
-                        result = Err(DeviceError::Uncorrectable { lbn: b, errors });
-                    }
-                }
-            }
-        }
-        let end = start + dur;
-        self.meter
-            .charge_for("active", self.config.params.active_power, dur);
-        obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
-        if retry_attempts > 0 {
-            obs.span(&Span::new(
-                SpanKind::EccRetry {
-                    lbn: retry_lbn,
-                    attempts: retry_attempts,
-                },
-                end - retry_extra,
-                end,
-            ));
-        }
-        self.counters.ops += 1;
-        self.counters.bytes_read += bytes;
-        self.free_at = self.free_at.max(end);
-        self.debug_check();
-        (Service { start, end }, result)
+    /// When the card is next free: the end of its latest request, or of
+    /// the idle time it last settled. Untimed callers stamp trims with it.
+    pub fn free_at(&self) -> SimTime {
+        self.free_at
     }
 
     /// Unmaps one live block (its slot becomes dead); shared by the
@@ -879,163 +742,6 @@ impl FlashCardStore {
         true
     }
 
-    /// Serves a write of `blocks` logical blocks starting at `lbn`, issued
-    /// at `now`.
-    ///
-    /// Cleaning is needed whenever the erased-segment pool drains. Under
-    /// [`CleanerMode::Background`] a job is launched to run during idle
-    /// gaps; a write that fills the frontier before the job finishes must
-    /// wait out its remaining work, which is what degrades write response
-    /// at high utilization (§5.2). Under [`CleanerMode::OnDemand`] the
-    /// triggering write performs the whole cleaning synchronously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if space is exhausted and nothing is cleanable (the working
-    /// set exceeds usable capacity); see [`try_write`](Self::try_write) for
-    /// the fallible path.
-    pub fn write(&mut self, now: SimTime, lbn: u64, blocks: u32) -> Service {
-        self.write_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// Fallible [`write`](Self::write): on capacity exhaustion the card
-    /// transitions to sticky read-only end-of-life mode and returns
-    /// [`DeviceError::ReadOnly`] instead of panicking.
-    pub fn try_write(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-    ) -> Result<Service, DeviceError> {
-        self.try_write_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// [`write`](Self::write), reporting cleaning activity
-    /// ([`Event::FlashCleanStart`]/[`Event::FlashCleanEnd`]) and injected
-    /// faults ([`Event::FaultInjected`]) to an observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when space is exhausted, like [`write`](Self::write).
-    pub fn write_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-        obs: &mut O,
-    ) -> Service {
-        match self.try_write_obs(now, lbn, blocks, obs) {
-            Ok(svc) => svc,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`try_write`](Self::try_write), reporting cleaning activity, faults,
-    /// and the end-of-life transition ([`Event::FlashEndOfLife`]) to an
-    /// observer.
-    ///
-    /// When a write finds the frontier full, the erased pool empty, and
-    /// nothing cleanable (the live working set has outgrown the usable
-    /// capacity — typically because permanent erase failures retired too
-    /// many segments), the card enters *read-only end-of-life mode*: this
-    /// and every later write fails fast with [`DeviceError::ReadOnly`],
-    /// while reads and trims continue to be served. A multi-block write
-    /// that hits end of life mid-transfer keeps the blocks already placed
-    /// (the transfer failed partway, as on a real device) and reports the
-    /// error for the whole operation.
-    pub fn try_write_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-        obs: &mut O,
-    ) -> Result<Service, DeviceError> {
-        if self.read_only {
-            self.counters.eol_write_rejections += 1;
-            return Err(self.read_only_error());
-        }
-        let start = self.settle(now, obs);
-        let mut wait = SimDuration::ZERO;
-        let mut waited = false;
-        for i in 0..u64::from(blocks) {
-            // The background job may not have produced an erased segment
-            // in time: the write stalls for its remaining work. Looping
-            // covers a cleaning whose victim was retired (no erased
-            // segment produced) — the next victim is cleaned immediately.
-            while self.frontier_full() && !self.advance_frontier() {
-                match self.run_cleaning_foreground(start + wait, obs) {
-                    Some(spent) => {
-                        wait += spent;
-                        waited = true;
-                    }
-                    None => {
-                        self.read_only = true;
-                        self.counters.eol_write_rejections += 1;
-                        obs.record(&Event::FlashEndOfLife {
-                            t: start + wait,
-                            live: self.live_blocks,
-                            usable: self.usable_blocks(),
-                            retired: self.retired_blocks(),
-                        });
-                        self.debug_check();
-                        return Err(self.read_only_error());
-                    }
-                }
-            }
-            self.place_block(lbn + i);
-            self.stamp_frontier(start + wait);
-            if self.erased.is_empty() && self.job.is_none() {
-                // The pool just drained: the frontier was freshly opened, so
-                // a full segment of free slots guarantees any victim's live
-                // data can be relocated.
-                match self.config.mode {
-                    CleanerMode::Background => {
-                        self.start_job(start + wait, obs);
-                    }
-                    CleanerMode::OnDemand => {
-                        if let Some(spent) = self.run_cleaning_foreground(start + wait, obs) {
-                            wait += spent;
-                            waited = true;
-                        }
-                    }
-                }
-            }
-        }
-        if waited {
-            self.counters.cleaning_waits += 1;
-        }
-        let bytes = u64::from(blocks) * self.config.block_size;
-        let mut dur = self.config.params.access_latency
-            + self.config.params.write_bandwidth.transfer_time(bytes);
-        // Transient program failures: the controller backs off and re-runs
-        // the whole transfer, charging active power for the extra passes.
-        let retries = self.plan.write_retries();
-        if retries > 0 {
-            self.counters.write_retries += u64::from(retries);
-            obs.record(&Event::FaultInjected {
-                t: start + wait,
-                kind: FaultKind::WriteRetry { retries },
-            });
-            let extra = (self.plan.config().retry_backoff + dur) * u64::from(retries);
-            self.counters.write_retry_backoff += extra;
-            self.backoff.record(extra);
-            dur += extra;
-        }
-        let end = start + wait + dur;
-        self.meter
-            .charge_for("active", self.config.params.active_power, dur);
-        obs.span(&Span::new(
-            SpanKind::FlashProgram { bytes },
-            start + wait,
-            end,
-        ));
-        self.counters.ops += 1;
-        self.counters.bytes_written += bytes;
-        self.free_at = self.free_at.max(end);
-        self.debug_check();
-        Ok(Service { start, end })
-    }
-
     /// The [`DeviceError::ReadOnly`] describing the card's current census.
     fn read_only_error(&self) -> DeviceError {
         DeviceError::ReadOnly {
@@ -1043,87 +749,6 @@ impl FlashCardStore {
             usable: self.usable_blocks(),
             retired: self.retired_blocks(),
         }
-    }
-
-    /// Marks `blocks` logical blocks starting at `lbn` dead (file deletion).
-    /// Takes no device time.
-    pub fn trim(&mut self, lbn: u64, blocks: u32) {
-        // The timestamp only labels observer events; NoopObserver drops it.
-        self.trim_obs(self.free_at, lbn, blocks, &mut NoopObserver);
-    }
-
-    /// [`trim`](Self::trim), with the trim's sim time (`now`) so any
-    /// cleaning job it triggers is reported to the observer with a correct
-    /// stamp.
-    pub fn trim_obs<O: Observer>(&mut self, now: SimTime, lbn: u64, blocks: u32, obs: &mut O) {
-        for i in 0..u64::from(blocks) {
-            if let Some(loc) = self.map.remove(&(lbn + i)) {
-                self.segments[loc.seg as usize].live -= 1;
-                self.live_blocks -= 1;
-            }
-        }
-        self.maybe_start_job(now, obs);
-        self.debug_check();
-    }
-
-    /// Accounts for the trailing idle period (and any final background
-    /// cleaning) at the end of a simulation.
-    pub fn finish(&mut self, end: SimTime) {
-        self.finish_obs(end, &mut NoopObserver);
-    }
-
-    /// [`finish`](Self::finish), reporting trailing cleaning completions to
-    /// an observer.
-    pub fn finish_obs<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
-        let _ = self.settle(end, obs);
-    }
-
-    /// Simulates a power failure at `at` followed by crash recovery.
-    ///
-    /// The power loss truncates any in-flight cleaning: the victim's live
-    /// data was already relocated (copy-before-erase, as MFFS compaction
-    /// does), so no data is lost, but the victim is left un-erased — an
-    /// *orphaned* fully-dead segment. Recovery then runs the MFFS log
-    /// scan: every occupied slot's block header is read back to rebuild
-    /// the logical-to-physical map, and the orphaned segment (detected by
-    /// the scan) is reclaimed with a fresh erase. The card is busy for the
-    /// whole recovery; time and energy are charged to the `"recover"`
-    /// state and [`FlashCardCounters::recovery_time`].
-    pub fn power_fail(&mut self, at: SimTime) -> Service {
-        self.power_fail_obs(at, &mut NoopObserver)
-    }
-
-    /// [`power_fail`](Self::power_fail), reporting the orphaned-job reclaim
-    /// (a [`Event::FlashCleanEnd`]) to an observer.
-    pub fn power_fail_obs<O: Observer>(&mut self, at: SimTime, obs: &mut O) -> Service {
-        // Background cleaning progressed until the lights went out.
-        let start = self.settle(at, obs);
-        let orphan = self.job.take();
-
-        // Log scan: header read per occupied (live or dead) slot.
-        let census = self.census();
-        let scan_bytes = (census.live + census.dead) * RECOVERY_HEADER_BYTES;
-        let mut dur = self.config.params.access_latency
-            + self
-                .config
-                .params
-                .copy_read_bandwidth
-                .transfer_time(scan_bytes);
-        // Orphaned-segment reclaim: the interrupted victim is re-erased.
-        if let Some(job) = orphan {
-            dur += self.config.params.erase_time;
-            self.finish_job(start + dur, job.victim, false, job.started, obs);
-        }
-        let end = start + dur;
-        self.meter
-            .charge_for("recover", self.config.params.active_power, dur);
-        self.counters.power_failures += 1;
-        self.counters.recovery_time += dur;
-        self.free_at = self.free_at.max(end);
-        // Recovered-state invariants: the map, segment states, and census
-        // must all be consistent after replay.
-        self.check_invariants();
-        Service { start, end }
     }
 
     fn frontier_full(&self) -> bool {
@@ -1614,11 +1239,314 @@ impl FlashCardStore {
     }
 }
 
+impl Device for FlashCardStore {
+    /// Serves a read of `req.bytes / block_size` blocks from `req.lbn`.
+    ///
+    /// Reads never wait for cleaning (erasure is suspended during I/O), but
+    /// do queue behind earlier requests. Every mapped block is classified
+    /// through the bit-error/ECC model: corrections
+    /// ([`Event::EccCorrected`]) and bounded retries ([`Event::ReadRetry`])
+    /// cost time, high-error blocks are relocated
+    /// ([`Event::BlockRelocated`]), and the first block that exceeds both
+    /// the ECC budget and the read-retry bound yields
+    /// [`DeviceError::Uncorrectable`] ([`Event::UncorrectableRead`]) and is
+    /// unmapped — its data is gone, and the loss is *reported*, never
+    /// silent. Time and energy are accounted either way.
+    fn read<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> ReadOutcome {
+        let (lbn, blocks) = (req.lbn, req.block_count(self.config.block_size));
+        let start = self.settle(now, obs);
+        let bytes = u64::from(blocks) * self.config.block_size;
+        let mut dur = self.config.params.access_latency
+            + self.config.params.read_bandwidth.transfer_time(bytes);
+        let block_read = self
+            .config
+            .params
+            .read_bandwidth
+            .transfer_time(self.config.block_size);
+        let mut result = Ok(());
+        let mut retry_extra = SimDuration::ZERO;
+        let mut retry_attempts = 0u32;
+        let mut retry_lbn = 0u64;
+        for i in 0..u64::from(blocks) {
+            let b = lbn + i;
+            let Some(loc) = self.map.get(&b) else {
+                // Unmapped blocks have no stored charge to decay; they are
+                // served (as before) without consuming a bit-error draw.
+                continue;
+            };
+            let seg = loc.seg;
+            let s = &self.segments[seg as usize];
+            let verdict = self.integrity.classify_read(
+                u64::from(s.erase_count),
+                start.saturating_since(s.written_at),
+            );
+            match verdict {
+                ReadVerdict::Clean => {}
+                ReadVerdict::Corrected { errors } => {
+                    self.counters.ecc_corrected += 1;
+                    dur += self.integrity.config().correction_penalty;
+                    obs.record(&Event::EccCorrected {
+                        t: start,
+                        lbn: b,
+                        errors,
+                    });
+                    if self.integrity.config().wants_relocation(errors) {
+                        self.try_relocate(start, b, seg, errors, obs);
+                    }
+                }
+                ReadVerdict::Retried { errors, attempts } => {
+                    self.counters.read_retries += u64::from(attempts);
+                    // Each retry backs off and re-reads the block.
+                    let extra =
+                        (self.plan.config().retry_backoff + block_read) * u64::from(attempts);
+                    self.backoff.record(extra);
+                    dur += extra;
+                    retry_extra += extra;
+                    if retry_attempts == 0 {
+                        retry_lbn = b;
+                    }
+                    retry_attempts += attempts;
+                    obs.record(&Event::ReadRetry {
+                        t: start,
+                        lbn: b,
+                        attempts,
+                    });
+                    if self.integrity.config().wants_relocation(errors) {
+                        self.try_relocate(start, b, seg, errors, obs);
+                    }
+                }
+                ReadVerdict::Uncorrectable { errors } => {
+                    self.counters.uncorrectable_reads += 1;
+                    obs.record(&Event::UncorrectableRead {
+                        t: start,
+                        lbn: b,
+                        errors,
+                    });
+                    self.drop_block(b);
+                    if result.is_ok() {
+                        result = Err(DeviceError::Uncorrectable { lbn: b, errors });
+                    }
+                }
+            }
+        }
+        let end = start + dur;
+        self.meter
+            .charge_for("active", self.config.params.active_power, dur);
+        obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
+        if retry_attempts > 0 {
+            obs.span(&Span::new(
+                SpanKind::EccRetry {
+                    lbn: retry_lbn,
+                    attempts: retry_attempts,
+                },
+                end - retry_extra,
+                end,
+            ));
+        }
+        self.counters.ops += 1;
+        self.counters.bytes_read += bytes;
+        self.free_at = self.free_at.max(end);
+        self.debug_check();
+        (Service { start, end }, result)
+    }
+
+    /// Serves a write of `req.bytes / block_size` blocks from `req.lbn`.
+    ///
+    /// Cleaning is needed whenever the erased-segment pool drains. Under
+    /// [`CleanerMode::Background`] a job is launched to run during idle
+    /// gaps; a write that fills the frontier before the job finishes must
+    /// wait out its remaining work, which is what degrades write response
+    /// at high utilization (§5.2). Under [`CleanerMode::OnDemand`] the
+    /// triggering write performs the whole cleaning synchronously. Cleaning
+    /// ([`Event::FlashCleanStart`]/[`Event::FlashCleanEnd`]) and injected
+    /// faults ([`Event::FaultInjected`]) are reported to the observer.
+    ///
+    /// When a write finds the frontier full, the erased pool empty, and
+    /// nothing cleanable (the live working set has outgrown the usable
+    /// capacity — typically because permanent erase failures retired too
+    /// many segments), the card enters *read-only end-of-life mode*
+    /// ([`Event::FlashEndOfLife`]): this and every later write fails fast
+    /// with [`DeviceError::ReadOnly`], while reads and trims continue to be
+    /// served. A multi-block write that hits end of life mid-transfer keeps
+    /// the blocks already placed (the transfer failed partway, as on a real
+    /// device) and reports the error for the whole operation.
+    fn write<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> WriteOutcome {
+        let (lbn, blocks) = (req.lbn, req.block_count(self.config.block_size));
+        if self.read_only {
+            self.counters.eol_write_rejections += 1;
+            return Err(self.read_only_error());
+        }
+        let start = self.settle(now, obs);
+        let mut wait = SimDuration::ZERO;
+        let mut waited = false;
+        for i in 0..u64::from(blocks) {
+            // The background job may not have produced an erased segment
+            // in time: the write stalls for its remaining work. Looping
+            // covers a cleaning whose victim was retired (no erased
+            // segment produced) — the next victim is cleaned immediately.
+            while self.frontier_full() && !self.advance_frontier() {
+                match self.run_cleaning_foreground(start + wait, obs) {
+                    Some(spent) => {
+                        wait += spent;
+                        waited = true;
+                    }
+                    None => {
+                        self.read_only = true;
+                        self.counters.eol_write_rejections += 1;
+                        obs.record(&Event::FlashEndOfLife {
+                            t: start + wait,
+                            live: self.live_blocks,
+                            usable: self.usable_blocks(),
+                            retired: self.retired_blocks(),
+                        });
+                        self.debug_check();
+                        return Err(self.read_only_error());
+                    }
+                }
+            }
+            self.place_block(lbn + i);
+            self.stamp_frontier(start + wait);
+            if self.erased.is_empty() && self.job.is_none() {
+                // The pool just drained: the frontier was freshly opened, so
+                // a full segment of free slots guarantees any victim's live
+                // data can be relocated.
+                match self.config.mode {
+                    CleanerMode::Background => {
+                        self.start_job(start + wait, obs);
+                    }
+                    CleanerMode::OnDemand => {
+                        if let Some(spent) = self.run_cleaning_foreground(start + wait, obs) {
+                            wait += spent;
+                            waited = true;
+                        }
+                    }
+                }
+            }
+        }
+        if waited {
+            self.counters.cleaning_waits += 1;
+        }
+        let bytes = u64::from(blocks) * self.config.block_size;
+        let mut dur = self.config.params.access_latency
+            + self.config.params.write_bandwidth.transfer_time(bytes);
+        // Transient program failures: the controller backs off and re-runs
+        // the whole transfer, charging active power for the extra passes.
+        let retries = self.plan.write_retries();
+        if retries > 0 {
+            self.counters.write_retries += u64::from(retries);
+            obs.record(&Event::FaultInjected {
+                t: start + wait,
+                kind: FaultKind::WriteRetry { retries },
+            });
+            let extra = (self.plan.config().retry_backoff + dur) * u64::from(retries);
+            self.counters.write_retry_backoff += extra;
+            self.backoff.record(extra);
+            dur += extra;
+        }
+        let end = start + wait + dur;
+        self.meter
+            .charge_for("active", self.config.params.active_power, dur);
+        obs.span(&Span::new(
+            SpanKind::FlashProgram { bytes },
+            start + wait,
+            end,
+        ));
+        self.counters.ops += 1;
+        self.counters.bytes_written += bytes;
+        self.free_at = self.free_at.max(end);
+        self.debug_check();
+        Ok(Service { start, end })
+    }
+
+    /// Marks the request's blocks dead (file deletion). Takes no device
+    /// time; `now` stamps any cleaning job the trim starts.
+    fn trim<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) {
+        let (lbn, blocks) = (req.lbn, req.block_count(self.config.block_size));
+        for i in 0..u64::from(blocks) {
+            if let Some(loc) = self.map.remove(&(lbn + i)) {
+                self.segments[loc.seg as usize].live -= 1;
+                self.live_blocks -= 1;
+            }
+        }
+        self.maybe_start_job(now, obs);
+        self.debug_check();
+    }
+
+    /// Simulates a power failure at `at` followed by crash recovery.
+    ///
+    /// The power loss truncates any in-flight cleaning: the victim's live
+    /// data was already relocated (copy-before-erase, as MFFS compaction
+    /// does), so no data is lost, but the victim is left un-erased — an
+    /// *orphaned* fully-dead segment. Recovery then runs the MFFS log
+    /// scan: every occupied slot's block header is read back to rebuild
+    /// the logical-to-physical map, and the orphaned segment (detected by
+    /// the scan) is reclaimed with a fresh erase, reported as an
+    /// [`Event::FlashCleanEnd`]. The card is busy for the whole recovery;
+    /// time and energy are charged to the `"recover"` state and
+    /// [`FlashCardCounters::recovery_time`].
+    fn power_fail<O: Observer>(&mut self, at: SimTime, obs: &mut O) -> Service {
+        // Background cleaning progressed until the lights went out.
+        let start = self.settle(at, obs);
+        let orphan = self.job.take();
+
+        // Log scan: header read per occupied (live or dead) slot.
+        let census = self.census();
+        let scan_bytes = (census.live + census.dead) * RECOVERY_HEADER_BYTES;
+        let mut dur = self.config.params.access_latency
+            + self
+                .config
+                .params
+                .copy_read_bandwidth
+                .transfer_time(scan_bytes);
+        // Orphaned-segment reclaim: the interrupted victim is re-erased.
+        if let Some(job) = orphan {
+            dur += self.config.params.erase_time;
+            self.finish_job(start + dur, job.victim, false, job.started, obs);
+        }
+        let end = start + dur;
+        self.meter
+            .charge_for("recover", self.config.params.active_power, dur);
+        self.counters.power_failures += 1;
+        self.counters.recovery_time += dur;
+        self.free_at = self.free_at.max(end);
+        // Recovered-state invariants: the map, segment states, and census
+        // must all be consistent after replay.
+        self.check_invariants();
+        Service { start, end }
+    }
+
+    /// Settles the trailing idle period (and any final background
+    /// cleaning), reporting cleaning completions.
+    fn finish<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        let _ = self.settle(end, obs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mobistore_device::params::intel_datasheet;
+    use mobistore_sim::obs::NoopObserver;
     use mobistore_sim::units::KIB;
+
+    /// A request for `blocks` 1-KB blocks from `lbn`.
+    fn req(lbn: u64, blocks: u32) -> Request {
+        Request::blocks(lbn, blocks, KIB)
+    }
+
+    fn write(card: &mut FlashCardStore, now: SimTime, lbn: u64, blocks: u32) -> Service {
+        let written = card.write(now, req(lbn, blocks), &mut NoopObserver);
+        written.expect("write on a healthy card")
+    }
+
+    fn read(card: &mut FlashCardStore, now: SimTime, lbn: u64, blocks: u32) -> Service {
+        card.read(now, req(lbn, blocks), &mut NoopObserver).0
+    }
+
+    /// An untimed trim, stamped when the card is next free.
+    fn trim(card: &mut FlashCardStore, lbn: u64, blocks: u32) {
+        card.trim(card.free_at(), req(lbn, blocks), &mut NoopObserver);
+    }
 
     /// A small card: 4 segments x 128 KB = 512 KB, 1-KB blocks,
     /// 128 blocks/segment.
@@ -1645,7 +1573,7 @@ mod tests {
     #[test]
     fn write_maps_blocks_and_consumes_space() {
         let mut card = small_card(CleanerMode::Background);
-        let svc = card.write(SimTime::ZERO, 0, 8);
+        let svc = write(&mut card, SimTime::ZERO, 0, 8);
         assert_eq!(card.live_blocks(), 8);
         assert_eq!(card.free_blocks(), 504);
         // 8 KB at 214 KB/s.
@@ -1657,9 +1585,9 @@ mod tests {
     #[test]
     fn overwrite_creates_dead_blocks_not_live() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 8);
+        write(&mut card, SimTime::ZERO, 0, 8);
         let t = SimTime::from_secs_f64(10.0);
-        card.write(t, 0, 8);
+        write(&mut card, t, 0, 8);
         assert_eq!(card.live_blocks(), 8, "overwrite does not grow live data");
         assert_eq!(card.free_blocks(), 512 - 16, "but consumes new slots");
         card.check_invariants();
@@ -1668,9 +1596,9 @@ mod tests {
     #[test]
     fn read_costs_time_but_no_space() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 4);
+        write(&mut card, SimTime::ZERO, 0, 4);
         let free = card.free_blocks();
-        let svc = card.read(SimTime::from_secs_f64(5.0), 0, 4);
+        let svc = read(&mut card, SimTime::from_secs_f64(5.0), 0, 4);
         assert_eq!(card.free_blocks(), free);
         let secs = (svc.end - svc.start).as_secs_f64();
         assert!((secs - 4.0 / 9765.0).abs() < 1e-6, "{secs}");
@@ -1679,11 +1607,11 @@ mod tests {
     #[test]
     fn trim_reduces_live() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 8);
-        card.trim(0, 4);
+        write(&mut card, SimTime::ZERO, 0, 8);
+        trim(&mut card, 0, 4);
         assert_eq!(card.live_blocks(), 4);
         // Trimming unmapped blocks is a no-op.
-        card.trim(100, 4);
+        trim(&mut card, 100, 4);
         assert_eq!(card.live_blocks(), 4);
         card.check_invariants();
     }
@@ -1718,7 +1646,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut lbn = 1000;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn, 1).end;
+            t = write(&mut card, t, lbn, 1).end;
             lbn += 1;
             assert!(lbn < 2000, "cleaning never triggered");
         }
@@ -1747,7 +1675,7 @@ mod tests {
             card.preload_aged(0..live);
             let mut t = SimTime::ZERO;
             for lbn in 0..600 {
-                t = card.write(t, lbn % live, 1).end;
+                t = write(&mut card, t, lbn % live, 1).end;
             }
             card.check_invariants();
             card.meter().category("clean").get()
@@ -1769,14 +1697,14 @@ mod tests {
         let mut card = small_card(CleanerMode::Background);
         // Fill three segments; the advance into segment 3 drains the erased
         // pool and launches a background job.
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 128); // segment 0 fully dead: the obvious victim
-        t = card.write(t, 256, 129).end; // fills seg 2, opens seg 3
+        let mut t = write(&mut card, SimTime::ZERO, 0, 128).end;
+        t = write(&mut card, t, 128, 128).end;
+        trim(&mut card, 0, 128); // segment 0 fully dead: the obvious victim
+        t = write(&mut card, t, 256, 129).end; // fills seg 2, opens seg 3
         assert_eq!(card.counters().erasures, 0, "job not finished yet");
         // A long idle gap lets the job copy (nothing) and erase.
         let later = t + SimDuration::from_secs(60);
-        let svc = card.read(later, 128, 1);
+        let svc = read(&mut card, later, 128, 1);
         assert_eq!(svc.start, later, "reads never wait for cleaning");
         assert_eq!(card.counters().erasures, 1, "idle gap erased the victim");
         assert!(card.meter().category("clean").get() > 0.0);
@@ -1792,7 +1720,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for round in 0u64..3 {
             for lbn in 0..300 {
-                t = card.write(t, lbn, 1).end;
+                t = write(&mut card, t, lbn, 1).end;
                 let _ = round;
             }
         }
@@ -1808,7 +1736,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut max_response = SimDuration::ZERO;
         for lbn in 0..300 {
-            let svc = card.write(t, lbn, 1);
+            let svc = write(&mut card, t, lbn, 1);
             max_response = max_response.max(svc.end - t);
             t = svc.end;
         }
@@ -1822,15 +1750,15 @@ mod tests {
     fn greedy_picks_lowest_utilization_victim() {
         let mut card = small_card(CleanerMode::OnDemand);
         // Segment 0: 128 blocks, then kill 100 (28 live).
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
+        let mut t = write(&mut card, SimTime::ZERO, 0, 128).end;
         // Segment 1: 128 blocks, kill 10 (118 live).
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 100);
-        card.trim(128, 10);
+        t = write(&mut card, t, 128, 128).end;
+        trim(&mut card, 0, 100);
+        trim(&mut card, 128, 10);
         // Fill until the pool drains and the first cleaning fires.
         let mut lbn = 300;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn, 1).end;
+            t = write(&mut card, t, lbn, 1).end;
             lbn += 1;
             assert!(lbn < 900, "cleaning never triggered");
         }
@@ -1846,7 +1774,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for round in 0..3 {
             for lbn in 0..200 {
-                t = card.write(t, lbn, 1).end;
+                t = write(&mut card, t, lbn, 1).end;
             }
             // All 300 lbns must stay live through arbitrary cleaning.
             assert_eq!(card.live_blocks(), 300, "round {round}");
@@ -1860,10 +1788,10 @@ mod tests {
         card.preload(0..300);
         let mut t = SimTime::ZERO;
         for lbn in 0..200 {
-            t = card.write(t, lbn, 1).end;
+            t = write(&mut card, t, lbn, 1).end;
         }
         for lbn in 0..200 {
-            t = card.write(t, lbn, 1).end;
+            t = write(&mut card, t, lbn, 1).end;
         }
         let wear = card.wear();
         assert!(wear.total >= 1);
@@ -1893,7 +1821,7 @@ mod tests {
                 // Tight interarrival so cleaning mostly cannot hide in idle
                 // gaps.
                 let at = t + SimDuration::from_micros(100);
-                t = card.write(at, lbn % preload, 1).end;
+                t = write(&mut card, at, lbn % preload, 1).end;
                 lbn += 7; // Stride spreads overwrites across segments.
             }
             card.check_invariants();
@@ -1930,13 +1858,13 @@ mod tests {
             queueing: mobistore_device::QueueDiscipline::Fifo,
         });
         // Fill segments 0 and 1; segment 0 is oldest.
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 20); // seg 0: 108 live
-        card.trim(128, 100); // seg 1: 28 live (greedy would pick this)
+        let mut t = write(&mut card, SimTime::ZERO, 0, 128).end;
+        t = write(&mut card, t, 128, 128).end;
+        trim(&mut card, 0, 20); // seg 0: 108 live
+        trim(&mut card, 128, 100); // seg 1: 28 live (greedy would pick this)
         let mut lbn = 300;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn, 1).end;
+            t = write(&mut card, t, lbn, 1).end;
             lbn += 1;
             assert!(lbn < 900, "cleaning never triggered");
         }
@@ -1963,7 +1891,7 @@ mod tests {
             let mut t = SimTime::ZERO;
             for i in 0..20_000u64 {
                 // Overwrite a tiny hot set (32 blocks) relentlessly.
-                t = card.write(t, i % 32, 1).end;
+                t = write(&mut card, t, i % 32, 1).end;
             }
             card.check_invariants();
             card.wear()
@@ -1993,7 +1921,7 @@ mod tests {
         card.preload(0..300);
         let mut t = SimTime::ZERO;
         for lbn in 0..250 {
-            t = card.write(t, lbn, 1).end;
+            t = write(&mut card, t, lbn, 1).end;
         }
         assert!(card.wear().total > 0);
         card.reset_metrics(false);
@@ -2006,20 +1934,20 @@ mod tests {
     #[test]
     fn trim_past_eof_and_double_trim_are_noops() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 8);
+        write(&mut card, SimTime::ZERO, 0, 8);
         // The range extends far past the last mapped block: only the
         // mapped tail is dropped, the rest is silently ignored.
-        card.trim(4, 1000);
+        trim(&mut card, 4, 1000);
         assert_eq!(card.live_blocks(), 4);
         let census = card.census();
         assert_eq!(census.dead, 4);
         // Trimming the same (now dead) range again changes nothing — no
         // double-decrement of live counts.
-        card.trim(4, 1000);
+        trim(&mut card, 4, 1000);
         assert_eq!(card.live_blocks(), 4);
         assert_eq!(card.census(), census);
         // A trim entirely past EOF is a pure no-op.
-        card.trim(1 << 40, 16);
+        trim(&mut card, 1 << 40, 16);
         assert_eq!(card.census(), census);
         assert_eq!(census.total(), card.capacity_blocks());
         card.check_invariants();
@@ -2042,7 +1970,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut lbn = 0u64;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn % 256, 1).end;
+            t = write(&mut card, t, lbn % 256, 1).end;
             lbn += 1;
             assert!(lbn < 2000, "cleaning never triggered");
             assert_eq!(card.live_blocks(), 256, "overwrites keep live constant");
@@ -2058,8 +1986,8 @@ mod tests {
         };
         let mut clean = small_card(CleanerMode::Background);
         let mut faulty = small_card(CleanerMode::Background).with_faults(fault);
-        let ok = clean.write(SimTime::ZERO, 0, 8);
-        let slow = faulty.write(SimTime::ZERO, 0, 8);
+        let ok = write(&mut clean, SimTime::ZERO, 0, 8);
+        let slow = write(&mut faulty, SimTime::ZERO, 0, 8);
         // At rate 1.0 every attempt fails until the controller gives up,
         // so each write pays exactly max_retries retries.
         assert_eq!(
@@ -2085,7 +2013,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut n = 0u64;
         while card.counters().segments_retired == 0 {
-            t = card.write(t, n % 100, 1).end;
+            t = write(&mut card, t, n % 100, 1).end;
             n += 1;
             assert!(n < 4000, "no segment was ever retired");
         }
@@ -2103,7 +2031,7 @@ mod tests {
         // the card keeps serving writes.
         let before = card.counters().erase_retries;
         for _ in 0..600 {
-            t = card.write(t, n % 100, 1).end;
+            t = write(&mut card, t, n % 100, 1).end;
             n += 1;
         }
         assert_eq!(card.counters().segments_retired, 1, "spare guard held");
@@ -2122,7 +2050,7 @@ mod tests {
         // Ever-growing working set: once every full segment is fully live
         // nothing is cleanable and the card must go read-only, not panic.
         let err = loop {
-            match card.try_write_obs(t, lbn, 1, &mut obs) {
+            match card.write(t, req(lbn, 1), &mut obs) {
                 Ok(svc) => {
                     t = svc.end;
                     lbn += 1;
@@ -2137,20 +2065,22 @@ mod tests {
         assert_eq!(card.counters().eol_write_rejections, 1);
 
         // Later writes fail fast with the same typed error and count.
-        let e2 = card.try_write(t, 0, 1).expect_err("still read-only");
+        let e2 = card
+            .write(t, req(0, 1), &mut NoopObserver)
+            .expect_err("still read-only");
         assert!(matches!(e2, DeviceError::ReadOnly { .. }));
         assert_eq!(card.counters().eol_write_rejections, 2);
 
         // Reads and trims are still served; state stays consistent.
-        let svc = card.read(t, 0, 1);
+        let svc = read(&mut card, t, 0, 1);
         assert!(svc.end > svc.start);
         let live = card.live_blocks();
-        card.trim(0, 1);
+        trim(&mut card, 0, 1);
         assert_eq!(card.live_blocks(), live - 1);
         card.check_invariants();
 
         // End of life is sticky: freed space does not resurrect the card.
-        assert!(card.try_write(t, 0, 1).is_err());
+        assert!(card.write(t, req(0, 1), &mut NoopObserver).is_err());
 
         // The panicking wrapper reports the same condition.
         let msg = e2.to_string();
@@ -2172,7 +2102,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for round in 0..3 {
             for lbn in 0..200 {
-                t = card.write(t, lbn, 1).end;
+                t = write(&mut card, t, lbn, 1).end;
             }
             let _ = round;
         }
@@ -2206,7 +2136,7 @@ mod tests {
         let mut shadow = ShadowModel::new();
         let mut t = SimTime::ZERO;
         for lbn in 0..64 {
-            t = card.write(t, lbn, 1).end;
+            t = write(&mut card, t, lbn, 1).end;
             shadow.write(lbn, 1);
         }
         let observed: Vec<(u64, u64)> = card
@@ -2236,15 +2166,15 @@ mod tests {
         let mut card = small_card(CleanerMode::Background);
         // Same setup as background_cleaning_runs_in_idle_gaps: draining
         // the erased pool launches a job whose victim is fully dead.
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 128);
-        t = card.write(t, 256, 129).end;
+        let mut t = write(&mut card, SimTime::ZERO, 0, 128).end;
+        t = write(&mut card, t, 128, 128).end;
+        trim(&mut card, 0, 128);
+        t = write(&mut card, t, 256, 129).end;
         assert_eq!(card.counters().erasures, 0, "erase still in flight");
         // The failure lands 10 ms into a ~1.6 s erase, orphaning the
         // victim; recovery's log scan detects the un-erased fully-dead
         // segment and reclaims it with a fresh erase.
-        let svc = card.power_fail(t + SimDuration::from_millis(10));
+        let svc = card.power_fail(t + SimDuration::from_millis(10), &mut NoopObserver);
         assert_eq!(card.counters().power_failures, 1);
         assert_eq!(card.counters().erasures, 1, "orphan re-erased by recovery");
         assert!(card.counters().recovery_time > SimDuration::ZERO);
@@ -2253,7 +2183,7 @@ mod tests {
         card.check_invariants();
         // The reclaimed segment is writable again.
         let free = card.free_blocks();
-        card.write(svc.end, 600, 8);
+        write(&mut card, svc.end, 600, 8);
         assert_eq!(card.free_blocks(), free - 8);
     }
 
@@ -2264,10 +2194,10 @@ mod tests {
         let mut tp = SimTime::ZERO;
         let mut tq = SimTime::ZERO;
         for lbn in 0..200u64 {
-            tp = plain.write(tp, lbn % 80, 1).end;
-            tq = quiet.write(tq, lbn % 80, 1).end;
-            let rp = plain.read(tp, lbn % 80, 1);
-            let rq = quiet.read(tq, lbn % 80, 1);
+            tp = write(&mut plain, tp, lbn % 80, 1).end;
+            tq = write(&mut quiet, tq, lbn % 80, 1).end;
+            let rp = read(&mut plain, tp, lbn % 80, 1);
+            let rq = read(&mut quiet, tq, lbn % 80, 1);
             assert_eq!(rp, rq);
             tp = rp.end;
             tq = rq.end;
@@ -2287,11 +2217,11 @@ mod tests {
         };
         let mut clean = small_card(CleanerMode::Background);
         let mut noisy = small_card(CleanerMode::Background).with_integrity(cfg);
-        clean.write(SimTime::ZERO, 0, 8);
-        noisy.write(SimTime::ZERO, 0, 8);
+        write(&mut clean, SimTime::ZERO, 0, 8);
+        write(&mut noisy, SimTime::ZERO, 0, 8);
         let t = SimTime::from_secs_f64(1.0);
-        let ok = clean.read(t, 0, 8);
-        let slow = noisy.read(t, 0, 8);
+        let ok = read(&mut clean, t, 0, 8);
+        let slow = read(&mut noisy, t, 0, 8);
         assert!(noisy.counters().ecc_corrected > 0);
         let extra = (slow.end - slow.start).saturating_sub(ok.end - ok.start);
         assert_eq!(
@@ -2312,9 +2242,9 @@ mod tests {
         };
         let mut card = small_card(CleanerMode::Background).with_integrity(cfg);
         let mut obs = CountingObserver::default();
-        card.write(SimTime::ZERO, 0, 4);
+        write(&mut card, SimTime::ZERO, 0, 4);
         let t = SimTime::from_secs_f64(1.0);
-        let (svc, res) = card.try_read_obs(t, 0, 4, &mut obs);
+        let (svc, res) = card.read(t, req(0, 4), &mut obs);
         assert!(svc.end > svc.start, "time is accounted even on failure");
         let err = res.expect_err("λ=50 must exceed the retry threshold");
         assert!(matches!(err, DeviceError::Uncorrectable { lbn: 0, .. }));
@@ -2324,7 +2254,7 @@ mod tests {
         card.check_invariants();
         // The data is gone: a later read of the same range finds nothing
         // mapped and succeeds vacuously without drawing errors.
-        let (_, res2) = card.try_read(svc.end, 0, 4);
+        let (_, res2) = card.read(svc.end, req(0, 4), &mut NoopObserver);
         assert!(res2.is_ok());
         let msg = err.to_string();
         assert!(msg.contains("uncorrectable read of block 0"), "{msg}");
@@ -2342,11 +2272,11 @@ mod tests {
         };
         let mut card = small_card(CleanerMode::Background).with_integrity(cfg);
         let mut obs = CountingObserver::default();
-        card.write(SimTime::ZERO, 0, 8);
+        write(&mut card, SimTime::ZERO, 0, 8);
         let before = card.snapshot();
         let mut t = SimTime::from_secs_f64(1.0);
         for _ in 0..8 {
-            t = card.read_obs(t, 0, 8, &mut obs).end;
+            t = card.read(t, req(0, 8), &mut obs).0.end;
         }
         assert!(card.counters().blocks_relocated > 0);
         assert_eq!(
@@ -2380,11 +2310,11 @@ mod tests {
         let scrub = IntegrityConfig::none().with_scrub(SimDuration::from_secs(60));
         let mut plain = small_card(CleanerMode::Background);
         let mut scrubbed = small_card(CleanerMode::Background).with_integrity(scrub);
-        plain.write(SimTime::ZERO, 0, 64);
-        scrubbed.write(SimTime::ZERO, 0, 64);
+        write(&mut plain, SimTime::ZERO, 0, 64);
+        write(&mut scrubbed, SimTime::ZERO, 0, 64);
         let t = SimTime::from_secs_f64(600.0); // ~9 scrub passes fit
-        let rp = plain.read(t, 0, 64);
-        let rs = scrubbed.read(t, 0, 64);
+        let rp = read(&mut plain, t, 0, 64);
+        let rs = read(&mut scrubbed, t, 0, 64);
         assert_eq!(rp, rs, "scrubbing clean data never delays reads");
         assert_eq!(plain.snapshot(), scrubbed.snapshot());
         assert!(scrubbed.counters().scrub_passes > 0);
@@ -2410,9 +2340,9 @@ mod tests {
         .with_scrub(SimDuration::from_secs(3600));
         let mut card = small_card(CleanerMode::Background).with_integrity(cfg);
         let mut obs = CountingObserver::default();
-        card.write(SimTime::ZERO, 0, 32);
+        write(&mut card, SimTime::ZERO, 0, 32);
         // A day of idle: scrub passes sweep the data as λ climbs.
-        card.finish_obs(SimTime::ZERO + SimDuration::from_days(1), &mut obs);
+        card.finish(SimTime::ZERO + SimDuration::from_days(1), &mut obs);
         assert!(card.counters().scrub_passes > 0);
         assert!(
             card.counters().uncorrectable_reads > 0,
@@ -2431,8 +2361,8 @@ mod tests {
         };
         let mut clean = small_card(CleanerMode::Background);
         let mut faulty = small_card(CleanerMode::Background).with_faults(fault);
-        let ok = clean.write(SimTime::ZERO, 0, 8);
-        let slow = faulty.write(SimTime::ZERO, 0, 8);
+        let ok = write(&mut clean, SimTime::ZERO, 0, 8);
+        let slow = write(&mut faulty, SimTime::ZERO, 0, 8);
         // The backoff counter accounts for exactly the extra service time.
         assert_eq!(
             faulty.counters().write_retry_backoff,

@@ -12,7 +12,8 @@
 //! `EXPERIMENTS.md` compares the resulting Table 1 against the paper's.
 
 use mobistore_device::params::{DiskParams, FlashDiskParams};
-use mobistore_device::{Dir, FlashDisk};
+use mobistore_device::{Device, Dir, FlashDisk, Request, Service};
+use mobistore_sim::obs::NoopObserver;
 use mobistore_sim::time::{SimDuration, SimTime};
 
 use crate::compress::{Compressor, DataClass};
@@ -243,15 +244,23 @@ impl FlashDiskTestbed {
         run
     }
 
+    /// Writes `bytes` now. The file system works in bytes, and the flash
+    /// disk does not look at block addresses.
     fn device_write(&mut self, bytes: u64) -> SimDuration {
-        let svc = self.device.access(self.clock, Dir::Write, bytes);
-        let dur = svc.response(self.clock);
-        self.clock = svc.end;
-        dur
+        let req = Request::new(0, bytes);
+        let written = self.device.write(self.clock, req, &mut NoopObserver);
+        self.advance(written.expect("flash-disk writes never fail"))
     }
 
     fn device_read(&mut self, bytes: u64) -> SimDuration {
-        let svc = self.device.access(self.clock, Dir::Read, bytes);
+        let req = Request::new(0, bytes);
+        let (svc, _) = self.device.read(self.clock, req, &mut NoopObserver);
+        self.advance(svc)
+    }
+
+    /// Moves the clock to the end of a device access; returns its
+    /// response time.
+    fn advance(&mut self, svc: Service) -> SimDuration {
         let dur = svc.response(self.clock);
         self.clock = svc.end;
         dur

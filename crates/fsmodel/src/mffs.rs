@@ -24,7 +24,9 @@
 use std::collections::HashMap;
 
 use mobistore_device::params::FlashCardParams;
+use mobistore_device::{Device, Request, Service};
 use mobistore_flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
+use mobistore_sim::obs::NoopObserver;
 use mobistore_sim::time::{SimDuration, SimTime};
 
 use crate::compress::{Compressor, DataClass};
@@ -193,7 +195,7 @@ impl FlashCardTestbed {
             entry.bytes as f64 * self.mffs.write_file_coeff
                 + self.cumulative_written as f64 * self.mffs.cumulative_coeff,
         );
-        let svc = self.card.write(self.clock, lbn, blocks);
+        let svc = self.card_write(lbn, blocks);
         let device = svc.response(self.clock);
         self.clock =
             svc.end + anomaly + self.mffs.base_write + self.mffs.compressor.compress_time(bytes);
@@ -228,7 +230,7 @@ impl FlashCardTestbed {
             entry.bytes as f64 * self.mffs.write_file_coeff
                 + self.cumulative_written as f64 * self.mffs.cumulative_coeff,
         );
-        let svc = self.card.write(self.clock, lbn, blocks);
+        let svc = self.card_write(lbn, blocks);
         let device = svc.response(self.clock);
         self.clock =
             svc.end + anomaly + self.mffs.base_write + self.mffs.compressor.compress_time(bytes);
@@ -267,9 +269,7 @@ impl FlashCardTestbed {
             let bytes = chunk_bytes.min(entry.bytes - i * chunk_bytes);
             let stored = self.mffs.compressor.stored_bytes(bytes, class);
             let blocks = stored.div_ceil(BLOCK).max(1) as u32;
-            let svc = self
-                .card
-                .read(self.clock, entry.base_lbn + i * chunk_bytes / BLOCK, blocks);
+            let svc = self.card_read(entry.base_lbn + i * chunk_bytes / BLOCK, blocks);
             let device = svc.response(self.clock);
             let anomaly =
                 SimDuration::from_secs_f64(entry.bytes as f64 * self.mffs.read_file_coeff);
@@ -296,9 +296,7 @@ impl FlashCardTestbed {
         assert!(offset + bytes <= entry.bytes, "read past EOF");
         let stored = self.mffs.compressor.stored_bytes(bytes, class);
         let blocks = stored.div_ceil(BLOCK).max(1) as u32;
-        let svc = self
-            .card
-            .read(self.clock, entry.base_lbn + offset / BLOCK, blocks);
+        let svc = self.card_read(entry.base_lbn + offset / BLOCK, blocks);
         let device = svc.response(self.clock);
         let anomaly = SimDuration::from_secs_f64(entry.bytes as f64 * self.mffs.read_file_coeff);
         self.clock = svc.end + self.mffs.base_read + anomaly;
@@ -311,7 +309,8 @@ impl FlashCardTestbed {
         if let Some(entry) = self.files.remove(&handle) {
             if entry.base_lbn != u64::MAX {
                 let blocks = entry.bytes.div_ceil(BLOCK) as u32;
-                self.card.trim(entry.base_lbn, blocks);
+                let req = Request::blocks(entry.base_lbn, blocks, BLOCK);
+                self.card.trim(self.card.free_at(), req, &mut NoopObserver);
             }
         }
     }
@@ -338,6 +337,20 @@ impl FlashCardTestbed {
         let lbn = self.next_lbn;
         self.next_lbn += blocks;
         lbn
+    }
+
+    /// Writes `blocks` blocks at `lbn` now. The benchmarks never fill the
+    /// card, so a refusal is a broken experiment.
+    fn card_write(&mut self, lbn: u64, blocks: u32) -> Service {
+        let req = Request::blocks(lbn, blocks, BLOCK);
+        let written = self.card.write(self.clock, req, &mut NoopObserver);
+        written.unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Reads `blocks` blocks at `lbn` now (the testbed has no bit errors).
+    fn card_read(&mut self, lbn: u64, blocks: u32) -> Service {
+        let req = Request::blocks(lbn, blocks, BLOCK);
+        self.card.read(self.clock, req, &mut NoopObserver).0
     }
 }
 

@@ -170,6 +170,20 @@ impl Trace {
     }
 }
 
+/// The distinct blocks `ops` read or write (trims excluded), ascending:
+/// the data a block-mapped device must hold before a replay (§5.2
+/// preallocates it).
+pub fn working_set(ops: &[DiskOp]) -> Vec<u64> {
+    let mut blocks: Vec<u64> = ops
+        .iter()
+        .filter(|op| op.kind != DiskOpKind::Trim)
+        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
+        .collect();
+    blocks.sort_unstable();
+    blocks.dedup();
+    blocks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +236,24 @@ mod tests {
         });
         assert_eq!(t.duration().as_nanos(), 20);
         assert_eq!(t.blocks_spanned(), 7);
+    }
+
+    #[test]
+    fn working_set_skips_trims_and_dedups() {
+        let op = |kind, lbn, blocks| DiskOp {
+            time: SimTime::ZERO,
+            kind,
+            lbn,
+            blocks,
+            file: FileId(0),
+        };
+        let ops = [
+            op(DiskOpKind::Write, 4, 3),
+            op(DiskOpKind::Read, 2, 3),
+            op(DiskOpKind::Trim, 100, 2),
+        ];
+        assert_eq!(working_set(&ops), vec![2, 3, 4, 5, 6]);
+        assert!(working_set(&[]).is_empty());
     }
 
     #[test]

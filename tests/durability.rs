@@ -9,11 +9,13 @@
 //! race on the worker-count override.
 
 use mobistore::device::array::{ArrayDevice, ChildClass};
+use mobistore::device::{Device, Request};
 use mobistore::experiments::durability::{self, DurabilityOptions};
 use mobistore::experiments::render::{render_target, RenderOptions};
 use mobistore::experiments::Scale;
 use mobistore::sim::exec;
 use mobistore::sim::fault::DeathSchedule;
+use mobistore::sim::obs::NoopObserver;
 use mobistore::sim::time::SimTime;
 
 fn sweep_options() -> DurabilityOptions {
@@ -91,7 +93,8 @@ fn arrange_array(crash: SimTime) -> ArrayDevice {
         if t >= crash {
             break;
         }
-        arr.try_write(t, lbn, 1).expect("write under <= m losses");
+        let written = arr.write(t, Request::blocks(lbn, 1, 1024), &mut NoopObserver);
+        written.expect("write under <= m losses");
         t = SimTime::from_nanos(t.as_nanos() + 50_000_000);
     }
     arr
@@ -103,14 +106,14 @@ fn array_recovery_is_idempotent() {
 
     // One recovery.
     let mut once = arrange_array(crash);
-    once.power_fail(crash);
+    once.power_fail(crash, &mut NoopObserver);
     let snap_once = once.snapshot();
 
     // Recovering again from the same instant must change nothing: the
     // same blocks, the same generations, the same unreadable set.
     let mut twice = arrange_array(crash);
-    twice.power_fail(crash);
-    twice.power_fail(crash);
+    twice.power_fail(crash, &mut NoopObserver);
+    twice.power_fail(crash, &mut NoopObserver);
     assert_eq!(snap_once, twice.snapshot());
     assert_eq!(once.unreadable_blocks(), twice.unreadable_blocks());
 
@@ -118,7 +121,8 @@ fn array_recovery_is_idempotent() {
     assert!(once.unreadable_blocks().is_empty());
     let mut readable = once;
     for lbn in 0..48u64 {
-        let (_, r) = readable.try_read(SimTime::from_secs_f64(10.0), lbn, 1);
+        let req = Request::blocks(lbn, 1, 1024);
+        let (_, r) = readable.read(SimTime::from_secs_f64(10.0), req, &mut NoopObserver);
         assert!(r.is_ok(), "block {lbn} unreadable after recovery");
     }
 }

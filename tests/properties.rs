@@ -11,8 +11,9 @@ use std::collections::{HashMap, HashSet};
 
 use mobistore::cache::lru::LruSet;
 use mobistore::device::params::intel_datasheet;
-use mobistore::device::QueueDiscipline;
+use mobistore::device::{Device, QueueDiscipline, Request};
 use mobistore::flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
+use mobistore::sim::obs::NoopObserver;
 use mobistore::sim::rng::SimRng;
 use mobistore::sim::stats::OnlineStats;
 use mobistore::sim::time::{SimDuration, SimTime};
@@ -146,6 +147,41 @@ fn card_op(rng: &mut SimRng) -> CardOp {
     }
 }
 
+/// Applies `op` at `now` to a card of 1-KB blocks, returning the time the
+/// next op issues at. These properties never wear a card out, and trims
+/// are untimed: stamped when the card is next free.
+fn apply(card: &mut FlashCardStore, op: &CardOp, now: SimTime) -> SimTime {
+    let svc = match *op {
+        CardOp::Write { lbn, blocks } => {
+            let written = card.write(now, Request::blocks(lbn, blocks, 1024), &mut NoopObserver);
+            written.unwrap_or_else(|e| panic!("{e}"))
+        }
+        CardOp::Read { lbn, blocks } => {
+            card.read(now, Request::blocks(lbn, blocks, 1024), &mut NoopObserver)
+                .0
+        }
+        CardOp::Trim { lbn, blocks } => {
+            let req = Request::blocks(lbn, blocks, 1024);
+            card.trim(card.free_at(), req, &mut NoopObserver);
+            return now;
+        }
+        CardOp::Idle { ms } => return now + SimDuration::from_millis(ms),
+    };
+    assert!(svc.end >= svc.start);
+    now.max(svc.end)
+}
+
+/// Mirrors `op` into the set of live blocks.
+fn track(live: &mut HashSet<u64>, op: &CardOp) {
+    match *op {
+        CardOp::Write { lbn, blocks } => live.extend(lbn..lbn + u64::from(blocks)),
+        CardOp::Trim { lbn, blocks } => {
+            live.retain(|b| !(lbn..lbn + u64::from(blocks)).contains(b))
+        }
+        _ => {}
+    }
+}
+
 #[test]
 fn flash_card_invariants_hold() {
     for case in 0..64u64 {
@@ -166,25 +202,9 @@ fn flash_card_invariants_hold() {
 
         let mut now = SimTime::ZERO;
         for _ in 0..n_ops {
-            match card_op(&mut rng) {
-                CardOp::Write { lbn, blocks } => {
-                    let svc = card.write(now, lbn, blocks);
-                    assert!(svc.end >= svc.start, "case {case}");
-                    now = now.max(svc.end);
-                    model.extend(lbn..lbn + u64::from(blocks));
-                }
-                CardOp::Trim { lbn, blocks } => {
-                    card.trim(lbn, blocks);
-                    for b in lbn..lbn + u64::from(blocks) {
-                        model.remove(&b);
-                    }
-                }
-                CardOp::Read { lbn, blocks } => {
-                    let svc = card.read(now, lbn, blocks);
-                    now = now.max(svc.end);
-                }
-                CardOp::Idle { ms } => now += SimDuration::from_millis(ms),
-            }
+            let op = card_op(&mut rng);
+            now = apply(&mut card, &op, now);
+            track(&mut model, &op);
             card.check_invariants();
             assert_eq!(card.live_blocks(), model.len() as u64, "case {case}");
             assert!(
@@ -240,27 +260,12 @@ fn flash_card_invariants_hold_under_faults() {
 
         let mut now = SimTime::ZERO;
         for _ in 0..n_ops {
-            match card_op(&mut rng) {
-                CardOp::Write { lbn, blocks } => {
-                    let svc = card.write(now, lbn, blocks);
-                    now = now.max(svc.end);
-                    model.extend(lbn..lbn + u64::from(blocks));
-                }
-                CardOp::Trim { lbn, blocks } => {
-                    card.trim(lbn, blocks);
-                    for b in lbn..lbn + u64::from(blocks) {
-                        model.remove(&b);
-                    }
-                }
-                CardOp::Read { lbn, blocks } => {
-                    let svc = card.read(now, lbn, blocks);
-                    now = now.max(svc.end);
-                }
-                CardOp::Idle { ms } => now += SimDuration::from_millis(ms),
-            }
+            let op = card_op(&mut rng);
+            now = apply(&mut card, &op, now);
+            track(&mut model, &op);
             // Occasionally yank the power mid-whatever-was-happening.
             if rng.chance(0.1) {
-                let svc = card.power_fail(now);
+                let svc = card.power_fail(now, &mut NoopObserver);
                 now = now.max(svc.end);
             }
             card.check_invariants();
@@ -316,7 +321,8 @@ fn fd_op(rng: &mut SimRng) -> FdOp {
 fn flash_disk_pool_is_conserved() {
     use mobistore::device::flashdisk::FlashDisk;
     use mobistore::device::params::sdp5a_datasheet;
-    use mobistore::device::Dir;
+
+    let request = |kib: u64| Request::new(0, kib * 1024);
 
     for case in 0..256u64 {
         let mut rng = case_rng(3, case);
@@ -329,13 +335,12 @@ fn flash_disk_pool_is_conserved() {
         for _ in 0..n_ops {
             match fd_op(&mut rng) {
                 FdOp::Write { kib } => {
-                    let bytes = kib * 1024;
-                    let svc = fd.access(now, Dir::Write, bytes);
-                    now = svc.end;
-                    written += bytes;
+                    let svc = fd.write(now, request(kib), &mut NoopObserver);
+                    now = svc.expect("flash-disk writes never fail").end;
+                    written += kib * 1024;
                 }
                 FdOp::Read { kib } => {
-                    let svc = fd.access(now, Dir::Read, kib * 1024);
+                    let (svc, _) = fd.read(now, request(kib), &mut NoopObserver);
                     now = svc.end;
                 }
                 FdOp::Idle { ms } => now += SimDuration::from_millis(ms),
@@ -360,7 +365,7 @@ fn flash_disk_pool_is_conserved() {
         // writes return their sectors to the pool (conservation), while
         // deficit writes erased fresh sectors inline, growing the erased
         // population by exactly the on-demand bytes.
-        fd.finish(now + SimDuration::from_hours(1));
+        fd.finish(now + SimDuration::from_hours(1), &mut NoopObserver);
         let c = fd.counters();
         assert_eq!(
             fd.erased_pool(),
@@ -615,25 +620,16 @@ fn flash_card_recovery_is_idempotent() {
         for _ in 0..n_ops {
             let op = card_op(&mut rng);
             for card in [&mut once, &mut twice] {
-                match op {
-                    CardOp::Write { lbn, blocks } => {
-                        now = now.max(card.write(now, lbn, blocks).end);
-                    }
-                    CardOp::Trim { lbn, blocks } => card.trim(lbn, blocks),
-                    CardOp::Read { lbn, blocks } => {
-                        now = now.max(card.read(now, lbn, blocks).end);
-                    }
-                    CardOp::Idle { ms } => now += SimDuration::from_millis(ms),
-                }
+                now = apply(card, &op, now);
             }
         }
 
         // Crash soon after the last op, while background cleaning may
         // still be running (the short gap leaves jobs unfinished).
         let at = now + SimDuration::from_millis(rng.below(20));
-        once.power_fail(at);
-        twice.power_fail(at);
-        twice.power_fail(at);
+        once.power_fail(at, &mut NoopObserver);
+        twice.power_fail(at, &mut NoopObserver);
+        twice.power_fail(at, &mut NoopObserver);
         once.check_invariants();
         twice.check_invariants();
 
@@ -708,7 +704,7 @@ fn flash_card_recovery_is_idempotent() {
 fn magnetic_disk_recovery_is_idempotent() {
     use mobistore::device::disk::SpinDownPolicy;
     use mobistore::device::params::cu140_datasheet;
-    use mobistore::device::{Dir, MagneticDisk};
+    use mobistore::device::MagneticDisk;
 
     for case in 0..48u64 {
         let mut rng = case_rng(22, case);
@@ -716,34 +712,36 @@ fn magnetic_disk_recovery_is_idempotent() {
             0 => SpinDownPolicy::Never,
             _ => SpinDownPolicy::Fixed(SimDuration::from_secs_f64(2.0)),
         };
-        let make_disk = || MagneticDisk::with_policy(cu140_datasheet(), policy);
+        let make_disk =
+            || MagneticDisk::with_policy(cu140_datasheet(), policy).with_fat_scan_bytes(64 * 1024);
         let mut once = make_disk();
         let mut twice = make_disk();
 
         let n_ops = rng.range_inclusive(1, 40);
         let mut now = SimTime::ZERO;
         for _ in 0..n_ops {
-            let dir = if rng.below(2) == 0 {
-                Dir::Read
-            } else {
-                Dir::Write
-            };
+            let read = rng.below(2) == 0;
             let bytes = (1 + rng.below(64)) * 1024;
             let file = rng.below(8);
             let lbn = rng.below(10_000);
             let op_end = now;
+            let req = Request::new(lbn, bytes).of_file(file);
             for disk in [&mut once, &mut twice] {
-                let svc = disk.access_at(now, dir, bytes, Some(file), Some(lbn));
+                let svc = if read {
+                    disk.read(now, req, &mut NoopObserver).0
+                } else {
+                    let written = disk.write(now, req, &mut NoopObserver);
+                    written.expect("disk writes never fail")
+                };
                 assert!(svc.end >= svc.start, "case {case}");
             }
             now = op_end + SimDuration::from_millis(1 + rng.below(3000));
         }
 
-        let fat_bytes = 64 * 1024;
         let at = now;
-        once.power_fail(at, fat_bytes);
-        twice.power_fail(at, fat_bytes);
-        twice.power_fail(at, fat_bytes);
+        once.power_fail(at, &mut NoopObserver);
+        twice.power_fail(at, &mut NoopObserver);
+        twice.power_fail(at, &mut NoopObserver);
 
         let a = once.counters();
         let b = twice.counters();
@@ -754,8 +752,9 @@ fn magnetic_disk_recovery_is_idempotent() {
         // an identical probe access long after both recoveries finished
         // costs exactly the same and leaves identical counter deltas.
         let probe_at = at + SimDuration::from_secs_f64(3600.0);
-        let pa = once.access_at(probe_at, Dir::Read, 8 * 1024, Some(3), Some(512));
-        let pb = twice.access_at(probe_at, Dir::Read, 8 * 1024, Some(3), Some(512));
+        let probe = Request::new(512, 8 * 1024).of_file(3);
+        let (pa, _) = once.read(probe_at, probe, &mut NoopObserver);
+        let (pb, _) = twice.read(probe_at, probe, &mut NoopObserver);
         assert_eq!(
             pa.end - pa.start,
             pb.end - pb.start,
