@@ -41,6 +41,11 @@ use mobistore_sim::time::{SimDuration, SimTime};
 /// read.
 const RECOVERY_HEADER_BYTES: u64 = 32;
 
+/// Slot-table entry of an erased or dead slot. The card stores no block
+/// at lbn `u64::MAX` (trace parsing rejects ranges that reach it, and
+/// placing one panics), so the value never names a live block.
+const NO_LBN: u64 = u64::MAX;
+
 /// When the cleaner runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CleanerMode {
@@ -233,6 +238,8 @@ impl BlockCensus {
 struct BlockLoc {
     /// Segment holding the block's current copy.
     seg: u32,
+    /// Slot within `seg`; points back into [`FlashCardStore::slots`].
+    slot: u32,
     /// Monotone write generation stamped when the block's *data* was
     /// written (cleaning relocates a block without changing its
     /// generation). This is what the differential crash checker compares
@@ -315,8 +322,15 @@ pub struct FlashCardStore {
     config: FlashCardConfig,
     blocks_per_segment: u32,
     segments: Vec<Segment>,
-    /// Logical block number → location and write generation.
+    /// Logical block number → location and write generation. Keeps the
+    /// std hasher: lbns can come from outside input (trace text), and its
+    /// keyed hashing resists crafted collisions.
     map: HashMap<u64, BlockLoc>,
+    /// The segment summary: for every physical slot, indexed
+    /// `seg * blocks_per_segment + slot`, the lbn whose live copy sits
+    /// there, or [`NO_LBN`]. The cleaner and the scrubber read one
+    /// segment's live blocks from here instead of scanning `map`.
+    slots: Vec<u64>,
     /// Segment currently accepting writes.
     frontier: u32,
     /// Fully-erased segments ready to become the frontier.
@@ -398,6 +412,7 @@ impl FlashCardStore {
         Ok(FlashCardStore {
             config,
             blocks_per_segment,
+            slots: vec![NO_LBN; num_segments as usize * blocks_per_segment as usize],
             segments,
             map: HashMap::new(),
             frontier: 0,
@@ -573,15 +588,10 @@ impl FlashCardStore {
     /// called outside tests. Returns false if the block was not mapped.
     #[doc(hidden)]
     pub fn sabotage_lose_block(&mut self, lbn: u64) -> bool {
-        let Some(loc) = self.map.remove(&lbn) else {
-            return false;
-        };
         // Internally consistent data loss: the slot becomes "dead", the
         // census still partitions, live counts still agree — only the
         // shadow model can tell the block should exist.
-        self.segments[loc.seg as usize].live -= 1;
-        self.live_blocks -= 1;
-        true
+        self.unmap(lbn)
     }
 
     /// Returns total energy consumed so far.
@@ -631,7 +641,8 @@ impl FlashCardStore {
     /// # Panics
     ///
     /// Panics if preloading would leave less than one segment of free
-    /// space (the cleaner could deadlock).
+    /// space (the cleaner could deadlock), or on lbn `u64::MAX`, which
+    /// the card reserves.
     pub fn preload(&mut self, lbns: impl IntoIterator<Item = u64>) {
         for lbn in lbns {
             assert!(
@@ -660,8 +671,9 @@ impl FlashCardStore {
     ///
     /// # Panics
     ///
-    /// Panics if called on a non-empty card or if the blocks do not fit in
-    /// the fillable segments.
+    /// Panics if called on a non-empty card, if the blocks do not fit in
+    /// the fillable segments, or on lbn `u64::MAX`, which the card
+    /// reserves.
     pub fn preload_aged(&mut self, lbns: impl IntoIterator<Item = u64>) {
         assert_eq!(self.live_blocks, 0, "preload_aged requires an empty card");
         let lbns: Vec<u64> = lbns.into_iter().collect();
@@ -683,10 +695,14 @@ impl FlashCardStore {
         let mut seg_live = vec![0u32; self.segments.len()];
         for (i, lbn) in lbns.into_iter().enumerate() {
             let seg = 1 + (i % fillable) as u32;
+            assert_ne!(lbn, NO_LBN, "lbn u64::MAX is reserved");
+            let slot = seg_live[seg as usize];
             let gen = self.write_gen;
             self.write_gen += 1;
-            let old = self.map.insert(lbn, BlockLoc { seg, gen });
+            let old = self.map.insert(lbn, BlockLoc { seg, slot, gen });
             assert!(old.is_none(), "duplicate lbn in aged preload");
+            let i = self.slot_index(seg, slot);
+            self.slots[i] = lbn;
             self.live_blocks += 1;
             seg_live[seg as usize] += 1;
         }
@@ -706,12 +722,46 @@ impl FlashCardStore {
         self.free_at
     }
 
-    /// Unmaps one live block (its slot becomes dead); shared by the
-    /// uncorrectable-read paths of reads and scrubbing.
-    fn drop_block(&mut self, lbn: u64) {
-        let loc = self.map.remove(&lbn).expect("dropping a mapped block");
+    /// Index of `(seg, slot)` in the slot table.
+    fn slot_index(&self, seg: u32, slot: u32) -> usize {
+        seg as usize * self.blocks_per_segment as usize + slot as usize
+    }
+
+    /// Marks the slot at `loc` dead: the segment loses a live block and
+    /// the slot table forgets the lbn.
+    fn kill_slot(&mut self, loc: BlockLoc) {
         self.segments[loc.seg as usize].live -= 1;
+        let i = self.slot_index(loc.seg, loc.slot);
+        self.slots[i] = NO_LBN;
+    }
+
+    /// Unmaps `lbn` if it is mapped (its slot becomes dead); returns
+    /// whether it was.
+    fn unmap(&mut self, lbn: u64) -> bool {
+        let Some(loc) = self.map.remove(&lbn) else {
+            return false;
+        };
+        self.kill_slot(loc);
         self.live_blocks -= 1;
+        true
+    }
+
+    /// Unmaps one live block; shared by the uncorrectable-read paths of
+    /// reads and scrubbing.
+    fn drop_block(&mut self, lbn: u64) {
+        assert!(self.unmap(lbn), "dropping a mapped block");
+    }
+
+    /// The lbns of `seg`'s live blocks in ascending order, read from the
+    /// slot table (at most `blocks_per_segment` entries). The scrubber
+    /// needs the order: it draws one bit-error sample per block in visit
+    /// order. The cleaner relocates in the same order.
+    fn live_lbns(&self, seg: u32) -> Vec<u64> {
+        let start = self.slot_index(seg, 0);
+        let summary = &self.slots[start..start + self.blocks_per_segment as usize];
+        let mut lbns: Vec<u64> = summary.iter().copied().filter(|&l| l != NO_LBN).collect();
+        lbns.sort_unstable();
+        lbns
     }
 
     /// Moves `lbn` (keeping its write generation — relocation copies data,
@@ -781,21 +831,19 @@ impl FlashCardStore {
     /// Places one logical block at the frontier carrying generation `gen`
     /// (the cleaner relocates data without re-stamping it).
     fn place_block_at(&mut self, lbn: u64, gen: u64) {
+        assert_ne!(lbn, NO_LBN, "lbn u64::MAX is reserved");
         if self.frontier_full() {
             assert!(self.advance_frontier(), "place_block with no space");
         }
-        if let Some(old) = self.map.insert(
-            lbn,
-            BlockLoc {
-                seg: self.frontier,
-                gen,
-            },
-        ) {
-            self.segments[old.seg as usize].live -= 1;
-        } else {
-            self.live_blocks += 1;
+        let seg = self.frontier;
+        let slot = self.segments[seg as usize].used;
+        match self.map.insert(lbn, BlockLoc { seg, slot, gen }) {
+            Some(old) => self.kill_slot(old),
+            None => self.live_blocks += 1,
         }
-        let f = &mut self.segments[self.frontier as usize];
+        let i = self.slot_index(seg, slot);
+        self.slots[i] = lbn;
+        let f = &mut self.segments[seg as usize];
         f.live += 1;
         f.used += 1;
     }
@@ -887,16 +935,10 @@ impl FlashCardStore {
         // *time* of copying plus erasure is paid by the job as it runs.
         // Relocation preserves each block's write generation: the cleaner
         // moves data, it does not rewrite it.
-        let live: Vec<(u64, u64)> = self
-            .map
-            .iter()
-            .filter(|(_, loc)| loc.seg == victim)
-            .map(|(&lbn, loc)| (lbn, loc.gen))
-            .collect();
-        let copy_blocks = live.len() as u64;
-        let mut lbns = live;
-        lbns.sort_unstable(); // Determinism: HashMap iteration order varies.
-        for (lbn, gen) in lbns {
+        let lbns = self.live_lbns(victim);
+        let copy_blocks = lbns.len() as u64;
+        for lbn in lbns {
+            let gen = self.map[&lbn].gen;
             self.place_block_at(lbn, gen);
             self.stamp_frontier(at);
         }
@@ -1001,6 +1043,8 @@ impl FlashCardStore {
         started: SimTime,
         obs: &mut O,
     ) {
+        let start = self.slot_index(victim, 0);
+        self.slots[start..start + self.blocks_per_segment as usize].fill(NO_LBN);
         let seg = &mut self.segments[victim as usize];
         seg.live = 0;
         seg.used = 0;
@@ -1086,13 +1130,7 @@ impl FlashCardStore {
                 self.next_scrub += interval;
                 continue;
             };
-            let mut lbns: Vec<u64> = self
-                .map
-                .iter()
-                .filter(|(_, loc)| loc.seg == seg)
-                .map(|(&lbn, _)| lbn)
-                .collect();
-            lbns.sort_unstable(); // Determinism: HashMap iteration order varies.
+            let lbns = self.live_lbns(seg);
             let blocks = lbns.len() as u32;
             let begin = t.max(self.next_scrub);
             let pass = self.config.params.access_latency
@@ -1178,13 +1216,41 @@ impl FlashCardStore {
         None
     }
 
-    /// Validates internal bookkeeping; used by tests and the property
-    /// suite.
+    /// Validates internal bookkeeping, including a full cross-check of
+    /// the slot table against the block map; used by tests, the property
+    /// suite, and power-failure recovery.
     ///
     /// # Panics
     ///
     /// Panics if any invariant is violated.
     pub fn check_invariants(&self) {
+        self.check_counts();
+        let bps = self.blocks_per_segment as usize;
+        for (&lbn, loc) in &self.map {
+            assert!(
+                loc.slot < self.segments[loc.seg as usize].used,
+                "lbn {lbn} in unwritten slot {} of segment {}",
+                loc.slot,
+                loc.seg
+            );
+            assert_eq!(
+                self.slots[self.slot_index(loc.seg, loc.slot)],
+                lbn,
+                "lbn {lbn} missing from its recorded slot"
+            );
+        }
+        for (i, (summary, s)) in self.slots.chunks(bps).zip(&self.segments).enumerate() {
+            let occupied = summary.iter().filter(|&&l| l != NO_LBN).count();
+            assert_eq!(
+                occupied, s.live as usize,
+                "segment {i} occupied slots vs live"
+            );
+        }
+    }
+
+    /// The O(segments) part of [`check_invariants`](Self::check_invariants):
+    /// per-segment counts, pool membership, and the census.
+    fn check_counts(&self) {
         let live_sum: u64 = self.segments.iter().map(|s| u64::from(s.live)).sum();
         assert_eq!(live_sum, self.live_blocks, "segment live counts vs total");
         assert_eq!(
@@ -1229,12 +1295,13 @@ impl FlashCardStore {
         );
     }
 
-    /// Runs [`check_invariants`](Self::check_invariants) after every
-    /// mutating operation in debug builds (tests); compiled out of release
-    /// binaries.
+    /// Runs the count checks after every mutating operation in debug
+    /// builds (tests); compiled out of release binaries. The slot-table
+    /// cross-check walks every slot, so it stays in
+    /// [`check_invariants`](Self::check_invariants).
     fn debug_check(&self) {
         if cfg!(debug_assertions) {
-            self.check_invariants();
+            self.check_counts();
         }
     }
 }
@@ -1370,6 +1437,11 @@ impl Device for FlashCardStore {
     /// served. A multi-block write that hits end of life mid-transfer keeps
     /// the blocks already placed (the transfer failed partway, as on a real
     /// device) and reports the error for the whole operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a block range that reaches lbn `u64::MAX`, which the card
+    /// reserves to mark empty slots.
     fn write<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> WriteOutcome {
         let (lbn, blocks) = (req.lbn, req.block_count(self.config.block_size));
         if self.read_only {
@@ -1463,10 +1535,7 @@ impl Device for FlashCardStore {
     fn trim<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) {
         let (lbn, blocks) = (req.lbn, req.block_count(self.config.block_size));
         for i in 0..u64::from(blocks) {
-            if let Some(loc) = self.map.remove(&(lbn + i)) {
-                self.segments[loc.seg as usize].live -= 1;
-                self.live_blocks -= 1;
-            }
+            self.unmap(lbn + i);
         }
         self.maybe_start_job(now, obs);
         self.debug_check();
@@ -1683,6 +1752,13 @@ mod tests {
         let low = run(820); // 40%
         let high = run(1434); // 70%
         assert!(high > low, "clean energy {low} -> {high}");
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn writing_the_reserved_lbn_panics() {
+        let mut card = small_card(CleanerMode::Background);
+        write(&mut card, SimTime::ZERO, u64::MAX, 1);
     }
 
     #[test]
@@ -2351,6 +2427,116 @@ mod tests {
         assert_eq!(obs.counts.get("scrub_pass"), card.counters().scrub_passes);
         assert!(obs.counts.get("uncorrectable_read") > 0);
         card.check_invariants();
+    }
+
+    /// The full-map scan the cleaner and the scrubber ran before the slot
+    /// table, kept as its reference: for each segment, every lbn the map
+    /// places there, ascending (one pass over the map for all segments).
+    fn scan_live_lbns(card: &FlashCardStore) -> Vec<Vec<u64>> {
+        let mut by_segment = vec![Vec::new(); card.segments.len()];
+        for (&lbn, loc) in &card.map {
+            by_segment[loc.seg as usize].push(lbn);
+        }
+        for lbns in &mut by_segment {
+            lbns.sort_unstable();
+        }
+        by_segment
+    }
+
+    #[test]
+    fn slot_table_walk_matches_a_full_map_scan_after_every_op() {
+        use mobistore_sim::rng::SimRng;
+        let policies = [
+            VictimPolicy::GreedyMinLive,
+            VictimPolicy::Fifo,
+            VictimPolicy::CostBenefit,
+            VictimPolicy::WearAware,
+        ];
+        let mut seen = FlashCardCounters::default();
+        let mut case = 0u64;
+        for mode in [CleanerMode::Background, CleanerMode::OnDemand] {
+            for victim_policy in policies {
+                for hazards in [false, true] {
+                    case += 1;
+                    let mut rng = SimRng::seed_with_stream(case, 13);
+                    // 8 segments x 128 KB = 1024 blocks.
+                    let mut card = FlashCardStore::new(FlashCardConfig {
+                        params: intel_datasheet(),
+                        block_size: KIB,
+                        capacity_bytes: 1024 * KIB,
+                        mode,
+                        victim_policy,
+                        queueing: mobistore_device::QueueDiscipline::Fifo,
+                    });
+                    if hazards {
+                        // Permanent erase failures retire segments; bit
+                        // errors relocate and drop blocks on reads and
+                        // scrub passes.
+                        card = card
+                            .with_faults(FaultConfig {
+                                write_fail_rate: 0.05,
+                                erase_fail_rate: 0.2,
+                                permanent_rate: 0.5,
+                                seed: case,
+                                ..FaultConfig::none()
+                            })
+                            .with_integrity(
+                                IntegrityConfig {
+                                    base_errors: 4.0,
+                                    retention_per_hour: 20.0,
+                                    seed: case,
+                                    ..IntegrityConfig::none()
+                                }
+                                .with_scrub(SimDuration::from_secs(30)),
+                            );
+                    }
+                    let cold = 2000..2000 + rng.below(400);
+                    if rng.chance(0.75) {
+                        card.preload_aged(cold.clone());
+                    } else {
+                        card.preload(cold.clone());
+                    }
+                    let mut t = SimTime::ZERO;
+                    for op in 0..300 {
+                        let lbn = if rng.chance(0.8) || cold.is_empty() {
+                            rng.below(300)
+                        } else {
+                            cold.start + rng.below(cold.end - cold.start)
+                        };
+                        let blocks = rng.range_inclusive(1, 8) as u32;
+                        match rng.below(20) {
+                            0..=10 => match card.write(t, req(lbn, blocks), &mut NoopObserver) {
+                                Ok(svc) => t = svc.end,
+                                Err(DeviceError::ReadOnly { .. }) => {}
+                                Err(e) => panic!("case {case} op {op}: {e}"),
+                            },
+                            11..=14 => t = card.read(t, req(lbn, blocks), &mut NoopObserver).0.end,
+                            15 | 16 => trim(&mut card, lbn, blocks),
+                            17 | 18 => {
+                                t += SimDuration::from_millis(rng.range_inclusive(1, 60_000))
+                            }
+                            _ => t = card.power_fail(t, &mut NoopObserver).end,
+                        }
+                        for (seg, expected) in scan_live_lbns(&card).iter().enumerate() {
+                            assert_eq!(
+                                &card.live_lbns(seg as u32),
+                                expected,
+                                "case {case} ({mode:?}, {victim_policy:?}) op {op}: segment {seg}"
+                            );
+                        }
+                        card.check_invariants();
+                    }
+                    seen.merge(&card.counters());
+                }
+            }
+        }
+        // The streams reached every path that moves or unmaps a block.
+        assert!(seen.blocks_copied > 0, "{seen:?}");
+        assert!(seen.segments_retired > 0, "{seen:?}");
+        assert!(seen.blocks_relocated > 0, "{seen:?}");
+        assert!(seen.uncorrectable_reads > 0, "{seen:?}");
+        assert!(seen.scrub_passes > 0, "{seen:?}");
+        assert!(seen.power_failures > 0, "{seen:?}");
     }
 
     #[test]

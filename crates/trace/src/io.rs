@@ -8,9 +8,10 @@
 //! 1000000 read 0 2 1
 //! ```
 //!
-//! Fields: `time_ns kind lbn blocks file_id`, space-separated. Lines
-//! beginning with `#` are comments, except the mandatory header carrying the
-//! block size. The format exists so generated workloads can be archived and
+//! Fields: `time_ns kind lbn blocks file_id`, space-separated; a record's
+//! block range `lbn..lbn + blocks` must fit in a `u64`. Lines beginning
+//! with `#` are comments, except the mandatory header carrying the block
+//! size. The format exists so generated workloads can be archived and
 //! replayed outside the library (e.g. by the `repro` binary's `--dump`
 //! mode).
 
@@ -100,6 +101,10 @@ pub fn read_text(text: &str) -> Result<Trace, ParseError> {
             };
             let lbn: u64 = fields.next()?.parse().ok()?;
             let blocks: u32 = fields.next()?.parse().ok()?;
+            // The range end must fit: consumers compute `lbn + blocks`,
+            // and the flash card reserves block u64::MAX to mark empty
+            // slots.
+            lbn.checked_add(u64::from(blocks))?;
             let file: u64 = fields.next()?.parse().ok()?;
             if fields.next().is_some() {
                 return None;
@@ -192,6 +197,17 @@ mod tests {
     fn extra_fields_rejected() {
         let text = "# mobistore trace v1 block_size=1024\n5 read 0 1 0 99\n";
         assert!(read_text(text).is_err());
+    }
+
+    #[test]
+    fn block_range_past_u64_rejected() {
+        let max = u64::MAX;
+        let text = format!("# mobistore trace v1 block_size=1024\n5 write {max} 1 0\n");
+        let err = read_text(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        let last = max - 1;
+        let text = format!("# mobistore trace v1 block_size=1024\n5 write {last} 1 0\n");
+        assert_eq!(read_text(&text).unwrap().ops[0].lbn, last);
     }
 
     #[test]

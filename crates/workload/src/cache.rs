@@ -94,10 +94,24 @@ pub fn summary() -> CacheSummary {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{MutexGuard, PoisonError};
+
     use super::*;
+
+    /// Serialises this module's tests: the cache counters are process-wide,
+    /// so a lookup on a parallel test thread would move the miss count
+    /// `summary_counts_misses_once_per_key` reads.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    /// Takes [`SERIAL`] for one test. The lock guards no data, so a guard
+    /// poisoned by a failed test is recovered.
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn repeated_lookups_share_one_allocation() {
+        let _serial = serial();
         let a = trace(Workload::Synth, 0.011, 77);
         let b = trace(Workload::Synth, 0.011, 77);
         assert!(Arc::ptr_eq(&a, &b), "same key must return the same Arc");
@@ -106,6 +120,7 @@ mod tests {
 
     #[test]
     fn distinct_seeds_get_distinct_traces() {
+        let _serial = serial();
         let a = trace(Workload::Synth, 0.011, 1);
         let b = trace(Workload::Synth, 0.011, 2);
         assert!(!Arc::ptr_eq(&a, &b));
@@ -114,6 +129,7 @@ mod tests {
 
     #[test]
     fn cached_equals_fresh_generation() {
+        let _serial = serial();
         let cached = trace(Workload::Synth, 0.012, 3);
         let fresh = Workload::Synth.generate_scaled(0.012, 3);
         assert_eq!(cached.ops, fresh.ops);
@@ -122,6 +138,7 @@ mod tests {
 
     #[test]
     fn summary_counts_misses_once_per_key() {
+        let _serial = serial();
         let before = summary();
         let _ = trace(Workload::Synth, 0.013, 5);
         let _ = trace(Workload::Synth, 0.013, 5);
@@ -133,6 +150,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_generate_once() {
+        let _serial = serial();
         let results =
             mobistore_sim::exec::parallel_map(&[0u32; 8], |_| trace(Workload::Synth, 0.014, 9));
         let first = &results[0];

@@ -6,7 +6,9 @@
 # the throughput block comes from `repro throughput --throughput-json`
 # (mobistore-throughput/1: warmup + median-of-reps simulated ops/sec per
 # cell), and the environment block records the toolchain and host so the
-# numbers are comparable across machines.
+# numbers are comparable across machines. With jq, the `previous` block
+# keeps the replaced file's parallel_ms and throughput cells, so the
+# committed file shows a change next to the run before it.
 #
 # Usage: scripts/bench_repro.sh [scale] [seed] [reps]
 set -euo pipefail
@@ -61,6 +63,11 @@ rm -f "$SERIAL_OUT" "$PARALLEL_OUT"
 SPEEDUP=$(awk "BEGIN { printf \"%.2f\", $SERIAL_MS / $PARALLEL_MS }")
 
 if command -v jq >/dev/null; then
+    PREVIOUS=null
+    if [ -f BENCH_repro.json ]; then
+        PREVIOUS="$(jq -c '{parallel_ms, throughput: {cells: .throughput.cells}}' \
+            BENCH_repro.json 2>/dev/null || echo null)"
+    fi
     # Embed repro's own per-target profiles (mobistore-timings/1.1), the
     # throughput harness block (mobistore-throughput/1), and the host
     # environment.
@@ -76,13 +83,14 @@ if command -v jq >/dev/null; then
         --slurpfile serial "$SERIAL_TIMINGS" \
         --slurpfile parallel "$PARALLEL_TIMINGS" \
         --slurpfile throughput "$THROUGHPUT_JSON" \
+        --argjson previous "$PREVIOUS" \
         '{benchmark: $bench,
           environment: {rustc: $rustc, cpu: $cpu, cores: $cores, jobs: $cores},
           cores: $cores, serial_ms: $serial_ms,
           parallel_ms: $parallel_ms, speedup: $speedup,
           output_identical: $identical,
           serial_profile: $serial[0], parallel_profile: $parallel[0],
-          throughput: $throughput[0]}' \
+          throughput: $throughput[0], previous: $previous}' \
         > BENCH_repro.json
 else
     cat > BENCH_repro.json <<EOF

@@ -115,8 +115,9 @@ fn lru_matches_reference() {
 }
 
 // ---------------------------------------------------------------------
-// Flash card: random workloads keep every internal invariant, and the
-// live-block map matches a reference set.
+// Flash card: random workloads keep every internal invariant (the slot
+// table included) under both cleaner modes and every victim policy, and
+// the live-block map matches a reference set.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -182,21 +183,34 @@ fn track(live: &mut HashSet<u64>, op: &CardOp) {
     }
 }
 
+/// The card the invariant properties drive: 16 segments x 128 KB at 1-KB
+/// blocks (2048 blocks). Cases cycle through both cleaner modes and all
+/// four victim policies; case 0 is the background greedy card.
+fn property_card(case: u64) -> FlashCardStore {
+    const MODES: [CleanerMode; 2] = [CleanerMode::Background, CleanerMode::OnDemand];
+    const POLICIES: [VictimPolicy; 4] = [
+        VictimPolicy::GreedyMinLive,
+        VictimPolicy::Fifo,
+        VictimPolicy::CostBenefit,
+        VictimPolicy::WearAware,
+    ];
+    FlashCardStore::new(FlashCardConfig {
+        params: intel_datasheet(),
+        block_size: 1024,
+        capacity_bytes: 2 * 1024 * 1024,
+        mode: MODES[(case % 2) as usize],
+        victim_policy: POLICIES[(case / 2 % 4) as usize],
+        queueing: QueueDiscipline::Fifo,
+    })
+}
+
 #[test]
 fn flash_card_invariants_hold() {
-    for case in 0..64u64 {
+    for case in 0..128u64 {
         let mut rng = case_rng(2, case);
         let preload = rng.below(600);
         let n_ops = rng.below(150);
-        // 16 segments x 128 KB at 1-KB blocks = 2048 blocks.
-        let mut card = FlashCardStore::new(FlashCardConfig {
-            params: intel_datasheet(),
-            block_size: 1024,
-            capacity_bytes: 2 * 1024 * 1024,
-            mode: CleanerMode::Background,
-            victim_policy: VictimPolicy::GreedyMinLive,
-            queueing: QueueDiscipline::Fifo,
-        });
+        let mut card = property_card(case);
         card.preload_aged(1000..1000 + preload);
         let mut model: HashSet<u64> = (1000..1000 + preload).collect();
 
@@ -230,7 +244,7 @@ fn flash_card_invariants_hold() {
 fn flash_card_invariants_hold_under_faults() {
     use mobistore::sim::fault::FaultConfig;
 
-    for case in 0..48u64 {
+    for case in 0..96u64 {
         let mut rng = case_rng(9, case);
         let rate = match rng.below(3) {
             0 => 0.0,
@@ -246,15 +260,7 @@ fn flash_card_invariants_hold_under_faults() {
         };
         let preload = rng.below(600);
         let n_ops = rng.below(150);
-        let mut card = FlashCardStore::new(FlashCardConfig {
-            params: intel_datasheet(),
-            block_size: 1024,
-            capacity_bytes: 2 * 1024 * 1024,
-            mode: CleanerMode::Background,
-            victim_policy: VictimPolicy::GreedyMinLive,
-            queueing: QueueDiscipline::Fifo,
-        })
-        .with_faults(fault);
+        let mut card = property_card(case).with_faults(fault);
         card.preload_aged(1000..1000 + preload);
         let mut model: HashSet<u64> = (1000..1000 + preload).collect();
 
