@@ -31,32 +31,21 @@ pub enum WritePolicy {
     WriteBack,
 }
 
-/// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Blocks found in cache on reads.
-    pub read_hits: u64,
-    /// Blocks missed on reads.
-    pub read_misses: u64,
-    /// Blocks written.
-    pub writes: u64,
-    /// Dirty blocks pushed out by eviction (write-back only).
-    pub writebacks: u64,
-    /// Backend fills refused because the device reported the data
-    /// uncorrectable: the cache must never hold blocks the device could
-    /// not deliver intact.
-    pub fill_rejects: u64,
-}
-
-impl CacheStats {
-    /// Adds another cache's counters into this one (fleet aggregation:
-    /// every field is a plain count, so merging is field-wise addition).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.read_hits += other.read_hits;
-        self.read_misses += other.read_misses;
-        self.writes += other.writes;
-        self.writebacks += other.writebacks;
-        self.fill_rejects += other.fill_rejects;
+mobistore_sim::counter_set! {
+    /// Hit/miss counters.
+    pub struct CacheStats {
+        /// Blocks found in cache on reads.
+        pub read_hits: u64 => "dram.read_hits",
+        /// Blocks missed on reads.
+        pub read_misses: u64 => "dram.read_misses",
+        /// Blocks written.
+        pub writes: u64 => "dram.writes",
+        /// Dirty blocks pushed out by eviction (write-back only).
+        pub writebacks: u64 => "dram.writebacks",
+        /// Backend fills refused because the device reported the data
+        /// uncorrectable: the cache must never hold blocks the device could
+        /// not deliver intact.
+        pub fill_rejects: u64 => "dram.fill_rejects",
     }
 }
 

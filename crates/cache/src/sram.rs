@@ -20,23 +20,15 @@ use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
 use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::time::{SimDuration, SimTime};
 
-/// Counters the buffer maintains alongside energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SramStats {
-    /// Writes fully absorbed without touching the disk.
-    pub absorbed: u64,
-    /// Flushes forced by overflow.
-    pub flushes: u64,
-    /// Reads served from the buffer.
-    pub read_hits: u64,
-}
-
-impl SramStats {
-    /// Adds another buffer's counters into this one (fleet aggregation).
-    pub fn merge(&mut self, other: &SramStats) {
-        self.absorbed += other.absorbed;
-        self.flushes += other.flushes;
-        self.read_hits += other.read_hits;
+mobistore_sim::counter_set! {
+    /// Counters the buffer maintains alongside energy.
+    pub struct SramStats {
+        /// Writes fully absorbed without touching the disk.
+        pub absorbed: u64 => "sram.absorbed",
+        /// Flushes forced by overflow.
+        pub flushes: u64 => "sram.flushes",
+        /// Reads served from the buffer.
+        pub read_hits: u64 => "sram.read_hits",
     }
 }
 

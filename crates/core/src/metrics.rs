@@ -11,6 +11,7 @@ use mobistore_device::array::ArrayCounters;
 use mobistore_device::disk::DiskCounters;
 use mobistore_device::flashdisk::FlashDiskCounters;
 use mobistore_flash::store::{FlashCardCounters, WearStats};
+use mobistore_sim::counters::CounterSet;
 use mobistore_sim::energy::Joules;
 use mobistore_sim::hist::{Histogram, Percentiles};
 use mobistore_sim::obs::CounterRegistry;
@@ -18,7 +19,7 @@ use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
 
 /// Results of one simulation run (the measured, post-warm-up portion).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// The configuration label (Table 4 row).
     pub name: String,
@@ -144,31 +145,7 @@ impl Metrics {
     pub fn empty(name: &str) -> Metrics {
         Metrics {
             name: name.to_string(),
-            energy: Joules(0.0),
-            energy_by_component: Vec::new(),
-            backend_states: Vec::new(),
-            read_response_ms: Summary::default(),
-            write_response_ms: Summary::default(),
-            overall_response_ms: Summary::default(),
-            read_latency: Histogram::new(),
-            write_latency: Histogram::new(),
-            overall_latency: Histogram::new(),
-            backoff_ms: Summary::default(),
-            backoff_latency: Histogram::new(),
-            degraded_read_ms: Summary::default(),
-            degraded_read_latency: Histogram::new(),
-            duration: SimDuration::ZERO,
-            cache: None,
-            sram: None,
-            disk: None,
-            flash_disk: None,
-            flash_card: None,
-            array: None,
-            wear: None,
-            lost_dirty_blocks: 0,
-            rejected_writes: 0,
-            rejected_blocks: 0,
-            uncorrectable_reads: 0,
+            ..Metrics::default()
         }
     }
 
@@ -196,17 +173,12 @@ impl Metrics {
                 None => self.backend_states.push((name, e, d)),
             }
         }
-        self.read_response_ms.merge(&other.read_response_ms);
-        self.write_response_ms.merge(&other.write_response_ms);
-        self.overall_response_ms.merge(&other.overall_response_ms);
-        self.read_latency.merge(&other.read_latency);
-        self.write_latency.merge(&other.write_latency);
-        self.overall_latency.merge(&other.overall_latency);
-        self.backoff_ms.merge(&other.backoff_ms);
-        self.backoff_latency.merge(&other.backoff_latency);
-        self.degraded_read_ms.merge(&other.degraded_read_ms);
-        self.degraded_read_latency
-            .merge(&other.degraded_read_latency);
+        for ((_, sum, hist), (_, other_sum, other_hist)) in
+            self.channels_mut().into_iter().zip(other.channels())
+        {
+            sum.merge(other_sum);
+            hist.merge(other_hist);
+        }
         self.duration = self.duration.max(other.duration);
         merge_opt(&mut self.cache, &other.cache, CacheStats::merge);
         merge_opt(&mut self.sram, &other.sram, SramStats::merge);
@@ -316,88 +288,73 @@ impl Metrics {
     /// machine-readable export. Only the components that ran appear.
     pub fn counters(&self) -> CounterRegistry {
         let mut reg = CounterRegistry::new();
-        if let Some(c) = self.cache {
-            reg.add("dram.read_hits", c.read_hits);
-            reg.add("dram.read_misses", c.read_misses);
-            reg.add("dram.writes", c.writes);
-            reg.add("dram.writebacks", c.writebacks);
-            reg.add("dram.fill_rejects", c.fill_rejects);
-        }
-        if let Some(s) = self.sram {
-            reg.add("sram.absorbed", s.absorbed);
-            reg.add("sram.flushes", s.flushes);
-            reg.add("sram.read_hits", s.read_hits);
-        }
-        if let Some(d) = self.disk {
-            reg.add("disk.ops", d.ops);
-            reg.add("disk.spin_ups", d.spin_ups);
-            reg.add("disk.spin_downs", d.spin_downs);
-            reg.add("disk.bytes_read", d.bytes_read);
-            reg.add("disk.bytes_written", d.bytes_written);
-            reg.add("disk.power_failures", d.power_failures);
-            reg.add("disk.recovery_ns", d.recovery_time.as_nanos());
-        }
-        if let Some(f) = self.flash_disk {
-            reg.add("flashdisk.ops", f.ops);
-            reg.add("flashdisk.bytes_read", f.bytes_read);
-            reg.add("flashdisk.bytes_written", f.bytes_written);
-            reg.add("flashdisk.bytes_pre_erased", f.bytes_pre_erased);
-            reg.add("flashdisk.bytes_erased_on_demand", f.bytes_erased_on_demand);
-            reg.add("flashdisk.power_failures", f.power_failures);
-            reg.add("flashdisk.recovery_ns", f.recovery_time.as_nanos());
-            reg.add("flashdisk.ecc_corrected", f.ecc_corrected);
-            reg.add("flashdisk.read_retries", f.read_retries);
-            reg.add("flashdisk.uncorrectable_reads", f.uncorrectable_reads);
-        }
-        if let Some(c) = self.flash_card {
-            reg.add("card.ops", c.ops);
-            reg.add("card.bytes_read", c.bytes_read);
-            reg.add("card.bytes_written", c.bytes_written);
-            reg.add("card.erasures", c.erasures);
-            reg.add("card.blocks_copied", c.blocks_copied);
-            reg.add("card.cleaning_waits", c.cleaning_waits);
-            reg.add("card.write_retries", c.write_retries);
-            reg.add("card.erase_retries", c.erase_retries);
-            reg.add("card.segments_retired", c.segments_retired);
-            reg.add("card.power_failures", c.power_failures);
-            reg.add("card.recovery_ns", c.recovery_time.as_nanos());
-            reg.add("card.eol_write_rejections", c.eol_write_rejections);
-            reg.add("card.ecc_corrected", c.ecc_corrected);
-            reg.add("card.read_retries", c.read_retries);
-            reg.add("card.uncorrectable_reads", c.uncorrectable_reads);
-            reg.add("card.blocks_relocated", c.blocks_relocated);
-            reg.add("card.scrub_passes", c.scrub_passes);
-            reg.add("card.scrub_reads", c.scrub_reads);
-            reg.add(
-                "card.write_retry_backoff_ns",
-                c.write_retry_backoff.as_nanos(),
-            );
-            reg.add(
-                "card.erase_retry_backoff_ns",
-                c.erase_retry_backoff.as_nanos(),
-            );
-        }
-        if let Some(a) = self.array {
-            reg.add("array.ops", a.ops);
-            reg.add("array.bytes_read", a.bytes_read);
-            reg.add("array.bytes_written", a.bytes_written);
-            reg.add("array.degraded_reads", a.degraded_reads);
-            reg.add("array.parity_updates", a.parity_updates);
-            reg.add("array.rebuild_stripes", a.rebuild_stripes);
-            reg.add("array.rebuilds_completed", a.rebuilds_completed);
-            reg.add("array.rebuild_ns", a.rebuild_time.as_nanos());
-            reg.add("array.device_deaths", a.device_deaths);
-            reg.add("array.data_loss_events", a.data_loss_events);
-            reg.add("array.vulnerability_ns", a.vulnerability.as_nanos());
-            reg.add("array.power_failures", a.power_failures);
-            reg.add("array.recovery_ns", a.recovery_time.as_nanos());
-            reg.add("array.read_only_rejections", a.read_only_rejections);
+        for (keys, values) in self.counter_sets() {
+            for (key, value) in keys.iter().zip(values.unwrap_or_default()) {
+                reg.add(key, value);
+            }
         }
         reg.add("lost_dirty_blocks", self.lost_dirty_blocks);
         reg.add("rejected_writes", self.rejected_writes);
         reg.add("rejected_blocks", self.rejected_blocks);
         reg.add("uncorrectable_reads", self.uncorrectable_reads);
         reg
+    }
+
+    /// The six component counter sets (cache, SRAM, disk, flash disk,
+    /// flash card, array), each as its export keys and its raw values,
+    /// the values `None` when the component did not run. The export and
+    /// the fleet checkpoint both walk this list.
+    pub fn counter_sets(&self) -> [(&'static [&'static str], Option<Vec<u64>>); 6] {
+        fn raw<S: CounterSet>(set: Option<S>) -> (&'static [&'static str], Option<Vec<u64>>) {
+            (S::KEYS, set.map(|s| s.values()))
+        }
+        [
+            raw(self.cache),
+            raw(self.sram),
+            raw(self.disk),
+            raw(self.flash_disk),
+            raw(self.flash_card),
+            raw(self.array),
+        ]
+    }
+
+    /// The five latency channels as `(name, moments, histogram)`: read,
+    /// write, overall, retry backoff, and degraded array reads.
+    pub fn channels(&self) -> [(&'static str, &Summary, &Histogram); 5] {
+        [
+            ("read", &self.read_response_ms, &self.read_latency),
+            ("write", &self.write_response_ms, &self.write_latency),
+            ("overall", &self.overall_response_ms, &self.overall_latency),
+            ("backoff", &self.backoff_ms, &self.backoff_latency),
+            (
+                "degraded",
+                &self.degraded_read_ms,
+                &self.degraded_read_latency,
+            ),
+        ]
+    }
+
+    /// [`channels`](Self::channels), mutably, in the same order.
+    pub fn channels_mut(&mut self) -> [(&'static str, &mut Summary, &mut Histogram); 5] {
+        [
+            ("read", &mut self.read_response_ms, &mut self.read_latency),
+            (
+                "write",
+                &mut self.write_response_ms,
+                &mut self.write_latency,
+            ),
+            (
+                "overall",
+                &mut self.overall_response_ms,
+                &mut self.overall_latency,
+            ),
+            ("backoff", &mut self.backoff_ms, &mut self.backoff_latency),
+            (
+                "degraded",
+                &mut self.degraded_read_ms,
+                &mut self.degraded_read_latency,
+            ),
+        ]
     }
 
     /// Renders the Table 4 row: energy, read mean/max/σ, write mean/max/σ.
@@ -465,13 +422,6 @@ mod tests {
                 std: 4.0,
                 sum: 25.0,
             },
-            read_latency: Histogram::new(),
-            write_latency: Histogram::new(),
-            overall_latency: Histogram::new(),
-            backoff_ms: Summary::default(),
-            backoff_latency: Histogram::new(),
-            degraded_read_ms: Summary::default(),
-            degraded_read_latency: Histogram::new(),
             duration: SimDuration::from_secs(50),
             cache: Some(CacheStats {
                 read_hits: 80,
@@ -480,16 +430,7 @@ mod tests {
                 writebacks: 0,
                 fill_rejects: 0,
             }),
-            sram: None,
-            disk: None,
-            flash_disk: None,
-            flash_card: None,
-            array: None,
-            wear: None,
-            lost_dirty_blocks: 0,
-            rejected_writes: 0,
-            rejected_blocks: 0,
-            uncorrectable_reads: 0,
+            ..Metrics::default()
         }
     }
 
@@ -569,6 +510,96 @@ mod tests {
         assert_eq!(t.recovery_time, SimDuration::from_secs(2));
         let reg = m.counters();
         assert_eq!(reg.get("array.device_deaths"), 2);
+    }
+
+    #[test]
+    fn counters_export_every_key_of_all_six_sets() {
+        // Each set's raw values count up from 1 in declaration order, so
+        // the pin also fixes every key's position: its checkpoint column.
+        fn set<S: CounterSet>() -> Option<S> {
+            S::from_values(&(1..=S::KEYS.len() as u64).collect::<Vec<_>>())
+        }
+        let mut m = Metrics {
+            cache: set(),
+            sram: set(),
+            disk: set(),
+            flash_disk: set(),
+            flash_card: set(),
+            array: set(),
+            ..dummy()
+        };
+        let got: Vec<(&str, u64)> = m.counters().iter().collect();
+        assert_eq!(
+            got,
+            [
+                ("array.bytes_read", 2),
+                ("array.bytes_written", 3),
+                ("array.data_loss_events", 10),
+                ("array.degraded_reads", 4),
+                ("array.device_deaths", 9),
+                ("array.ops", 1),
+                ("array.parity_updates", 5),
+                ("array.power_failures", 12),
+                ("array.read_only_rejections", 14),
+                ("array.rebuild_ns", 8),
+                ("array.rebuild_stripes", 6),
+                ("array.rebuilds_completed", 7),
+                ("array.recovery_ns", 13),
+                ("array.vulnerability_ns", 11),
+                ("card.blocks_copied", 5),
+                ("card.blocks_relocated", 16),
+                ("card.bytes_read", 2),
+                ("card.bytes_written", 3),
+                ("card.cleaning_waits", 6),
+                ("card.ecc_corrected", 13),
+                ("card.eol_write_rejections", 12),
+                ("card.erase_retries", 8),
+                ("card.erase_retry_backoff_ns", 20),
+                ("card.erasures", 4),
+                ("card.ops", 1),
+                ("card.power_failures", 10),
+                ("card.read_retries", 14),
+                ("card.recovery_ns", 11),
+                ("card.scrub_passes", 17),
+                ("card.scrub_reads", 18),
+                ("card.segments_retired", 9),
+                ("card.uncorrectable_reads", 15),
+                ("card.write_retries", 7),
+                ("card.write_retry_backoff_ns", 19),
+                ("disk.bytes_read", 4),
+                ("disk.bytes_written", 5),
+                ("disk.ops", 1),
+                ("disk.power_failures", 6),
+                ("disk.recovery_ns", 7),
+                ("disk.spin_downs", 3),
+                ("disk.spin_ups", 2),
+                ("dram.fill_rejects", 5),
+                ("dram.read_hits", 1),
+                ("dram.read_misses", 2),
+                ("dram.writebacks", 4),
+                ("dram.writes", 3),
+                ("flashdisk.bytes_erased_on_demand", 5),
+                ("flashdisk.bytes_pre_erased", 4),
+                ("flashdisk.bytes_read", 2),
+                ("flashdisk.bytes_written", 3),
+                ("flashdisk.ecc_corrected", 8),
+                ("flashdisk.ops", 1),
+                ("flashdisk.power_failures", 6),
+                ("flashdisk.read_retries", 9),
+                ("flashdisk.recovery_ns", 7),
+                ("flashdisk.uncorrectable_reads", 10),
+                ("lost_dirty_blocks", 0),
+                ("rejected_blocks", 0),
+                ("rejected_writes", 0),
+                ("sram.absorbed", 1),
+                ("sram.flushes", 2),
+                ("sram.read_hits", 3),
+                ("uncorrectable_reads", 0),
+            ]
+        );
+        let card = m.flash_card.as_mut().expect("card set");
+        card.recovery_time = SimDuration::from_micros(3);
+        assert_eq!(m.counters().get("card.recovery_ns"), 3_000);
     }
 
     #[test]

@@ -126,62 +126,42 @@ impl ChildClass {
     }
 }
 
-/// Counters the array maintains alongside energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArrayCounters {
-    /// Completed host operations (reads + writes).
-    pub ops: u64,
-    /// Logical bytes read.
-    pub bytes_read: u64,
-    /// Logical bytes written.
-    pub bytes_written: u64,
-    /// Block reads served by decoding survivors instead of the direct
-    /// shard.
-    pub degraded_reads: u64,
-    /// Stripes whose parity was recomputed by a write.
-    pub parity_updates: u64,
-    /// Stripes reconstructed onto a hot spare.
-    pub rebuild_stripes: u64,
-    /// Rebuilds that completed (child returned to full redundancy).
-    pub rebuilds_completed: u64,
-    /// Sim time spent reconstructing stripes.
-    pub rebuild_time: SimDuration,
-    /// Children that died permanently.
-    pub device_deaths: u64,
-    /// Block reads that could not be reconstructed (typed
-    /// [`DeviceError::ArrayDegraded`], mirrored as
-    /// [`Event::UncorrectableRead`]).
-    pub data_loss_events: u64,
-    /// Total window of vulnerability: sim time during which at least one
-    /// child's shards were missing (death to rebuild completion, or to
-    /// the end of the run).
-    pub vulnerability: SimDuration,
-    /// Power failures survived.
-    pub power_failures: u64,
-    /// Sim time spent re-reading array metadata after power loss.
-    pub recovery_time: SimDuration,
-    /// Writes rejected because the array is failed read-only.
-    pub read_only_rejections: u64,
-}
-
-impl ArrayCounters {
-    /// Adds another array's counters into this one (fleet aggregation:
-    /// counts and durations are all additive).
-    pub fn merge(&mut self, other: &ArrayCounters) {
-        self.ops += other.ops;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.degraded_reads += other.degraded_reads;
-        self.parity_updates += other.parity_updates;
-        self.rebuild_stripes += other.rebuild_stripes;
-        self.rebuilds_completed += other.rebuilds_completed;
-        self.rebuild_time += other.rebuild_time;
-        self.device_deaths += other.device_deaths;
-        self.data_loss_events += other.data_loss_events;
-        self.vulnerability += other.vulnerability;
-        self.power_failures += other.power_failures;
-        self.recovery_time += other.recovery_time;
-        self.read_only_rejections += other.read_only_rejections;
+mobistore_sim::counter_set! {
+    /// Counters the array maintains alongside energy.
+    pub struct ArrayCounters {
+        /// Completed host operations (reads + writes).
+        pub ops: u64 => "array.ops",
+        /// Logical bytes read.
+        pub bytes_read: u64 => "array.bytes_read",
+        /// Logical bytes written.
+        pub bytes_written: u64 => "array.bytes_written",
+        /// Block reads served by decoding survivors instead of the direct
+        /// shard.
+        pub degraded_reads: u64 => "array.degraded_reads",
+        /// Stripes whose parity was recomputed by a write.
+        pub parity_updates: u64 => "array.parity_updates",
+        /// Stripes reconstructed onto a hot spare.
+        pub rebuild_stripes: u64 => "array.rebuild_stripes",
+        /// Rebuilds that completed (child returned to full redundancy).
+        pub rebuilds_completed: u64 => "array.rebuilds_completed",
+        /// Sim time spent reconstructing stripes.
+        pub rebuild_time: SimDuration => "array.rebuild_ns",
+        /// Children that died permanently.
+        pub device_deaths: u64 => "array.device_deaths",
+        /// Block reads that could not be reconstructed (typed
+        /// [`DeviceError::ArrayDegraded`], mirrored as
+        /// [`Event::UncorrectableRead`]).
+        pub data_loss_events: u64 => "array.data_loss_events",
+        /// Total window of vulnerability: sim time during which at least one
+        /// child's shards were missing (death to rebuild completion, or to
+        /// the end of the run).
+        pub vulnerability: SimDuration => "array.vulnerability_ns",
+        /// Power failures survived.
+        pub power_failures: u64 => "array.power_failures",
+        /// Sim time spent re-reading array metadata after power loss.
+        pub recovery_time: SimDuration => "array.recovery_ns",
+        /// Writes rejected because the array is failed read-only.
+        pub read_only_rejections: u64 => "array.read_only_rejections",
     }
 }
 

@@ -99,37 +99,24 @@ pub enum SeekModel {
     },
 }
 
-/// Counters the disk maintains alongside energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskCounters {
-    /// Completed accesses.
-    pub ops: u64,
-    /// Number of spin-ups paid by requests.
-    pub spin_ups: u64,
-    /// Number of completed spin-downs (including those a request interrupted
-    /// by waiting for completion).
-    pub spin_downs: u64,
-    /// Bytes read from the media.
-    pub bytes_read: u64,
-    /// Bytes written to the media.
-    pub bytes_written: u64,
-    /// Power failures survived (each forcing a FAT replay scan).
-    pub power_failures: u64,
-    /// Total time spent in post-power-fail recovery scans.
-    pub recovery_time: SimDuration,
-}
-
-impl DiskCounters {
-    /// Adds another disk's counters into this one (fleet aggregation:
-    /// counts and durations are all additive).
-    pub fn merge(&mut self, other: &DiskCounters) {
-        self.ops += other.ops;
-        self.spin_ups += other.spin_ups;
-        self.spin_downs += other.spin_downs;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.power_failures += other.power_failures;
-        self.recovery_time += other.recovery_time;
+mobistore_sim::counter_set! {
+    /// Counters the disk maintains alongside energy.
+    pub struct DiskCounters {
+        /// Completed accesses.
+        pub ops: u64 => "disk.ops",
+        /// Number of spin-ups paid by requests.
+        pub spin_ups: u64 => "disk.spin_ups",
+        /// Number of completed spin-downs (including those a request interrupted
+        /// by waiting for completion).
+        pub spin_downs: u64 => "disk.spin_downs",
+        /// Bytes read from the media.
+        pub bytes_read: u64 => "disk.bytes_read",
+        /// Bytes written to the media.
+        pub bytes_written: u64 => "disk.bytes_written",
+        /// Power failures survived (each forcing a FAT replay scan).
+        pub power_failures: u64 => "disk.power_failures",
+        /// Total time spent in post-power-fail recovery scans.
+        pub recovery_time: SimDuration => "disk.recovery_ns",
     }
 }
 

@@ -22,45 +22,29 @@ use mobistore_sim::time::SimTime;
 use crate::params::{ErasePolicy, FlashDiskParams};
 use crate::{Device, DeviceError, ReadOutcome, Request, Service, WriteOutcome};
 
-/// Counters the flash disk maintains alongside energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlashDiskCounters {
-    /// Completed accesses.
-    pub ops: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Bytes written into sectors the background cleaner had pre-erased.
-    pub bytes_pre_erased: u64,
-    /// Bytes whose erasure had to happen inline with the write.
-    pub bytes_erased_on_demand: u64,
-    /// Power failures survived.
-    pub power_failures: u64,
-    /// Total sim time spent re-scanning remap metadata after power loss.
-    pub recovery_time: mobistore_sim::time::SimDuration,
-    /// Read accesses whose raw bit errors the ECC corrected transparently.
-    pub ecc_corrected: u64,
-    /// Read-retry attempts spent recovering marginal reads.
-    pub read_retries: u64,
-    /// Read accesses lost to uncorrectable bit errors.
-    pub uncorrectable_reads: u64,
-}
-
-impl FlashDiskCounters {
-    /// Adds another flash disk's counters into this one (fleet
-    /// aggregation: counts and durations are all additive).
-    pub fn merge(&mut self, other: &FlashDiskCounters) {
-        self.ops += other.ops;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.bytes_pre_erased += other.bytes_pre_erased;
-        self.bytes_erased_on_demand += other.bytes_erased_on_demand;
-        self.power_failures += other.power_failures;
-        self.recovery_time += other.recovery_time;
-        self.ecc_corrected += other.ecc_corrected;
-        self.read_retries += other.read_retries;
-        self.uncorrectable_reads += other.uncorrectable_reads;
+mobistore_sim::counter_set! {
+    /// Counters the flash disk maintains alongside energy.
+    pub struct FlashDiskCounters {
+        /// Completed accesses.
+        pub ops: u64 => "flashdisk.ops",
+        /// Bytes read.
+        pub bytes_read: u64 => "flashdisk.bytes_read",
+        /// Bytes written.
+        pub bytes_written: u64 => "flashdisk.bytes_written",
+        /// Bytes written into sectors the background cleaner had pre-erased.
+        pub bytes_pre_erased: u64 => "flashdisk.bytes_pre_erased",
+        /// Bytes whose erasure had to happen inline with the write.
+        pub bytes_erased_on_demand: u64 => "flashdisk.bytes_erased_on_demand",
+        /// Power failures survived.
+        pub power_failures: u64 => "flashdisk.power_failures",
+        /// Total sim time spent re-scanning remap metadata after power loss.
+        pub recovery_time: mobistore_sim::time::SimDuration => "flashdisk.recovery_ns",
+        /// Read accesses whose raw bit errors the ECC corrected transparently.
+        pub ecc_corrected: u64 => "flashdisk.ecc_corrected",
+        /// Read-retry attempts spent recovering marginal reads.
+        pub read_retries: u64 => "flashdisk.read_retries",
+        /// Read accesses lost to uncorrectable bit errors.
+        pub uncorrectable_reads: u64 => "flashdisk.uncorrectable_reads",
     }
 }
 

@@ -106,11 +106,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mobistore_core::crashcheck::CrashPoints;
-use mobistore_core::metrics::Metrics;
 use mobistore_core::simulator::SimError;
 use mobistore_device::DeviceError;
 use mobistore_experiments::fleet::FleetOptions;
-use mobistore_experiments::render::{try_render_target, RenderOptions, ON_DEMAND_TARGETS, TARGETS};
+use mobistore_experiments::render::{
+    try_render_target, RenderOptions, RenderedTarget, ON_DEMAND_TARGETS, TARGETS,
+};
 use mobistore_experiments::{export, Scale};
 use mobistore_sim::exec;
 use mobistore_sim::prof;
@@ -119,15 +120,7 @@ use mobistore_sim::time::SimDuration;
 
 /// One finished target: rendered output plus its wall-clock time.
 struct TargetOutput {
-    text: String,
-    csvs: Vec<(&'static str, String)>,
-    metrics: Vec<Metrics>,
-    events_jsonl: Option<String>,
-    fleet_info: Option<export::FleetInfo>,
-    durability_info: Option<export::DurabilityInfo>,
-    span_processes: Vec<(String, Vec<Span>)>,
-    host_report: Option<String>,
-    throughput_json: Option<String>,
+    rendered: RenderedTarget,
     elapsed: Duration,
     /// Simulated operations this target's simulations replayed.
     ops: u64,
@@ -197,7 +190,10 @@ fn main() -> ExitCode {
                 _ => return usage("--throughput-reps needs a positive integer"),
             },
             "--progress" => render.progress = true,
-            "--fault-rates" => match args.next().map(|v| parse_rates(&v)) {
+            "--fault-rates" => match args
+                .next()
+                .map(|v| parse_list(&v, |r| (0.0..=1.0).contains(&r)))
+            {
                 Some(Some(rates)) => render.reliability.rates = rates,
                 _ => {
                     return usage("--fault-rates needs comma-separated rates in [0, 1]");
@@ -222,7 +218,7 @@ fn main() -> ExitCode {
                 Some(v) => render.crashcheck.seed = v,
                 None => return usage("--crash-seed needs an integer"),
             },
-            "--ber-rates" => match args.next().map(|v| parse_ber_rates(&v)) {
+            "--ber-rates" => match args.next().map(|v| parse_list(&v, |r| r >= 0.0)) {
                 Some(Some(rates)) => render.integrity.rates = rates,
                 _ => {
                     return usage("--ber-rates needs comma-separated non-negative error counts");
@@ -292,7 +288,7 @@ fn main() -> ExitCode {
                     ));
                 }
             },
-            "--death-rates" => match args.next().map(|v| parse_death_rates(&v)) {
+            "--death-rates" => match args.next().map(|v| parse_list(&v, |r| r >= 0.0)) {
                 Some(Some(rates)) => render.durability.death_rates = rates,
                 _ => {
                     return usage("--death-rates needs comma-separated non-negative rates");
@@ -344,17 +340,10 @@ fn main() -> ExitCode {
         // thread's context, which parallel_map propagates into nested
         // worker pools, so fan-out targets still attribute correctly.
         let ops = Arc::new(AtomicU64::new(0));
-        let r = prof::with_context(ops.clone(), || try_render_target(target, scale, &render))?;
+        let rendered =
+            prof::with_context(ops.clone(), || try_render_target(target, scale, &render))?;
         Ok(TargetOutput {
-            text: r.text,
-            csvs: r.csvs,
-            metrics: r.metrics,
-            events_jsonl: r.events_jsonl,
-            fleet_info: r.fleet_info,
-            durability_info: r.durability_info,
-            span_processes: r.span_processes,
-            host_report: r.host_report,
-            throughput_json: r.throughput_json,
+            rendered,
             elapsed: t0.elapsed(),
             ops: ops.load(Ordering::Relaxed),
         })
@@ -373,10 +362,10 @@ fn main() -> ExitCode {
     let stdout = std::io::stdout();
     let mut lock = stdout.lock();
     for r in &results {
-        if lock.write_all(r.text.as_bytes()).is_err() {
+        if lock.write_all(r.rendered.text.as_bytes()).is_err() {
             return ExitCode::from(1);
         }
-        for (name, contents) in &r.csvs {
+        for (name, contents) in &r.rendered.csvs {
             write_csv(&csv_dir, name, contents);
         }
     }
@@ -385,7 +374,7 @@ fn main() -> ExitCode {
     // Wall-clock side reports go to stderr only — stdout stays
     // byte-identical with or without them.
     for (target, r) in targets.iter().zip(&results) {
-        if let Some(report) = &r.host_report {
+        if let Some(report) = &r.rendered.host_report {
             eprint!("# host profile ({target}):\n{report}");
         }
     }
@@ -393,7 +382,7 @@ fn main() -> ExitCode {
     if let Some(path) = &trace_out {
         let mut processes: Vec<(String, Vec<Span>)> = Vec::new();
         for r in &results {
-            processes.extend(r.span_processes.iter().cloned());
+            processes.extend(r.rendered.span_processes.iter().cloned());
         }
         if processes.is_empty() {
             eprintln!(
@@ -404,7 +393,10 @@ fn main() -> ExitCode {
         write_artifact(path, &chrome_trace_json(&processes), "trace");
     }
     if let Some(path) = &throughput_json {
-        match results.iter().find_map(|r| r.throughput_json.as_deref()) {
+        match results
+            .iter()
+            .find_map(|r| r.rendered.throughput_json.as_deref())
+        {
             Some(doc) => write_artifact(path, doc, "throughput"),
             None => eprintln!(
                 "# --throughput-json: the throughput target was not requested; \
@@ -415,7 +407,7 @@ fn main() -> ExitCode {
     if let Some(path) = &events_out {
         let mut stream = String::new();
         for r in &results {
-            if let Some(events) = &r.events_jsonl {
+            if let Some(events) = &r.rendered.events_jsonl {
                 stream.push_str(events);
             }
         }
@@ -427,9 +419,9 @@ fn main() -> ExitCode {
             .zip(&results)
             .map(|(t, r)| export::TargetExport {
                 target: t.as_str(),
-                rows: r.metrics.as_slice(),
-                fleet: r.fleet_info.as_ref(),
-                durability: r.durability_info.as_ref(),
+                rows: r.rendered.metrics.as_slice(),
+                fleet: r.rendered.fleet_info.as_ref(),
+                durability: r.rendered.durability_info.as_ref(),
             })
             .collect();
         write_artifact(path, &export::metrics_json(scale, &per_target), "metrics");
@@ -466,7 +458,7 @@ fn main() -> ExitCode {
     // scripted callers notice the reduced coverage.
     let quarantined: usize = results
         .iter()
-        .filter_map(|r| r.fleet_info.as_ref())
+        .filter_map(|r| r.rendered.fleet_info.as_ref())
         .map(|f| f.quarantined.len())
         .sum();
     if quarantined > 0 {
@@ -563,44 +555,19 @@ fn parse_geometries(s: &str) -> Option<Vec<(usize, usize)>> {
     geometries.filter(|g| !g.is_empty())
 }
 
-/// Parses `--death-rates`: comma-separated expected device deaths per
-/// device-hour. Not capped at 1 — they are rates, not probabilities —
-/// but they must be finite and `>= 0`.
-fn parse_death_rates(s: &str) -> Option<Vec<f64>> {
-    let rates: Option<Vec<f64>> = s
+/// Parses a comma-separated list of finite numbers that each pass `ok`:
+/// `--fault-rates` are probabilities in `[0, 1]`; `--ber-rates` and
+/// `--death-rates` are rates, not capped at 1 but `>= 0`. An empty list
+/// fails.
+fn parse_list(s: &str, ok: impl Fn(f64) -> bool) -> Option<Vec<f64>> {
+    let values: Option<Vec<f64>> = s
         .split(',')
         .map(|part| match part.trim().parse::<f64>() {
-            Ok(r) if r.is_finite() && r >= 0.0 => Some(r),
+            Ok(v) if v.is_finite() && ok(v) => Some(v),
             _ => None,
         })
         .collect();
-    rates.filter(|r| !r.is_empty())
-}
-
-/// Parses `--fault-rates`: comma-separated probabilities in `[0, 1]`.
-fn parse_rates(s: &str) -> Option<Vec<f64>> {
-    let rates: Option<Vec<f64>> = s
-        .split(',')
-        .map(|part| match part.trim().parse::<f64>() {
-            Ok(r) if r.is_finite() && (0.0..=1.0).contains(&r) => Some(r),
-            _ => None,
-        })
-        .collect();
-    rates.filter(|r| !r.is_empty())
-}
-
-/// Parses `--ber-rates`: comma-separated expected raw error counts.
-/// Unlike fault probabilities these are not capped at 1 — they are
-/// Poisson means per block read — but they must be finite and `>= 0`.
-fn parse_ber_rates(s: &str) -> Option<Vec<f64>> {
-    let rates: Option<Vec<f64>> = s
-        .split(',')
-        .map(|part| match part.trim().parse::<f64>() {
-            Ok(r) if r.is_finite() && r >= 0.0 => Some(r),
-            _ => None,
-        })
-        .collect();
-    rates.filter(|r| !r.is_empty())
+    values.filter(|v| !v.is_empty())
 }
 
 /// Writes one CSV file into the `--csv` directory, if one was given.

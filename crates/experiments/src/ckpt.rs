@@ -41,15 +41,11 @@ use std::fs;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
-use mobistore_cache::dram::CacheStats;
-use mobistore_cache::sram::SramStats;
 use mobistore_core::metrics::Metrics;
-use mobistore_device::array::ArrayCounters;
-use mobistore_device::disk::DiskCounters;
-use mobistore_device::flashdisk::FlashDiskCounters;
-use mobistore_flash::store::{FlashCardCounters, WearStats};
+use mobistore_flash::store::WearStats;
+use mobistore_sim::counters::CounterSet;
 use mobistore_sim::energy::Joules;
-use mobistore_sim::fleet::ShardError;
+use mobistore_sim::fleet::{fnv1a, ShardError};
 use mobistore_sim::hist::Histogram;
 use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
@@ -59,16 +55,6 @@ use crate::Scale;
 
 /// The checkpoint schema identifier (also the file's first line).
 pub const CKPT_SCHEMA: &str = "mobistore-fleet-ckpt/1";
-
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The configuration fingerprint stored in (and demanded of) a
 /// checkpoint: a hash over every input that shapes shard bytes.
@@ -96,7 +82,7 @@ pub fn fingerprint(opts: &FleetOptions, scale: Scale) -> u64 {
     for (name, weight) in device_mix().entries() {
         let _ = write!(desc, ";d:{name}={weight}");
     }
-    fnv1a(desc.bytes())
+    fnv1a(desc.as_bytes())
 }
 
 /// Escapes a string into a single whitespace-free token.
@@ -158,8 +144,9 @@ fn bits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// The five (summary, histogram) latency channels a [`Metrics`] carries.
-const CHANNELS: [&str; 5] = ["read", "write", "overall", "backoff", "degraded"];
+/// Checkpoint line tags of the counter sets, in
+/// [`Metrics::counter_sets`] order.
+const SET_TAGS: [&str; 6] = ["cache", "sram", "disk", "flashdisk", "card", "array"];
 
 fn encode_metrics(out: &mut String, m: &Metrics) {
     let _ = writeln!(out, "m.name {}", esc(&m.name));
@@ -176,14 +163,7 @@ fn encode_metrics(out: &mut String, m: &Metrics) {
             d.as_nanos()
         );
     }
-    let summaries = [
-        &m.read_response_ms,
-        &m.write_response_ms,
-        &m.overall_response_ms,
-        &m.backoff_ms,
-        &m.degraded_read_ms,
-    ];
-    for (key, s) in CHANNELS.iter().zip(summaries) {
+    for (key, s, _) in m.channels() {
         let _ = writeln!(
             out,
             "m.sum {key} {} {} {} {} {} {}",
@@ -195,14 +175,7 @@ fn encode_metrics(out: &mut String, m: &Metrics) {
             bits(s.sum)
         );
     }
-    let hists = [
-        &m.read_latency,
-        &m.write_latency,
-        &m.overall_latency,
-        &m.backoff_latency,
-        &m.degraded_read_latency,
-    ];
-    for (key, h) in CHANNELS.iter().zip(hists) {
+    for (key, _, h) in m.channels() {
         let _ = write!(out, "m.hist {key}");
         for (lo, _, count) in h.iter_nonzero() {
             let _ = write!(out, " {lo}:{count}");
@@ -210,90 +183,14 @@ fn encode_metrics(out: &mut String, m: &Metrics) {
         out.push('\n');
     }
     let _ = writeln!(out, "m.dur {}", m.duration.as_nanos());
-    if let Some(c) = &m.cache {
-        let _ = writeln!(
-            out,
-            "m.cache {} {} {} {} {}",
-            c.read_hits, c.read_misses, c.writes, c.writebacks, c.fill_rejects
-        );
-    }
-    if let Some(s) = &m.sram {
-        let _ = writeln!(out, "m.sram {} {} {}", s.absorbed, s.flushes, s.read_hits);
-    }
-    if let Some(d) = &m.disk {
-        let _ = writeln!(
-            out,
-            "m.disk {} {} {} {} {} {} {}",
-            d.ops,
-            d.spin_ups,
-            d.spin_downs,
-            d.bytes_read,
-            d.bytes_written,
-            d.power_failures,
-            d.recovery_time.as_nanos()
-        );
-    }
-    if let Some(d) = &m.flash_disk {
-        let _ = writeln!(
-            out,
-            "m.flashdisk {} {} {} {} {} {} {} {} {} {}",
-            d.ops,
-            d.bytes_read,
-            d.bytes_written,
-            d.bytes_pre_erased,
-            d.bytes_erased_on_demand,
-            d.power_failures,
-            d.recovery_time.as_nanos(),
-            d.ecc_corrected,
-            d.read_retries,
-            d.uncorrectable_reads
-        );
-    }
-    if let Some(c) = &m.flash_card {
-        let _ = writeln!(
-            out,
-            "m.card {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            c.ops,
-            c.bytes_read,
-            c.bytes_written,
-            c.erasures,
-            c.blocks_copied,
-            c.cleaning_waits,
-            c.write_retries,
-            c.erase_retries,
-            c.segments_retired,
-            c.power_failures,
-            c.recovery_time.as_nanos(),
-            c.eol_write_rejections,
-            c.ecc_corrected,
-            c.read_retries,
-            c.uncorrectable_reads,
-            c.blocks_relocated,
-            c.scrub_passes,
-            c.scrub_reads,
-            c.write_retry_backoff.as_nanos(),
-            c.erase_retry_backoff.as_nanos()
-        );
-    }
-    if let Some(a) = &m.array {
-        let _ = writeln!(
-            out,
-            "m.array {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            a.ops,
-            a.bytes_read,
-            a.bytes_written,
-            a.degraded_reads,
-            a.parity_updates,
-            a.rebuild_stripes,
-            a.rebuilds_completed,
-            a.rebuild_time.as_nanos(),
-            a.device_deaths,
-            a.data_loss_events,
-            a.vulnerability.as_nanos(),
-            a.power_failures,
-            a.recovery_time.as_nanos(),
-            a.read_only_rejections
-        );
+    for (tag, (_, values)) in SET_TAGS.iter().zip(m.counter_sets()) {
+        if let Some(values) = values {
+            let _ = write!(out, "m.{tag}");
+            for v in values {
+                let _ = write!(out, " {v}");
+            }
+            out.push('\n');
+        }
     }
     if let Some(w) = &m.wear {
         let _ = writeln!(
@@ -423,6 +320,36 @@ fn parse_str(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<String,
     unesc(token).map_err(|e| cur.fail(&format!("bad {what}: {e}")))
 }
 
+fn parse_u32(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<u32, String> {
+    u32::try_from(parse_u64(cur, token, what)?)
+        .map_err(|_| cur.fail(&format!("{what} out of range")))
+}
+
+/// Parses a counter-set line: exactly one `u64` per field of `S`.
+fn parse_set<'a, S: CounterSet>(
+    cur: &Lines<'_>,
+    tokens: impl Iterator<Item = &'a str>,
+) -> Result<S, String> {
+    let values = tokens
+        .map(|t| t.parse::<u64>().map_err(|_| cur.fail("bad counter value")))
+        .collect::<Result<Vec<u64>, String>>()?;
+    S::from_values(&values).ok_or_else(|| {
+        cur.fail(&format!(
+            "expected {} counter values, found {}",
+            S::KEYS.len(),
+            values.len()
+        ))
+    })
+}
+
+/// The latency channel named `key`, if there is one.
+fn channel<'m>(
+    m: &'m mut Metrics,
+    key: &str,
+) -> Option<(&'static str, &'m mut Summary, &'m mut Histogram)> {
+    m.channels_mut().into_iter().find(|(name, ..)| *name == key)
+}
+
 /// Decodes one `m.*` block (after its introducing `class`/`total` line).
 fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
     let mut m = Metrics::empty("");
@@ -431,7 +358,20 @@ fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
         let mut t = line.split_whitespace();
         let tag = t.next().unwrap_or("");
         match tag {
-            "m.end" => return Ok(m),
+            "m.end" => {
+                // Every recorded latency lands in both the moments and the
+                // histogram of its channel, so their counts agree.
+                if let Some((key, ..)) = m
+                    .channels()
+                    .into_iter()
+                    .find(|(_, s, h)| h.count() != s.count)
+                {
+                    return Err(cur.fail(&format!(
+                        "{key} histogram count differs from its summary count"
+                    )));
+                }
+                return Ok(m);
+            }
             "m.name" => m.name = parse_str(cur, t.next(), "name")?,
             "m.energy" => m.energy = Joules(parse_f64_bits(cur, t.next(), "energy")?),
             "m.comp" => {
@@ -455,14 +395,9 @@ fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
                     std: parse_f64_bits(cur, t.next(), "std")?,
                     sum: parse_f64_bits(cur, t.next(), "sum")?,
                 };
-                *match key {
-                    "read" => &mut m.read_response_ms,
-                    "write" => &mut m.write_response_ms,
-                    "overall" => &mut m.overall_response_ms,
-                    "backoff" => &mut m.backoff_ms,
-                    "degraded" => &mut m.degraded_read_ms,
-                    _ => return Err(cur.fail("unknown summary channel")),
-                } = s;
+                let (_, sum, _) =
+                    channel(&mut m, key).ok_or_else(|| cur.fail("unknown summary channel"))?;
+                *sum = s;
             }
             "m.hist" => {
                 let key = t.next().unwrap_or("");
@@ -475,136 +410,27 @@ fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
                     let count = count
                         .parse::<u64>()
                         .map_err(|_| cur.fail("bad bucket count"))?;
+                    // The running total bounds every bucket, so once it
+                    // fits, `record_n` cannot overflow.
+                    if h.count().checked_add(count).is_none() {
+                        return Err(cur.fail("histogram count overflows u64"));
+                    }
                     h.record_n(lo, count);
                 }
-                *match key {
-                    "read" => &mut m.read_latency,
-                    "write" => &mut m.write_latency,
-                    "overall" => &mut m.overall_latency,
-                    "backoff" => &mut m.backoff_latency,
-                    "degraded" => &mut m.degraded_read_latency,
-                    _ => return Err(cur.fail("unknown histogram channel")),
-                } = h;
+                let (_, _, hist) =
+                    channel(&mut m, key).ok_or_else(|| cur.fail("unknown histogram channel"))?;
+                *hist = h;
             }
             "m.dur" => m.duration = SimDuration::from_nanos(parse_u64(cur, t.next(), "duration")?),
-            "m.cache" => {
-                m.cache = Some(CacheStats {
-                    read_hits: parse_u64(cur, t.next(), "read_hits")?,
-                    read_misses: parse_u64(cur, t.next(), "read_misses")?,
-                    writes: parse_u64(cur, t.next(), "writes")?,
-                    writebacks: parse_u64(cur, t.next(), "writebacks")?,
-                    fill_rejects: parse_u64(cur, t.next(), "fill_rejects")?,
-                });
-            }
-            "m.sram" => {
-                m.sram = Some(SramStats {
-                    absorbed: parse_u64(cur, t.next(), "absorbed")?,
-                    flushes: parse_u64(cur, t.next(), "flushes")?,
-                    read_hits: parse_u64(cur, t.next(), "read_hits")?,
-                });
-            }
-            "m.disk" => {
-                m.disk = Some(DiskCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    spin_ups: parse_u64(cur, t.next(), "spin_ups")?,
-                    spin_downs: parse_u64(cur, t.next(), "spin_downs")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                });
-            }
-            "m.flashdisk" => {
-                m.flash_disk = Some(FlashDiskCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    bytes_pre_erased: parse_u64(cur, t.next(), "bytes_pre_erased")?,
-                    bytes_erased_on_demand: parse_u64(cur, t.next(), "bytes_erased_on_demand")?,
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                    ecc_corrected: parse_u64(cur, t.next(), "ecc_corrected")?,
-                    read_retries: parse_u64(cur, t.next(), "read_retries")?,
-                    uncorrectable_reads: parse_u64(cur, t.next(), "uncorrectable_reads")?,
-                });
-            }
-            "m.card" => {
-                m.flash_card = Some(FlashCardCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    erasures: parse_u64(cur, t.next(), "erasures")?,
-                    blocks_copied: parse_u64(cur, t.next(), "blocks_copied")?,
-                    cleaning_waits: parse_u64(cur, t.next(), "cleaning_waits")?,
-                    write_retries: parse_u64(cur, t.next(), "write_retries")?,
-                    erase_retries: parse_u64(cur, t.next(), "erase_retries")?,
-                    segments_retired: parse_u64(cur, t.next(), "segments_retired")?,
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                    eol_write_rejections: parse_u64(cur, t.next(), "eol_write_rejections")?,
-                    ecc_corrected: parse_u64(cur, t.next(), "ecc_corrected")?,
-                    read_retries: parse_u64(cur, t.next(), "read_retries")?,
-                    uncorrectable_reads: parse_u64(cur, t.next(), "uncorrectable_reads")?,
-                    blocks_relocated: parse_u64(cur, t.next(), "blocks_relocated")?,
-                    scrub_passes: parse_u64(cur, t.next(), "scrub_passes")?,
-                    scrub_reads: parse_u64(cur, t.next(), "scrub_reads")?,
-                    write_retry_backoff: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "write_retry_backoff",
-                    )?),
-                    erase_retry_backoff: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "erase_retry_backoff",
-                    )?),
-                });
-            }
-            "m.array" => {
-                m.array = Some(ArrayCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    degraded_reads: parse_u64(cur, t.next(), "degraded_reads")?,
-                    parity_updates: parse_u64(cur, t.next(), "parity_updates")?,
-                    rebuild_stripes: parse_u64(cur, t.next(), "rebuild_stripes")?,
-                    rebuilds_completed: parse_u64(cur, t.next(), "rebuilds_completed")?,
-                    rebuild_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "rebuild_time",
-                    )?),
-                    device_deaths: parse_u64(cur, t.next(), "device_deaths")?,
-                    data_loss_events: parse_u64(cur, t.next(), "data_loss_events")?,
-                    vulnerability: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "vulnerability",
-                    )?),
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                    read_only_rejections: parse_u64(cur, t.next(), "read_only_rejections")?,
-                });
-            }
+            "m.cache" => m.cache = Some(parse_set(cur, t)?),
+            "m.sram" => m.sram = Some(parse_set(cur, t)?),
+            "m.disk" => m.disk = Some(parse_set(cur, t)?),
+            "m.flashdisk" => m.flash_disk = Some(parse_set(cur, t)?),
+            "m.card" => m.flash_card = Some(parse_set(cur, t)?),
+            "m.array" => m.array = Some(parse_set(cur, t)?),
             "m.wear" => {
                 m.wear = Some(WearStats {
-                    max_erase: parse_u64(cur, t.next(), "max_erase")? as u32,
+                    max_erase: parse_u32(cur, t.next(), "max_erase")?,
                     mean_erase: parse_f64_bits(cur, t.next(), "mean_erase")?,
                     total: parse_u64(cur, t.next(), "total")?,
                 });
@@ -704,7 +530,7 @@ fn parse(
         let mut t = line.split_whitespace();
         match t.next().unwrap_or("") {
             "row" => {
-                let index = parse_u64(&cur, t.next(), "index")? as u32;
+                let index = parse_u32(&cur, t.next(), "index")?;
                 let users = parse_u64(&cur, t.next(), "users")?;
                 let workload = intern(&parse_str(&cur, t.next(), "workload")?);
                 let device = intern(&parse_str(&cur, t.next(), "device")?);
@@ -725,8 +551,8 @@ fn parse(
                 });
             }
             "quarantine" => {
-                let shard = parse_u64(&cur, t.next(), "shard")? as u32;
-                let attempts = parse_u64(&cur, t.next(), "attempts")? as u32;
+                let shard = parse_u32(&cur, t.next(), "shard")?;
+                let attempts = parse_u32(&cur, t.next(), "attempts")?;
                 let cause = parse_str(&cur, t.next(), "cause")?;
                 state.quarantined.push(ShardError {
                     shard,
@@ -900,6 +726,87 @@ mod tests {
             .collect();
         let err = parse(&without, fp, total_chunks, shards).unwrap_err();
         assert!(err.contains("coverage mismatch"), "{err}");
+
+        // Lines whose every token parses but whose values do not fit or
+        // do not agree with the rest of the block.
+        let big = (1u64 << 32).to_string();
+        let set = SET_TAGS
+            .iter()
+            .map(|tag| format!("m.{tag} "))
+            .find(|prefix| doc.contains(prefix.as_str()))
+            .expect("a counter-set line");
+        for (prefix, index, token, want) in [
+            // Two buckets whose counts sum past u64::MAX.
+            (
+                "m.hist read ",
+                99,
+                format!("0:{} 0:1", u64::MAX),
+                "overflows",
+            ),
+            // One extra observation the read moments never saw.
+            (
+                "m.hist read ",
+                99,
+                "0:1".to_owned(),
+                "differs from its summary count",
+            ),
+            ("row ", 1, big.clone(), "index out of range"),
+            ("quarantine ", 1, big.clone(), "shard out of range"),
+            ("quarantine ", 2, big.clone(), "attempts out of range"),
+            ("m.wear ", 1, big.clone(), "max_erase out of range"),
+            // One token more than the set has fields.
+            (set.as_str(), 99, "0".to_owned(), "counter values"),
+        ] {
+            let hostile = with_token(&doc, prefix, index, &token);
+            let err = parse(&hostile, fp, total_chunks, shards).unwrap_err();
+            assert!(err.contains(want), "{prefix}{token}: {err}");
+        }
+    }
+
+    /// `doc` with token `index` of its first line starting with `prefix`
+    /// replaced by `token`, or `token` appended if the line is shorter.
+    fn with_token(doc: &str, prefix: &str, index: usize, token: &str) -> String {
+        let line = doc
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no line starts with {prefix:?}"));
+        let mut tokens: Vec<&str> = line.split(' ').collect();
+        match tokens.get_mut(index) {
+            Some(t) => *t = token,
+            None => tokens.push(token),
+        }
+        doc.replacen(line, &tokens.join(" "), 1)
+    }
+
+    #[test]
+    fn metrics_with_every_component_round_trip() {
+        fn set<S: CounterSet>(first: u64) -> Option<S> {
+            let values: Vec<u64> = (first..first + S::KEYS.len() as u64).collect();
+            S::from_values(&values)
+        }
+        let mut m = Metrics::empty("every component");
+        m.cache = set(1);
+        m.sram = set(100);
+        m.disk = set(200);
+        m.flash_disk = set(300);
+        m.flash_card = set(400);
+        m.array = set(500);
+        m.wear = Some(WearStats {
+            max_erase: 9,
+            mean_erase: 4.25,
+            total: 77,
+        });
+        for (i, (_, sum, hist)) in m.channels_mut().into_iter().enumerate() {
+            let n = i as u64 + 1;
+            hist.record_n(1_000 * n, n);
+            sum.count = n;
+            sum.mean = n as f64 / 3.0;
+        }
+        let mut doc = String::new();
+        encode_metrics(&mut doc, &m);
+        let back = decode_metrics(&mut Lines::new(&doc)).expect("round trip");
+        assert!(back.array.is_some() && back.wear.is_some());
+        assert_eq!(format!("{back:?}"), format!("{m:?}"));
     }
 
     #[test]

@@ -49,7 +49,7 @@ use mobistore_device::params::{cu140_datasheet, intel_datasheet, sdp5_datasheet}
 use mobistore_sim::exec::{ordered_stream_map, panic_cause};
 use mobistore_sim::fault::FaultConfig;
 use mobistore_sim::fleet::{
-    splitmix64, ChaosConfig, FleetConfig, FleetPlan, FleetShard, Mix, ShardError,
+    fnv1a, splitmix64, ChaosConfig, FleetConfig, FleetPlan, FleetShard, Mix, ShardError,
 };
 use mobistore_sim::time::SimDuration;
 use mobistore_sim::units::MIB;
@@ -275,12 +275,7 @@ pub fn supervised_simulate_shard(
 /// fingerprint used to prove shard-alone equals in-fleet without
 /// retaining 10k full metric sets.
 pub fn metrics_digest(m: &Metrics) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{m:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(format!("{m:?}").as_bytes())
 }
 
 /// One shard's lightweight summary row (the full [`Metrics`] is merged

@@ -105,14 +105,6 @@ impl Scale {
             seed: 1994,
         }
     }
-
-    /// A medium scale for benches.
-    pub fn medium() -> Self {
-        Scale {
-            fraction: 0.2,
-            seed: 1994,
-        }
-    }
 }
 
 /// Fetches `workload` at this scale through the process-wide

@@ -154,17 +154,29 @@ fn fingerprint_mismatch_is_a_typed_config_error() {
         "mismatch reason not surfaced:\n{stderr}"
     );
 
-    // A garbled checkpoint is refused the same way.
+    // A garbled checkpoint is refused the same way, and so is one whose
+    // histogram bucket counts overflow u64 (no panic, no wrap-around).
     let garbled = dir.join("garbled.ckpt");
     std::fs::write(&garbled, "mobistore-fleet-ckpt/1\nfingerprint zzzz\n").unwrap();
-    let out = fleet_run(&["--resume-from", garbled.to_str().unwrap()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "garbled checkpoint should exit 3; stderr:\n{stderr}"
-    );
-    assert!(stderr.contains("checkpoint"), "untyped error:\n{stderr}");
+    let doc = std::fs::read_to_string(ckpt).expect("aborted checkpoint");
+    let hist = doc
+        .lines()
+        .find(|l| l.starts_with("m.hist read ") && l.contains(':'))
+        .expect("a recorded read histogram");
+    let overflow = dir.join("overflow.ckpt");
+    let bumped = format!("{hist} 0:{}", u64::MAX);
+    std::fs::write(&overflow, doc.replacen(hist, &bumped, 1)).unwrap();
+    for bad in [&garbled, &overflow] {
+        let out = fleet_run(&["--resume-from", bad.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{} should exit 3; stderr:\n{stderr}",
+            bad.display()
+        );
+        assert!(stderr.contains("checkpoint"), "untyped error:\n{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

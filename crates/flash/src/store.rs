@@ -136,79 +136,53 @@ struct CleanJob {
     started: SimTime,
 }
 
-/// Counters the store maintains alongside energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlashCardCounters {
-    /// Completed accesses.
-    pub ops: u64,
-    /// Bytes read by requests.
-    pub bytes_read: u64,
-    /// Bytes written by requests.
-    pub bytes_written: u64,
-    /// Segment erasures performed.
-    pub erasures: u64,
-    /// Live blocks copied by the cleaner.
-    pub blocks_copied: u64,
-    /// Writes that had to wait for the cleaner.
-    pub cleaning_waits: u64,
-    /// Transient write failures that were retried.
-    pub write_retries: u64,
-    /// Transient erase failures that were retried.
-    pub erase_retries: u64,
-    /// Segments permanently retired into the bad-block map.
-    pub segments_retired: u64,
-    /// Power failures survived.
-    pub power_failures: u64,
-    /// Total time spent in post-power-failure recovery scans.
-    pub recovery_time: SimDuration,
-    /// Writes rejected because the card is in read-only end-of-life mode.
-    pub eol_write_rejections: u64,
-    /// Block reads whose raw bit errors the ECC corrected transparently.
-    pub ecc_corrected: u64,
-    /// Read-retry attempts spent recovering marginal blocks.
-    pub read_retries: u64,
-    /// Block reads lost to uncorrectable bit errors (the block is
-    /// unmapped; its data is gone).
-    pub uncorrectable_reads: u64,
-    /// Blocks relocated to fresh cells after a high-error but still
-    /// correctable read.
-    pub blocks_relocated: u64,
-    /// Background scrub passes completed (one segment walked per pass).
-    pub scrub_passes: u64,
-    /// Block reads performed by the background scrubber.
-    pub scrub_reads: u64,
-    /// Total extra service time transient write failures cost (backoff
-    /// plus transfer re-runs); already folded into write response times.
-    pub write_retry_backoff: SimDuration,
-    /// Total extra erase time transient erase failures cost; already
-    /// folded into cleaning durations.
-    pub erase_retry_backoff: SimDuration,
-}
-
-impl FlashCardCounters {
-    /// Adds another card's counters into this one (fleet aggregation:
-    /// counts and durations are all additive).
-    pub fn merge(&mut self, other: &FlashCardCounters) {
-        self.ops += other.ops;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.erasures += other.erasures;
-        self.blocks_copied += other.blocks_copied;
-        self.cleaning_waits += other.cleaning_waits;
-        self.write_retries += other.write_retries;
-        self.erase_retries += other.erase_retries;
-        self.segments_retired += other.segments_retired;
-        self.power_failures += other.power_failures;
-        self.recovery_time += other.recovery_time;
-        self.eol_write_rejections += other.eol_write_rejections;
-        self.ecc_corrected += other.ecc_corrected;
-        self.read_retries += other.read_retries;
-        self.uncorrectable_reads += other.uncorrectable_reads;
-        self.blocks_relocated += other.blocks_relocated;
-        self.scrub_passes += other.scrub_passes;
-        self.scrub_reads += other.scrub_reads;
-        self.write_retry_backoff += other.write_retry_backoff;
-        self.erase_retry_backoff += other.erase_retry_backoff;
+mobistore_sim::counter_set! {
+    /// Counters the store maintains alongside energy.
+    pub struct FlashCardCounters {
+        /// Completed accesses.
+        pub ops: u64 => "card.ops",
+        /// Bytes read by requests.
+        pub bytes_read: u64 => "card.bytes_read",
+        /// Bytes written by requests.
+        pub bytes_written: u64 => "card.bytes_written",
+        /// Segment erasures performed.
+        pub erasures: u64 => "card.erasures",
+        /// Live blocks copied by the cleaner.
+        pub blocks_copied: u64 => "card.blocks_copied",
+        /// Writes that had to wait for the cleaner.
+        pub cleaning_waits: u64 => "card.cleaning_waits",
+        /// Transient write failures that were retried.
+        pub write_retries: u64 => "card.write_retries",
+        /// Transient erase failures that were retried.
+        pub erase_retries: u64 => "card.erase_retries",
+        /// Segments permanently retired into the bad-block map.
+        pub segments_retired: u64 => "card.segments_retired",
+        /// Power failures survived.
+        pub power_failures: u64 => "card.power_failures",
+        /// Total time spent in post-power-failure recovery scans.
+        pub recovery_time: SimDuration => "card.recovery_ns",
+        /// Writes rejected because the card is in read-only end-of-life mode.
+        pub eol_write_rejections: u64 => "card.eol_write_rejections",
+        /// Block reads whose raw bit errors the ECC corrected transparently.
+        pub ecc_corrected: u64 => "card.ecc_corrected",
+        /// Read-retry attempts spent recovering marginal blocks.
+        pub read_retries: u64 => "card.read_retries",
+        /// Block reads lost to uncorrectable bit errors (the block is
+        /// unmapped; its data is gone).
+        pub uncorrectable_reads: u64 => "card.uncorrectable_reads",
+        /// Blocks relocated to fresh cells after a high-error but still
+        /// correctable read.
+        pub blocks_relocated: u64 => "card.blocks_relocated",
+        /// Background scrub passes completed (one segment walked per pass).
+        pub scrub_passes: u64 => "card.scrub_passes",
+        /// Block reads performed by the background scrubber.
+        pub scrub_reads: u64 => "card.scrub_reads",
+        /// Total extra service time transient write failures cost (backoff
+        /// plus transfer re-runs); already folded into write response times.
+        pub write_retry_backoff: SimDuration => "card.write_retry_backoff_ns",
+        /// Total extra erase time transient erase failures cost; already
+        /// folded into cleaning durations.
+        pub erase_retry_backoff: SimDuration => "card.erase_retry_backoff_ns",
     }
 }
 
@@ -1595,6 +1569,7 @@ impl Device for FlashCardStore {
 mod tests {
     use super::*;
     use mobistore_device::params::intel_datasheet;
+    use mobistore_sim::counters::CounterSet;
     use mobistore_sim::obs::NoopObserver;
     use mobistore_sim::units::KIB;
 

@@ -23,13 +23,15 @@
 //! distribution, but instead of collecting a `Vec` it delivers each
 //! result to a sink **in input order, as soon as its contiguous prefix is
 //! complete** — the primitive the fleet supervisor folds checkpoints
-//! through.
+//! through. Both run on one private pool; [`parallel_map`] is its
+//! in-order delivery with a sink that pushes onto a `Vec`.
 //!
-//! No external dependencies: `std::thread::scope` + atomics only.
+//! No external dependencies: `std::thread::scope`, a mutex and a
+//! condvar, and one atomic counter.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Process-wide override for the worker count (0 = unset).
@@ -93,22 +95,6 @@ impl PanicReport {
     }
 }
 
-/// Runs `f(item)` inline, re-raising any panic with item context (the
-/// single-worker degenerate path of both map primitives).
-fn run_inline<T, R>(primitive: &str, i: usize, total: usize, f: &impl Fn(&T) -> R, item: &T) -> R {
-    match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let report = PanicReport {
-                index: i,
-                worker: 0,
-                cause: panic_cause(&*payload),
-            };
-            panic!("{}", report.render(primitive, total, 1));
-        }
-    }
-}
-
 /// Applies `f` to every item, in parallel over [`jobs`] workers, and
 /// returns the results in input order.
 ///
@@ -129,75 +115,9 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = jobs().min(items.len());
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| run_inline("parallel_map", i, items.len(), &f, item))
-            .collect();
-    }
-
-    // `Mutex<Option<R>>` rather than `OnceLock<R>`: it is `Sync` for any
-    // `R: Send`, and each slot is touched exactly once so the lock is
-    // never contended.
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    let panic_slot: Mutex<Option<PanicReport>> = Mutex::new(None);
-    // Workers inherit the caller's op-attribution counter so a target's
-    // ops/sec stays correct when its sweeps fan out across threads.
-    let prof_ctx = crate::prof::current_context();
-    std::thread::scope(|scope| {
-        let (next, slots, f) = (&next, &slots, &f);
-        let (poisoned, panic_slot) = (&poisoned, &panic_slot);
-        for worker in 0..workers {
-            let prof_ctx = prof_ctx.clone();
-            scope.spawn(move || {
-                crate::prof::set_context(prof_ctx);
-                while !poisoned.load(Ordering::Relaxed) {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                        Ok(result) => {
-                            *slots[i].lock().expect("slot poisoned") = Some(result);
-                        }
-                        Err(payload) => {
-                            let mut slot = panic_slot.lock().expect("panic slot poisoned");
-                            slot.get_or_insert_with(|| PanicReport {
-                                index: i,
-                                worker,
-                                cause: panic_cause(&*payload),
-                            });
-                            poisoned.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    if let Some(report) = panic_slot.into_inner().expect("panic slot poisoned") {
-        panic!("{}", report.render("parallel_map", items.len(), workers));
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
-}
-
-/// Shared coordination state of one [`ordered_stream_map`] pool.
-struct StreamState<R> {
-    /// Completed results not yet delivered, keyed by item index.
-    ready: BTreeMap<usize, R>,
-    /// First panic observed, if any.
-    panic: Option<PanicReport>,
-    /// Workers that have not yet exited their pull loop.
-    live_workers: usize,
+    let mut out = Vec::with_capacity(items.len());
+    pool("parallel_map", items, f, |_, r| out.push(r));
+    out
 }
 
 /// Applies `f` to every item in parallel (same dynamic distribution as
@@ -214,7 +134,32 @@ struct StreamState<R> {
 /// Re-raises the first panic raised by `f` with item/worker context, the
 /// same contract as [`parallel_map`]. The sink may have observed a
 /// contiguous prefix of results before the panic propagates.
-pub fn ordered_stream_map<T, R, F, S>(items: &[T], f: F, mut sink: S)
+pub fn ordered_stream_map<T, R, F, S>(items: &[T], f: F, sink: S)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    S: FnMut(usize, R),
+{
+    pool("ordered_stream_map", items, f, sink);
+}
+
+/// Shared coordination state of one [`pool`].
+struct PoolState<R> {
+    /// Completed results not yet delivered, keyed by item index.
+    ready: BTreeMap<usize, R>,
+    /// First panic observed, if any.
+    panic: Option<PanicReport>,
+    /// Workers that have not yet exited their pull loop.
+    live_workers: usize,
+}
+
+/// The worker pool behind both map primitives: workers pull items off
+/// an atomic counter, and the calling thread hands each result to `sink`
+/// in input order. A panic in `f` is re-raised as `primitive: item i of
+/// n panicked on worker w of W: cause`. With one job no thread is
+/// spawned.
+fn pool<T, R, F, S>(primitive: &str, items: &[T], f: F, mut sink: S)
 where
     T: Sync,
     R: Send,
@@ -224,19 +169,30 @@ where
     let workers = jobs().min(items.len());
     if workers <= 1 {
         for (i, item) in items.iter().enumerate() {
-            let r = run_inline("ordered_stream_map", i, items.len(), &f, item);
-            sink(i, r);
+            match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(r) => sink(i, r),
+                Err(payload) => {
+                    let report = PanicReport {
+                        index: i,
+                        worker: 0,
+                        cause: panic_cause(&*payload),
+                    };
+                    panic!("{}", report.render(primitive, items.len(), 1));
+                }
+            }
         }
         return;
     }
 
     let next = AtomicUsize::new(0);
-    let state = Mutex::new(StreamState::<R> {
+    let state = Mutex::new(PoolState::<R> {
         ready: BTreeMap::new(),
         panic: None,
         live_workers: workers,
     });
     let cv = Condvar::new();
+    // Workers inherit the caller's op-attribution counter so a target's
+    // ops/sec stays correct when its sweeps fan out across threads.
     let prof_ctx = crate::prof::current_context();
     std::thread::scope(|scope| {
         let (next, state, cv, f) = (&next, &state, &cv, &f);
@@ -245,18 +201,18 @@ where
             scope.spawn(move || {
                 crate::prof::set_context(prof_ctx);
                 loop {
-                    if state.lock().expect("stream state poisoned").panic.is_some() {
+                    if state.lock().expect("pool state poisoned").panic.is_some() {
                         break;
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
                     match catch_unwind(AssertUnwindSafe(|| f(item))) {
                         Ok(result) => {
-                            let mut st = state.lock().expect("stream state poisoned");
+                            let mut st = state.lock().expect("pool state poisoned");
                             st.ready.insert(i, result);
                         }
                         Err(payload) => {
-                            let mut st = state.lock().expect("stream state poisoned");
+                            let mut st = state.lock().expect("pool state poisoned");
                             st.panic.get_or_insert_with(|| PanicReport {
                                 index: i,
                                 worker,
@@ -267,7 +223,7 @@ where
                     }
                     cv.notify_all();
                 }
-                let mut st = state.lock().expect("stream state poisoned");
+                let mut st = state.lock().expect("pool state poisoned");
                 st.live_workers -= 1;
                 drop(st);
                 cv.notify_all();
@@ -277,13 +233,13 @@ where
         // Deliver the contiguous prefix in order on this thread; park on
         // the condvar while the next-in-order result is still in flight.
         let mut delivered = 0usize;
-        let mut st = state.lock().expect("stream state poisoned");
+        let mut st = state.lock().expect("pool state poisoned");
         while delivered < items.len() {
             if let Some(r) = st.ready.remove(&delivered) {
                 drop(st);
                 sink(delivered, r);
                 delivered += 1;
-                st = state.lock().expect("stream state poisoned");
+                st = state.lock().expect("pool state poisoned");
                 continue;
             }
             if st.panic.is_some() {
@@ -291,20 +247,17 @@ where
             }
             assert!(
                 st.live_workers > 0,
-                "ordered_stream_map: workers exited with item {delivered} of {} missing",
+                "{primitive}: workers exited with item {delivered} of {} missing",
                 items.len()
             );
-            st = cv.wait(st).expect("stream state poisoned");
+            st = cv.wait(st).expect("pool state poisoned");
         }
         let report = st.panic.take();
         drop(st);
         if let Some(report) = report {
             // `std::thread::scope` joins the remaining workers (they stop
             // at the panic flag) before this unwind leaves the scope.
-            panic!(
-                "{}",
-                report.render("ordered_stream_map", items.len(), workers)
-            );
+            panic!("{}", report.render(primitive, items.len(), workers));
         }
     });
 }

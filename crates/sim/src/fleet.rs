@@ -53,6 +53,17 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a (64-bit): the byte-string hash behind checkpoint
+/// fingerprints, fleet metrics digests and per-trace RNG stream ids.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A weighted mix of labelled classes (device models, workloads), picked
 /// per shard by hash so the assignment is deterministic and
 /// order-independent.

@@ -13,6 +13,9 @@
 //!   columns of the paper's Table 4;
 //! * [`rng`] — a deterministic PCG32 generator and the distribution samplers
 //!   (exponential, log-normal, Zipf) used by the workload generators;
+//! * [`counters`] — [`counter_set!`], which declares a struct of counts
+//!   and duration totals once, each field with its export key, and
+//!   derives its fleet merge and raw checkpoint form;
 //! * [`ec`] — GF(2^8) Reed-Solomon erasure coding ([`ec::ReedSolomon`]):
 //!   systematic Vandermonde `k+m` codes over fixed-size shards, the math
 //!   behind the erasure-coded device arrays;
@@ -51,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod crashcheck;
 pub mod ec;
 pub mod energy;

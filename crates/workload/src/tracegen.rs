@@ -17,6 +17,7 @@
 //! * `hp` is a disk-level trace below the buffer cache, so simulations
 //!   must use a zero-sized DRAM cache (§4.1) — the spec records that.
 
+use mobistore_sim::fleet::fnv1a;
 use mobistore_sim::rng::{SimRng, Zipf};
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_sim::units::KIB;
@@ -261,7 +262,7 @@ pub struct GeneratedRecords {
 pub fn generate_records(spec: &TraceSpec, seed: u64) -> GeneratedRecords {
     let files = (spec.distinct_kbytes * KIB / spec.mean_file_bytes).max(4);
     let zipf = Zipf::new(files as usize, spec.zipf_exponent);
-    let mut rng = SimRng::seed_with_stream(seed, fxhash(spec.name));
+    let mut rng = SimRng::seed_with_stream(seed, fnv1a(spec.name.as_bytes()));
 
     // File sizes: exponential-ish around the mean, at least one block.
     let sizes: Vec<u64> = (0..files)
@@ -428,16 +429,6 @@ fn geometric_blocks(rng: &mut SimRng, mean: f64) -> u64 {
     let u = 1.0 - rng.f64(); // (0, 1]
     let k = (u.ln() / (1.0 - p).ln()).floor() as u64 + 1;
     k.min(1 << 20)
-}
-
-/// A tiny deterministic string hash to derive per-trace RNG streams.
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

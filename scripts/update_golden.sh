@@ -27,4 +27,17 @@ if [ "$rc" -ne 8 ]; then
     exit 1
 fi
 
+# The checkpoint fixture: the quiet fleet run aborted at its chaos fail
+# point after chunk 1 of 2, which exits 9 by design. tests/golden.rs
+# resumes it and expects fleet.txt, pinning the checkpoint format.
+echo "# writing the fleet checkpoint" >&2
+rc=0
+./target/release/repro --scale 0.02 --seed 1994 \
+    --checkpoint-out tests/golden/fleet_resume.ckpt --chaos-fail-point 2 fleet \
+    2>/dev/null > /dev/null || rc=$?
+if [ "$rc" -ne 9 ]; then
+    echo "error: fleet checkpoint run expected exit 9 (fail point), got $rc" >&2
+    exit 1
+fi
+
 echo "# fixtures updated; review with: git diff tests/golden" >&2

@@ -115,3 +115,24 @@ fn chaos_fleet_matches_golden_fixture() {
     );
     assert!(got.contains("quarantined:"), "fixture lost its ledger");
 }
+
+/// The `mobistore-fleet-ckpt/1` format, pinned across versions: the
+/// committed checkpoint was written by an earlier build aborting the
+/// fixture's fleet run after chunk 1 of 2 (`--chaos-fail-point 2`).
+/// Resuming it must reproduce `fleet.txt` byte for byte, so a codec
+/// change that cannot read yesterday's checkpoints fails here.
+#[test]
+fn committed_checkpoint_resumes_to_the_fleet_fixture() {
+    let mut opts = RenderOptions::default();
+    opts.fleet.resume_from = Some(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_resume.ckpt"),
+    );
+    let path = fixture_path("fleet");
+    let expect = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    let got = render_target("fleet", Scale::quick(), &opts).text;
+    assert_eq!(
+        got, expect,
+        "resuming tests/golden/fleet_resume.ckpt drifted from tests/golden/fleet.txt"
+    );
+}
