@@ -423,8 +423,9 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
             options.warm_percent < 100,
             "warm-up must leave something to measure"
         );
-        // One relaxed atomic add per run keeps the throughput harness's
-        // ops/sec denominator honest without touching the per-op path.
+        // One relaxed atomic add per run keeps the ops/sec denominators
+        // (perfbench, --timings-json) honest without touching the per-op
+        // path.
         mobistore_sim::prof::add_ops(trace.ops.len() as u64);
         let warm_count = trace.ops.len() * options.warm_percent as usize / 100;
 

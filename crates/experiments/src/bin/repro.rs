@@ -7,15 +7,13 @@
 //! Targets: `table1 table2 table3 table4 figure1 figure2 figure3 figure4
 //! figure5 async endurance verify battery ablations nextgen sensitivity
 //! related reliability observe crashcheck integrity fleet profile
-//! durability` (default: all), plus the on-demand target `throughput`
-//! (never part of the default list: its stdout carries wall-clock
-//! numbers).
+//! durability` (default: all).
 //!
 //! The `reliability` target takes extra flags: `--fault-rates <a,b,c>`
 //! (transient write/erase fault rates to sweep), `--fault-power-interval
-//! <secs>` (mean seconds between power failures; 0 disables them), and
-//! `--fault-seed <n>` (the fault streams' seed, independent of the
-//! workload seed).
+//! <secs>` (mean seconds between power failures; 0 disables them, any
+//! other value must round to 1 ns to 584 years), and `--fault-seed <n>`
+//! (the fault streams' seed, independent of the workload seed).
 //!
 //! The `crashcheck` target takes `--crash-points <all|n>` (crash at every
 //! op boundary, or at `n` sampled boundaries per grid cell) and
@@ -24,7 +22,8 @@
 //! The `integrity` target takes `--ber-rates <a,b,c>` (expected raw bit
 //! errors per fresh block read, swept one run per rate; must be finite
 //! and non-negative), `--scrub-interval <secs>` (background scrub pass
-//! period; 0 disables scrubbing), and `--ber-seed <n>` (the bit-error
+//! period; 0 disables scrubbing, other values as for
+//! `--fault-power-interval`), and `--ber-seed <n>` (the bit-error
 //! streams' seed, independent of the workload seed).
 //!
 //! The `fleet` target takes `--fleet-shards <n>` (simulated device
@@ -57,7 +56,8 @@
 //! parity shards within the 255-shard stripe limit), `--death-rates
 //! <a,b,c>` (expected permanent whole-device deaths per device-hour,
 //! finite and non-negative), `--rebuild-rate <stripes/s>` (hot-spare
-//! rebuild pacing, positive), and `--durability-seed <n>` (the
+//! rebuild pacing, positive, with a per-stripe period `1/rate` of 1 ns
+//! to 584 years), and `--durability-seed <n>` (the
 //! death-schedule seed, independent of the workload seed). Its metrics
 //! export carries a versioned `mobistore-durability/1` block.
 //!
@@ -77,15 +77,13 @@
 //! JSON document with every rendered target's full metrics rows (latency
 //! percentiles included). All three artifacts carry sim time only, so
 //! they are byte-identical at any `--jobs` count. `--timings-json
-//! <path>` writes the per-target wall-clock profile as JSON (the
-//! `BENCH_repro.json` feed), with per-target simulated op counts and
+//! <path>` writes the per-target wall-clock profile as JSON
+//! (`mobistore-timings/1.1`, recorded in `BENCH_repro.json` by
+//! `scripts/bench_repro.sh`), with per-target simulated op counts and
 //! ops/sec; unlike the sim-time exports it measures the host and is
-//! *not* deterministic. `--throughput-json <path>` writes the
-//! `throughput` target's `mobistore-throughput/1` document, and
-//! `--throughput-reps <n>` sets its timed repetition count. `--progress`
-//! prints fleet shard heartbeats to stderr, leaving stdout untouched.
-//! The `profile` target prints its deterministic counts to stdout and
-//! its wall-clock phase table to stderr.
+//! *not* deterministic. `--progress` prints fleet shard heartbeats to
+//! stderr, leaving stdout untouched. Host-time benchmarking proper,
+//! split by layer, is perfbench's job (`perfbench/`).
 //!
 //! Targets run **concurrently** on a worker pool (`--jobs N`, the
 //! `MOBISTORE_JOBS` environment variable, or all available cores), with
@@ -109,9 +107,7 @@ use mobistore_core::crashcheck::CrashPoints;
 use mobistore_core::simulator::SimError;
 use mobistore_device::DeviceError;
 use mobistore_experiments::fleet::FleetOptions;
-use mobistore_experiments::render::{
-    try_render_target, RenderOptions, RenderedTarget, ON_DEMAND_TARGETS, TARGETS,
-};
+use mobistore_experiments::render::{try_render_target, RenderOptions, RenderedTarget, TARGETS};
 use mobistore_experiments::{export, Scale};
 use mobistore_sim::exec;
 use mobistore_sim::prof;
@@ -136,7 +132,6 @@ fn main() -> ExitCode {
     let mut metrics_out: Option<PathBuf> = None;
     let mut timings_json: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut throughput_json: Option<PathBuf> = None;
     let mut render = RenderOptions::default();
     let mut fleet_population_set = false;
     let mut args = env::args().skip(1);
@@ -181,14 +176,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage("--trace-out needs a file path"),
             },
-            "--throughput-json" => match args.next() {
-                Some(path) => throughput_json = Some(PathBuf::from(path)),
-                None => return usage("--throughput-json needs a file path"),
-            },
-            "--throughput-reps" => match args.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(v) if v > 0 => render.throughput.reps = v,
-                _ => return usage("--throughput-reps needs a positive integer"),
-            },
             "--progress" => render.progress = true,
             "--fault-rates" => match args
                 .next()
@@ -199,12 +186,14 @@ fn main() -> ExitCode {
                     return usage("--fault-rates needs comma-separated rates in [0, 1]");
                 }
             },
-            "--fault-power-interval" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs >= 0.0 => {
-                    render.reliability.power_interval =
-                        (secs > 0.0).then(|| SimDuration::from_secs_f64(secs));
+            "--fault-power-interval" => match args.next().and_then(|v| parse_interval(&v)) {
+                Some(interval) => render.reliability.power_interval = interval,
+                None => {
+                    return usage(
+                        "--fault-power-interval needs seconds \
+                         (0 disables; else 1 ns to 584 years)",
+                    );
                 }
-                _ => return usage("--fault-power-interval needs seconds (0 disables)"),
             },
             "--fault-seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(v) => render.reliability.fault_seed = v,
@@ -224,12 +213,14 @@ fn main() -> ExitCode {
                     return usage("--ber-rates needs comma-separated non-negative error counts");
                 }
             },
-            "--scrub-interval" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs >= 0.0 && secs.is_finite() => {
-                    render.integrity.scrub_interval =
-                        (secs > 0.0).then(|| SimDuration::from_secs_f64(secs));
+            "--scrub-interval" => match args.next().and_then(|v| parse_interval(&v)) {
+                Some(interval) => render.integrity.scrub_interval = interval,
+                None => {
+                    return usage(
+                        "--scrub-interval needs seconds \
+                         (0 disables; else 1 ns to 584 years)",
+                    );
                 }
-                _ => return usage("--scrub-interval needs seconds (0 disables)"),
             },
             "--ber-seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(v) => render.integrity.ber_seed = v,
@@ -295,8 +286,13 @@ fn main() -> ExitCode {
                 }
             },
             "--rebuild-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v > 0.0 => render.durability.rebuild_rate = v,
-                _ => return usage("--rebuild-rate needs a positive stripes/sec rate"),
+                Some(v) if period(1.0 / v).is_some() => render.durability.rebuild_rate = v,
+                _ => {
+                    return usage(
+                        "--rebuild-rate needs a positive stripes/sec rate \
+                         whose period 1/rate is 1 ns to 584 years",
+                    );
+                }
             },
             "--durability-seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(v) => render.durability.seed = v,
@@ -311,15 +307,9 @@ fn main() -> ExitCode {
         render.fleet.population = FleetOptions::default_population(render.fleet.shards);
     }
     if targets.is_empty() {
-        // On-demand targets never join the default expansion: their
-        // stdout is wall-clock, and the default list is byte-identical
-        // across runs.
         targets = TARGETS.iter().map(|s| (*s).to_owned()).collect();
     }
-    if let Some(bad) = targets
-        .iter()
-        .find(|t| !TARGETS.contains(&t.as_str()) && !ON_DEMAND_TARGETS.contains(&t.as_str()))
-    {
+    if let Some(bad) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
         return usage(&format!("unknown target {bad}"));
     }
 
@@ -371,14 +361,6 @@ fn main() -> ExitCode {
     }
     drop(lock);
 
-    // Wall-clock side reports go to stderr only — stdout stays
-    // byte-identical with or without them.
-    for (target, r) in targets.iter().zip(&results) {
-        if let Some(report) = &r.rendered.host_report {
-            eprint!("# host profile ({target}):\n{report}");
-        }
-    }
-
     if let Some(path) = &trace_out {
         let mut processes: Vec<(String, Vec<Span>)> = Vec::new();
         for r in &results {
@@ -391,18 +373,6 @@ fn main() -> ExitCode {
             );
         }
         write_artifact(path, &chrome_trace_json(&processes), "trace");
-    }
-    if let Some(path) = &throughput_json {
-        match results
-            .iter()
-            .find_map(|r| r.rendered.throughput_json.as_deref())
-        {
-            Some(doc) => write_artifact(path, doc, "throughput"),
-            None => eprintln!(
-                "# --throughput-json: the throughput target was not requested; \
-                 nothing written"
-            ),
-        }
     }
     if let Some(path) = &events_out {
         let mut stream = String::new();
@@ -555,6 +525,23 @@ fn parse_geometries(s: &str) -> Option<Vec<(usize, usize)>> {
     geometries.filter(|g| !g.is_empty())
 }
 
+/// Parses `--fault-power-interval` and `--scrub-interval`: `0` disables
+/// the feature (`Some(None)`); any other value must be a [`period`].
+fn parse_interval(s: &str) -> Option<Option<SimDuration>> {
+    let secs = s.parse::<f64>().ok()?;
+    if secs == 0.0 {
+        return Some(None);
+    }
+    period(secs).map(Some)
+}
+
+/// `secs` as a simulated period, if it rounds to at least 1 ns and fits
+/// the clock (2^64 ns, about 584 years). Also bounds `--rebuild-rate`'s
+/// per-stripe period `1/rate`.
+fn period(secs: f64) -> Option<SimDuration> {
+    SimDuration::try_from_secs_f64(secs).filter(|d| !d.is_zero())
+}
+
 /// Parses a comma-separated list of finite numbers that each pass `ok`:
 /// `--fault-rates` are probabilities in `[0, 1]`; `--ber-rates` and
 /// `--death-rates` are rates, not capped at 1 but `>= 0`. An empty list
@@ -607,8 +594,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: repro [--scale <0..1]] [--seed <n>] [--jobs <n>] [--timings] [--csv <dir>] \
          [--events-out <file>] [--trace-out <file>] [--metrics-out <file>] \
-         [--timings-json <file>] [--throughput-json <file>] [--throughput-reps <n>] \
-         [--progress] \
+         [--timings-json <file>] [--progress] \
          [--fault-rates <a,b,c>] [--fault-power-interval <secs>] [--fault-seed <n>] \
          [--crash-points <all|n>] [--crash-seed <n>] \
          [--ber-rates <a,b,c>] [--scrub-interval <secs>] [--ber-seed <n>] \
@@ -619,7 +605,7 @@ fn usage(err: &str) -> ExitCode {
          [--durability-seed <n>] \
          [table1|table2|table3|table4|figure1|figure2|figure3|figure4|figure5|async|endurance|\
          verify|battery|ablations|nextgen|sensitivity|related|reliability|observe|crashcheck|\
-         integrity|fleet|profile|durability|throughput ...]"
+         integrity|fleet|profile|durability ...]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 
 use mobistore_core::metrics::Metrics;
 use mobistore_sim::hist::{Histogram, Percentiles};
+use mobistore_sim::obs::json_string as jstr;
 use mobistore_sim::stats::Summary;
 
 use crate::Scale;
@@ -24,10 +25,6 @@ pub const METRICS_SCHEMA: &str = "mobistore-metrics/1";
 
 /// Version tag of the per-target `fleet` block the `fleet` target emits.
 pub const FLEET_SCHEMA: &str = "mobistore-fleet/1";
-
-/// Version tag of the `repro throughput` JSON document
-/// ([`crate::throughput::Throughput::to_json`]).
-pub const THROUGHPUT_SCHEMA: &str = "mobistore-throughput/1";
 
 /// Version tag of the per-target `durability` block the `durability`
 /// target emits.
@@ -88,27 +85,6 @@ pub(crate) fn jnum(x: f64) -> String {
     } else {
         "0".to_owned()
     }
-}
-
-/// Escapes a string for a JSON string literal.
-pub(crate) fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// One latency block: moments from the `Summary`, percentiles from the

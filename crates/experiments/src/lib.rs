@@ -29,8 +29,7 @@
 //! | [`integrity`] | wear-coupled bit errors, ECC + read-retry, scrubbing |
 //! | [`fleet`] | fleet-scale sharded simulation with merged metrics |
 //! | [`durability`] | Reed-Solomon k+m arrays under device deaths (beyond the paper) |
-//! | [`profile`] | host-time self-profiling of the simulator's hot paths |
-//! | [`throughput`] | wall-clock ops/sec accountability harness (on demand) |
+//! | [`profile`] | per-cell op, event and span counts, observed vs unobserved |
 //!
 //! [`render`] turns any named target into its exact stdout bytes, shared
 //! by the `repro` binary and the golden snapshot tests.
@@ -69,7 +68,6 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod table4;
-pub mod throughput;
 pub mod verification;
 
 use std::sync::Arc;

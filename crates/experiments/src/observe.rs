@@ -39,7 +39,7 @@ const POWER_FAIL_INTERVAL: SimDuration = SimDuration::from_secs(120);
 const FAULT_SEED: u64 = 1994;
 
 /// The devices in the grid, in report order (shared with the `profile`
-/// and `throughput` targets so all three walk the same cells).
+/// target so both walk the same cells).
 pub(crate) const DEVICES: [ObserveDevice; 3] = [
     ObserveDevice::Cu140Disk,
     ObserveDevice::Sdp5FlashDisk,

@@ -1,44 +1,38 @@
-//! The `repro profile` target — host-time self-profiling of the
-//! simulator's hot paths.
+//! The `repro profile` target: per-cell op, event and span counts for
+//! the simulator's hot paths.
 //!
-//! Walks the observe grid twice per cell — once unobserved (the
-//! `NoopObserver` fast path the default targets run) and once with a
-//! counting + span-counting observer — charging wall-clock to four
-//! phases via [`Profiler`]: `trace_decode`, `device_dispatch`,
-//! `observed_dispatch`, and `metrics_fold`. Comparing
-//! `device_dispatch` against `observed_dispatch` bounds the observer
-//! overhead empirically.
+//! Walks the observe grid once per cell through four stages
+//! ([`PHASES`]): fetch the trace, replay it unobserved (the
+//! `NoopObserver` fast path the default targets run), replay it again
+//! with a counting + span-counting observer, and fold the unobserved
+//! metrics into a running total. The two replays must agree on every
+//! op, which pins that observing a run never changes its results.
 //!
-//! Determinism split: **stdout carries only simulated counts** (ops,
-//! events, spans per cell) and is pinned by a golden fixture; the
-//! wall-clock phase table is kept out of the rendered text and surfaced
-//! through [`Profile::host_report`], which the `repro` binary prints to
-//! stderr. Cells run serially (not through `parallel_map`) so each
-//! phase's wall-clock is attributed cleanly rather than overlapped.
+//! Everything on stdout is a simulated count, pinned by a golden
+//! fixture. Host time is measured by perfbench (`perfbench/`), whose
+//! traced run splits it by layer.
 
 use std::fmt;
 
 use mobistore_core::metrics::Metrics;
 use mobistore_core::simulator::{simulate, simulate_observed, RunOptions};
-use mobistore_sim::obs::{CounterRegistry, Event, Observer};
-use mobistore_sim::prof::Profiler;
+use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::span::Span;
 use mobistore_workload::Workload;
 
 use crate::observe::{cell_config, ObserveDevice, DEVICES, WORKLOADS};
 use crate::{shared_trace, Scale};
 
-/// Counts events and spans without retaining them: the cheapest real
-/// observer, so `observed_dispatch` measures dispatch overhead rather
-/// than allocation.
+/// Counts events and spans without retaining them.
+#[derive(Default)]
 struct CountingCollector {
-    counts: CounterRegistry,
+    events: u64,
     spans: u64,
 }
 
 impl Observer for CountingCollector {
-    fn record(&mut self, event: &Event) {
-        self.counts.add(event.name(), 1);
+    fn record(&mut self, _event: &Event) {
+        self.events += 1;
     }
 
     fn span(&mut self, _span: &Span) {
@@ -61,26 +55,16 @@ pub struct ProfileCell {
     pub spans: u64,
 }
 
-/// The profile run: per-cell counts plus the (stderr-only) wall-clock
-/// phase table.
+/// The profile run: per-cell counts.
 #[derive(Debug, Clone)]
 pub struct Profile {
     /// Workload-major, device-minor cells.
     pub cells: Vec<ProfileCell>,
-    /// Operations across all cells, recomputed through the fold phase.
+    /// Operations across all cells, recomputed through the fold stage.
     pub total_ops: u64,
-    host_report: String,
 }
 
-impl Profile {
-    /// The wall-clock phase table. Nondeterministic by nature — the
-    /// `repro` binary prints it to stderr, never stdout.
-    pub fn host_report(&self) -> &str {
-        &self.host_report
-    }
-}
-
-/// The profiled host phases, in report order.
+/// The stages each cell runs, in order.
 pub const PHASES: [&str; 4] = [
     "trace_decode",
     "device_dispatch",
@@ -88,36 +72,27 @@ pub const PHASES: [&str; 4] = [
     "metrics_fold",
 ];
 
-/// Runs the profile grid serially, timing each host phase.
+/// Runs the profile grid serially.
 pub fn run(scale: Scale) -> Profile {
-    let mut prof = Profiler::new();
     let mut cells = Vec::new();
     let mut fold = Metrics::empty("profile/all");
     for workload in WORKLOADS {
         for device in DEVICES {
-            // First decode per workload is the real cost; later cells hit
-            // the process-wide trace cache, which is exactly what the
-            // other targets see too.
-            let trace = prof.time("trace_decode", || shared_trace(workload, scale));
+            let trace = shared_trace(workload, scale);
             let cfg = cell_config(workload, device, &trace);
-            let noop = prof.time("device_dispatch", || simulate(&cfg, &trace));
-            let mut obs = CountingCollector {
-                counts: CounterRegistry::new(),
-                spans: 0,
-            };
-            let observed = prof.time("observed_dispatch", || {
-                simulate_observed(&cfg, &trace, RunOptions::default(), &mut obs)
-            });
+            let noop = simulate(&cfg, &trace);
+            let mut obs = CountingCollector::default();
+            let observed = simulate_observed(&cfg, &trace, RunOptions::default(), &mut obs);
             assert_eq!(
                 noop.overall_response_ms.count, observed.overall_response_ms.count,
                 "observer must not change simulation results"
             );
-            prof.time("metrics_fold", || fold.merge(&noop));
+            fold.merge(&noop);
             cells.push(ProfileCell {
                 workload,
                 device,
                 ops: observed.overall_response_ms.count,
-                events: obs.counts.iter().map(|(_, c)| c).sum(),
+                events: obs.events,
                 spans: obs.spans,
             });
         }
@@ -125,12 +100,13 @@ pub fn run(scale: Scale) -> Profile {
     Profile {
         cells,
         total_ops: fold.overall_response_ms.count,
-        host_report: prof.report(),
     }
 }
 
 impl fmt::Display for Profile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `tests/golden/profile.txt` pins this header byte for byte,
+        // parenthetical included, though no stderr table is printed.
         writeln!(
             f,
             "Host profile: per-cell simulation counts \
@@ -178,16 +154,5 @@ mod tests {
             assert!(cell.spans > 0, "observed run must emit spans");
         }
         assert_eq!(a.total_ops, a.cells.iter().map(|c| c.ops).sum::<u64>());
-    }
-
-    #[test]
-    fn host_report_lists_every_phase() {
-        let p = run(Scale::quick());
-        for phase in PHASES {
-            assert!(p.host_report().contains(phase), "missing {phase}");
-        }
-        assert!(p.host_report().contains("total"));
-        // The wall-clock table never leaks into the deterministic text.
-        assert!(!format!("{p}").contains(" s "));
     }
 }

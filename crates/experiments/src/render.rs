@@ -17,7 +17,6 @@ use crate::durability::DurabilityOptions;
 use crate::fleet::FleetOptions;
 use crate::integrity::IntegrityOptions;
 use crate::reliability::ReliabilityOptions;
-use crate::throughput::ThroughputOptions;
 use crate::{crashcheck, durability, fleet, integrity, reliability, Scale};
 
 /// Every default target, in the default (paper) order. Each target's
@@ -50,12 +49,6 @@ pub const TARGETS: [&str; 24] = [
     "durability",
 ];
 
-/// Targets that must be requested by name: their stdout carries
-/// wall-clock numbers, so they can never join the deterministic default
-/// list (the CI determinism smoke `cmp`s default-target stdout across
-/// `--jobs` counts).
-pub const ON_DEMAND_TARGETS: [&str; 1] = ["throughput"];
-
 /// Options a target may consume beyond the [`Scale`].
 #[derive(Debug, Clone, Default)]
 pub struct RenderOptions {
@@ -78,8 +71,6 @@ pub struct RenderOptions {
     pub collect_spans: bool,
     /// Print fleet progress heartbeats to stderr. Stdout is unaffected.
     pub progress: bool,
-    /// The `throughput` target's repetition counts.
-    pub throughput: ThroughputOptions,
 }
 
 /// One rendered target: its stdout bytes and any side artifacts.
@@ -105,21 +96,15 @@ pub struct RenderedTarget {
     /// `(process name, spans)` pairs for the `--trace-out` export, when
     /// [`RenderOptions::collect_spans`] was set and the target observes.
     pub span_processes: Vec<(String, Vec<Span>)>,
-    /// Wall-clock report for stderr (never stdout), set by the `profile`
-    /// target.
-    pub host_report: Option<String>,
-    /// The `mobistore-throughput/1` JSON document, set by the
-    /// `throughput` target.
-    pub throughput_json: Option<String>,
 }
 
 /// Renders one target, panicking on any [`SimError`].
 ///
 /// # Panics
 ///
-/// Panics on a target name not in [`TARGETS`] or [`ON_DEMAND_TARGETS`],
-/// or on a simulation that cannot be set up. The `repro` binary goes
-/// through [`try_render_target`] instead, mapping errors to exit codes.
+/// Panics on a target name not in [`TARGETS`], or on a simulation that
+/// cannot be set up. The `repro` binary goes through
+/// [`try_render_target`] instead, mapping errors to exit codes.
 pub fn render_target(target: &str, scale: Scale, options: &RenderOptions) -> RenderedTarget {
     match try_render_target(target, scale, options) {
         Ok(r) => r,
@@ -136,7 +121,7 @@ pub fn render_target(target: &str, scale: Scale, options: &RenderOptions) -> Ren
 ///
 /// # Panics
 ///
-/// Panics on a target name not in [`TARGETS`] or [`ON_DEMAND_TARGETS`].
+/// Panics on a target name not in [`TARGETS`].
 pub fn try_render_target(
     target: &str,
     scale: Scale,
@@ -149,8 +134,6 @@ pub fn try_render_target(
     let mut fleet_info: Option<crate::export::FleetInfo> = None;
     let mut durability_info: Option<crate::export::DurabilityInfo> = None;
     let mut span_processes: Vec<(String, Vec<Span>)> = Vec::new();
-    let mut host_report: Option<String> = None;
-    let mut throughput_json: Option<String> = None;
     // Mirrors the old `println!("{}\n", x)`: the value, then a blank line.
     fn p(out: &mut String, x: impl Display) {
         out.push_str(&format!("{x}\n\n"));
@@ -232,16 +215,7 @@ pub fn try_render_target(
             span_processes = o.span_processes().unwrap_or_default();
             metrics.extend(o.cells.into_iter().map(|c| c.metrics));
         }
-        "profile" => {
-            let pr = crate::profile::run(scale);
-            p(&mut out, &pr);
-            host_report = Some(pr.host_report().to_owned());
-        }
-        "throughput" => {
-            let t = crate::throughput::run(scale, &options.throughput);
-            p(&mut out, &t);
-            throughput_json = Some(t.to_json());
-        }
+        "profile" => p(&mut out, crate::profile::run(scale)),
         "fleet" => {
             let fl = fleet::run_with_progress(scale, &options.fleet, options.progress)?;
             p(&mut out, &fl);
@@ -279,8 +253,6 @@ pub fn try_render_target(
         fleet_info,
         durability_info,
         span_processes,
-        host_report,
-        throughput_json,
     })
 }
 

@@ -40,11 +40,14 @@ fn assert_usage_error(args: &[&str], expect_in_stderr: &str) {
 #[test]
 fn unknown_flag_is_a_usage_error() {
     assert_usage_error(&["--frobnicate"], "unknown flag --frobnicate");
+    assert_usage_error(&["--throughput-json", "x"], "unknown flag");
+    assert_usage_error(&["--throughput-reps", "1"], "unknown flag");
 }
 
 #[test]
 fn unknown_target_is_a_usage_error() {
     assert_usage_error(&["warp"], "unknown target warp");
+    assert_usage_error(&["throughput"], "unknown target throughput");
 }
 
 #[test]
@@ -78,12 +81,24 @@ fn malformed_scrub_interval_is_a_usage_error() {
     assert_usage_error(&["--scrub-interval", "-5"], "--scrub-interval");
     assert_usage_error(&["--scrub-interval", "soon"], "--scrub-interval");
     assert_usage_error(&["--scrub-interval"], "--scrub-interval");
+    // Too large for the clock, or rounds to 0 ns.
+    assert_usage_error(&["--scrub-interval", "1e300"], "--scrub-interval");
+    assert_usage_error(&["--scrub-interval", "4e-10"], "--scrub-interval");
 }
 
 #[test]
 fn malformed_fault_power_interval_is_a_usage_error() {
     assert_usage_error(&["--fault-power-interval", "nan"], "--fault-power-interval");
     assert_usage_error(&["--fault-power-interval", "-1"], "--fault-power-interval");
+    assert_usage_error(&["--fault-power-interval", "inf"], "--fault-power-interval");
+    assert_usage_error(
+        &["--fault-power-interval", "1e300"],
+        "--fault-power-interval",
+    );
+    assert_usage_error(
+        &["--fault-power-interval", "4e-10"],
+        "--fault-power-interval",
+    );
 }
 
 #[test]
@@ -171,6 +186,8 @@ fn malformed_rebuild_rate_is_a_usage_error() {
     assert_usage_error(&["--rebuild-rate", "inf"], "--rebuild-rate");
     assert_usage_error(&["--rebuild-rate", "fast"], "--rebuild-rate");
     assert_usage_error(&["--rebuild-rate"], "--rebuild-rate");
+    // Its period 1/rate overflows the clock.
+    assert_usage_error(&["--rebuild-rate", "1e-300"], "--rebuild-rate");
 }
 
 #[test]

@@ -41,9 +41,8 @@
 //! * [`span`] — sim-time interval tracing ([`span::Span`]) on the same
 //!   observer channel, exported as Chrome trace-event JSON
 //!   ([`span::chrome_trace_json`]) viewable in Perfetto;
-//! * [`prof`] — host-time self-profiling: named-phase wall-clock timers
-//!   ([`prof::Profiler`]) and the process-wide simulated-op counter
-//!   behind every `ops/sec` figure;
+//! * [`prof`] — the process-wide simulated-op counter behind every
+//!   `ops/sec` figure, attributable per target;
 //! * [`crashcheck`] — the differential crash-consistency shadow model
 //!   ([`crashcheck::ShadowModel`]): a device-independent oracle of legal
 //!   post-crash block contents, with typed [`crashcheck::Violation`]s.

@@ -457,6 +457,31 @@ impl Event {
     }
 }
 
+/// Renders `s` as a JSON string literal, quotes included: `"` and `\`
+/// are backslash-escaped, newline, tab and carriage return take their
+/// short forms (`\n`, `\t`, `\r`), and other control characters
+/// become `\u00XX`. The metrics export and the Chrome trace export
+/// both write their strings through it.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Receives structured simulation events.
 ///
 /// Implementations must not assume events arrive in global sim-time order:

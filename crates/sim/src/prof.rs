@@ -1,30 +1,17 @@
-//! Host-time self-profiling: wall-clock phase timers and simulated-op
-//! counters.
+//! Simulated-op counters: how many trace operations the process pushed
+//! through, the denominator of every ops/sec figure (`--timings-json`'s
+//! per-target `ops_per_sec` and perfbench's `sim_ops_per_s`).
 //!
-//! This is the *other* side of the observability coin from [`crate::span`]:
-//! spans measure where **simulated** time goes; this module measures
-//! where **wall-clock** time goes and how many trace operations the
-//! process pushed through — the denominator every `ops/sec` number in
-//! `repro throughput` and `--timings-json` divides by.
-//!
-//! Two pieces:
-//!
-//! * [`Profiler`] — an explicit named-phase stopwatch
-//!   (`prof.time("trace_decode", || …)`) that accumulates wall-clock
-//!   per phase and renders a deterministic-*structure* report (the
-//!   numbers are wall-clock and never enter any golden output).
-//! * A process-wide simulated-op counter: the simulator calls
-//!   [`add_ops`] once per run; [`ops_total`] reads the process total,
-//!   and a thread-local [context](set_context) counter lets callers
-//!   attribute ops to one target even when the work fans out through
-//!   [`crate::exec::parallel_map`] (which propagates the caller's
-//!   context into its workers).
+//! The simulator calls [`add_ops`] once per run; [`ops_total`] reads the
+//! process total, and a thread-local [context](set_context) counter lets
+//! callers attribute ops to one target even when the work fans out
+//! through [`crate::exec::parallel_map`] (which propagates the caller's
+//! context into its workers). Host time itself is measured outside the
+//! library, by perfbench.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Simulated trace operations completed by this process, across every
 /// thread and every simulation run.
@@ -78,82 +65,6 @@ pub fn with_context<R>(ctx: Arc<AtomicU64>, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// A named-phase wall-clock stopwatch.
-///
-/// Phases accumulate: timing the same name twice adds the durations and
-/// bumps the call count. Iteration order is first-use order, so the
-/// rendered report's *structure* is deterministic even though the
-/// numbers are wall-clock.
-#[derive(Debug, Default)]
-pub struct Profiler {
-    phases: Vec<(&'static str, Duration, u64)>,
-}
-
-impl Profiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Profiler::default()
-    }
-
-    /// Runs `f`, charging its wall-clock to phase `name`.
-    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.add(name, t0.elapsed());
-        r
-    }
-
-    /// Charges an already-measured duration to phase `name`.
-    pub fn add(&mut self, name: &'static str, elapsed: Duration) {
-        match self.phases.iter_mut().find(|(n, _, _)| *n == name) {
-            Some((_, total, calls)) => {
-                *total += elapsed;
-                *calls += 1;
-            }
-            None => self.phases.push((name, elapsed, 1)),
-        }
-    }
-
-    /// Iterates `(name, total, calls)` in first-use order.
-    pub fn phases(&self) -> impl Iterator<Item = (&'static str, Duration, u64)> + '_ {
-        self.phases.iter().copied()
-    }
-
-    /// Sum of all phase durations.
-    pub fn total(&self) -> Duration {
-        self.phases.iter().map(|(_, d, _)| *d).sum()
-    }
-
-    /// Renders a human-readable phase table (wall-clock seconds, share
-    /// of the profiled total, call count). For stderr only — the
-    /// numbers are nondeterministic by nature.
-    pub fn report(&self) -> String {
-        let total = self.total().as_secs_f64();
-        let width = self
-            .phases
-            .iter()
-            .map(|(n, _, _)| n.len())
-            .max()
-            .unwrap_or(0);
-        let mut out = String::new();
-        for (name, dur, calls) in &self.phases {
-            let secs = dur.as_secs_f64();
-            let share = if total > 0.0 {
-                100.0 * secs / total
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "  {name:<width$}  {secs:>9.4} s  {share:>5.1}%  {calls:>4} call{}",
-                if *calls == 1 { "" } else { "s" }
-            );
-        }
-        let _ = writeln!(out, "  {:<width$}  {:>9.4} s", "total", total);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,22 +94,5 @@ mod tests {
         });
         assert_eq!(outer.load(Ordering::Relaxed), 3);
         assert_eq!(inner.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn profiler_accumulates_phases_in_first_use_order() {
-        let mut prof = Profiler::new();
-        assert_eq!(prof.time("a", || 41) + 1, 42);
-        prof.time("b", || ());
-        prof.time("a", || ());
-        let phases: Vec<_> = prof.phases().collect();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].0, "a");
-        assert_eq!(phases[0].2, 2);
-        assert_eq!(phases[1].0, "b");
-        assert_eq!(phases[1].2, 1);
-        let report = prof.report();
-        assert!(report.contains("a"));
-        assert!(report.contains("total"));
     }
 }

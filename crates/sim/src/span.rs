@@ -21,7 +21,7 @@
 
 use std::fmt::Write as _;
 
-use crate::obs::OpKind;
+use crate::obs::{json_string, OpKind};
 use crate::time::{SimDuration, SimTime};
 
 /// Schema tag written at the top of every trace document.
@@ -246,22 +246,6 @@ fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Minimal JSON string escaper for process names.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The fixed rendering order of tracks within a process.
 const TRACKS: [&str; 3] = ["ops", "cache", "device"];
 
@@ -299,8 +283,8 @@ pub fn chrome_trace_json(processes: &[(String, Vec<Span>)]) -> String {
         push(
             &mut out,
             format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
-                escape(name)
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
+                json_string(name)
             ),
         );
 

@@ -55,7 +55,7 @@ impl SimTime {
     ///
     /// Panics if `secs` is negative, non-finite, or too large for the clock.
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime(ns_from_secs_f64(secs))
+        SimTime(SimDuration::from_secs_f64(secs).0)
     }
 
     /// Returns the raw nanosecond count.
@@ -141,7 +141,18 @@ impl SimDuration {
     ///
     /// Panics if `secs` is negative, non-finite, or too large for the clock.
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration(ns_from_secs_f64(secs))
+        SimDuration::try_from_secs_f64(secs).unwrap_or_else(|| {
+            panic!("time must be finite, non-negative and fit the simulated clock, got {secs}s")
+        })
+    }
+
+    /// Like [`SimDuration::from_secs_f64`], but returns `None` where that
+    /// panics: for a negative, non-finite, or too large `secs`. Outside
+    /// input (CLI flags) goes through here.
+    pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
+        let ns = secs * 1e9;
+        (secs.is_finite() && secs >= 0.0 && ns <= u64::MAX as f64)
+            .then(|| SimDuration(ns.round() as u64))
     }
 
     /// Creates a duration from fractional milliseconds, rounding to the
@@ -204,7 +215,7 @@ impl SimDuration {
     ///
     /// Panics if `factor` is negative, non-finite, or the result overflows.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration(ns_from_secs_f64(self.as_secs_f64() * factor))
+        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 
     /// Divides this duration by another, returning the ratio as `f64`.
@@ -222,19 +233,6 @@ impl SimDuration {
             self.0 as f64 / other.0 as f64
         }
     }
-}
-
-fn ns_from_secs_f64(secs: f64) -> u64 {
-    assert!(
-        secs.is_finite() && secs >= 0.0,
-        "time must be finite and non-negative, got {secs}"
-    );
-    let ns = secs * 1e9;
-    assert!(
-        ns <= u64::MAX as f64,
-        "time overflows the simulated clock: {secs}s"
-    );
-    ns.round() as u64
 }
 
 impl Add<SimDuration> for SimTime {
@@ -410,6 +408,17 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_seconds_panic() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    fn try_from_secs_f64_rejects_what_from_secs_f64_panics_on() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e300, 2e10] {
+            assert_eq!(SimDuration::try_from_secs_f64(bad), None, "{bad}");
+        }
+        let ns = |secs| SimDuration::try_from_secs_f64(secs).map(SimDuration::as_nanos);
+        assert_eq!(ns(1.5), Some(1_500_000_000));
+        assert_eq!(ns(4e-10), Some(0));
+        assert!(ns(1.8e10).is_some());
     }
 
     #[test]

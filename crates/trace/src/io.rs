@@ -8,18 +8,30 @@
 //! 1000000 read 0 2 1
 //! ```
 //!
-//! Fields: `time_ns kind lbn blocks file_id`, space-separated; a record's
-//! block range `lbn..lbn + blocks` must fit in a `u64`. Lines beginning
-//! with `#` are comments, except the mandatory header carrying the block
-//! size. The format exists so generated workloads can be archived and
-//! replayed outside the library (e.g. by the `repro` binary's `--dump`
-//! mode).
+//! Fields: `time_ns kind lbn blocks file_id`, space-separated. A record
+//! spans at most [`MAX_OP_BLOCKS`] blocks, and its block range
+//! `lbn..lbn + blocks` ends at or before [`MAX_LBN_END`] (2^32). Lines
+//! beginning with `#` are comments, except the mandatory header carrying
+//! the block size. The format exists so generated workloads can be
+//! archived and replayed outside the library (e.g. by the `repro`
+//! binary's `--dump` mode).
 
 use std::fmt::Write as _;
 
 use mobistore_sim::time::SimTime;
 
 use crate::record::{DiskOp, DiskOpKind, FileId, Trace};
+
+/// Most blocks one record may span: 64 MiB at 1-KB blocks. The generated
+/// workloads stay far below it (the largest op at scale 1 is 246 blocks),
+/// and consumers that walk an op block by block stay bounded.
+pub const MAX_OP_BLOCKS: u32 = 65_536;
+
+/// Exclusive upper end of every record's block range: `lbn + blocks`
+/// must not exceed 2^32 (4 TiB at 1-KB blocks; the generated workloads
+/// end below 33,000). This also keeps the flash card's reserved lbn
+/// `u64::MAX` out of reach.
+pub const MAX_LBN_END: u64 = 1 << 32;
 
 /// An error produced when parsing a textual trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +82,8 @@ pub fn write_text(trace: &Trace) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line on any malformed
-/// input, missing header, or out-of-order timestamps.
+/// input, missing header, out-of-order timestamps, or a record past the
+/// [`MAX_OP_BLOCKS`] / [`MAX_LBN_END`] bound.
 pub fn read_text(text: &str) -> Result<Trace, ParseError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| ParseError {
@@ -101,10 +114,6 @@ pub fn read_text(text: &str) -> Result<Trace, ParseError> {
             };
             let lbn: u64 = fields.next()?.parse().ok()?;
             let blocks: u32 = fields.next()?.parse().ok()?;
-            // The range end must fit: consumers compute `lbn + blocks`,
-            // and the flash card reserves block u64::MAX to mark empty
-            // slots.
-            lbn.checked_add(u64::from(blocks))?;
             let file: u64 = fields.next()?.parse().ok()?;
             if fields.next().is_some() {
                 return None;
@@ -122,6 +131,16 @@ pub fn read_text(text: &str) -> Result<Trace, ParseError> {
             message: format!("malformed record: {line:?}"),
         })?;
 
+        if op.blocks > MAX_OP_BLOCKS || op.lbn.saturating_add(u64::from(op.blocks)) > MAX_LBN_END {
+            return Err(ParseError {
+                line: lineno,
+                message: format!(
+                    "block range {}+{} past the bound (at most {MAX_OP_BLOCKS} blocks, \
+                     ending at or before 2^32)",
+                    op.lbn, op.blocks
+                ),
+            });
+        }
         if op.time.as_nanos() < last_time {
             return Err(ParseError {
                 line: lineno,
@@ -201,13 +220,27 @@ mod tests {
 
     #[test]
     fn block_range_past_u64_rejected() {
+        let header = "# mobistore trace v1 block_size=1024\n";
         let max = u64::MAX;
-        let text = format!("# mobistore trace v1 block_size=1024\n5 write {max} 1 0\n");
-        let err = read_text(&text).unwrap_err();
-        assert_eq!(err.line, 2);
-        let last = max - 1;
-        let text = format!("# mobistore trace v1 block_size=1024\n5 write {last} 1 0\n");
-        assert_eq!(read_text(&text).unwrap().ops[0].lbn, last);
+        let last = MAX_LBN_END - 1;
+        let too_long = MAX_OP_BLOCKS + 1;
+        for record in [
+            format!("5 write {max} 1 0"),
+            // 4e9 blocks: walking it block by block never finishes.
+            "0 write 1000000000000 4000000000 3".to_owned(),
+            // Ends one block past 2^32.
+            format!("5 write {last} 2 0"),
+            format!("5 write 0 {too_long} 0"),
+        ] {
+            let err = read_text(&format!("{header}{record}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{record}");
+        }
+        // Both bounds are inclusive.
+        let trace = read_text(&format!("{header}5 write {last} 1 0\n")).unwrap();
+        assert_eq!(trace.ops[0].lbn, last);
+        let first = MAX_LBN_END - u64::from(MAX_OP_BLOCKS);
+        let text = format!("{header}5 write {first} {MAX_OP_BLOCKS} 0\n");
+        assert_eq!(read_text(&text).unwrap().ops[0].blocks, MAX_OP_BLOCKS);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use mobistore::sim::fleet::ChaosConfig;
 /// that a quiet integrity plan draws no randomness) and the 64-shard
 /// fleet run (whose merged percentiles pin the metric-merge semantics)
 /// and the host profile's simulation counts (whose ops/events/spans
-/// columns pin the observer's event and span cardinalities — wall-clock
-/// stays on stderr, so the fixture is stable) and the erasure-coded
+/// columns pin the observer's event and span cardinalities; the target
+/// times nothing, so the fixture is stable) and the erasure-coded
 /// durability sweep (whose zero-death-rate rows double as proof that a
 /// quiet death schedule draws no randomness).
 const GOLDEN_TARGETS: [&str; 14] = [
