@@ -11,8 +11,6 @@
 //! (refresh), which is why §5.4 finds that adding DRAM to a flash-card
 //! system can *cost* energy without improving performance.
 
-use std::collections::HashSet;
-
 use mobistore_device::params::DramParams;
 use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
 use mobistore_sim::obs::{Event, Observer};
@@ -70,17 +68,21 @@ pub struct Evicted {
 ///
 /// let mut cache = BufferCache::new(dram_nec(), 8 * 1024, 1024, WritePolicy::WriteThrough);
 /// let t = SimTime::ZERO;
-/// assert_eq!(cache.read_probe(t, &[1, 2], &mut NoopObserver).len(), 2, "both blocks miss");
+/// let mut misses = Vec::new();
+/// cache.read_probe(t, &[1, 2], &mut misses, &mut NoopObserver);
+/// assert_eq!(misses, [1, 2], "both blocks miss");
 /// cache.insert(1, false);
-/// assert!(cache.read_probe(t, &[1], &mut NoopObserver).is_empty(), "now a hit");
+/// cache.read_probe(t, &[1], &mut misses, &mut NoopObserver);
+/// assert!(misses.is_empty(), "now a hit");
 /// ```
 #[derive(Debug, Clone)]
 pub struct BufferCache {
     params: DramParams,
     capacity_mib: f64,
     block_size: u64,
+    /// The cached blocks; a block's dirty bit (write-back only) lives in
+    /// its LRU node.
     lru: LruSet,
-    dirty: HashSet<u64>,
     policy: WritePolicy,
     meter: EnergyMeter,
     stats: CacheStats,
@@ -129,7 +131,6 @@ impl BufferCache {
             capacity_mib: capacity_bytes as f64 / MIB as f64,
             block_size,
             lru: LruSet::new(blocks),
-            dirty: HashSet::new(),
             policy,
             meter: EnergyMeter::new(CATEGORIES),
             stats: CacheStats::default(),
@@ -169,12 +170,18 @@ impl BufferCache {
     }
 
     /// Probes a read issued at `now`: touches the blocks that hit and
-    /// returns the blocks that miss, updating hit/miss counters. The split
-    /// is reported to `obs` as an [`Event::CacheRead`] plus a
-    /// [`SpanKind::CacheLookup`] span covering the cache's access time for
-    /// the probed blocks.
-    pub fn read_probe<O: Observer>(&mut self, now: SimTime, lbns: &[u64], obs: &mut O) -> Vec<u64> {
-        let mut misses = Vec::new();
+    /// replaces the contents of `misses` with the blocks that miss,
+    /// updating hit/miss counters. The split is reported to `obs` as an
+    /// [`Event::CacheRead`] plus a [`SpanKind::CacheLookup`] span covering
+    /// the cache's access time for the probed blocks.
+    pub fn read_probe<O: Observer>(
+        &mut self,
+        now: SimTime,
+        lbns: &[u64],
+        misses: &mut Vec<u64>,
+        obs: &mut O,
+    ) {
+        misses.clear();
         for &lbn in lbns {
             if self.lru.touch(lbn) {
                 self.stats.read_hits += 1;
@@ -197,74 +204,70 @@ impl BufferCache {
             now,
             now + self.access_time(lbns.len() as u64 * self.block_size),
         ));
-        misses
     }
 
     /// Inserts a block (`dirty` marks unwritten data under write-back);
-    /// returns an eviction the caller may need to flush.
+    /// returns an eviction the caller may need to flush. A clean insert
+    /// (write-through, or a fill after a read miss) clears the block's
+    /// dirty bit.
     pub fn insert(&mut self, lbn: u64, dirty: bool) -> Option<Evicted> {
         let mark_dirty = dirty && self.policy == WritePolicy::WriteBack;
-        let evicted = self.lru.insert(lbn).map(|old| {
-            let was_dirty = self.dirty.remove(&old);
-            if was_dirty {
-                self.stats.writebacks += 1;
-            }
-            Evicted {
-                lbn: old,
-                dirty: was_dirty,
-            }
-        });
-        if mark_dirty {
-            self.dirty.insert(lbn);
-        } else if evicted.is_none_or(|e| e.lbn != lbn) {
-            // A clean (write-through) insert of a block that may have been
-            // dirty before.
-            self.dirty.remove(&lbn);
+        let (old, was_dirty) = self.lru.insert_dirty(lbn, mark_dirty)?;
+        if was_dirty {
+            self.stats.writebacks += 1;
         }
-        evicted
+        Some(Evicted {
+            lbn: old,
+            dirty: was_dirty,
+        })
     }
 
-    /// Records a write of the given blocks issued at `now`, inserting them;
-    /// returns the dirty evictions the caller must flush (write-back only).
-    /// The absorbed blocks and dirty evictions are reported to `obs` as an
-    /// [`Event::CacheWrite`].
-    pub fn write<O: Observer>(&mut self, now: SimTime, lbns: &[u64], obs: &mut O) -> Vec<Evicted> {
-        let mut out = Vec::new();
+    /// Records a write of the given blocks issued at `now`, inserting them,
+    /// and replaces the contents of `flushes` with the dirty evictions the
+    /// caller must flush (write-back only). The absorbed blocks and dirty
+    /// evictions are reported to `obs` as an [`Event::CacheWrite`].
+    pub fn write<O: Observer>(
+        &mut self,
+        now: SimTime,
+        lbns: &[u64],
+        flushes: &mut Vec<u64>,
+        obs: &mut O,
+    ) {
+        flushes.clear();
         for &lbn in lbns {
             self.stats.writes += 1;
             if let Some(e) = self.insert(lbn, true) {
                 if e.dirty {
-                    out.push(e);
+                    flushes.push(e.lbn);
                 }
             }
         }
         obs.record(&Event::CacheWrite {
             t: now,
             blocks: lbns.len() as u32,
-            dirty_evictions: out.len() as u32,
+            dirty_evictions: flushes.len() as u32,
         });
-        out
     }
 
-    /// Drops a block (file deletion); returns true if it was present.
+    /// Drops a block (file deletion) and its dirty data; returns true if
+    /// it was present.
     pub fn invalidate(&mut self, lbn: u64) -> bool {
-        self.dirty.remove(&lbn);
         self.lru.remove(lbn)
     }
 
     /// Drops every cached block, as a power failure does to volatile DRAM;
     /// returns the number of dirty (write-back) blocks that were lost.
     pub fn power_fail_clear(&mut self) -> u64 {
-        let lost = self.dirty.len() as u64;
-        self.dirty.clear();
+        let lost = self.lru.dirty_len() as u64;
         while self.lru.pop_lru().is_some() {}
         lost
     }
 
-    /// Removes and returns every dirty block (used to flush a write-back
-    /// cache at the end of a run).
+    /// Marks every dirty block clean and returns them in ascending order
+    /// (used to flush a write-back cache at the end of a run).
     pub fn drain_dirty(&mut self) -> Vec<u64> {
-        let mut dirty: Vec<u64> = self.dirty.drain().collect();
+        let mut dirty = Vec::with_capacity(self.lru.dirty_len());
+        self.lru.take_dirty(&mut dirty);
         dirty.sort_unstable();
         dirty
     }
@@ -305,12 +308,26 @@ mod tests {
         BufferCache::new(dram_nec(), blocks * 1024, 1024, policy)
     }
 
+    /// Probes a read of `lbns`, returning the misses.
+    fn probe(c: &mut BufferCache, lbns: &[u64]) -> Vec<u64> {
+        let mut misses = vec![99]; // Stale contents are replaced.
+        c.read_probe(T0, lbns, &mut misses, &mut NoopObserver);
+        misses
+    }
+
+    /// Writes `lbns`, returning the dirty evictions to flush.
+    fn write(c: &mut BufferCache, lbns: &[u64]) -> Vec<u64> {
+        let mut flushes = vec![99]; // Stale contents are replaced.
+        c.write(T0, lbns, &mut flushes, &mut NoopObserver);
+        flushes
+    }
+
     #[test]
     fn read_probe_counts_hits_and_misses() {
         let mut c = cache(4, WritePolicy::WriteThrough);
         c.insert(1, false);
         c.insert(2, false);
-        let misses = c.read_probe(T0, &[1, 2, 3], &mut NoopObserver);
+        let misses = probe(&mut c, &[1, 2, 3]);
         assert_eq!(misses, vec![3]);
         let s = c.stats();
         assert_eq!(s.read_hits, 2);
@@ -330,7 +347,7 @@ mod tests {
     #[test]
     fn write_through_never_reports_dirty_evictions() {
         let mut c = cache(2, WritePolicy::WriteThrough);
-        let flushes = c.write(T0, &[1, 2, 3, 4], &mut NoopObserver);
+        let flushes = write(&mut c, &[1, 2, 3, 4]);
         assert!(flushes.is_empty());
         assert_eq!(c.stats().writebacks, 0);
     }
@@ -338,31 +355,33 @@ mod tests {
     #[test]
     fn power_fail_clear_empties_and_counts_lost_dirt() {
         let mut c = cache(4, WritePolicy::WriteBack);
-        c.write(T0, &[1, 2], &mut NoopObserver);
+        write(&mut c, &[1, 2]);
         c.insert(3, false);
         assert_eq!(c.power_fail_clear(), 2, "two dirty blocks lost");
         // Everything is gone: all three blocks now miss.
-        assert_eq!(
-            c.read_probe(T0, &[1, 2, 3], &mut NoopObserver),
-            vec![1, 2, 3]
-        );
+        assert_eq!(probe(&mut c, &[1, 2, 3]), vec![1, 2, 3]);
         assert!(c.drain_dirty().is_empty());
+        // An eviction (5 pushes out 1), an invalidation and a clean
+        // reinsert each take one block's dirt with them.
+        let mut c = cache(4, WritePolicy::WriteBack);
+        write(&mut c, &[1, 2, 3, 4, 5]);
+        c.invalidate(2);
+        c.insert(3, false);
+        assert_eq!(c.power_fail_clear(), 2, "blocks 4 and 5 lost");
     }
 
     #[test]
     fn write_back_reports_dirty_evictions() {
         let mut c = cache(2, WritePolicy::WriteBack);
-        let flushes = c.write(T0, &[1, 2, 3], &mut NoopObserver);
-        assert_eq!(flushes.len(), 1);
-        assert_eq!(flushes[0].lbn, 1);
-        assert!(flushes[0].dirty);
+        let flushes = write(&mut c, &[1, 2, 3]);
+        assert_eq!(flushes, vec![1], "only the dirty eviction of block 1");
         assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
     fn drain_dirty_returns_sorted_blocks() {
         let mut c = cache(8, WritePolicy::WriteBack);
-        c.write(T0, &[5, 1, 3], &mut NoopObserver);
+        write(&mut c, &[5, 1, 3]);
         assert_eq!(c.drain_dirty(), vec![1, 3, 5]);
         assert!(c.drain_dirty().is_empty(), "drained");
     }
@@ -370,17 +389,17 @@ mod tests {
     #[test]
     fn invalidate_drops_block() {
         let mut c = cache(4, WritePolicy::WriteBack);
-        c.write(T0, &[7], &mut NoopObserver);
+        write(&mut c, &[7]);
         assert!(c.invalidate(7));
         assert!(!c.invalidate(7));
-        assert_eq!(c.read_probe(T0, &[7], &mut NoopObserver), vec![7]);
+        assert_eq!(probe(&mut c, &[7]), vec![7]);
         assert!(c.drain_dirty().is_empty(), "invalidate clears dirty state");
     }
 
     #[test]
     fn clean_reinsert_clears_dirty_bit() {
         let mut c = cache(4, WritePolicy::WriteBack);
-        c.write(T0, &[1], &mut NoopObserver);
+        write(&mut c, &[1]);
         // E.g. the block was flushed by the caller and refilled clean.
         c.insert(1, false);
         assert!(c.drain_dirty().is_empty());

@@ -1,22 +1,31 @@
-//! An intrusive LRU list over `u64` keys.
+//! An intrusive LRU list over lbn keys.
 //!
 //! The buffer cache needs O(1) lookup, O(1) touch (move to front), and O(1)
 //! eviction of the least-recently-used block. This is a classic
-//! doubly-linked list threaded through a slab of nodes, with a `HashMap`
-//! index — no unsafe code, no external crates.
+//! doubly-linked list threaded through a slab of nodes, with an
+//! [`LbnTable`] index from key to slab slot — no unsafe code, no external
+//! crates. Each node also carries the cache's dirty bit, so write-back
+//! state needs no second lookup.
 
-use std::collections::HashMap;
+use mobistore_sim::lbn::LbnTable;
 
-const NIL: usize = usize::MAX;
+/// Slab index of no node (the list's ends).
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct Node {
     key: u64,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
+    /// The block holds unwritten data (write-back caching).
+    dirty: bool,
 }
 
-/// An LRU set of `u64` keys with a fixed capacity in entries.
+/// An LRU set of lbn keys with a fixed capacity in entries.
+///
+/// Keys index an [`LbnTable`], so they must lie below
+/// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END); lookups of larger
+/// keys simply miss.
 ///
 /// # Examples
 ///
@@ -32,11 +41,13 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct LruSet {
     capacity: usize,
-    index: HashMap<u64, usize>,
+    index: LbnTable<u32>,
     nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+    /// Nodes whose dirty bit is set.
+    dirty: usize,
 }
 
 impl LruSet {
@@ -49,11 +60,12 @@ impl LruSet {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruSet {
             capacity,
-            index: HashMap::with_capacity(capacity),
+            index: LbnTable::new(),
             nodes: Vec::with_capacity(capacity.min(4096)),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
+            dirty: 0,
         }
     }
 
@@ -74,12 +86,12 @@ impl LruSet {
 
     /// Returns true if `key` is present (without touching recency).
     pub fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
+        self.index.get(key).is_some()
     }
 
     /// Marks `key` most-recently-used; returns false if absent.
     pub fn touch(&mut self, key: u64) -> bool {
-        let Some(&idx) = self.index.get(&key) else {
+        let Some(&idx) = self.index.get(key) else {
             return false;
         };
         self.unlink(idx);
@@ -90,49 +102,49 @@ impl LruSet {
     /// Inserts `key` as most-recently-used; if the set is full, evicts and
     /// returns the least-recently-used key. Re-inserting a present key just
     /// touches it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is at or past
+    /// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END).
     pub fn insert(&mut self, key: u64) -> Option<u64> {
-        if self.touch(key) {
-            return None;
-        }
-        let evicted = if self.index.len() == self.capacity {
-            let lru_idx = self.tail;
-            debug_assert_ne!(lru_idx, NIL);
-            let old = self.nodes[lru_idx].key;
-            self.unlink(lru_idx);
-            self.index.remove(&old);
-            self.free.push(lru_idx);
-            Some(old)
-        } else {
-            None
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Node {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.nodes.push(Node {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.nodes.len() - 1
-            }
-        };
-        self.index.insert(key, idx);
-        self.push_front(idx);
+        self.place(key).1.map(|(old, _)| old)
+    }
+
+    /// [`insert`](Self::insert) that also sets `key`'s dirty bit to
+    /// `dirty`; returns the evicted key with its dirty bit.
+    pub(crate) fn insert_dirty(&mut self, key: u64, dirty: bool) -> Option<(u64, bool)> {
+        let (idx, evicted) = self.place(key);
+        self.set_dirty(idx, dirty);
         evicted
+    }
+
+    /// Returns the number of keys whose dirty bit is set.
+    pub(crate) fn dirty_len(&self) -> usize {
+        self.dirty
+    }
+
+    /// Clears every dirty bit, appending the keys that had one to `out`
+    /// in no particular order.
+    pub(crate) fn take_dirty(&mut self, out: &mut Vec<u64>) {
+        let mut cursor = self.head;
+        while cursor != NIL {
+            let node = &mut self.nodes[cursor as usize];
+            if node.dirty {
+                node.dirty = false;
+                out.push(node.key);
+            }
+            cursor = node.next;
+        }
+        self.dirty = 0;
     }
 
     /// Removes `key`; returns true if it was present.
     pub fn remove(&mut self, key: u64) -> bool {
-        let Some(idx) = self.index.remove(&key) else {
+        let Some(idx) = self.index.remove(key) else {
             return false;
         };
+        self.set_dirty(idx, false);
         self.unlink(idx);
         self.free.push(idx);
         true
@@ -143,7 +155,7 @@ impl LruSet {
         if self.tail == NIL {
             return None;
         }
-        let key = self.nodes[self.tail].key;
+        let key = self.nodes[self.tail as usize].key;
         self.remove(key);
         Some(key)
     }
@@ -156,27 +168,86 @@ impl LruSet {
         }
     }
 
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
+    /// Touches `key`, or inserts it clean as most-recently-used, evicting
+    /// the LRU key (returned with its dirty bit) if the set is full.
+    /// Returns `key`'s slab index.
+    fn place(&mut self, key: u64) -> (u32, Option<(u64, bool)>) {
+        if let Some(&idx) = self.index.get(key) {
+            self.unlink(idx);
+            self.push_front(idx);
+            return (idx, None);
+        }
+        let evicted = if self.index.len() == self.capacity {
+            let lru_idx = self.tail;
+            debug_assert_ne!(lru_idx, NIL);
+            let node = &self.nodes[lru_idx as usize];
+            let old = (node.key, node.dirty);
+            self.remove(old.0);
+            Some(old)
+        } else {
+            None
+        };
+        let node = Node {
+            key,
+            prev: NIL,
+            next: NIL,
+            dirty: false,
+        };
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
+            }
+            None => {
+                let i = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("LRU slab outgrew u32 indices");
+                self.nodes.push(node);
+                i
+            }
+        };
+        self.index.insert(key, idx);
+        self.push_front(idx);
+        (idx, evicted)
+    }
+
+    fn set_dirty(&mut self, idx: u32, dirty: bool) {
+        let node = &mut self.nodes[idx as usize];
+        if node.dirty != dirty {
+            node.dirty = dirty;
+            if dirty {
+                self.dirty += 1;
+            } else {
+                self.dirty -= 1;
+            }
+        }
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let node = &self.nodes[idx as usize];
+        let (prev, next) = (node.prev, node.next);
         if prev != NIL {
-            self.nodes[prev].next = next;
+            self.nodes[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next].prev = prev;
+            self.nodes[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
+        let node = &mut self.nodes[idx as usize];
+        node.prev = NIL;
+        node.next = NIL;
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
+    fn push_front(&mut self, idx: u32) {
+        let node = &mut self.nodes[idx as usize];
+        node.prev = NIL;
+        node.next = self.head;
         if self.head != NIL {
-            self.nodes[self.head].prev = idx;
+            self.nodes[self.head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -187,7 +258,7 @@ impl LruSet {
 
 struct MruIter<'a> {
     set: &'a LruSet,
-    cursor: usize,
+    cursor: u32,
 }
 
 impl Iterator for MruIter<'_> {
@@ -196,7 +267,7 @@ impl Iterator for MruIter<'_> {
         if self.cursor == NIL {
             return None;
         }
-        let node = &self.set.nodes[self.cursor];
+        let node = &self.set.nodes[self.cursor as usize];
         self.cursor = node.next;
         Some(node.key)
     }

@@ -13,10 +13,9 @@
 //! for the disk". Reads of recently-written blocks are served from the
 //! buffer (§5.5, footnote 3).
 
-use std::collections::HashSet;
-
 use mobistore_device::params::SramParams;
 use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
+use mobistore_sim::lbn::LbnTable;
 use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::time::{SimDuration, SimTime};
 
@@ -53,7 +52,12 @@ pub struct SramWriteBuffer {
     params: SramParams,
     capacity_blocks: usize,
     block_size: u64,
-    blocks: HashSet<u64>,
+    /// The buffered blocks, distinct, in arrival order; a drain sorts
+    /// them. Figure 5's 512-KB and 1-MB buffers hold 512 to 2,048 trace
+    /// blocks, so every per-block step is O(1).
+    blocks: Vec<u64>,
+    /// Each buffered block's position in `blocks`.
+    index: LbnTable<u32>,
     meter: EnergyMeter,
     stats: SramStats,
 }
@@ -94,7 +98,8 @@ impl SramWriteBuffer {
             params,
             capacity_blocks,
             block_size,
-            blocks: HashSet::new(),
+            blocks: Vec::new(),
+            index: LbnTable::new(),
             meter: EnergyMeter::new(CATEGORIES),
             stats: SramStats::default(),
         })
@@ -145,14 +150,23 @@ impl SramWriteBuffer {
     /// True if a write of `nblocks` would fit (blocks already buffered
     /// overwrite in place and consume no new space).
     pub fn fits(&self, lbns: &[u64]) -> bool {
-        let new = lbns.iter().filter(|lbn| !self.blocks.contains(lbn)).count();
-        self.blocks.len() + new <= self.capacity_blocks
+        self.blocks.len() + self.incoming(lbns) <= self.capacity_blocks
+    }
+
+    /// How many of `lbns` are not buffered yet.
+    fn incoming(&self, lbns: &[u64]) -> usize {
+        lbns.iter().filter(|&&lbn| !self.contains(lbn)).count()
     }
 
     /// Buffers the given blocks, written at `now`, and reports a
     /// [`Event::SramAbsorb`] to `obs`. Returns
     /// [`crate::CacheError::Overflow`] (buffering nothing) when they do not
     /// fit; callers check [`fits`](Self::fits) and flush first.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an lbn at or past
+    /// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END) (2^32).
     pub fn absorb<O: Observer>(
         &mut self,
         now: SimTime,
@@ -160,15 +174,18 @@ impl SramWriteBuffer {
         obs: &mut O,
     ) -> Result<(), crate::CacheError> {
         if !self.fits(lbns) {
-            let incoming = lbns.iter().filter(|lbn| !self.blocks.contains(lbn)).count();
             return Err(crate::CacheError::Overflow {
                 buffered: self.blocks.len(),
-                incoming,
+                incoming: self.incoming(lbns),
                 capacity: self.capacity_blocks,
             });
         }
         for &lbn in lbns {
-            self.blocks.insert(lbn);
+            if !self.contains(lbn) {
+                let i = u32::try_from(self.blocks.len()).expect("SRAM buffer outgrew u32 indices");
+                self.index.insert(lbn, i);
+                self.blocks.push(lbn);
+            }
         }
         self.stats.absorbed += 1;
         obs.record(&Event::SramAbsorb {
@@ -180,7 +197,7 @@ impl SramWriteBuffer {
 
     /// True if the block is buffered (a read of it needs no disk access).
     pub fn contains(&self, lbn: u64) -> bool {
-        self.blocks.contains(&lbn)
+        self.index.get(lbn).is_some()
     }
 
     /// Records a read served from the buffer at `now`, reporting a
@@ -195,7 +212,10 @@ impl SramWriteBuffer {
     /// addresses); a non-empty drain counts as a flush and is reported to
     /// `obs` as an [`Event::SramFlush`].
     pub fn drain_blocks<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Vec<u64> {
-        let mut blocks: Vec<u64> = self.blocks.drain().collect();
+        for &lbn in &self.blocks {
+            self.index.remove(lbn);
+        }
+        let mut blocks: Vec<u64> = self.blocks.drain(..).collect();
         blocks.sort_unstable();
         if !blocks.is_empty() {
             self.stats.flushes += 1;
@@ -209,7 +229,14 @@ impl SramWriteBuffer {
 
     /// Drops a block (file deletion); returns true if it was buffered.
     pub fn invalidate(&mut self, lbn: u64) -> bool {
-        self.blocks.remove(&lbn)
+        let Some(i) = self.index.remove(lbn) else {
+            return false;
+        };
+        self.blocks.swap_remove(i as usize);
+        if let Some(&moved) = self.blocks.get(i as usize) {
+            self.index.insert(moved, i);
+        }
+        true
     }
 
     /// Time to move `bytes` in or out of the buffer.
@@ -264,6 +291,16 @@ mod tests {
         assert!(b.fits(&[1]), "overwrite of a buffered block fits");
         absorb(&mut b, &[1]).unwrap();
         assert_eq!(b.len(), 2);
+        // A write mixing a buffered block with a new one takes one slot.
+        let mut b = buf(3);
+        absorb(&mut b, &[7, 9]).unwrap();
+        assert!(b.fits(&[9, 8]) && !b.fits(&[9, 8, 6]));
+        absorb(&mut b, &[9, 8]).unwrap();
+        assert_eq!(b.len(), 3);
+        assert_eq!(
+            b.drain_blocks(SimTime::ZERO, &mut NoopObserver),
+            vec![7, 8, 9]
+        );
     }
 
     #[test]
@@ -296,6 +333,14 @@ mod tests {
         // Draining an empty buffer is free and not a flush.
         assert!(b.drain_blocks(SimTime::ZERO, &mut NoopObserver).is_empty());
         assert_eq!(b.stats().flushes, 1);
+        // Absorbs arriving out of order, across calls, drain ascending.
+        absorb(&mut b, &[40, 12]).unwrap();
+        absorb(&mut b, &[30, 5]).unwrap();
+        assert_eq!(
+            b.drain_blocks(SimTime::ZERO, &mut NoopObserver),
+            vec![5, 12, 30, 40]
+        );
+        assert_eq!(b.stats().flushes, 2);
     }
 
     #[test]
@@ -306,6 +351,45 @@ mod tests {
         assert!(b.invalidate(9));
         assert!(!b.contains(9));
         assert!(!b.invalidate(9));
+        // Dropping the first-arrived block moves the last one into its
+        // place; both stay findable.
+        absorb(&mut b, &[1, 2, 3, 4]).unwrap();
+        assert!(b.invalidate(1));
+        assert!(b.invalidate(4), "the moved block is still indexed");
+        assert!(!b.contains(1) && !b.contains(4) && b.contains(3));
+        assert_eq!(b.drain_blocks(SimTime::ZERO, &mut NoopObserver), vec![2, 3]);
+        assert!(!b.contains(2), "a drain forgets every block");
+    }
+
+    #[test]
+    fn matches_a_set_model_op_by_op() {
+        use mobistore_sim::rng::SimRng;
+        use std::collections::BTreeSet;
+        for case in 0..8u64 {
+            let mut rng = SimRng::seed_with_stream(case, 31);
+            let mut b = buf(64);
+            let mut model = BTreeSet::new();
+            for op in 0..2_000 {
+                // Keys straddle the table's 4,096-entry page boundary.
+                let lbn = 4_060 + rng.below(72);
+                match rng.below(8) {
+                    0..=4 => {
+                        let lbns: Vec<u64> = (0..1 + rng.below(4)).map(|i| lbn + i).collect();
+                        if b.fits(&lbns) {
+                            absorb(&mut b, &lbns).unwrap();
+                            model.extend(lbns);
+                        } else {
+                            let want: Vec<u64> = std::mem::take(&mut model).into_iter().collect();
+                            let got = b.drain_blocks(SimTime::ZERO, &mut NoopObserver);
+                            assert_eq!(got, want, "case {case} op {op}");
+                        }
+                    }
+                    _ => assert_eq!(b.invalidate(lbn), model.remove(&lbn), "case {case} op {op}"),
+                }
+                assert_eq!(b.len(), model.len(), "case {case} op {op}");
+                assert_eq!(b.contains(lbn), model.contains(&lbn), "case {case} op {op}");
+            }
+        }
     }
 
     #[test]

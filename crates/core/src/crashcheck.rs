@@ -47,6 +47,7 @@ use mobistore_trace::record::{working_set, DiskOp, DiskOpKind, Trace};
 
 use crate::backend::Backend;
 use crate::config::{BackendConfig, SystemConfig};
+use crate::simulator::lbn_domain_end;
 
 /// How many operation boundaries receive an injected crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +124,11 @@ impl TortureReport {
 }
 
 /// Runs the torture sweep on `config`'s backend.
+///
+/// A trace whose blocks end past
+/// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END) is refused as
+/// `simulate` refuses it: the report carries the one violation and
+/// nothing is replayed.
 pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
     let n = trace.ops.len().min(opts.max_ops);
     let ops = &trace.ops[..n];
@@ -137,6 +143,10 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
             ..TortureReport::default()
         },
     };
+    if let Err(e) = lbn_domain_end(trace) {
+        sweep.report.violations.push(format!("cannot replay: {e}"));
+        return sweep.report;
+    }
     let queueing = config.queueing;
     match &config.backend {
         BackendConfig::Disk {
@@ -783,6 +793,35 @@ mod tests {
             "no crash struck mid-cleaning; grow the trace"
         );
         assert_eq!(report.truncated_ops, 0);
+    }
+
+    #[test]
+    fn a_trace_past_the_lbn_domain_is_refused_not_replayed() {
+        let mut trace = toy_trace(8);
+        trace.push(DiskOp {
+            time: SimTime::from_secs_f64(9.0),
+            kind: DiskOpKind::Write,
+            lbn: (1 << 32) - 1,
+            blocks: 2,
+            file: FileId(0),
+        });
+        let opts = TortureOptions::default();
+        for config in [card_config(), SystemConfig::disk(cu140_datasheet())] {
+            let report = torture(&config, &trace, &opts);
+            assert_eq!(
+                report.violations,
+                [
+                    "cannot replay: blocks would reach lbn 4294967297 (exclusive), past the \
+                     lbn domain's end at 4294967296 (2^32)"
+                ],
+                "{}",
+                config.name
+            );
+            assert_eq!((report.crashes, report.ops_replayed), (0, 0));
+        }
+        // Ending exactly at 2^32 is inside the domain.
+        trace.ops.last_mut().expect("pushed above").blocks = 1;
+        assert!(torture(&card_config(), &trace, &opts).passed());
     }
 
     #[test]

@@ -22,6 +22,7 @@ use mobistore_device::{QueueDiscipline, Request, Service};
 use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
 use mobistore_sim::fault::{DeathSchedule, PowerFailSchedule};
 use mobistore_sim::hist::LatencyRecorder;
+use mobistore_sim::lbn::MAX_LBN_END;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
@@ -125,6 +126,13 @@ pub enum ConfigError {
     },
     /// `warm_percent` was 100 or more: nothing would be measured.
     NothingToMeasure,
+    /// The blocks the run would map end past [`MAX_LBN_END`] (2^32), the
+    /// domain of the block-mapped layers' lbn tables: the trace's own
+    /// ranges, or on a flash card the filler placed after them.
+    LbnDomain {
+        /// Exclusive end of the highest block the run would map.
+        end: u64,
+    },
     /// A fleet checkpoint could not be used for this run: unreadable,
     /// malformed, or fingerprint-mismatched against the configuration.
     Checkpoint(String),
@@ -148,6 +156,11 @@ impl std::fmt::Display for ConfigError {
                     "warm-up must leave something to measure (warm_percent < 100)"
                 )
             }
+            ConfigError::LbnDomain { end } => write!(
+                f,
+                "blocks would reach lbn {end} (exclusive), past the lbn domain's end at \
+                 {MAX_LBN_END} (2^32)"
+            ),
             ConfigError::Checkpoint(reason) => write!(f, "checkpoint: {reason}"),
         }
     }
@@ -240,6 +253,24 @@ impl From<mobistore_cache::CacheError> for SimError {
 ///     try_simulate(&cfg, &trace, RunOptions::default()),
 ///     Err(SimError::Config(ConfigError::FlashOverfull { .. }))
 /// ));
+///
+/// // A trace whose last block is lbn 2^32 - 1, the top of the lbn domain,
+/// // runs on a disk. On a card the filler placed after it would pass the
+/// // domain's end, so the card is refused before it is built.
+/// let mut top = Trace::new(1024);
+/// top.push(DiskOp {
+///     time: SimTime::ZERO,
+///     kind: DiskOpKind::Write,
+///     lbn: (1 << 32) - 2,
+///     blocks: 2,
+///     file: FileId(0),
+/// });
+/// let disk = SystemConfig::disk(mobistore_device::params::cu140_datasheet());
+/// assert!(try_simulate(&disk, &top, RunOptions::default()).is_ok());
+/// assert!(matches!(
+///     try_simulate(&cfg, &top, RunOptions::default()),
+///     Err(SimError::Config(ConfigError::LbnDomain { .. }))
+/// ));
 /// ```
 pub fn try_simulate(
     config: &SystemConfig,
@@ -249,12 +280,25 @@ pub fn try_simulate(
     try_simulate_observed(config, trace, options, &mut NoopObserver)
 }
 
+/// Where `trace`'s blocks end (exclusive), or [`ConfigError::LbnDomain`]
+/// if that is past [`MAX_LBN_END`]: the one refusal every entry point that
+/// builds block-mapped devices from a trace applies before building them.
+pub(crate) fn lbn_domain_end(trace: &Trace) -> Result<u64, ConfigError> {
+    let end = trace.blocks_spanned();
+    if end > MAX_LBN_END {
+        return Err(ConfigError::LbnDomain { end });
+    }
+    Ok(end)
+}
+
 /// [`try_simulate`], streaming structured [`Event`]s to `obs` as the
 /// simulation progresses.
 ///
 /// This is the one place that looks at the configured backend: it builds
 /// the device (preloading the block-mapped ones with the trace's working
-/// set) and hands it to a simulator monomorphised for that device.
+/// set) and hands it to a simulator monomorphised for that device. Before
+/// building anything it refuses a run whose blocks would pass
+/// [`MAX_LBN_END`] with [`ConfigError::LbnDomain`].
 pub fn try_simulate_observed<O: Observer>(
     config: &SystemConfig,
     trace: &Trace,
@@ -264,6 +308,7 @@ pub fn try_simulate_observed<O: Observer>(
     if options.warm_percent >= 100 {
         return Err(ConfigError::NothingToMeasure.into());
     }
+    let end = lbn_domain_end(trace)?;
     let queueing = config.queueing;
     let metrics = match &config.backend {
         BackendConfig::Disk {
@@ -303,6 +348,16 @@ pub fn try_simulate_observed<O: Observer>(
                 }
                 .into());
             }
+            // §5.2's setup: the working set plus filler up to the target
+            // utilization, in the aged layout — spread across all segments,
+            // so free space exists as cleanable garbage rather than
+            // pristine erased segments. The filler follows the trace's
+            // blocks and must stay inside the lbn domain too.
+            let filler_base = end.max(working.last().map_or(0, |l| l + 1));
+            let filler_end = filler_base.saturating_add(target - w);
+            if filler_end > MAX_LBN_END {
+                return Err(ConfigError::LbnDomain { end: filler_end }.into());
+            }
             let mut card = FlashCardStore::new(FlashCardConfig {
                 params: params.clone(),
                 block_size: trace.block_size,
@@ -313,18 +368,7 @@ pub fn try_simulate_observed<O: Observer>(
             })
             .with_faults(config.fault)
             .with_integrity(config.integrity);
-            // §5.2's setup: the working set plus filler up to the target
-            // utilization, in the aged layout — spread across all segments,
-            // so free space exists as cleanable garbage rather than
-            // pristine erased segments.
-            let filler_base = trace
-                .blocks_spanned()
-                .max(working.last().map_or(0, |l| l + 1));
-            card.preload_aged(
-                working
-                    .into_iter()
-                    .chain(filler_base..filler_base + (target - w)),
-            );
+            card.preload_aged(working.into_iter().chain(filler_base..filler_end));
             Simulator::new(config, trace, card, obs).run(trace, options)
         }
         BackendConfig::Array {
@@ -346,6 +390,26 @@ pub fn try_simulate_observed<O: Observer>(
         }
     };
     Ok(metrics)
+}
+
+/// Block lists one op fills and the next op reuses, so that once they
+/// have grown the op path allocates nothing.
+#[derive(Default)]
+struct OpBuffers {
+    /// The op's blocks, ascending.
+    lbns: Vec<u64>,
+    /// The blocks a read missed in DRAM.
+    misses: Vec<u64>,
+    /// Dirty write-back evictions to flush.
+    flushes: Vec<u64>,
+}
+
+impl OpBuffers {
+    /// Replaces `lbns` with the blocks of `op`.
+    fn fill_lbns(&mut self, op: &DiskOp) {
+        self.lbns.clear();
+        self.lbns.extend(op.lbn..op.lbn + u64::from(op.blocks));
+    }
 }
 
 /// One replay of a trace through DRAM, the SRAM buffer and device `D`.
@@ -379,6 +443,8 @@ struct Simulator<'o, D, O: Observer> {
     /// Critical-path device service time accumulated by the current
     /// operation.
     op_service: SimDuration,
+    /// Reused per-op block lists; an op takes them and puts them back.
+    buffers: OpBuffers,
     obs: &'o mut O,
 }
 
@@ -414,6 +480,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
             uncorrectable_reads: 0,
             op_queue: SimDuration::ZERO,
             op_service: SimDuration::ZERO,
+            buffers: OpBuffers::default(),
             obs,
         }
     }
@@ -506,16 +573,18 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
 
     fn do_read(&mut self, op: &DiskOp) -> SimDuration {
         let now = op.time;
-        let lbns: Vec<u64> = (op.lbn..op.lbn + u64::from(op.blocks)).collect();
+        let mut s = std::mem::take(&mut self.buffers);
+        s.fill_lbns(op);
         let bytes = op.bytes(self.block_size);
 
+        // Without DRAM every block misses.
         let misses = match self.dram.as_mut() {
             Some(cache) => {
-                let misses = cache.read_probe(now, &lbns, self.obs);
+                cache.read_probe(now, &s.lbns, &mut s.misses, self.obs);
                 cache.charge_access(bytes);
-                misses
+                &s.misses
             }
-            None => lbns.clone(),
+            None => &s.lbns,
         };
 
         let mut response = self
@@ -523,20 +592,20 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
             .as_ref()
             .map_or(SimDuration::ZERO, |c| c.access_time(bytes));
         if !misses.is_empty() {
-            let (fetch, fill_ok) = self.fetch_from_backend(now, op, &misses);
+            let (fetch, fill_ok) = self.fetch_from_backend(now, op, misses);
             response += fetch;
             if let Some(cache) = self.dram.as_mut() {
                 if fill_ok {
                     // Fill the cache with what was fetched.
-                    let mut flushes = Vec::new();
-                    for &lbn in &misses {
+                    s.flushes.clear();
+                    for &lbn in misses {
                         if let Some(evicted) = cache.insert(lbn, false) {
                             if evicted.dirty {
-                                flushes.push(evicted.lbn);
+                                s.flushes.push(evicted.lbn);
                             }
                         }
                     }
-                    self.flush_writeback(now, &flushes);
+                    self.flush_writeback(now, &s.flushes);
                 } else {
                     // The device reported the access uncorrectable: never
                     // cache data it could not deliver intact.
@@ -544,6 +613,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
                 }
             }
         }
+        self.buffers = s;
         response
     }
 
@@ -601,27 +671,28 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
 
     fn do_write(&mut self, op: &DiskOp) -> SimDuration {
         let now = op.time;
-        let lbns: Vec<u64> = (op.lbn..op.lbn + u64::from(op.blocks)).collect();
+        let mut s = std::mem::take(&mut self.buffers);
+        s.fill_lbns(op);
         let bytes = op.bytes(self.block_size);
 
         let mut dram_time = SimDuration::ZERO;
-        let mut writeback_evictions = Vec::new();
         if let Some(cache) = self.dram.as_mut() {
-            let flushed = cache.write(now, &lbns, self.obs);
+            cache.write(now, &s.lbns, &mut s.flushes, self.obs);
             cache.charge_access(bytes);
             dram_time = cache.access_time(bytes);
-            writeback_evictions = flushed.into_iter().map(|e| e.lbn).collect();
         }
 
-        match self.write_policy {
+        let response = match self.write_policy {
             WritePolicy::WriteBack if self.dram.is_some() => {
                 // Dirty data stays in DRAM; only evictions reach storage,
                 // off the critical path of this write.
-                self.flush_writeback(now, &writeback_evictions);
+                self.flush_writeback(now, &s.flushes);
                 dram_time
             }
-            _ => dram_time + self.write_to_backend(now, op, &lbns),
-        }
+            _ => dram_time + self.write_to_backend(now, op, &s.lbns),
+        };
+        self.buffers = s;
+        response
     }
 
     /// Sends a write through the non-volatile path; returns its response

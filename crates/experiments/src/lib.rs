@@ -75,7 +75,7 @@ use std::sync::Arc;
 use mobistore_core::config::SystemConfig;
 use mobistore_device::params::FlashCardParams;
 use mobistore_sim::units::MIB;
-use mobistore_trace::record::{DiskOpKind, Trace};
+use mobistore_trace::record::{working_set_runs, Trace};
 use mobistore_workload::Workload;
 
 /// How much of each workload to run.
@@ -118,29 +118,10 @@ pub fn shared_trace(workload: Workload, scale: Scale) -> Arc<Trace> {
 /// one entry per block, so a multi-megabyte op costs O(1) here and the
 /// whole computation is O(ops log ops) — not O(blocks).
 pub fn working_set_blocks(trace: &Trace) -> u64 {
-    let mut ranges: Vec<(u64, u64)> = trace
-        .ops
+    working_set_runs(&trace.ops)
         .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .map(|op| (op.lbn, op.lbn + u64::from(op.blocks)))
-        .collect();
-    ranges.sort_unstable();
-    let mut total = 0u64;
-    let mut current: Option<(u64, u64)> = None;
-    for (start, end) in ranges {
-        match &mut current {
-            Some((_, cur_end)) if start <= *cur_end => *cur_end = (*cur_end).max(end),
-            _ => {
-                if let Some((s, e)) = current.replace((start, end)) {
-                    total += e - s;
-                }
-            }
-        }
-    }
-    if let Some((s, e)) = current {
-        total += e - s;
-    }
-    total
+        .map(|(start, end)| end - start)
+        .sum()
 }
 
 /// Builds a flash-card configuration whose capacity can hold `trace`'s
@@ -178,7 +159,7 @@ mod tests {
     use super::*;
     use mobistore_device::params::intel_datasheet;
     use mobistore_sim::time::SimTime;
-    use mobistore_trace::record::{DiskOp, FileId};
+    use mobistore_trace::record::{DiskOp, DiskOpKind, FileId};
 
     #[test]
     fn working_set_ignores_trims_and_dedups() {

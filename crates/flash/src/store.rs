@@ -22,7 +22,7 @@
 //! * every segment counts its erasures, driving the endurance analysis
 //!   (§5.2: 100,000-cycle guarantee).
 
-use std::collections::HashMap;
+use std::num::NonZeroU64;
 
 use mobistore_device::params::FlashCardParams;
 use mobistore_device::{Device, DeviceError, ReadOutcome, Request, Service, WriteOutcome};
@@ -31,6 +31,7 @@ use mobistore_sim::energy::{EnergyMeter, Joules};
 use mobistore_sim::fault::{EraseOutcome, FaultConfig, FaultPlan};
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
+use mobistore_sim::lbn::{LbnTable, MAX_LBN_END};
 use mobistore_sim::obs::{Event, FaultKind, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
@@ -42,9 +43,22 @@ use mobistore_sim::time::{SimDuration, SimTime};
 const RECOVERY_HEADER_BYTES: u64 = 32;
 
 /// Slot-table entry of an erased or dead slot. The card stores no block
-/// at lbn `u64::MAX` (trace parsing rejects ranges that reach it, and
-/// placing one panics), so the value never names a live block.
+/// at or past [`MAX_LBN_END`] (placing one panics), so the value never
+/// names a live block.
 const NO_LBN: u64 = u64::MAX;
+
+/// The card's domain check: lbns at or past [`MAX_LBN_END`] are reserved
+/// ([`NO_LBN`] among them).
+///
+/// # Panics
+///
+/// Panics if `lbn` is outside the domain.
+fn check_domain(lbn: u64) {
+    assert!(
+        lbn < MAX_LBN_END,
+        "lbn {lbn} is reserved: the card maps lbns below 2^32 only"
+    );
+}
 
 /// When the cleaner runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,8 +231,10 @@ struct BlockLoc {
     /// Monotone write generation stamped when the block's *data* was
     /// written (cleaning relocates a block without changing its
     /// generation). This is what the differential crash checker compares
-    /// against its shadow model.
-    gen: u64,
+    /// against its shadow model. Never zero (generation 0 means "never
+    /// written"), which lets the block map store an absent entry in the
+    /// same 16 bytes.
+    gen: NonZeroU64,
 }
 
 /// One row of [`FlashCardStore::snapshot`]: the recovered location and
@@ -296,15 +312,18 @@ pub struct FlashCardStore {
     config: FlashCardConfig,
     blocks_per_segment: u32,
     segments: Vec<Segment>,
-    /// Logical block number → location and write generation. Keeps the
-    /// std hasher: lbns can come from outside input (trace text), and its
-    /// keyed hashing resists crafted collisions.
-    map: HashMap<u64, BlockLoc>,
+    /// Logical block number → location and write generation. Lbns lie
+    /// below [`MAX_LBN_END`]: the trace parser and `simulate` refuse
+    /// ranges past it, and placing a block there panics.
+    map: LbnTable<BlockLoc>,
     /// The segment summary: for every physical slot, indexed
     /// `seg * blocks_per_segment + slot`, the lbn whose live copy sits
     /// there, or [`NO_LBN`]. The cleaner and the scrubber read one
     /// segment's live blocks from here instead of scanning `map`.
     slots: Vec<u64>,
+    /// Reused buffer for [`live_lbns`](Self::live_lbns): the cleaner and
+    /// the scrubber take it for one pass and put it back.
+    live_buf: Vec<u64>,
     /// Segment currently accepting writes.
     frontier: u32,
     /// Fully-erased segments ready to become the frontier.
@@ -388,7 +407,8 @@ impl FlashCardStore {
             blocks_per_segment,
             slots: vec![NO_LBN; num_segments as usize * blocks_per_segment as usize],
             segments,
-            map: HashMap::new(),
+            map: LbnTable::new(),
+            live_buf: Vec::new(),
             frontier: 0,
             erased,
             bad: Vec::new(),
@@ -542,17 +562,14 @@ impl FlashCardStore {
     /// lbn — for differential comparison against a shadow model after
     /// crash recovery.
     pub fn snapshot(&self) -> Vec<BlockEntry> {
-        let mut rows: Vec<BlockEntry> = self
-            .map
+        self.map
             .iter()
-            .map(|(&lbn, loc)| BlockEntry {
+            .map(|(lbn, loc)| BlockEntry {
                 lbn,
                 segment: loc.seg,
-                generation: loc.gen,
+                generation: loc.gen.get(),
             })
-            .collect();
-        rows.sort_unstable_by_key(|r| r.lbn);
-        rows
+            .collect()
     }
 
     /// Test-only sabotage hook: silently drops one live block while keeping
@@ -615,8 +632,8 @@ impl FlashCardStore {
     /// # Panics
     ///
     /// Panics if preloading would leave less than one segment of free
-    /// space (the cleaner could deadlock), or on lbn `u64::MAX`, which
-    /// the card reserves.
+    /// space (the cleaner could deadlock), or on an lbn at or past
+    /// [`MAX_LBN_END`].
     pub fn preload(&mut self, lbns: impl IntoIterator<Item = u64>) {
         for lbn in lbns {
             assert!(
@@ -624,7 +641,7 @@ impl FlashCardStore {
                 "preload would exceed safe capacity ({} blocks)",
                 self.capacity_blocks()
             );
-            if self.map.contains_key(&lbn) {
+            if self.map.get(lbn).is_some() {
                 continue;
             }
             self.place_block(lbn);
@@ -646,44 +663,52 @@ impl FlashCardStore {
     /// # Panics
     ///
     /// Panics if called on a non-empty card, if the blocks do not fit in
-    /// the fillable segments, or on lbn `u64::MAX`, which the card
-    /// reserves.
+    /// the fillable segments, or on an lbn at or past [`MAX_LBN_END`].
     pub fn preload_aged(&mut self, lbns: impl IntoIterator<Item = u64>) {
         assert_eq!(self.live_blocks, 0, "preload_aged requires an empty card");
-        let lbns: Vec<u64> = lbns.into_iter().collect();
-        let fillable = self.segments.len() - 2;
-        let capacity = fillable as u64 * u64::from(self.blocks_per_segment);
-        assert!(
-            lbns.len() as u64 <= capacity,
-            "aged preload of {} blocks exceeds the {} fillable blocks \
-             (need more segments for this utilization)",
-            lbns.len(),
-            capacity
-        );
+        let reserve = self.segments.len() as u32 - 1;
+        let fillable = reserve - 1;
+        let capacity = u64::from(fillable) * u64::from(self.blocks_per_segment);
 
         // Fill segments 1..N-1 (0 stays the frontier, N-1 stays erased).
         // Blocks are interleaved round-robin so that consecutive logical
         // blocks land in different segments — an aged card's placement has
-        // no correlation between logical adjacency and segment locality.
-        let reserve = self.segments.len() as u32 - 1;
-        let mut seg_live = vec![0u32; self.segments.len()];
-        for (i, lbn) in lbns.into_iter().enumerate() {
-            let seg = 1 + (i % fillable) as u32;
-            assert_ne!(lbn, NO_LBN, "lbn u64::MAX is reserved");
-            let slot = seg_live[seg as usize];
-            let gen = self.write_gen;
-            self.write_gen += 1;
+        // no correlation between logical adjacency and segment locality:
+        // block k goes to segment 1 + k % fillable, slot k / fillable.
+        // The counters and the slot-table stride stay in locals until the
+        // loop ends (the slot-table writes would otherwise force reloads).
+        let bps = self.blocks_per_segment as usize;
+        let first_gen = self.write_gen;
+        let (mut seg, mut slot, mut placed) = (1u32, 0u32, 0u64);
+        let mut lbns = lbns.into_iter();
+        while let Some(lbn) = lbns.next() {
+            if placed == capacity {
+                let total = capacity + 1 + lbns.count() as u64;
+                panic!(
+                    "aged preload of {total} blocks exceeds the {capacity} fillable blocks \
+                     (need more segments for this utilization)"
+                );
+            }
+            check_domain(lbn);
+            let gen = NonZeroU64::new(first_gen + placed)
+                .expect("write generations start at FIRST_GENERATION = 1 and only grow");
             let old = self.map.insert(lbn, BlockLoc { seg, slot, gen });
             assert!(old.is_none(), "duplicate lbn in aged preload");
-            let i = self.slot_index(seg, slot);
-            self.slots[i] = lbn;
-            self.live_blocks += 1;
-            seg_live[seg as usize] += 1;
+            self.slots[seg as usize * bps + slot as usize] = lbn;
+            placed += 1;
+            if seg == fillable {
+                (seg, slot) = (1, slot + 1);
+            } else {
+                seg += 1;
+            }
         }
+        self.live_blocks = placed;
+        self.write_gen = first_gen + placed;
         for seg in 1..reserve {
             let s = &mut self.segments[seg as usize];
             s.state = SegState::Full;
-            s.live = seg_live[seg as usize];
+            // The blocks k < placed with k % fillable == seg - 1.
+            s.live = ((placed + u64::from(fillable - seg)) / u64::from(fillable)) as u32;
             s.used = self.blocks_per_segment;
         }
         self.erased = vec![reserve];
@@ -712,7 +737,7 @@ impl FlashCardStore {
     /// Unmaps `lbn` if it is mapped (its slot becomes dead); returns
     /// whether it was.
     fn unmap(&mut self, lbn: u64) -> bool {
-        let Some(loc) = self.map.remove(&lbn) else {
+        let Some(loc) = self.map.remove(lbn) else {
             return false;
         };
         self.kill_slot(loc);
@@ -726,16 +751,17 @@ impl FlashCardStore {
         assert!(self.unmap(lbn), "dropping a mapped block");
     }
 
-    /// The lbns of `seg`'s live blocks in ascending order, read from the
-    /// slot table (at most `blocks_per_segment` entries). The scrubber
-    /// needs the order: it draws one bit-error sample per block in visit
-    /// order. The cleaner relocates in the same order.
-    fn live_lbns(&self, seg: u32) -> Vec<u64> {
+    /// Replaces the contents of `out` with the lbns of `seg`'s live
+    /// blocks in ascending order, read from the slot table (at most
+    /// `blocks_per_segment` entries). The scrubber needs the order: it
+    /// draws one bit-error sample per block in visit order. The cleaner
+    /// relocates in the same order.
+    fn live_lbns(&self, seg: u32, out: &mut Vec<u64>) {
         let start = self.slot_index(seg, 0);
         let summary = &self.slots[start..start + self.blocks_per_segment as usize];
-        let mut lbns: Vec<u64> = summary.iter().copied().filter(|&l| l != NO_LBN).collect();
-        lbns.sort_unstable();
-        lbns
+        out.clear();
+        out.extend(summary.iter().copied().filter(|&l| l != NO_LBN));
+        out.sort_unstable();
     }
 
     /// Moves `lbn` (keeping its write generation — relocation copies data,
@@ -753,8 +779,7 @@ impl FlashCardStore {
         if self.read_only || (self.frontier_full() && self.erased.is_empty()) {
             return false;
         }
-        let gen = self.map[&lbn].gen;
-        self.place_block_at(lbn, gen);
+        self.relocate_block(lbn);
         self.stamp_frontier(at);
         self.counters.blocks_relocated += 1;
         obs.record(&Event::BlockRelocated {
@@ -797,29 +822,53 @@ impl FlashCardStore {
     ///
     /// The caller must ensure the frontier has a free slot.
     fn place_block(&mut self, lbn: u64) {
-        let gen = self.write_gen;
-        self.write_gen += 1;
-        self.place_block_at(lbn, gen);
+        check_domain(lbn);
+        let gen = self.next_write_gen();
+        let (seg, slot) = self.claim_slot(lbn);
+        match self.map.insert(lbn, BlockLoc { seg, slot, gen }) {
+            Some(old) => self.kill_slot(old),
+            None => self.live_blocks += 1,
+        }
     }
 
-    /// Places one logical block at the frontier carrying generation `gen`
-    /// (the cleaner relocates data without re-stamping it).
-    fn place_block_at(&mut self, lbn: u64, gen: u64) {
-        assert_ne!(lbn, NO_LBN, "lbn u64::MAX is reserved");
+    /// Hands out the next write generation.
+    fn next_write_gen(&mut self) -> NonZeroU64 {
+        let gen = NonZeroU64::new(self.write_gen)
+            .expect("write generations start at FIRST_GENERATION = 1 and only grow");
+        self.write_gen += 1;
+        gen
+    }
+
+    /// Moves mapped block `lbn` to the frontier, keeping its generation
+    /// (the cleaner copies data, it does not rewrite it). One table access
+    /// reads the old location and writes the new one.
+    fn relocate_block(&mut self, lbn: u64) {
+        let (seg, slot) = self.claim_slot(lbn);
+        let loc = self.map.get_mut(lbn).expect("relocating a mapped block");
+        let old = *loc;
+        *loc = BlockLoc {
+            seg,
+            slot,
+            gen: old.gen,
+        };
+        self.kill_slot(old);
+    }
+
+    /// Takes the frontier's next free slot for `lbn`, opening a new
+    /// frontier if the current one is full; returns `(segment, slot)`.
+    /// The caller points the block map at it.
+    fn claim_slot(&mut self, lbn: u64) -> (u32, u32) {
         if self.frontier_full() {
             assert!(self.advance_frontier(), "place_block with no space");
         }
         let seg = self.frontier;
         let slot = self.segments[seg as usize].used;
-        match self.map.insert(lbn, BlockLoc { seg, slot, gen }) {
-            Some(old) => self.kill_slot(old),
-            None => self.live_blocks += 1,
-        }
         let i = self.slot_index(seg, slot);
         self.slots[i] = lbn;
         let f = &mut self.segments[seg as usize];
         f.live += 1;
         f.used += 1;
+        (seg, slot)
     }
 
     /// Stamps the frontier's last-write time after a block lands there
@@ -842,9 +891,13 @@ impl FlashCardStore {
             // Cleaning a fully-live segment frees nothing.
             .filter(|(_, s)| s.live < self.blocks_per_segment);
         match self.config.victim_policy {
+            // The `(live, index)` order as one integer (segment indices fit
+            // in 32 bits): a branch-free minimum over every segment, which
+            // the cleaner computes once per pass.
             VictimPolicy::GreedyMinLive => candidates
-                .min_by_key(|(i, s)| (s.live, *i))
-                .map(|(i, _)| i as u32),
+                .map(|(i, s)| (u64::from(s.live) << 32) | i as u64)
+                .min()
+                .map(|key| key as u32),
             VictimPolicy::Fifo => candidates
                 .min_by_key(|(i, s)| (s.opened_at_seq, *i))
                 .map(|(i, _)| i as u32),
@@ -909,13 +962,14 @@ impl FlashCardStore {
         // *time* of copying plus erasure is paid by the job as it runs.
         // Relocation preserves each block's write generation: the cleaner
         // moves data, it does not rewrite it.
-        let lbns = self.live_lbns(victim);
+        let mut lbns = std::mem::take(&mut self.live_buf);
+        self.live_lbns(victim, &mut lbns);
         let copy_blocks = lbns.len() as u64;
-        for lbn in lbns {
-            let gen = self.map[&lbn].gen;
-            self.place_block_at(lbn, gen);
+        for &lbn in &lbns {
+            self.relocate_block(lbn);
             self.stamp_frontier(at);
         }
+        self.live_buf = lbns;
         self.counters.blocks_copied += copy_blocks;
         debug_assert_eq!(self.segments[victim as usize].live, 0);
 
@@ -1104,7 +1158,8 @@ impl FlashCardStore {
                 self.next_scrub += interval;
                 continue;
             };
-            let lbns = self.live_lbns(seg);
+            let mut lbns = std::mem::take(&mut self.live_buf);
+            self.live_lbns(seg, &mut lbns);
             let blocks = lbns.len() as u32;
             let begin = t.max(self.next_scrub);
             let pass = self.config.params.access_latency
@@ -1114,6 +1169,7 @@ impl FlashCardStore {
                     .copy_read_bandwidth
                     .transfer_time(u64::from(blocks) * self.config.block_size);
             if begin + pass > now {
+                self.live_buf = lbns;
                 break; // Defer: the pass does not fit in this idle gap.
             }
             if begin > t {
@@ -1125,7 +1181,7 @@ impl FlashCardStore {
             let since = begin.saturating_since(s.written_at);
             let mut corrected = 0u32;
             let mut relocated = 0u32;
-            for lbn in lbns {
+            for &lbn in &lbns {
                 match self.integrity.classify_read(erase_count, since) {
                     ReadVerdict::Clean => {}
                     ReadVerdict::Corrected { errors } => {
@@ -1157,6 +1213,7 @@ impl FlashCardStore {
                     }
                 }
             }
+            self.live_buf = lbns;
             self.counters.scrub_passes += 1;
             self.counters.scrub_reads += u64::from(blocks);
             self.meter
@@ -1200,7 +1257,7 @@ impl FlashCardStore {
     pub fn check_invariants(&self) {
         self.check_counts();
         let bps = self.blocks_per_segment as usize;
-        for (&lbn, loc) in &self.map {
+        for (lbn, loc) in self.map.iter() {
             assert!(
                 loc.slot < self.segments[loc.seg as usize].used,
                 "lbn {lbn} in unwritten slot {} of segment {}",
@@ -1310,7 +1367,7 @@ impl Device for FlashCardStore {
         let mut retry_lbn = 0u64;
         for i in 0..u64::from(blocks) {
             let b = lbn + i;
-            let Some(loc) = self.map.get(&b) else {
+            let Some(loc) = self.map.get(b) else {
                 // Unmapped blocks have no stored charge to decay; they are
                 // served (as before) without consuming a bit-error draw.
                 continue;
@@ -1414,8 +1471,8 @@ impl Device for FlashCardStore {
     ///
     /// # Panics
     ///
-    /// Panics on a block range that reaches lbn `u64::MAX`, which the card
-    /// reserves to mark empty slots.
+    /// Panics on a block range that reaches [`MAX_LBN_END`], the end of
+    /// the lbn domain.
     fn write<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> WriteOutcome {
         let (lbn, blocks) = (req.lbn, req.block_count(self.config.block_size));
         if self.read_only {
@@ -2016,6 +2073,15 @@ mod tests {
         assert_eq!(census.dead, 0, "an aged-but-full card has no dead blocks");
         assert_eq!(census.free, 256, "frontier + reserve stay free");
         card.check_invariants();
+        // A two-segment card has no fillable segment: only an empty
+        // preload fits.
+        let mut two = FlashCardStore::new(FlashCardConfig {
+            capacity_bytes: 256 * KIB,
+            ..card.config().clone()
+        });
+        two.preload_aged(std::iter::empty());
+        assert_eq!((two.live_blocks(), two.census().free), (0, 256));
+        two.check_invariants();
         // Overwrites at this utilization still make progress: dead blocks
         // accumulate in the preloaded segments and cleaning reclaims them.
         let mut t = SimTime::ZERO;
@@ -2409,7 +2475,7 @@ mod tests {
     /// places there, ascending (one pass over the map for all segments).
     fn scan_live_lbns(card: &FlashCardStore) -> Vec<Vec<u64>> {
         let mut by_segment = vec![Vec::new(); card.segments.len()];
-        for (&lbn, loc) in &card.map {
+        for (lbn, loc) in card.map.iter() {
             by_segment[loc.seg as usize].push(lbn);
         }
         for lbns in &mut by_segment {
@@ -2492,10 +2558,11 @@ mod tests {
                             }
                             _ => t = card.power_fail(t, &mut NoopObserver).end,
                         }
+                        let mut walked = Vec::new();
                         for (seg, expected) in scan_live_lbns(&card).iter().enumerate() {
+                            card.live_lbns(seg as u32, &mut walked);
                             assert_eq!(
-                                &card.live_lbns(seg as u32),
-                                expected,
+                                &walked, expected,
                                 "case {case} ({mode:?}, {victim_policy:?}) op {op}: segment {seg}"
                             );
                         }

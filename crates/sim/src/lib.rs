@@ -35,6 +35,9 @@
 //!   classification ([`integrity::IntegrityPlan`]): raw errors grow with
 //!   erase count and retention time, verdicts split into corrected /
 //!   retried / uncorrectable;
+//! * [`lbn`] — the lbn domain bound ([`lbn::MAX_LBN_END`], 2^32) and
+//!   [`lbn::LbnTable`], the paged lbn-indexed table behind the flash
+//!   card's block map and the DRAM cache's LRU index;
 //! * [`obs`] — structured sim-time event tracing ([`obs::Event`],
 //!   [`obs::Observer`]); the default [`obs::NoopObserver`] monomorphises
 //!   away entirely;
@@ -62,6 +65,7 @@ pub mod fault;
 pub mod fleet;
 pub mod hist;
 pub mod integrity;
+pub mod lbn;
 pub mod obs;
 pub mod prof;
 pub mod rng;

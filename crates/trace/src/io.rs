@@ -28,10 +28,8 @@ use crate::record::{DiskOp, DiskOpKind, FileId, Trace};
 pub const MAX_OP_BLOCKS: u32 = 65_536;
 
 /// Exclusive upper end of every record's block range: `lbn + blocks`
-/// must not exceed 2^32 (4 TiB at 1-KB blocks; the generated workloads
-/// end below 33,000). This also keeps the flash card's reserved lbn
-/// `u64::MAX` out of reach.
-pub const MAX_LBN_END: u64 = 1 << 32;
+/// must not exceed it. Defined with the lbn-indexed table it protects.
+pub use mobistore_sim::lbn::MAX_LBN_END;
 
 /// An error produced when parsing a textual trace.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -161,10 +161,13 @@ impl Trace {
 
     /// Returns the largest logical block number touched plus one, i.e. the
     /// minimum device capacity (in blocks) needed to replay this trace.
+    ///
+    /// Saturates at `u64::MAX` for a hand-built op whose range would
+    /// overflow, so callers can compare it against a bound.
     pub fn blocks_spanned(&self) -> u64 {
         self.ops
             .iter()
-            .map(|op| op.lbn + u64::from(op.blocks))
+            .map(|op| op.lbn.saturating_add(u64::from(op.blocks)))
             .max()
             .unwrap_or(0)
     }
@@ -174,19 +177,40 @@ impl Trace {
 /// the data a block-mapped device must hold before a replay (§5.2
 /// preallocates it).
 pub fn working_set(ops: &[DiskOp]) -> Vec<u64> {
-    let mut blocks: Vec<u64> = ops
+    let runs = working_set_runs(ops);
+    let mut blocks =
+        Vec::with_capacity(runs.iter().map(|(start, end)| end - start).sum::<u64>() as usize);
+    for (start, end) in runs {
+        blocks.extend(start..end);
+    }
+    blocks
+}
+
+/// [`working_set`] as ascending, disjoint `(start, end)` block ranges,
+/// merged from the ops' sorted ranges so that the cost follows the op
+/// count, not the blocks touched.
+pub fn working_set_runs(ops: &[DiskOp]) -> Vec<(u64, u64)> {
+    let mut ranges: Vec<(u64, u64)> = ops
         .iter()
         .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
+        .map(|op| (op.lbn, op.lbn.saturating_add(u64::from(op.blocks))))
         .collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks
+    ranges.sort_unstable();
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for (start, end) in ranges {
+        match runs.last_mut() {
+            Some((_, run_end)) if start <= *run_end => *run_end = (*run_end).max(end),
+            _ if start < end => runs.push((start, end)),
+            _ => {}
+        }
+    }
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobistore_sim::rng::SimRng;
 
     fn op_at(ns: u64) -> DiskOp {
         DiskOp {
@@ -254,6 +278,64 @@ mod tests {
         ];
         assert_eq!(working_set(&ops), vec![2, 3, 4, 5, 6]);
         assert!(working_set(&[]).is_empty());
+        // Nested (20..30 holds 22..25), adjacent (30..32 after 20..30),
+        // overlapping (40..45 and 43..48), duplicate and zero-block ops;
+        // a zero-block op inside a gap adds nothing.
+        let ops = [
+            op(DiskOpKind::Write, 40, 5),
+            op(DiskOpKind::Read, 22, 3),
+            op(DiskOpKind::Write, 20, 10),
+            op(DiskOpKind::Read, 30, 2),
+            op(DiskOpKind::Read, 43, 5),
+            op(DiskOpKind::Write, 43, 5),
+            op(DiskOpKind::Write, 35, 0),
+            op(DiskOpKind::Read, 20, 0),
+            op(DiskOpKind::Trim, 32, 8),
+        ];
+        let want: Vec<u64> = (20..32).chain(40..48).collect();
+        assert_eq!(working_set(&ops), want);
+        assert_eq!(working_set(&ops), expand_sort_dedup(&ops));
+
+        for case in 0..200u64 {
+            let mut rng = SimRng::seed_with_stream(case, 31);
+            // Short spans over a narrow window force overlaps, nesting and
+            // adjacency; a few long ops and distant lbns mix in gaps.
+            let window = rng.range_inclusive(1, 300);
+            let ops: Vec<DiskOp> = (0..rng.below(60))
+                .map(|_| {
+                    let kind = match rng.below(3) {
+                        0 => DiskOpKind::Read,
+                        1 => DiskOpKind::Write,
+                        _ => DiskOpKind::Trim,
+                    };
+                    let lbn = if rng.chance(0.1) {
+                        5_000 + rng.below(window)
+                    } else {
+                        rng.below(window)
+                    };
+                    let blocks = if rng.chance(0.1) {
+                        rng.below(200)
+                    } else {
+                        rng.below(9)
+                    };
+                    op(kind, lbn, blocks as u32)
+                })
+                .collect();
+            assert_eq!(working_set(&ops), expand_sort_dedup(&ops), "case {case}");
+        }
+    }
+
+    /// The reference the range merge must match: every block of every
+    /// op, sorted and deduplicated.
+    fn expand_sort_dedup(ops: &[DiskOp]) -> Vec<u64> {
+        let mut blocks: Vec<u64> = ops
+            .iter()
+            .filter(|op| op.kind != DiskOpKind::Trim)
+            .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks
     }
 
     #[test]

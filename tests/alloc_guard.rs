@@ -1,0 +1,94 @@
+//! Allocation guard for the simulator's op path.
+//!
+//! Every op the simulator replays touches the DRAM cache's index, the
+//! flash card's block map and, under cleaning, the cleaner's live-block
+//! list. Those structures and the per-op block lists are reused across
+//! ops, so a replay's heap allocations come from set-up and from tables
+//! growing to their working size, not from the ops themselves. This test
+//! counts the allocations one `simulate` call makes on the calling thread
+//! and bounds them per op.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mobistore::core::simulator::simulate;
+use mobistore::device::params::intel_datasheet;
+use mobistore::experiments::flash_card_config;
+use mobistore::sim::units::MIB;
+use mobistore::Workload;
+
+/// The system allocator, counting the allocations each thread makes.
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations (including reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with` fails only while the thread is being torn down; those
+    // allocations are not the test's.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over. Counting touches only
+// a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract;
+        // `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract;
+        // `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn card_replay_with_dram_allocates_under_a_tenth_per_op() {
+    // The card-clean cell: the mac trace on the Intel card at 90%
+    // utilization, so the cleaner relocates blocks throughout, behind
+    // 2 MB of write-through DRAM.
+    let trace = Workload::Mac.generate_scaled(0.05, 1994);
+    let config = flash_card_config(intel_datasheet(), &trace, 0.9).with_dram(2 * MIB);
+    let ops = trace.ops.len() as u64;
+
+    let before = allocations();
+    let metrics = simulate(&config, &trace);
+    let allocs = allocations() - before;
+
+    let card = metrics
+        .flash_card
+        .expect("a card run reports card counters");
+    assert!(card.blocks_copied > 0, "the cleaner never ran: {card:?}");
+    assert!(ops >= 2_000, "too few ops ({ops}) to amortise set-up");
+    let per_op = allocs as f64 / ops as f64;
+    assert!(
+        per_op < 0.1,
+        "{allocs} heap allocations over {ops} ops ({per_op:.3} per op)"
+    );
+}

@@ -7,7 +7,7 @@
 //! construction (re-run the same test, get the same cases). On failure the
 //! case index is included in the assertion message.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use mobistore::cache::lru::LruSet;
 use mobistore::device::params::intel_datasheet;
@@ -120,6 +120,10 @@ fn lru_matches_reference() {
 // the live-block map matches a reference set.
 // ---------------------------------------------------------------------
 
+/// First lbn the random card ops address: their 600-block window
+/// straddles the card's lbn table page boundary at 4,096.
+const OP_BASE: u64 = 3_700;
+
 #[derive(Debug, Clone)]
 enum CardOp {
     Write { lbn: u64, blocks: u32 },
@@ -131,15 +135,15 @@ enum CardOp {
 fn card_op(rng: &mut SimRng) -> CardOp {
     match rng.below(6) {
         0..=2 => CardOp::Write {
-            lbn: rng.below(600),
+            lbn: OP_BASE + rng.below(600),
             blocks: rng.range_inclusive(1, 7) as u32,
         },
         3 => CardOp::Trim {
-            lbn: rng.below(600),
+            lbn: OP_BASE + rng.below(600),
             blocks: rng.range_inclusive(1, 7) as u32,
         },
         4 => CardOp::Read {
-            lbn: rng.below(600),
+            lbn: OP_BASE + rng.below(600),
             blocks: rng.range_inclusive(1, 3) as u32,
         },
         _ => CardOp::Idle {
@@ -173,7 +177,7 @@ fn apply(card: &mut FlashCardStore, op: &CardOp, now: SimTime) -> SimTime {
 }
 
 /// Mirrors `op` into the set of live blocks.
-fn track(live: &mut HashSet<u64>, op: &CardOp) {
+fn track(live: &mut BTreeSet<u64>, op: &CardOp) {
     match *op {
         CardOp::Write { lbn, blocks } => live.extend(lbn..lbn + u64::from(blocks)),
         CardOp::Trim { lbn, blocks } => {
@@ -181,6 +185,14 @@ fn track(live: &mut HashSet<u64>, op: &CardOp) {
         }
         _ => {}
     }
+}
+
+/// The card's mapped blocks, read from its ascending snapshot, are
+/// exactly the reference set.
+fn assert_live_set(card: &FlashCardStore, model: &BTreeSet<u64>, case: u64) {
+    let mapped: Vec<u64> = card.snapshot().iter().map(|e| e.lbn).collect();
+    let expected: Vec<u64> = model.iter().copied().collect();
+    assert_eq!(mapped, expected, "live blocks diverged (case {case})");
 }
 
 /// The card the invariant properties drive: 16 segments x 128 KB at 1-KB
@@ -212,7 +224,7 @@ fn flash_card_invariants_hold() {
         let n_ops = rng.below(150);
         let mut card = property_card(case);
         card.preload_aged(1000..1000 + preload);
-        let mut model: HashSet<u64> = (1000..1000 + preload).collect();
+        let mut model: BTreeSet<u64> = (1000..1000 + preload).collect();
 
         let mut now = SimTime::ZERO;
         for _ in 0..n_ops {
@@ -221,6 +233,7 @@ fn flash_card_invariants_hold() {
             track(&mut model, &op);
             card.check_invariants();
             assert_eq!(card.live_blocks(), model.len() as u64, "case {case}");
+            assert_live_set(&card, &model, case);
             assert!(
                 card.live_blocks() + card.free_blocks() <= card.capacity_blocks(),
                 "case {case}"
@@ -262,7 +275,7 @@ fn flash_card_invariants_hold_under_faults() {
         let n_ops = rng.below(150);
         let mut card = property_card(case).with_faults(fault);
         card.preload_aged(1000..1000 + preload);
-        let mut model: HashSet<u64> = (1000..1000 + preload).collect();
+        let mut model: BTreeSet<u64> = (1000..1000 + preload).collect();
 
         let mut now = SimTime::ZERO;
         for _ in 0..n_ops {
@@ -285,6 +298,7 @@ fn flash_card_invariants_hold_under_faults() {
             // Faults never lose live data: retries eventually succeed and
             // only segments holding no live blocks are retired.
             assert_eq!(card.live_blocks(), model.len() as u64, "case {case}");
+            assert_live_set(&card, &model, case);
             assert!(card.live_blocks() <= card.usable_blocks(), "case {case}");
         }
         let c = card.counters();
