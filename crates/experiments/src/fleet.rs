@@ -37,7 +37,7 @@
 //! byte-identical at any `--jobs` count, and simulating shard `k` alone
 //! reproduces exactly the bytes it contributed in-fleet.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -49,7 +49,7 @@ use mobistore_device::params::{cu140_datasheet, intel_datasheet, sdp5_datasheet}
 use mobistore_sim::exec::{ordered_stream_map, panic_cause};
 use mobistore_sim::fault::FaultConfig;
 use mobistore_sim::fleet::{
-    fnv1a, splitmix64, ChaosConfig, FleetConfig, FleetPlan, FleetShard, Mix, ShardError,
+    splitmix64, ChaosConfig, FleetConfig, FleetPlan, FleetShard, Fnv1a, Mix, ShardError,
 };
 use mobistore_sim::time::SimDuration;
 use mobistore_sim::units::MIB;
@@ -273,9 +273,12 @@ pub fn supervised_simulate_shard(
 
 /// FNV-1a over a metrics row's debug rendering: a cheap but sensitive
 /// fingerprint used to prove shard-alone equals in-fleet without
-/// retaining 10k full metric sets.
+/// retaining 10k full metric sets. The rendering is hashed as it is
+/// written, never collected into a `String`.
 pub fn metrics_digest(m: &Metrics) -> u64 {
-    fnv1a(format!("{m:?}").as_bytes())
+    let mut h = Fnv1a::new();
+    write!(h, "{m:?}").expect("hashing formatted text cannot fail");
+    h.finish()
 }
 
 /// One shard's lightweight summary row (the full [`Metrics`] is merged

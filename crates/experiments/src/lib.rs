@@ -116,7 +116,8 @@ pub fn shared_trace(workload: Workload, scale: Scale) -> Arc<Trace> {
 ///
 /// Works on merged `(start, end)` block ranges rather than materializing
 /// one entry per block, so a multi-megabyte op costs O(1) here and the
-/// whole computation is O(ops log ops) — not O(blocks).
+/// whole computation (a radix sort and a merge) is linear in the op
+/// count, not in the blocks.
 pub fn working_set_blocks(trace: &Trace) -> u64 {
     working_set_runs(&trace.ops)
         .iter()

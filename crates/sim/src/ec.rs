@@ -564,6 +564,37 @@ mod tests {
         assert!(ReedSolomon::new(1, 254).is_ok());
     }
 
+    /// Schoolbook GF(2^8) product: the carry-less product of `a` and
+    /// `b`, reduced modulo the field polynomial 0x11d bit by bit.
+    fn clmul_reduce(a: u8, b: u8) -> u8 {
+        let mut product = 0u16;
+        for bit in 0..8 {
+            if b & (1 << bit) != 0 {
+                product ^= u16::from(a) << bit;
+            }
+        }
+        for bit in (8..15).rev() {
+            if product & (1 << bit) != 0 {
+                product ^= 0x11d << (bit - 8);
+            }
+        }
+        product as u8
+    }
+
+    #[test]
+    fn gf_mul_and_inv_match_schoolbook_arithmetic() {
+        let gf = Gf256::new();
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(gf.mul(a, b), clmul_reduce(a, b), "{a} * {b}");
+            }
+        }
+        for a in 1..=255u8 {
+            let inverses: Vec<u8> = (1..=255u8).filter(|&x| clmul_reduce(a, x) == 1).collect();
+            assert_eq!(inverses, [gf.inv(a)], "inverse of {a}");
+        }
+    }
+
     #[test]
     fn gf_field_axioms_spot_check() {
         let gf = Gf256::new();

@@ -24,6 +24,8 @@
 //! owns one contiguous hash range and the map can be printed as
 //! `lo-hi=shard` entries.
 
+use std::fmt;
+
 use crate::rng::SimRng;
 
 /// Stream-selector base for per-shard RNG streams, chosen to collide with
@@ -56,12 +58,60 @@ pub fn splitmix64(x: u64) -> u64 {
 /// FNV-1a (64-bit): the byte-string hash behind checkpoint
 /// fingerprints, fleet metrics digests and per-trace RNG stream ids.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// A running FNV-1a (64-bit) hash, and a [`fmt::Write`] sink: `write!`
+/// into it hashes formatted text as it is produced, with no `String` in
+/// between. Feeding it the bytes of [`fnv1a`]'s input, in any split,
+/// finishes on the same hash.
+///
+/// # Examples
+///
+/// ```
+/// use std::fmt::Write;
+/// use mobistore_sim::fleet::{fnv1a, Fnv1a};
+///
+/// let mut h = Fnv1a::new();
+/// write!(h, "shard{:05}/{}", 7, "mac").unwrap();
+/// assert_eq!(h.finish(), fnv1a(b"shard00007/mac"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hash of no bytes yet.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Hashes `bytes` onto what came before.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A weighted mix of labelled classes (device models, workloads), picked
@@ -358,6 +408,21 @@ mod tests {
             workload_mix: Mix::new(&[("mac", 2), ("dos", 1)]),
             device_mix: Mix::new(&[("disk", 1), ("card", 1)]),
             seed,
+        }
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors_in_any_split() {
+        // The FNV reference test vectors for "", "a" and "foobar".
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let text = "Histogram { counts: [0, 0, 3], count: 3 }";
+        for split in 0..=text.len() {
+            let mut h = Fnv1a::new();
+            fmt::Write::write_str(&mut h, &text[..split]).unwrap();
+            h.update(&text.as_bytes()[split..]);
+            assert_eq!(h.finish(), fnv1a(text.as_bytes()), "split at {split}");
         }
     }
 

@@ -8,6 +8,8 @@
 //! most 1/32 ≈ 3.1% — while the whole structure stays a few kilobytes and
 //! every operation is integer-only and therefore deterministic.
 
+use std::fmt;
+
 use crate::stats::{OnlineStats, Summary};
 use crate::time::SimDuration;
 
@@ -37,12 +39,78 @@ const SUB: u64 = 1 << SUB_BITS;
 /// let p50 = h.percentile_nanos(0.50) as f64;
 /// assert!((p50 - 50e6).abs() / 50e6 <= 1.0 / 32.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Bucket counts, indexed by [`bucket_index`]; grown on demand.
     counts: Vec<u64>,
     /// Total observations.
     count: u64,
+}
+
+/// Sixty-four empty buckets as a list's `Debug` renders them after its
+/// first entry.
+const EMPTY_BUCKETS: &str = concat!(
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+    ", 0, 0, 0, 0, 0, 0, 0, 0",
+);
+
+/// Writes the bytes `#[derive(Debug)]` would, `Histogram { counts: [..],
+/// count: n }`, but a run of empty buckets goes out as slices of one
+/// string rather than one formatter call per bucket: a fleet shard's
+/// metrics hold about 2,200 empty buckets, and `metrics_digest` hashes
+/// this text. A zero renders as `0` in decimal and in both hex forms;
+/// every other count goes through its own `Debug`. Any flag that changes
+/// how a zero renders (`{:#?}`, a width, a precision, `+`, `0`) takes the
+/// derived rendering through `debug_struct`.
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let flagged = f.alternate()
+            || f.width().is_some()
+            || f.precision().is_some()
+            || f.sign_plus()
+            || f.sign_aware_zero_pad();
+        if flagged {
+            return f
+                .debug_struct("Histogram")
+                .field("counts", &self.counts)
+                .field("count", &self.count)
+                .finish();
+        }
+        f.write_str("Histogram { counts: [")?;
+        let mut rest = &self.counts[..];
+        let mut first = true;
+        while let Some((&count, tail)) = rest.split_first() {
+            if count != 0 {
+                if !first {
+                    f.write_str(", ")?;
+                }
+                fmt::Debug::fmt(&count, f)?;
+                rest = tail;
+            } else {
+                let mut zeros = rest.iter().take_while(|&&c| c == 0).count();
+                rest = &rest[zeros..];
+                if first {
+                    f.write_str("0")?;
+                    zeros -= 1;
+                }
+                while zeros > 0 {
+                    let n = zeros.min(EMPTY_BUCKETS.len() / 3);
+                    f.write_str(&EMPTY_BUCKETS[..3 * n])?;
+                    zeros -= n;
+                }
+            }
+            first = false;
+        }
+        f.write_str("], count: ")?;
+        fmt::Debug::fmt(&self.count, f)?;
+        f.write_str(" }")
+    }
 }
 
 /// Maps a value to its bucket index.
@@ -239,6 +307,86 @@ impl LatencyRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Histogram` with the derived `Debug` its hand-written one replaces.
+    /// The mirrors' fields are read only by their derived `Debug`.
+    #[allow(dead_code)]
+    mod derived {
+        #[derive(Debug)]
+        pub struct Histogram {
+            pub counts: Vec<u64>,
+            pub count: u64,
+        }
+
+        /// A derived parent, as `Metrics` holds its histograms.
+        #[derive(Debug)]
+        pub struct Outer {
+            pub name: &'static str,
+            pub hist: Histogram,
+            pub after: u64,
+        }
+    }
+
+    /// The hand-written side of [`derived::Outer`].
+    #[allow(dead_code)]
+    mod written {
+        #[derive(Debug)]
+        pub struct Outer {
+            pub name: &'static str,
+            pub hist: super::Histogram,
+            pub after: u64,
+        }
+    }
+
+    #[test]
+    fn debug_matches_the_derived_rendering() {
+        let mut rng = crate::rng::SimRng::seed_from_u64(17);
+        let mut cases = vec![Histogram::new()];
+        for case in 0..60 {
+            let mut h = Histogram::new();
+            // Sparse, clustered and dense bucket patterns, runs of empty
+            // buckets longer and shorter than one slice, and a leading
+            // empty bucket or a leading count.
+            for _ in 0..rng.below(40) {
+                let v = match case % 3 {
+                    0 => rng.below(40),
+                    1 => rng.next_u64() >> rng.below(64),
+                    _ => 1_000 + rng.below(200_000),
+                };
+                h.record_n(v, 1 + rng.below(3) * rng.below(1 << 20));
+            }
+            cases.push(h);
+        }
+        let mut only_zero_bucket = Histogram::new();
+        only_zero_bucket.record(0);
+        cases.push(only_zero_bucket);
+        for h in &cases {
+            let mirror = derived::Histogram {
+                counts: h.counts.clone(),
+                count: h.count,
+            };
+            assert_eq!(format!("{h:?}"), format!("{mirror:?}"));
+            assert_eq!(format!("{h:#?}"), format!("{mirror:#?}"));
+            assert_eq!(format!("{h:x?}"), format!("{mirror:x?}"));
+            assert_eq!(format!("{h:X?}"), format!("{mirror:X?}"));
+            assert_eq!(format!("{h:5?}"), format!("{mirror:5?}"));
+            assert_eq!(format!("{h:+?}"), format!("{mirror:+?}"));
+            assert_eq!(format!("{h:03?}"), format!("{mirror:03?}"));
+            assert_eq!(format!("{h:.1?}"), format!("{mirror:.1?}"));
+            let outer = written::Outer {
+                name: "x",
+                hist: h.clone(),
+                after: 7,
+            };
+            let mirror = derived::Outer {
+                name: "x",
+                hist: mirror,
+                after: 7,
+            };
+            assert_eq!(format!("{outer:?}"), format!("{mirror:?}"));
+            assert_eq!(format!("{outer:#?}"), format!("{mirror:#?}"));
+        }
+    }
 
     #[test]
     fn record_n_round_trips_nonzero_buckets() {

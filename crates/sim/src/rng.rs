@@ -87,15 +87,19 @@ impl SimRng {
     /// Panics if `n` is zero.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is empty");
-        // Lemire-style rejection on the widening multiply.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (n as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        // Lemire's nearly-divisionless rejection on the widening multiply:
+        // a draw is rejected iff its low word is below 2^64 mod n. That
+        // threshold is itself below n, so the division that computes it
+        // runs only for a low word below n, and every draw is accepted or
+        // rejected exactly as with an up-front threshold.
+        let mut m = u128::from(self.next_u64()) * u128::from(n);
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(n);
             }
         }
+        (m >> 64) as u64
     }
 
     /// Returns a uniform integer in `[lo, hi]` (inclusive).
@@ -140,15 +144,54 @@ impl SimRng {
     }
 
     /// Samples a log-normal distribution parameterised by the *target*
-    /// arithmetic mean and standard deviation of the resulting values.
-    ///
-    /// This is the heavy-tailed interarrival model used to match the paper's
-    /// Table 3 statistics (mean ≪ σ ≪ max).
+    /// arithmetic mean and standard deviation of the resulting values:
+    /// one draw of [`LogNormal::new`]`(mean, std)`. Samplers that draw
+    /// many values from one distribution build the [`LogNormal`] once.
     ///
     /// # Panics
     ///
     /// Panics if `mean` or `std` is not finite and positive.
     pub fn lognormal_mean_std(&mut self, mean: f64, std: f64) -> f64 {
+        LogNormal::new(mean, std).sample(self)
+    }
+}
+
+/// A log-normal distribution parameterised by the *target* arithmetic
+/// mean and standard deviation of the values it draws.
+///
+/// This is the heavy-tailed interarrival model used to match the paper's
+/// Table 3 statistics (mean ≪ σ ≪ max). [`LogNormal::new`] derives the
+/// underlying normal's μ and σ once; each draw is then one standard normal
+/// and one `exp`.
+///
+/// # Examples
+///
+/// ```
+/// use mobistore_sim::rng::{LogNormal, SimRng};
+///
+/// let gaps = LogNormal::new(0.078, 0.57);
+/// let (mut a, mut b) = (SimRng::seed_from_u64(1), SimRng::seed_from_u64(1));
+/// assert_eq!(gaps.sample(&mut a), b.lognormal_mean_std(0.078, 0.57));
+/// assert_eq!(gaps.mean(), 0.078);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct LogNormal {
+    /// The target arithmetic mean.
+    mean: f64,
+    /// Mean of the underlying normal.
+    mu: f64,
+    /// Standard deviation of the underlying normal.
+    sigma: f64,
+}
+
+impl LogNormal {
+    /// Builds the log-normal whose values have arithmetic mean `mean` and
+    /// standard deviation `std`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` or `std` is not finite and positive.
+    pub fn new(mean: f64, std: f64) -> Self {
         assert!(
             mean.is_finite() && mean > 0.0,
             "mean must be positive: {mean}"
@@ -156,8 +199,21 @@ impl SimRng {
         assert!(std.is_finite() && std > 0.0, "std must be positive: {std}");
         let variance_ratio = (std / mean).powi(2);
         let sigma2 = (1.0 + variance_ratio).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * self.standard_normal()).exp()
+        LogNormal {
+            mean,
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
+    }
+
+    /// The target arithmetic mean the distribution was built with.
+    pub fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// Draws one value.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        (self.mu + self.sigma * rng.standard_normal()).exp()
     }
 }
 
@@ -165,6 +221,15 @@ impl SimRng {
 ///
 /// Rank `k` (0-based) is drawn with probability proportional to
 /// `1 / (k + 1)^s`.
+///
+/// A draw inverts the CDF through a guide table: `2^b` equal-probability
+/// buckets with `b = ⌈log2 n⌉ + 1`, where bucket `j` records the first rank
+/// whose CDF exceeds `j / 2^b`. A uniform `u` starts at its bucket's rank
+/// and scans forward to the first rank whose CDF exceeds `u`. Because
+/// [`SimRng::f64`] returns `m · 2^-53` for an integer `m`, `⌊u · 2^b⌋` and
+/// `j / 2^b` are exact, so no rank the scan skips can be the answer, and
+/// the draw equals a binary search of the CDF (which is strictly
+/// increasing) for every `u`.
 ///
 /// # Examples
 ///
@@ -179,6 +244,9 @@ impl SimRng {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF exceeds `j / 2^b` (or the
+    /// last rank, if none does); `guide.len()` is `2^b`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -186,9 +254,14 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `s` is negative or non-finite.
+    /// Panics if `n` is zero or above 2^32, or `s` is negative or
+    /// non-finite.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf over zero items");
+        assert!(
+            u32::try_from(n - 1).is_ok(),
+            "Zipf over more than 2^32 items: {n}"
+        );
         assert!(s.is_finite() && s >= 0.0, "bad Zipf exponent: {s}");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -200,7 +273,19 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let buckets = 2 * n.next_power_of_two();
+        let last = n - 1;
+        let mut rank = 0;
+        let guide = (0..buckets)
+            .map(|j| {
+                let floor = j as f64 / buckets as f64;
+                while rank < last && cdf[rank] <= floor {
+                    rank += 1;
+                }
+                rank as u32
+            })
+            .collect();
+        Zipf { cdf, guide }
     }
 
     /// Returns the number of items.
@@ -208,14 +293,31 @@ impl Zipf {
         self.cdf.len()
     }
 
-    /// Returns true if the distribution has exactly one item.
+    /// Always returns false: [`Zipf::new`] refuses zero items.
     pub fn is_empty(&self) -> bool {
         false
     }
 
     /// Draws a rank in `0..n`.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
+        self.rank_of(rng.f64())
+    }
+
+    /// The first rank whose CDF exceeds `u` (the last rank if none does),
+    /// for a `u` in `[0, 1)` that is a multiple of 2^-53.
+    fn rank_of(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let mut rank = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while rank < last && self.cdf[rank] <= u {
+            rank += 1;
+        }
+        rank
+    }
+
+    /// [`Zipf::rank_of`] by binary search, the form the guide table
+    /// replaces.
+    #[cfg(test)]
+    fn rank_by_search(&self, u: f64) -> usize {
         match self
             .cdf
             .binary_search_by(|p| p.partial_cmp(&u).expect("NaN in CDF"))
@@ -271,6 +373,125 @@ mod tests {
         for &c in &counts {
             // Each bucket should get 10k ± a generous tolerance.
             assert!((8_000..12_000).contains(&c), "skewed bucket: {counts:?}");
+        }
+    }
+
+    /// [`SimRng::below`] with the threshold division on every call, the
+    /// form the nearly-divisionless one replaces.
+    fn below_always_dividing(rng: &mut SimRng, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn below_matches_the_always_dividing_form() {
+        // 2^63 + 1 rejects almost half its draws and 2^63 - 1 only a low
+        // word of 0 or 1, so both the rejection loop and the skipped
+        // division run.
+        let ns = [1, 3, 64, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, u64::MAX];
+        for (case, &n) in ns.iter().enumerate() {
+            let mut fast = SimRng::seed_with_stream(case as u64, 41);
+            let mut reference = fast.clone();
+            for draw in 0..20_000 {
+                assert_eq!(
+                    fast.below(n),
+                    below_always_dividing(&mut reference, n),
+                    "n {n} draw {draw}"
+                );
+            }
+            assert_eq!(fast.state, reference.state, "n {n}: draws consumed");
+        }
+    }
+
+    /// [`SimRng::lognormal_mean_std`] as it was before [`LogNormal`]
+    /// precomputed μ and σ: every parameter derived on every draw.
+    fn lognormal_per_draw(rng: &mut SimRng, mean: f64, std: f64) -> f64 {
+        let variance_ratio = (std / mean).powi(2);
+        let sigma2 = (1.0 + variance_ratio).ln();
+        let mu = mean.ln() - sigma2 / 2.0;
+        (mu + sigma2.sqrt() * rng.standard_normal()).exp()
+    }
+
+    #[test]
+    fn lognormal_precomputed_matches_per_draw_bit_for_bit() {
+        // The Table 3 interarrival models, the fleet's per-user demand and
+        // a few extreme ratios.
+        let params = [
+            (0.078, 0.57),
+            (16.5, 55.0),
+            (545.0, 450.0),
+            (1.0, 1.0),
+            (0.5, 2.0),
+            (1e-6, 1e3),
+            (1e3, 1e-6),
+        ];
+        for (case, &(mean, std)) in params.iter().enumerate() {
+            let dist = LogNormal::new(mean, std);
+            let mut fast = SimRng::seed_with_stream(case as u64, 43);
+            let mut reference = fast.clone();
+            let mut via_rng = fast.clone();
+            for draw in 0..5_000 {
+                let want = lognormal_per_draw(&mut reference, mean, std).to_bits();
+                assert_eq!(
+                    dist.sample(&mut fast).to_bits(),
+                    want,
+                    "{mean}/{std} #{draw}"
+                );
+                assert_eq!(
+                    via_rng.lognormal_mean_std(mean, std).to_bits(),
+                    want,
+                    "{mean}/{std} #{draw}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_guide_table_matches_binary_search() {
+        for n in [1, 2, 916, 4_096] {
+            for s in [0.0, 0.8, 3.0] {
+                let zipf = Zipf::new(n, s);
+                assert_eq!(zipf.guide.len(), 2 * n.next_power_of_two());
+                let mut rng = SimRng::seed_with_stream(n as u64, s.to_bits());
+                for draw in 0..20_000 {
+                    let u = rng.f64();
+                    assert_eq!(
+                        zipf.rank_of(u),
+                        zipf.rank_by_search(u),
+                        "n {n} s {s} draw {draw} u {u}"
+                    );
+                }
+                // The values where a scan could stop one rank early or
+                // late: every bucket floor, and every CDF value that
+                // `f64()` can return (the ones at or above 1/2, whose ulp
+                // is 2^-53), with their neighbours.
+                let buckets = zipf.guide.len();
+                let floors = (0..buckets).map(|j| j as f64 / buckets as f64);
+                let steps = zipf.cdf.iter().filter(|c| (0.5..1.0).contains(*c)).copied();
+                for u in floors.chain(steps) {
+                    for u in [u - f64::EPSILON / 2.0, u, u + f64::EPSILON / 2.0] {
+                        if (0.0..1.0).contains(&u) {
+                            assert_eq!(
+                                zipf.rank_of(u),
+                                zipf.rank_by_search(u),
+                                "n {n} s {s} u {u}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // `sample` draws exactly one `f64` and inverts it.
+        let zipf = Zipf::new(916, 0.8);
+        let mut a = SimRng::seed_from_u64(12);
+        let mut b = a.clone();
+        for _ in 0..1_000 {
+            assert_eq!(zipf.sample(&mut a), zipf.rank_by_search(b.f64()));
         }
     }
 

@@ -187,17 +187,16 @@ pub fn working_set(ops: &[DiskOp]) -> Vec<u64> {
 }
 
 /// [`working_set`] as ascending, disjoint `(start, end)` block ranges,
-/// merged from the ops' sorted ranges so that the cost follows the op
-/// count, not the blocks touched.
+/// merged from the ops' ranges sorted by start, so that the cost follows
+/// the op count, not the blocks touched.
 pub fn working_set_runs(ops: &[DiskOp]) -> Vec<(u64, u64)> {
-    let mut ranges: Vec<(u64, u64)> = ops
+    let ranges: Vec<(u64, u64)> = ops
         .iter()
         .filter(|op| op.kind != DiskOpKind::Trim)
         .map(|op| (op.lbn, op.lbn.saturating_add(u64::from(op.blocks))))
         .collect();
-    ranges.sort_unstable();
     let mut runs: Vec<(u64, u64)> = Vec::new();
-    for (start, end) in ranges {
+    for (start, end) in sort_by_start(ranges) {
         match runs.last_mut() {
             Some((_, run_end)) if start <= *run_end => *run_end = (*run_end).max(end),
             _ if start < end => runs.push((start, end)),
@@ -205,6 +204,45 @@ pub fn working_set_runs(ops: &[DiskOp]) -> Vec<(u64, u64)> {
         }
     }
     runs
+}
+
+/// log2 of the radix [`sort_by_start`] sorts by.
+const DIGIT_BITS: u32 = 11;
+
+/// Sorts ranges by start with a stable LSD radix sort: one counting pass
+/// per 11-bit digit of the largest start, so a trace whose lbns end below
+/// 2^22 takes two passes and any `u64` at most six. Ranges with equal
+/// starts keep their order, which the merge in [`working_set_runs`] does
+/// not depend on. Needs one buffer the size of `ranges` and a 2,048-entry
+/// count table, whatever the lbn span.
+fn sort_by_start(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    const RADIX: usize = 1 << DIGIT_BITS;
+    let max_start = ranges.iter().map(|&(start, _)| start).max().unwrap_or(0);
+    let bits = u64::BITS - max_start.leading_zeros();
+    let mut sorted = vec![(0, 0); ranges.len()];
+    let mut shift = 0;
+    while shift < bits {
+        let digit = |start: u64| (start >> shift) as usize & (RADIX - 1);
+        let mut next = [0usize; RADIX];
+        for &(start, _) in &ranges {
+            next[digit(start)] += 1;
+        }
+        // Each digit's first slot in `sorted`: the count before it.
+        let mut first = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = first;
+            first += count;
+        }
+        for &range in &ranges {
+            let slot = &mut next[digit(range.0)];
+            sorted[*slot] = range;
+            *slot += 1;
+        }
+        std::mem::swap(&mut ranges, &mut sorted);
+        shift += DIGIT_BITS;
+    }
+    ranges
 }
 
 #[cfg(test)]
@@ -322,6 +360,48 @@ mod tests {
                 })
                 .collect();
             assert_eq!(working_set(&ops), expand_sort_dedup(&ops), "case {case}");
+        }
+        // Lbns near `u64::MAX`, mixed with low ones, so that every one of
+        // the sort's six digits varies; ranges still end by `u64::MAX`.
+        for case in 0..200u64 {
+            let mut rng = SimRng::seed_with_stream(case, 37);
+            let window = rng.range_inclusive(1, 300);
+            let ops: Vec<DiskOp> = (0..rng.below(60))
+                .map(|_| {
+                    let kind = match rng.below(3) {
+                        0 => DiskOpKind::Read,
+                        1 => DiskOpKind::Write,
+                        _ => DiskOpKind::Trim,
+                    };
+                    let lbn = match rng.below(4) {
+                        0 => rng.below(window),
+                        1 => rng.next_u64() >> rng.range_inclusive(1, 63),
+                        _ => u64::MAX - 300 - rng.below(window),
+                    };
+                    op(kind, lbn, rng.below(12) as u32)
+                })
+                .collect();
+            assert_eq!(
+                working_set(&ops),
+                expand_sort_dedup(&ops),
+                "high case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn radix_sort_is_stable_by_start() {
+        for case in 0..100u64 {
+            let mut rng = SimRng::seed_with_stream(case, 39);
+            // Few distinct starts, so ties are common; the end records the
+            // input position.
+            let starts = [0, 1, 2_047, 2_048, 1 << 22, u64::MAX - 1, u64::MAX];
+            let ranges: Vec<(u64, u64)> = (0..rng.below(200))
+                .map(|i| (starts[rng.below(starts.len() as u64) as usize], i))
+                .collect();
+            let mut want = ranges.clone();
+            want.sort_by_key(|&(start, _)| start);
+            assert_eq!(sort_by_start(ranges), want, "case {case}");
         }
     }
 

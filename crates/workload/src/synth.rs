@@ -58,15 +58,16 @@ impl SynthSpec {
     }
 }
 
-/// Generates the file-level records of the synthetic workload.
+/// Generates the file-level records of the synthetic workload: the
+/// stream [`generate`] lays out, collected.
 pub fn generate_records(spec: &SynthSpec, seed: u64) -> Vec<FileRecord> {
-    let files = (spec.dataset_bytes / spec.file_bytes).max(1);
-    let hot_files = ((files as f64 * spec.hot_data_fraction).round() as u64).clamp(1, files);
-    let mut rng = SimRng::seed_with_stream(seed, 0x531);
-    generate_inner(spec, files, hot_files, &mut rng)
+    let mut records = Vec::with_capacity(spec.operations);
+    for_each_record(spec, seed, |rec| records.push(rec));
+    records
 }
 
-/// Generates the synthetic workload as a disk-level [`Trace`].
+/// Generates the synthetic workload as a disk-level [`Trace`], laying
+/// each record out as it is generated.
 ///
 /// # Examples
 ///
@@ -78,7 +79,6 @@ pub fn generate_records(spec: &SynthSpec, seed: u64) -> Vec<FileRecord> {
 /// assert!(trace.len() >= 900);
 /// ```
 pub fn generate(spec: &SynthSpec, seed: u64) -> Trace {
-    let records = generate_records(spec, seed);
     let files = (spec.dataset_bytes / spec.file_bytes).max(1);
     let mut layout = FileLayout::new(spec.block_size);
     // All files are the same 32-Kbyte size; reserve them up front so
@@ -87,38 +87,39 @@ pub fn generate(spec: &SynthSpec, seed: u64) -> Trace {
         layout.reserve(FileId(f), spec.file_bytes);
     }
     let mut trace = Trace::new(spec.block_size);
-    for rec in &records {
-        for op in layout.apply(rec) {
-            trace.push(op);
-        }
-    }
+    trace.ops.reserve(spec.operations);
+    // Records arrive in time order, so the layout appends straight to the
+    // trace.
+    for_each_record(spec, seed, |rec| layout.apply(&rec, &mut trace.ops));
+    debug_assert!(trace.ops.windows(2).all(|w| w[0].time <= w[1].time));
     trace
 }
 
-fn generate_inner(
-    spec: &SynthSpec,
-    files: u64,
-    hot_files: u64,
-    rng: &mut SimRng,
-) -> Vec<FileRecord> {
-    let mut records = Vec::with_capacity(spec.operations);
+/// Generates the workload's records in time order, handing each to `emit`.
+fn for_each_record(spec: &SynthSpec, seed: u64, mut emit: impl FnMut(FileRecord)) {
+    let files = (spec.dataset_bytes / spec.file_bytes).max(1);
+    let hot_files = ((files as f64 * spec.hot_data_fraction).round() as u64).clamp(1, files);
+    let cold_files = files - hot_files;
+    let mut rng = SimRng::seed_with_stream(seed, 0x531);
     let mut deleted = vec![false; files as usize];
     let mut now = SimTime::ZERO;
 
     for _ in 0..spec.operations {
-        now += interarrival(rng);
+        now += interarrival(&mut rng);
         // Hot-and-cold file choice: 7/8 of accesses to the 1/8 hot files.
-        let file = if rng.chance(spec.hot_access_fraction) {
+        // With no cold files (one file, or an all-hot dataset) every
+        // access goes to the hot set.
+        let file = if cold_files == 0 || rng.chance(spec.hot_access_fraction) {
             rng.below(hot_files)
         } else {
-            hot_files + rng.below(files - hot_files)
+            hot_files + rng.below(cold_files)
         };
 
         let op_draw = rng.f64();
         if op_draw < spec.erase_fraction {
             if !deleted[file as usize] {
                 deleted[file as usize] = true;
-                records.push(FileRecord {
+                emit(FileRecord {
                     time: now,
                     op: Op::Delete,
                     file: FileId(file),
@@ -137,7 +138,7 @@ fn generate_inner(
             }
             // The next write to an erased file writes the whole unit.
             deleted[file as usize] = false;
-            records.push(FileRecord {
+            emit(FileRecord {
                 time: now,
                 op: Op::Write,
                 file: FileId(file),
@@ -147,7 +148,7 @@ fn generate_inner(
             continue;
         }
 
-        let size = access_size(spec, rng);
+        let size = access_size(spec, &mut rng);
         let max_offset = spec.file_bytes - size;
         // Block-aligned offsets keep the disk-level trace tidy.
         let offset = if max_offset == 0 {
@@ -155,7 +156,7 @@ fn generate_inner(
         } else {
             rng.below(max_offset / 512 + 1) * 512
         };
-        records.push(FileRecord {
+        emit(FileRecord {
             time: now,
             op: if is_read { Op::Read } else { Op::Write },
             file: FileId(file),
@@ -163,14 +164,13 @@ fn generate_inner(
             size,
         });
     }
-    records
 }
 
 /// §4.1's access-size distribution.
 fn access_size(spec: &SynthSpec, rng: &mut SimRng) -> u64 {
     let draw = rng.f64();
     if draw < 0.4 {
-        KIB / 2
+        (KIB / 2).min(spec.file_bytes)
     } else if draw < 0.8 {
         // (0.5, 16] Kbytes, continuous, rounded up to a 512-byte sector.
         let bytes = rng.uniform(0.5 * KIB as f64, 16.0 * KIB as f64);
@@ -290,6 +290,60 @@ mod tests {
         let c = generate(&spec, 10);
         assert_eq!(a.ops, b.ops);
         assert_ne!(a.ops, c.ops);
+    }
+
+    /// Every access of `spec`'s trace lies inside its file's extent.
+    fn accesses_stay_inside_files(spec: &SynthSpec, seed: u64) -> Vec<FileRecord> {
+        let records = generate_records(spec, seed);
+        for r in &records {
+            assert!(r.offset + r.size <= spec.file_bytes, "overrun: {r:?}");
+        }
+        let trace = generate(spec, seed);
+        let files = (spec.dataset_bytes / spec.file_bytes).max(1);
+        let file_blocks = spec.file_bytes.div_ceil(spec.block_size);
+        assert!(!trace.is_empty());
+        assert!(trace.blocks_spanned() <= files * file_blocks);
+        records
+    }
+
+    #[test]
+    fn a_single_file_dataset_is_all_hot() {
+        // One 32-KB file: the hot set rounds up to it and the cold set is
+        // empty.
+        let spec = SynthSpec {
+            dataset_bytes: 32 * KIB,
+            ..SynthSpec::paper(2_000)
+        };
+        let records = accesses_stay_inside_files(&spec, 21);
+        assert!(records.iter().all(|r| r.file == FileId(0)));
+    }
+
+    #[test]
+    fn an_all_hot_dataset_draws_only_hot_files() {
+        let spec = SynthSpec {
+            hot_data_fraction: 1.0,
+            ..SynthSpec::paper(5_000)
+        };
+        let records = accesses_stay_inside_files(&spec, 22);
+        let mut seen = std::collections::BTreeSet::new();
+        seen.extend(records.iter().map(|r| r.file.0));
+        assert_eq!(seen.len(), 192, "accesses spread over every file");
+    }
+
+    #[test]
+    fn files_under_half_a_kilobyte_cap_every_access() {
+        for file_bytes in [1, 100, 511] {
+            let spec = SynthSpec {
+                dataset_bytes: 64 * KIB,
+                file_bytes,
+                ..SynthSpec::paper(2_000)
+            };
+            let records = accesses_stay_inside_files(&spec, 23);
+            assert!(records.iter().any(|r| r.op != Op::Delete));
+            for r in records.iter().filter(|r| r.op != Op::Delete) {
+                assert_eq!((r.offset, r.size), (0, file_bytes), "{r:?}");
+            }
+        }
     }
 
     #[test]

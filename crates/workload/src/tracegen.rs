@@ -18,22 +18,23 @@
 //!   must use a zero-sized DRAM cache (§4.1) — the spec records that.
 
 use mobistore_sim::fleet::fnv1a;
-use mobistore_sim::rng::{SimRng, Zipf};
+use mobistore_sim::rng::{LogNormal, SimRng, Zipf};
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_sim::units::KIB;
 use mobistore_trace::layout::FileLayout;
 use mobistore_trace::record::{FileId, FileRecord, Op, Trace};
 
 /// The interarrival-time model for a trace.
+///
+/// The log-normal parts hold a [`LogNormal`], which derives its μ and σ
+/// once when the spec is built, not on every gap.
 #[derive(Debug, Clone, Copy)]
 pub enum Interarrival {
     /// A log-normal with the published arithmetic mean and σ, truncated at
     /// the published maximum.
     Lognormal {
-        /// Arithmetic mean in seconds.
-        mean_s: f64,
-        /// Standard deviation in seconds.
-        std_s: f64,
+        /// The gap distribution, in seconds.
+        gap: LogNormal,
         /// Truncation point in seconds.
         max_s: f64,
     },
@@ -47,10 +48,8 @@ pub enum Interarrival {
         short_mean_s: f64,
         /// Probability that a gap is a long pause.
         long_prob: f64,
-        /// Mean of the long pauses in seconds.
-        long_mean_s: f64,
-        /// Standard deviation of the long pauses.
-        long_std_s: f64,
+        /// The long pauses' distribution, in seconds.
+        long: LogNormal,
         /// Truncation point in seconds.
         max_s: f64,
     },
@@ -60,20 +59,15 @@ impl Interarrival {
     /// Draws one gap in seconds.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         match *self {
-            Interarrival::Lognormal {
-                mean_s,
-                std_s,
-                max_s,
-            } => rng.lognormal_mean_std(mean_s, std_s).min(max_s),
+            Interarrival::Lognormal { gap, max_s } => gap.sample(rng).min(max_s),
             Interarrival::Bursty {
                 short_mean_s,
                 long_prob,
-                long_mean_s,
-                long_std_s,
+                long,
                 max_s,
             } => {
                 if rng.chance(long_prob) {
-                    rng.lognormal_mean_std(long_mean_s, long_std_s).min(max_s)
+                    long.sample(rng).min(max_s)
                 } else {
                     rng.exponential(short_mean_s).min(max_s)
                 }
@@ -84,13 +78,13 @@ impl Interarrival {
     /// The model's arithmetic mean in seconds (before truncation).
     pub fn mean_s(&self) -> f64 {
         match *self {
-            Interarrival::Lognormal { mean_s, .. } => mean_s,
+            Interarrival::Lognormal { gap, .. } => gap.mean(),
             Interarrival::Bursty {
                 short_mean_s,
                 long_prob,
-                long_mean_s,
+                long,
                 ..
-            } => (1.0 - long_prob) * short_mean_s + long_prob * long_mean_s,
+            } => (1.0 - long_prob) * short_mean_s + long_prob * long.mean(),
         }
     }
 }
@@ -150,8 +144,7 @@ impl TraceSpec {
             mean_read_blocks: 1.3,
             mean_write_blocks: 1.2,
             interarrival: Interarrival::Lognormal {
-                mean_s: 0.078,
-                std_s: 0.57,
+                gap: LogNormal::new(0.078, 0.57),
                 max_s: 90.8,
             },
             delete_fraction: 0.0,
@@ -179,8 +172,7 @@ impl TraceSpec {
             interarrival: Interarrival::Bursty {
                 short_mean_s: 0.12,
                 long_prob: 0.025,
-                long_mean_s: 16.5,
-                long_std_s: 55.0,
+                long: LogNormal::new(16.5, 55.0),
                 max_s: 713.0,
             },
             delete_fraction: 0.02,
@@ -212,8 +204,7 @@ impl TraceSpec {
             interarrival: Interarrival::Bursty {
                 short_mean_s: 0.22,
                 long_prob: 0.02,
-                long_mean_s: 545.0,
-                long_std_s: 450.0,
+                long: LogNormal::new(545.0, 450.0),
                 max_s: 30.0 * 60.0,
             },
             delete_fraction: 0.0,
@@ -248,21 +239,32 @@ impl TraceSpec {
     }
 }
 
-/// The file-level records of a generated trace, plus the per-file sizes
-/// needed to lay files out without growth relocations.
-#[derive(Debug, Clone)]
-pub struct GeneratedRecords {
-    /// The records in time order.
-    pub records: Vec<FileRecord>,
-    /// `sizes[f]` is the byte size of `FileId(f)`.
-    pub sizes: Vec<u64>,
-}
+/// Rerun-candidate window size.
+const HISTORY: usize = 64;
 
-/// Generates the file-level records for a spec.
-pub fn generate_records(spec: &TraceSpec, seed: u64) -> GeneratedRecords {
+/// Generates a disk-level [`Trace`] for a spec.
+///
+/// Records are generated as one stream: each file-level record goes
+/// straight through the [`FileLayout`] into the trace, with no record
+/// list in between. File extents are pre-reserved at each file's full
+/// size, so partial first accesses do not trigger growth relocations (the
+/// paper's preprocessing had complete file-size information too).
+///
+/// # Examples
+///
+/// ```
+/// use mobistore_workload::tracegen::{generate, TraceSpec};
+///
+/// let trace = generate(&TraceSpec::dos().scaled(0.01), 7);
+/// assert!(!trace.is_empty());
+/// assert_eq!(trace.block_size, 512);
+/// ```
+pub fn generate(spec: &TraceSpec, seed: u64) -> Trace {
     let files = (spec.distinct_kbytes * KIB / spec.mean_file_bytes).max(4);
     let zipf = Zipf::new(files as usize, spec.zipf_exponent);
     let mut rng = SimRng::seed_with_stream(seed, fnv1a(spec.name.as_bytes()));
+    let read_blocks = Geometric::new(spec.mean_read_blocks);
+    let write_blocks = Geometric::new(spec.mean_write_blocks);
 
     // File sizes: exponential-ish around the mean, at least one block.
     let sizes: Vec<u64> = (0..files)
@@ -273,15 +275,29 @@ pub fn generate_records(spec: &TraceSpec, seed: u64) -> GeneratedRecords {
             (bytes / spec.block_size as f64).ceil() as u64 * spec.block_size
         })
         .collect();
+    let mut layout = FileLayout::new(spec.block_size);
+    for (f, &bytes) in sizes.iter().enumerate() {
+        layout.reserve(FileId(f as u64), bytes);
+    }
+    let mut trace = Trace::new(spec.block_size);
+    trace.ops.reserve(spec.expected_ops() as usize + 16);
+    // Records arrive in time order, so the layout appends straight to the
+    // trace.
+    let mut emit = |rec: FileRecord| {
+        layout.apply(&rec, &mut trace.ops);
+        // A delete releases the extent; reserve it again at full size so
+        // the file's eventual rewrite cannot trigger growth relocations.
+        if rec.op == Op::Delete {
+            layout.reserve(rec.file, sizes[rec.file.0 as usize]);
+        }
+    };
 
-    let mut records = Vec::with_capacity(spec.expected_ops() as usize + 16);
     let mut deleted = vec![false; files as usize];
     let mut now = SimTime::ZERO;
     let end = SimTime::ZERO + spec.duration;
 
     // Re-reference history: recent accesses eligible for rerun.
     let mut history: Vec<(FileId, u64, u64)> = Vec::with_capacity(HISTORY);
-    #[allow(clippy::let_and_return)]
     let mut history_at = 0usize;
 
     while now < end {
@@ -296,7 +312,7 @@ pub fn generate_records(spec: &TraceSpec, seed: u64) -> GeneratedRecords {
             let file = zipf.sample(&mut rng) as u64;
             if !deleted[file as usize] {
                 deleted[file as usize] = true;
-                records.push(FileRecord {
+                emit(FileRecord {
                     time: now,
                     op: Op::Delete,
                     file: FileId(file),
@@ -339,14 +355,8 @@ pub fn generate_records(spec: &TraceSpec, seed: u64) -> GeneratedRecords {
                     deleted[f as usize] = false;
                 }
                 let file_blocks = sizes[f as usize] / spec.block_size;
-                let mean_blocks = if is_read {
-                    spec.mean_read_blocks
-                } else {
-                    spec.mean_write_blocks
-                };
-                let size_blocks = geometric_blocks(&mut rng, mean_blocks)
-                    .min(file_blocks)
-                    .max(1);
+                let blocks = if is_read { read_blocks } else { write_blocks };
+                let size_blocks = blocks.sample(&mut rng).min(file_blocks).max(1);
                 let max_off_blocks = file_blocks - size_blocks;
                 let offset_blocks = if max_off_blocks == 0 {
                     0
@@ -360,7 +370,7 @@ pub fn generate_records(spec: &TraceSpec, seed: u64) -> GeneratedRecords {
                 )
             }
         };
-        records.push(FileRecord {
+        emit(FileRecord {
             time: now,
             op,
             file,
@@ -374,61 +384,38 @@ pub fn generate_records(spec: &TraceSpec, seed: u64) -> GeneratedRecords {
             history[history_at] = (file, offset, size);
             history_at = (history_at + 1) % HISTORY;
         }
-        let _ = &history;
     }
-    GeneratedRecords { records, sizes }
-}
-
-/// Rerun-candidate window size.
-const HISTORY: usize = 64;
-
-/// Generates a disk-level [`Trace`] for a spec.
-///
-/// File extents are pre-reserved at each file's full size, so partial
-/// first accesses do not trigger growth relocations (the paper's
-/// preprocessing had complete file-size information too).
-///
-/// # Examples
-///
-/// ```
-/// use mobistore_workload::tracegen::{generate, TraceSpec};
-///
-/// let trace = generate(&TraceSpec::dos().scaled(0.01), 7);
-/// assert!(!trace.is_empty());
-/// assert_eq!(trace.block_size, 512);
-/// ```
-pub fn generate(spec: &TraceSpec, seed: u64) -> Trace {
-    let generated = generate_records(spec, seed);
-    let mut layout = FileLayout::new(spec.block_size);
-    for (f, &bytes) in generated.sizes.iter().enumerate() {
-        layout.reserve(FileId(f as u64), bytes);
-    }
-    let mut trace = Trace::new(spec.block_size);
-    for rec in &generated.records {
-        for op in layout.apply(rec) {
-            trace.push(op);
-        }
-        // A delete releases the extent; reserve it again at full size so
-        // the file's eventual rewrite cannot trigger growth relocations.
-        if rec.op == Op::Delete {
-            layout.reserve(rec.file, generated.sizes[rec.file.0 as usize]);
-        }
-    }
+    debug_assert!(trace.ops.windows(2).all(|w| w[0].time <= w[1].time));
     trace
 }
 
-/// A transfer size in blocks, geometric with the given mean (so size 1 is
-/// the mode, as in real file traces).
-fn geometric_blocks(rng: &mut SimRng, mean: f64) -> u64 {
-    debug_assert!(mean >= 1.0);
-    if mean <= 1.0 {
-        return 1;
+/// Transfer sizes in blocks, geometric with a given mean (so size 1 is the
+/// mode, as in real file traces). `ln(1 - p)` is derived once per trace,
+/// not on every draw.
+#[derive(Debug, Clone, Copy)]
+struct Geometric {
+    /// `ln(1 - p)` for success probability `p = 1 / mean`; `None` for a
+    /// mean of at most one block, which always draws one block and
+    /// consumes no randomness.
+    ln_fail: Option<f64>,
+}
+
+impl Geometric {
+    fn new(mean: f64) -> Self {
+        debug_assert!(mean >= 1.0);
+        // Geometric on {1, 2, ...} with success probability p has mean 1/p.
+        let ln_fail = (mean > 1.0).then(|| (1.0 - 1.0 / mean).ln());
+        Geometric { ln_fail }
     }
-    // Geometric on {1, 2, ...} with success probability p has mean 1/p.
-    let p = 1.0 / mean;
-    let u = 1.0 - rng.f64(); // (0, 1]
-    let k = (u.ln() / (1.0 - p).ln()).floor() as u64 + 1;
-    k.min(1 << 20)
+
+    fn sample(self, rng: &mut SimRng) -> u64 {
+        let Some(ln_fail) = self.ln_fail else {
+            return 1;
+        };
+        let u = 1.0 - rng.f64(); // (0, 1]
+        let k = (u.ln() / ln_fail).floor() as u64 + 1;
+        k.min(1 << 20)
+    }
 }
 
 #[cfg(test)]
@@ -449,8 +436,47 @@ mod tests {
     fn geometric_mean_converges() {
         let mut rng = SimRng::seed_from_u64(1);
         let n = 100_000;
-        let total: u64 = (0..n).map(|_| geometric_blocks(&mut rng, 3.8)).sum();
+        let blocks = Geometric::new(3.8);
+        let total: u64 = (0..n).map(|_| blocks.sample(&mut rng)).sum();
         close(total as f64 / n as f64, 3.8, 0.05, "geometric mean");
+    }
+
+    /// A geometric draw with `ln(1 - p)` derived on every call, the form
+    /// [`Geometric`] replaces.
+    fn geometric_per_draw(rng: &mut SimRng, mean: f64) -> u64 {
+        if mean <= 1.0 {
+            return 1;
+        }
+        let p = 1.0 / mean;
+        let u = 1.0 - rng.f64(); // (0, 1]
+        let k = (u.ln() / (1.0 - p).ln()).floor() as u64 + 1;
+        k.min(1 << 20)
+    }
+
+    #[test]
+    fn geometric_precomputed_matches_per_draw() {
+        // Every Table 3 mean, the one-block mean (no draw) and a mean so
+        // large that the 2^20 cap binds.
+        for (case, mean) in [1.0, 1.2, 1.3, 3.4, 3.8, 4.3, 6.2, 1e9]
+            .into_iter()
+            .enumerate()
+        {
+            let blocks = Geometric::new(mean);
+            let mut fast = SimRng::seed_with_stream(case as u64, 47);
+            let mut reference = fast.clone();
+            for draw in 0..20_000 {
+                assert_eq!(
+                    blocks.sample(&mut fast),
+                    geometric_per_draw(&mut reference, mean),
+                    "mean {mean} draw {draw}"
+                );
+            }
+            assert_eq!(
+                fast.next_u64(),
+                reference.next_u64(),
+                "mean {mean}: draws consumed"
+            );
+        }
     }
 
     #[test]

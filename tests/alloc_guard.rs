@@ -1,12 +1,13 @@
-//! Allocation guard for the simulator's op path.
+//! Allocation guard for the simulator's op path and for trace generation.
 //!
 //! Every op the simulator replays touches the DRAM cache's index, the
 //! flash card's block map and, under cleaning, the cleaner's live-block
 //! list. Those structures and the per-op block lists are reused across
 //! ops, so a replay's heap allocations come from set-up and from tables
-//! growing to their working size, not from the ops themselves. This test
-//! counts the allocations one `simulate` call makes on the calling thread
-//! and bounds them per op.
+//! growing to their working size, not from the ops themselves. Trace
+//! generation likewise lays each record out into one reused buffer. The
+//! tests count the allocations one `simulate` or `generate` call makes on
+//! the calling thread and bound them per op or per trace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -91,4 +92,23 @@ fn card_replay_with_dram_allocates_under_a_tenth_per_op() {
         per_op < 0.1,
         "{allocs} heap allocations over {ops} ops ({per_op:.3} per op)"
     );
+}
+
+#[test]
+fn trace_generation_allocates_a_constant_per_trace() {
+    // Generation streams each file-level record through the layout into
+    // the trace; what it allocates is the trace, the popularity and size
+    // tables and the layout's pages, none of them per record.
+    for workload in Workload::ALL {
+        let before = allocations();
+        let trace = workload.generate_scaled(0.05, 1994);
+        let allocs = allocations() - before;
+        let ops = trace.ops.len();
+        assert!(ops >= 200, "{}: too few ops ({ops})", workload.name());
+        assert!(
+            allocs <= 16,
+            "{}: {allocs} heap allocations for {ops} ops",
+            workload.name()
+        );
+    }
 }

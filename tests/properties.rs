@@ -405,6 +405,7 @@ fn layout_never_aliases_files() {
         let mut rng = case_rng(4, case);
         let n_ops = rng.below(120);
         let mut layout = FileLayout::new(1024);
+        let mut disk_ops = Vec::new();
         // block -> owning file, from the emitted write/trim stream.
         let mut owner: HashMap<u64, u64> = HashMap::new();
         let mut t = 0u64;
@@ -427,7 +428,9 @@ fn layout_never_aliases_files() {
                     size: 0,
                 }
             };
-            for disk_op in layout.apply(&rec) {
+            disk_ops.clear();
+            layout.apply(&rec, &mut disk_ops);
+            for &disk_op in &disk_ops {
                 let range = disk_op.lbn..disk_op.lbn + u64::from(disk_op.blocks);
                 match disk_op.kind {
                     DiskOpKind::Trim => {
