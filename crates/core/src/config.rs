@@ -203,9 +203,12 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (`k == 0`, `m == 0`) or
-    /// `children.len() != k + m` (the same guards as
-    /// [`mobistore_device::ArrayDevice::new`]).
+    /// Panics if `k == 0`, `m == 0` or `children.len() != k + m`. A
+    /// geometry past the codec's 255 shards is built, and
+    /// [`try_simulate`](crate::simulator::try_simulate) refuses it with
+    /// [`ConfigError::DeviceGeometry`](crate::simulator::ConfigError::DeviceGeometry),
+    /// as it refuses any [`BackendConfig::Array`] that
+    /// [`mobistore_device::ArrayDevice::try_new`] rejects.
     pub fn array(k: usize, m: usize, children: Vec<ChildClass>) -> Self {
         assert!(k >= 1 && m >= 1, "array geometry {k}+{m} is invalid");
         assert_eq!(

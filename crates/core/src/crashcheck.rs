@@ -207,13 +207,17 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
                 .last()
                 .map_or(0, |op| op.time.saturating_since(SimTime::ZERO).as_nanos());
             let mut deaths: Vec<Option<SimTime>> = vec![None; children.len()];
-            for d in 0..*m {
+            // With no children there is nothing to kill, and the build
+            // below refuses the geometry.
+            let victims = if children.is_empty() { 0 } else { *m };
+            for d in 0..victims {
                 let child = d * children.len() / *m;
                 let at = span_ns * (d as u64 + 1) / (*m as u64 + 1);
                 deaths[child] = Some(SimTime::from_nanos(at));
             }
             sweep.run("ec-array", &working, || {
-                let mut arr = ArrayDevice::new(*k, *m, children, trace.block_size)
+                let mut arr = ArrayDevice::try_new(*k, *m, children, trace.block_size)
+                    .map_err(|e| format!("cannot build array: {e}"))?
                     .with_queueing(queueing)
                     .with_deaths(DeathSchedule::explicit(deaths.clone()))
                     .with_spares(*spares)
@@ -822,6 +826,34 @@ mod tests {
         // Ending exactly at 2^32 is inside the domain.
         trace.ops.last_mut().expect("pushed above").blocks = 1;
         assert!(torture(&card_config(), &trace, &opts).passed());
+    }
+
+    #[test]
+    fn an_invalid_array_geometry_is_a_violation_not_a_panic() {
+        use mobistore_device::array::ChildClass;
+        let wide = SystemConfig::array(200, 100, vec![ChildClass::FlashDisk; 300]);
+        // The backend's fields are public: an emptied child list must be
+        // refused too, before any death is placed on a child.
+        let mut childless = SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3]);
+        if let BackendConfig::Array { children, .. } = &mut childless.backend {
+            children.clear();
+        }
+        for (config, violation) in [
+            (
+                wide,
+                "cannot build array: array geometry is invalid: bad erasure-code geometry \
+                 200+100: need k >= 1, m >= 1, k+m <= 255",
+            ),
+            (
+                childless,
+                "cannot build array: array geometry is invalid: a 2+1 array needs exactly 3 \
+                 children, got 0",
+            ),
+        ] {
+            let report = torture(&config, &toy_trace(8), &TortureOptions::default());
+            assert_eq!(report.violations, [violation]);
+            assert_eq!((report.crashes, report.ops_replayed), (0, 0));
+        }
     }
 
     #[test]

@@ -136,6 +136,9 @@ pub enum ConfigError {
     /// A fleet checkpoint could not be used for this run: unreadable,
     /// malformed, or fingerprint-mismatched against the configuration.
     Checkpoint(String),
+    /// The backend device refused the configured geometry (an
+    /// erasure-coded array's `k`, `m`, child list or block size).
+    DeviceGeometry(mobistore_device::DeviceError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -162,6 +165,7 @@ impl std::fmt::Display for ConfigError {
                  {MAX_LBN_END} (2^32)"
             ),
             ConfigError::Checkpoint(reason) => write!(f, "checkpoint: {reason}"),
+            ConfigError::DeviceGeometry(e) => write!(f, "{e}"),
         }
     }
 }
@@ -378,7 +382,8 @@ pub fn try_simulate_observed<O: Observer>(
             spares,
             rebuild_rate,
         } => {
-            let mut arr = ArrayDevice::new(*k, *m, children, trace.block_size)
+            let mut arr = ArrayDevice::try_new(*k, *m, children, trace.block_size)
+                .map_err(ConfigError::DeviceGeometry)?
                 .with_queueing(queueing)
                 .with_deaths(DeathSchedule::new(&config.fault, children.len()))
                 .with_spares(*spares)
@@ -967,6 +972,62 @@ mod tests {
         let again = simulate(&cfg, &trace);
         assert_eq!(m.energy.get(), again.energy.get());
         assert_eq!(m.write_response_ms, again.write_response_ms);
+    }
+
+    #[test]
+    fn an_invalid_array_geometry_is_a_typed_config_error() {
+        use crate::config::BackendConfig;
+        use mobistore_device::array::{ArrayGeometryError, ChildClass};
+        use mobistore_device::DeviceError;
+        use mobistore_sim::ec::EcError;
+        let trace = small_trace(20, 50);
+        let refused = |reason| {
+            Some(SimError::Config(ConfigError::DeviceGeometry(
+                DeviceError::ArrayGeometry(reason),
+            )))
+        };
+        let opts = RunOptions::default();
+        // Past the codec's 255 shards: `SystemConfig::array` builds it,
+        // the run refuses it.
+        let wide = SystemConfig::array(200, 100, vec![ChildClass::FlashDisk; 300]);
+        let err = try_simulate(&wide, &trace, opts).err();
+        assert_eq!(
+            err,
+            refused(ArrayGeometryError::Code(EcError::BadGeometry {
+                k: 200,
+                m: 100
+            }))
+        );
+        assert_eq!(
+            err.expect("refused").to_string(),
+            "configuration error: array geometry is invalid: bad erasure-code geometry \
+             200+100: need k >= 1, m >= 1, k+m <= 255"
+        );
+        // The backend's fields are public, so the builder's checks can be
+        // bypassed; the run refuses what the array cannot build.
+        let mut zero_k = SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3]);
+        let mut short = zero_k.clone();
+        if let BackendConfig::Array { k, .. } = &mut zero_k.backend {
+            *k = 0;
+        }
+        if let BackendConfig::Array { children, .. } = &mut short.backend {
+            children.pop();
+        }
+        assert_eq!(
+            try_simulate(&zero_k, &trace, opts).err(),
+            refused(ArrayGeometryError::Code(EcError::BadGeometry {
+                k: 0,
+                m: 1
+            }))
+        );
+        assert_eq!(
+            try_simulate(&short, &trace, opts).err(),
+            refused(ArrayGeometryError::Children {
+                k: 2,
+                m: 1,
+                children: 2
+            })
+        );
     }
 
     #[test]

@@ -30,12 +30,14 @@
 //! crash-consistency shadow oracle can verify that acknowledged writes
 //! survive any `≤ m` losses and that a sabotaged survivor is caught.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
-use mobistore_sim::ec::ReedSolomon;
+use mobistore_sim::ec::{bit, set_bit, DecodeScratch, EcError, ReedSolomon};
 use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
 use mobistore_sim::fault::DeathSchedule;
 use mobistore_sim::hist::LatencyRecorder;
+use mobistore_sim::lbn::LbnTable;
 use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
@@ -126,6 +128,38 @@ impl ChildClass {
     }
 }
 
+/// Why [`ArrayDevice::try_new`] refused a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArrayGeometryError {
+    /// The codec cannot build the `k + m` code.
+    Code(EcError),
+    /// The child list does not hold one device per shard.
+    Children {
+        /// Requested data shards.
+        k: usize,
+        /// Requested parity shards.
+        m: usize,
+        /// Children supplied.
+        children: usize,
+    },
+    /// The block size is zero.
+    ZeroBlockSize,
+}
+
+impl std::fmt::Display for ArrayGeometryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ArrayGeometryError::Code(e) => write!(f, "{e}"),
+            ArrayGeometryError::Children { k, m, children } => write!(
+                f,
+                "a {k}+{m} array needs exactly {} children, got {children}",
+                k + m
+            ),
+            ArrayGeometryError::ZeroBlockSize => write!(f, "block size must be nonzero"),
+        }
+    }
+}
+
 mobistore_sim::counter_set! {
     /// Counters the array maintains alongside energy.
     pub struct ArrayCounters {
@@ -165,14 +199,6 @@ mobistore_sim::counter_set! {
     }
 }
 
-/// One stripe's `k + m` shard payloads in logical order (`0..k` data,
-/// `k..k+m` parity). `None` means the shard is missing: its child died
-/// and the stripe has not been rebuilt yet.
-#[derive(Clone)]
-struct Stripe {
-    shards: Vec<Option<Vec<u8>>>,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ChildState {
     /// Serving reads and writes, holds every shard it should.
@@ -195,8 +221,25 @@ struct Child {
     death_fired: bool,
 }
 
+impl Child {
+    /// The time this child takes to read `bytes`, or to write them if
+    /// `write`. A transfer of zero bytes takes exactly zero time, without
+    /// computing it.
+    fn transfer_time(&self, write: bool, bytes: u64) -> SimDuration {
+        if bytes == 0 {
+            return SimDuration::ZERO;
+        }
+        let bandwidth = if write {
+            self.profile.write_bandwidth
+        } else {
+            self.profile.read_bandwidth
+        };
+        bandwidth.transfer_time(bytes)
+    }
+}
+
 /// The active rebuild: reconstructing `child`'s shards stripe by stripe.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct RebuildJob {
     child: usize,
     /// Stripes below this number are done.
@@ -212,6 +255,9 @@ struct RebuildJob {
 /// carries the identity the crash oracle verifies.
 const PAYLOAD_BYTES: usize = 16;
 
+/// One shard's payload.
+type Shard = [u8; PAYLOAD_BYTES];
+
 /// Stripes between rebuild checkpoints.
 const REBUILD_CHECKPOINT_STRIPES: u64 = 64;
 
@@ -223,7 +269,111 @@ const CATEGORIES: &[&str] = &[
     "read", "write", "parity", "degraded", "rebuild", "idle", "recover",
 ];
 
+/// Buffers one op fills and the next reuses, so that once they have grown
+/// the op path allocates nothing.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Bytes each child moves in the current op, indexed by child. A read
+    /// fills `[direct, degraded, 0, 0]`; a write fills `[data read, data
+    /// write, parity read, parity write]` (rotation means one child can
+    /// serve a data shard of one stripe and a parity shard of the next).
+    load: Vec<[u64; 4]>,
+    /// The current read's degraded blocks and the shards each stripe
+    /// lost, for its spans.
+    degraded: Vec<(u64, u32)>,
+    /// The stripes whose parity the current write updated, for its spans.
+    parity: Vec<u64>,
+    /// The codec's decode matrix.
+    decode: DecodeScratch,
+}
+
+impl Scratch {
+    /// Zeroes the per-child load of an `n`-child array and empties the
+    /// span lists.
+    fn start_op(&mut self, n: usize) {
+        self.load.clear();
+        self.load.resize(n, [0; 4]);
+        self.degraded.clear();
+        self.parity.clear();
+    }
+}
+
+/// Set bits in `bits`.
+fn count(bits: &[u64]) -> usize {
+    bits.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Where slot `slot`'s shards sit in the arena of an `n`-shard code.
+fn shard_range(slot: usize, n: usize) -> Range<usize> {
+    slot * n..(slot + 1) * n
+}
+
+/// Where slot `slot`'s presence bits sit in the bit arena, at `words`
+/// words per bit set; its acknowledged bits follow them.
+fn presence_range(slot: usize, words: usize) -> Range<usize> {
+    2 * words * slot..(2 * slot + 1) * words
+}
+
+/// Where slot `slot`'s acknowledged bits sit in the bit arena.
+fn acked_range(slot: usize, words: usize) -> Range<usize> {
+    (2 * slot + 1) * words..2 * words * (slot + 1)
+}
+
+/// The stripes that blocks `lbn..lbn + blocks` cover, ascending, each
+/// with the range of its data slots they cover.
+fn stripe_runs(lbn: u64, blocks: u32, k: usize) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let k = k as u64;
+    let end = lbn + u64::from(blocks);
+    let stripes = if blocks == 0 {
+        0..0
+    } else {
+        lbn / k..(end - 1) / k + 1
+    };
+    stripes.map(move |s| {
+        let base = s * k;
+        let lo = lbn.max(base) - base;
+        let hi = end.min(base + k) - base;
+        (s, lo as usize..hi as usize)
+    })
+}
+
+/// The physical child holding logical slot `i` of a stripe whose
+/// rotation is `rot` (`s mod n`) in an `n`-child array: RAID-5-style
+/// rotation, so every child carries its share of parity. The inverse,
+/// the slot child `c` holds, is `rotated(c, n - rot, n)`.
+#[inline]
+fn rotated(i: usize, rot: usize, n: usize) -> usize {
+    let c = i + rot;
+    if c >= n {
+        c - n
+    } else {
+        c
+    }
+}
+
+/// The `[lbn, generation]` payload of an acknowledged block.
+fn payload(lbn: u64, generation: u64) -> Shard {
+    let mut shard = [0u8; PAYLOAD_BYTES];
+    shard[..8].copy_from_slice(&lbn.to_le_bytes());
+    shard[8..].copy_from_slice(&generation.to_le_bytes());
+    shard
+}
+
+/// The generation a payload carries.
+fn generation(shard: &Shard) -> u64 {
+    let mut gen = [0u8; 8];
+    gen.copy_from_slice(&shard[8..]);
+    u64::from_le_bytes(gen)
+}
+
 /// An erasure-coded array of `k + m` child devices.
+///
+/// Stripe `s` holds blocks `s·k .. s·k + k`. Stripe numbers must stay
+/// below [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END) (2^32), so
+/// blocks lie below `k · 2^32`: a
+/// write, trim or preload of a block past that panics in the stripe
+/// table, and a read there sees a never-written stripe. `simulate` only
+/// admits traces that end by 2^32, whose stripes are all in range.
 ///
 /// # Examples
 ///
@@ -252,9 +402,21 @@ pub struct ArrayDevice {
     rebuild_rate: f64,
     retry_backoff: SimDuration,
     max_retries: u32,
-    stripes: BTreeMap<u64, Stripe>,
-    /// Acknowledged logical blocks (the shadow oracle's domain).
-    mapped: BTreeSet<u64>,
+    /// The stripe table: stripe number → the stripe's slot in `shards`
+    /// and `bits`. A stripe is materialized by its first write, trim or
+    /// preload and never dropped.
+    stripes: LbnTable<u32>,
+    /// The shard arena: slot `i`'s `k + m` payloads in logical order
+    /// (`0..k` data, `k..k+m` parity) at `i * (k + m)`. A shard's bytes
+    /// mean something only while its presence bit is set.
+    shards: Vec<Shard>,
+    /// Per slot, `2 * words` words: the presence bits of its `k + m`
+    /// shards (clear: the shard's child died and the stripe has not been
+    /// rebuilt), then the acknowledged bits of its `k` data blocks (the
+    /// crash oracle's domain).
+    bits: Vec<u64>,
+    /// Words per bit set: `(k + m).div_ceil(64)`.
+    words: usize,
     next_gen: u64,
     rebuild_queue: VecDeque<usize>,
     rebuild: Option<RebuildJob>,
@@ -263,6 +425,7 @@ pub struct ArrayDevice {
     meter: EnergyMeter,
     counters: ArrayCounters,
     degraded: LatencyRecorder,
+    scratch: Scratch,
 }
 
 impl ArrayDevice {
@@ -271,22 +434,39 @@ impl ArrayDevice {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (`k == 0`, `m == 0`,
-    /// `k + m > 255`), if `children.len() != k + m`, or if `block_bytes`
-    /// is zero.
+    /// Panics where [`try_new`](Self::try_new) returns an error.
     pub fn new(k: usize, m: usize, children: &[ChildClass], block_bytes: u64) -> Self {
+        match Self::try_new(k, m, children, block_bytes) {
+            Ok(array) => array,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible [`new`](Self::new): returns
+    /// [`DeviceError::ArrayGeometry`] instead of panicking if the codec
+    /// cannot build a `k + m` code, `children` does not hold `k + m`
+    /// devices, or `block_bytes` is zero.
+    pub fn try_new(
+        k: usize,
+        m: usize,
+        children: &[ChildClass],
+        block_bytes: u64,
+    ) -> Result<Self, DeviceError> {
+        let refuse = |reason| Err(DeviceError::ArrayGeometry(reason));
         let rs = match ReedSolomon::new(k, m) {
             Ok(rs) => rs,
-            Err(e) => panic!("array geometry {k}+{m} is invalid: {e}"),
+            Err(e) => return refuse(ArrayGeometryError::Code(e)),
         };
-        assert_eq!(
-            children.len(),
-            k + m,
-            "a {k}+{m} array needs exactly {} children, got {}",
-            k + m,
-            children.len()
-        );
-        assert!(block_bytes > 0, "array block size must be nonzero");
+        if children.len() != k + m {
+            return refuse(ArrayGeometryError::Children {
+                k,
+                m,
+                children: children.len(),
+            });
+        }
+        if block_bytes == 0 {
+            return refuse(ArrayGeometryError::ZeroBlockSize);
+        }
         let children = children
             .iter()
             .map(|&class| Child {
@@ -297,7 +477,7 @@ impl ArrayDevice {
             })
             .collect::<Vec<_>>();
         let n = children.len();
-        ArrayDevice {
+        Ok(ArrayDevice {
             rs,
             children,
             block_bytes,
@@ -307,8 +487,10 @@ impl ArrayDevice {
             rebuild_rate: 128.0,
             retry_backoff: SimDuration::from_millis_f64(1.0),
             max_retries: 3,
-            stripes: BTreeMap::new(),
-            mapped: BTreeSet::new(),
+            stripes: LbnTable::new(),
+            shards: Vec::new(),
+            bits: Vec::new(),
+            words: n.div_ceil(64),
             next_gen: 1,
             rebuild_queue: VecDeque::new(),
             rebuild: None,
@@ -317,7 +499,8 @@ impl ArrayDevice {
             meter: EnergyMeter::new(CATEGORIES),
             counters: ArrayCounters::default(),
             degraded: LatencyRecorder::new(),
-        }
+            scratch: Scratch::default(),
+        })
     }
 
     /// Sets the queue discipline (see [`QueueDiscipline`]).
@@ -430,30 +613,24 @@ impl ArrayDevice {
         self.rs.total_shards()
     }
 
-    /// The physical child holding logical slot `slot` of stripe `s`
-    /// (RAID-5-style rotation: every child carries its share of parity).
-    fn child_of(&self, slot: usize, s: u64) -> usize {
-        let n = self.n() as u64;
-        ((slot as u64 + s) % n) as usize
+    /// Slot `slot`'s `k + m` shards.
+    fn stripe(&self, slot: usize) -> &[Shard] {
+        &self.shards[shard_range(slot, self.n())]
     }
 
-    /// The logical slot child `c` holds in stripe `s`.
-    fn slot_of(&self, c: usize, s: u64) -> usize {
-        let n = self.n() as u64;
-        ((c as u64 + n - (s % n)) % n) as usize
+    /// Slot `slot`'s presence bits.
+    fn present(&self, slot: usize) -> &[u64] {
+        &self.bits[presence_range(slot, self.words)]
     }
 
-    fn payload(lbn: u64, generation: u64) -> Vec<u8> {
-        let mut v = Vec::with_capacity(PAYLOAD_BYTES);
-        v.extend_from_slice(&lbn.to_le_bytes());
-        v.extend_from_slice(&generation.to_le_bytes());
-        v
+    /// Slot `slot`'s acknowledged bits.
+    fn acked(&self, slot: usize) -> &[u64] {
+        &self.bits[acked_range(slot, self.words)]
     }
 
-    fn parse_generation(payload: &[u8]) -> u64 {
-        let mut gen = [0u8; 8];
-        gen.copy_from_slice(&payload[8..16]);
-        u64::from_le_bytes(gen)
+    /// Slot `slot`'s acknowledged bits, for update.
+    fn acked_mut(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.bits[acked_range(slot, self.words)]
     }
 
     /// True if the child can accept a shard write (its media is present).
@@ -463,6 +640,7 @@ impl ArrayDevice {
 
     /// Fires scheduled deaths up to `now`, in child order.
     fn process_deaths(&mut self, now: SimTime) {
+        let (n, w) = (self.n(), self.words);
         for c in 0..self.children.len() {
             if self.children[c].death_fired {
                 continue;
@@ -476,16 +654,12 @@ impl ArrayDevice {
             self.children[c].death_fired = true;
             self.children[c].died_at = Some(d);
             self.counters.device_deaths += 1;
-            // The dead medium takes its shards with it.
-            let slots: Vec<(u64, usize)> = self
-                .stripes
-                .keys()
-                .map(|&s| (s, self.slot_of(c, s)))
-                .collect();
-            for (s, slot) in slots {
-                if let Some(stripe) = self.stripes.get_mut(&s) {
-                    stripe.shards[slot] = None;
-                }
+            // The dead medium takes its shards with it: the logical slot
+            // child `c` holds in stripe `s` is `c - s mod n`.
+            for (s, &slot) in self.stripes.iter() {
+                let rot = (s % n as u64) as usize;
+                let i = rotated(c, n - rot, n);
+                set_bit(&mut self.bits[presence_range(slot as usize, w)], i, false);
             }
             if self.spares > 0 {
                 self.spares -= 1;
@@ -535,6 +709,9 @@ impl ArrayDevice {
         until: SimTime,
         obs: &mut O,
     ) -> SimDuration {
+        if self.rebuild.is_none() && self.rebuild_queue.is_empty() {
+            return SimDuration::ZERO;
+        }
         let per_stripe = SimDuration::from_secs_f64(1.0 / self.rebuild_rate);
         let mut busy = SimDuration::ZERO;
         let mut cursor = from;
@@ -550,7 +727,7 @@ impl ArrayDevice {
                     since_checkpoint: 0,
                 });
             }
-            let mut job = self.rebuild.clone().expect("active rebuild");
+            let mut job = self.rebuild.expect("active rebuild");
             // The walk cannot have started before the child died.
             let died = self.children[job.child].died_at.unwrap_or(cursor);
             let start_at = cursor.max(died);
@@ -562,16 +739,15 @@ impl ArrayDevice {
             if affordable == 0 {
                 break;
             }
-            let todo: Vec<u64> = self
-                .stripes
-                .range(job.watermark..)
-                .map(|(&s, _)| s)
-                .take(affordable.min(u64::from(u32::MAX)) as usize)
-                .collect();
+            let budget = affordable.min(u64::from(u32::MAX));
+            let mut first = None;
             let mut done = 0u64;
-            for s in &todo {
-                let slot = self.slot_of(job.child, *s);
-                self.reconstruct_slot(*s, slot);
+            while done < budget {
+                let Some((s, &slot)) = self.stripes.iter_from(job.watermark).next() else {
+                    break;
+                };
+                first.get_or_insert(s);
+                self.reconstruct_slot(s, slot as usize, job.child);
                 job.watermark = s + 1;
                 job.since_checkpoint += 1;
                 if job.since_checkpoint >= REBUILD_CHECKPOINT_STRIPES {
@@ -581,7 +757,7 @@ impl ArrayDevice {
                 done += 1;
             }
             let batch_time = per_stripe * done;
-            if done > 0 {
+            if let Some(first) = first {
                 busy += batch_time;
                 self.counters.rebuild_stripes += done;
                 self.counters.rebuild_time += batch_time;
@@ -589,7 +765,7 @@ impl ArrayDevice {
                 self.meter.charge_for("rebuild", power, batch_time);
                 obs.span(&Span::new(
                     SpanKind::Rebuild {
-                        stripe: todo[0],
+                        stripe: first,
                         stripes: done.min(u64::from(u32::MAX)) as u32,
                     },
                     start_at,
@@ -597,7 +773,7 @@ impl ArrayDevice {
                 ));
             }
             cursor = start_at + batch_time;
-            let finished = self.stripes.range(job.watermark..).next().is_none();
+            let finished = self.stripes.iter_from(job.watermark).next().is_none();
             if finished {
                 let child = job.child;
                 self.rebuild = None;
@@ -615,125 +791,123 @@ impl ArrayDevice {
         busy
     }
 
-    /// Reconstructs stripe `s`'s shard at logical `slot` from survivors,
-    /// if at least `k` shards are available. Unrecoverable stripes stay
-    /// missing and surface later as typed degraded-read errors.
-    fn reconstruct_slot(&mut self, s: u64, slot: usize) {
-        let Some(stripe) = self.stripes.get(&s) else {
-            return;
-        };
-        if stripe.shards[slot].is_some() {
+    /// Reconstructs `child`'s shard of stripe `s` (arena slot `slot`)
+    /// from survivors, if at least `k` shards are available. Unrecoverable
+    /// stripes stay missing and surface later as typed degraded-read
+    /// errors.
+    fn reconstruct_slot(&mut self, s: u64, slot: usize, child: usize) {
+        let (n, w) = (self.n(), self.words);
+        let i = rotated(child, n - (s % n as u64) as usize, n);
+        let present = &mut self.bits[presence_range(slot, w)];
+        if bit(present, i) {
             // A write-through already refreshed this shard.
             return;
         }
-        let available = stripe.shards.iter().filter(|x| x.is_some()).count();
-        if available < self.k() {
-            return;
-        }
-        let mut shards = stripe.shards.clone();
-        if self.rs.reconstruct(&mut shards).is_ok() {
-            let value = shards[slot].take();
-            if let Some(st) = self.stripes.get_mut(&s) {
-                st.shards[slot] = value;
-            }
+        let stripe = &mut self.shards[shard_range(slot, n)];
+        if self
+            .rs
+            .reconstruct(stripe, present, &mut self.scratch.decode)
+            .is_ok()
+        {
+            set_bit(present, i, true);
         }
     }
 
-    /// Gathers the full data vector of stripe `s` (decoding from
-    /// survivors if needed). `None` if fewer than `k` shards survive.
-    fn stripe_data(&self, stripe: &Stripe) -> Option<Vec<Vec<u8>>> {
-        let k = self.k();
-        if stripe.shards[..k].iter().all(|x| x.is_some()) {
-            return Some(
-                stripe.shards[..k]
-                    .iter()
-                    .map(|x| x.clone().expect("present data shard"))
-                    .collect(),
-            );
+    /// The arena slot of stripe `s`, materializing the stripe if absent:
+    /// all-zero data payloads and hence all-zero parity, shards present
+    /// only on children whose media is present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is at or past
+    /// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END).
+    fn slot(&mut self, s: u64) -> usize {
+        if let Some(&slot) = self.stripes.get(s) {
+            return slot as usize;
         }
-        let available = stripe.shards.iter().filter(|x| x.is_some()).count();
-        if available < k {
-            return None;
-        }
-        let mut shards = stripe.shards.clone();
-        self.rs.reconstruct(&mut shards).ok()?;
-        Some(
-            shards[..k]
-                .iter()
-                .map(|x| x.clone().expect("reconstructed data shard"))
-                .collect(),
-        )
-    }
-
-    /// Writes one block's payload into its stripe and recomputes parity,
-    /// without charging time or energy (preload, trim). Returns false if
-    /// the stripe has too few survivors to update.
-    fn store_instant(&mut self, lbn: u64, payload: Vec<u8>) -> bool {
-        let k = self.k();
-        let s = lbn / k as u64;
-        let slot = (lbn % k as u64) as usize;
-        self.ensure_stripe(s);
-        let stripe = self.stripes.get(&s).expect("stripe just ensured");
-        let Some(mut data) = self.stripe_data(stripe) else {
-            return false;
-        };
-        data[slot] = payload;
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = self.rs.encode(&refs);
-        let n = self.n();
-        let writable: Vec<bool> = (0..n).map(|i| self.writable(self.child_of(i, s))).collect();
-        let stripe = self.stripes.get_mut(&s).expect("stripe just ensured");
-        for (i, d) in data.into_iter().enumerate() {
-            if (i == slot || stripe.shards[i].is_some()) && writable[i] {
-                stripe.shards[i] = Some(d);
-            }
-        }
-        for (j, p) in parity.into_iter().enumerate() {
-            if writable[k + j] {
-                stripe.shards[k + j] = Some(p);
-            } else {
-                stripe.shards[k + j] = None;
-            }
-        }
-        true
-    }
-
-    /// Materializes stripe `s` if absent: all-zero data payloads with
-    /// freshly encoded parity, shards present only on children whose
-    /// media is present.
-    fn ensure_stripe(&mut self, s: u64) {
-        if self.stripes.contains_key(&s) {
-            return;
-        }
-        let k = self.k();
-        let n = self.n();
-        let zero = vec![0u8; PAYLOAD_BYTES];
-        let data: Vec<&[u8]> = (0..k).map(|_| zero.as_slice()).collect();
-        let parity = self.rs.encode(&data);
-        let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(n);
+        let (n, w) = (self.n(), self.words);
+        let slot = self.shards.len() / n;
+        let index = u32::try_from(slot).expect("one slot per stripe below 2^32");
+        self.stripes.insert(s, index);
+        self.shards
+            .resize(self.shards.len() + n, [0; PAYLOAD_BYTES]);
+        self.bits.resize(self.bits.len() + 2 * w, 0);
+        let rot = (s % n as u64) as usize;
+        let present = &mut self.bits[presence_range(slot, w)];
         for i in 0..n {
-            let c = self.child_of(i, s);
-            let value = if i < k {
-                zero.clone()
-            } else {
-                parity[i - k].clone()
-            };
-            shards.push(if self.writable(c) { Some(value) } else { None });
+            let alive = self.children[rotated(i, rot, n)].state != ChildState::Dead;
+            set_bit(present, i, alive);
         }
-        self.stripes.insert(s, Stripe { shards });
+        slot
+    }
+
+    /// Read-modify-write of data slots `slots` of stripe `s` (arena slot
+    /// `slot`) without charging time or energy. The stripe's missing data
+    /// shards are decoded in place (they stay missing), each slot in
+    /// `slots` gets its payload — `[lbn, gen + j]` for the `j`-th slot
+    /// with `Some(gen)`, zeros with `None` — and parity is re-encoded.
+    /// Only the written data shards and the parity shards are stored:
+    /// present where their child's media is, missing where it is not.
+    ///
+    /// Returns the stripe's present shard count if fewer than `k` shards
+    /// survive to decode it; nothing changes then.
+    fn store(
+        &mut self,
+        s: u64,
+        slot: usize,
+        slots: Range<usize>,
+        stamp: Option<u64>,
+    ) -> Result<(), usize> {
+        let (k, n, w) = (self.k(), self.n(), self.words);
+        let present = &mut self.bits[presence_range(slot, w)];
+        let stripe = &mut self.shards[shard_range(slot, n)];
+        if (0..k).any(|i| !bit(present, i)) {
+            self.rs
+                .reconstruct(stripe, present, &mut self.scratch.decode)
+                .map_err(|_| count(present))?;
+        }
+        for (i, j) in slots.clone().zip(0..) {
+            stripe[i] = match stamp {
+                Some(gen) => payload(s * k as u64 + i as u64, gen + j),
+                None => [0; PAYLOAD_BYTES],
+            };
+        }
+        self.rs.encode(stripe);
+        let rot = (s % n as u64) as usize;
+        for i in slots.chain(k..n) {
+            let alive = self.children[rotated(i, rot, n)].state != ChildState::Dead;
+            set_bit(present, i, alive);
+        }
+        Ok(())
     }
 
     /// Marks `lbn..lbn+blocks` acknowledged-and-stamped without timing;
     /// mirrors the flash card's aged preload so the torture driver can
     /// stamp the shadow in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a block at or past `k · 2^32` (see [`ArrayDevice`]).
     pub fn preload(&mut self, lbns: impl Iterator<Item = u64>) {
+        let k = self.k() as u64;
         for lbn in lbns {
             let gen = self.next_gen;
             self.next_gen += 1;
-            if self.store_instant(lbn, Self::payload(lbn, gen)) {
-                self.mapped.insert(lbn);
+            let (s, i) = (lbn / k, (lbn % k) as usize);
+            let slot = self.slot(s);
+            if self.store(s, slot, i..i + 1, Some(gen)).is_ok() {
+                set_bit(self.acked_mut(slot), i, true);
             }
         }
+    }
+
+    /// Decodes a copy of slot `slot`'s stripe into `out`, leaving the
+    /// arena as it is; false if fewer than `k` of its shards survive.
+    fn decode_copy(&self, slot: usize, out: &mut [Shard], scratch: &mut DecodeScratch) -> bool {
+        out.copy_from_slice(self.stripe(slot));
+        self.rs
+            .reconstruct(out, self.present(slot), scratch)
+            .is_ok()
     }
 
     /// The acknowledged `(lbn, generation)` mapping as far as the array
@@ -743,21 +917,24 @@ impl ArrayDevice {
     /// reports them as typed errors, so the loss is never silent.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let k = self.k();
-        let mut out = Vec::with_capacity(self.mapped.len());
-        let mut decoded: BTreeMap<u64, Option<Vec<Vec<u8>>>> = BTreeMap::new();
-        for &lbn in &self.mapped {
-            let s = lbn / k as u64;
-            let slot = (lbn % k as u64) as usize;
-            let Some(stripe) = self.stripes.get(&s) else {
-                continue;
-            };
-            if let Some(shard) = &stripe.shards[slot] {
-                out.push((lbn, Self::parse_generation(shard)));
-                continue;
-            }
-            let data = decoded.entry(s).or_insert_with(|| self.stripe_data(stripe));
-            if let Some(data) = data {
-                out.push((lbn, Self::parse_generation(&data[slot])));
+        let mut out = Vec::new();
+        let mut copy = vec![[0; PAYLOAD_BYTES]; self.n()];
+        let mut scratch = DecodeScratch::default();
+        for (s, &slot) in self.stripes.iter() {
+            let slot = slot as usize;
+            let (present, acked) = (self.present(slot), self.acked(slot));
+            // Decoded into `copy` on the stripe's first missing
+            // acknowledged block.
+            let mut decoded = None;
+            for i in (0..k).filter(|&i| bit(acked, i)) {
+                let lbn = s * k as u64 + i as u64;
+                if bit(present, i) {
+                    out.push((lbn, generation(&self.stripe(slot)[i])));
+                    continue;
+                }
+                if *decoded.get_or_insert_with(|| self.decode_copy(slot, &mut copy, &mut scratch)) {
+                    out.push((lbn, generation(&copy[i])));
+                }
             }
         }
         out
@@ -768,21 +945,19 @@ impl ArrayDevice {
     /// these: they surface as typed errors on read.
     pub fn unreadable_blocks(&self) -> Vec<u64> {
         let k = self.k();
-        self.mapped
-            .iter()
-            .copied()
-            .filter(|&lbn| {
-                let s = lbn / k as u64;
-                let slot = (lbn % k as u64) as usize;
-                match self.stripes.get(&s) {
-                    Some(stripe) => {
-                        stripe.shards[slot].is_none()
-                            && stripe.shards.iter().filter(|x| x.is_some()).count() < k
-                    }
-                    None => true,
-                }
-            })
-            .collect()
+        let mut out = Vec::new();
+        for (s, &slot) in self.stripes.iter() {
+            let (present, acked) = (self.present(slot as usize), self.acked(slot as usize));
+            if count(present) >= k {
+                continue;
+            }
+            out.extend(
+                (0..k)
+                    .filter(|&i| bit(acked, i) && !bit(present, i))
+                    .map(|i| s * k as u64 + i as u64),
+            );
+        }
+        out
     }
 
     /// Test-only sabotage: silently corrupts stored shard bytes so the
@@ -792,18 +967,22 @@ impl ArrayDevice {
     /// decode of `lbn` reconstructs garbage. The corruption is invisible
     /// to the array itself — only the shadow oracle can see it.
     pub fn sabotage_corrupt(&mut self, lbn: u64) {
-        let k = self.k();
-        let s = lbn / k as u64;
-        let slot = (lbn % k as u64) as usize;
-        let Some(stripe) = self.stripes.get_mut(&s) else {
+        let (k, n) = (self.k(), self.n());
+        let Some(&slot) = self.stripes.get(lbn / k as u64) else {
             return;
         };
-        if let Some(shard) = &mut stripe.shards[slot] {
-            shard.fill(0);
+        let (slot, w) = (slot as usize, self.words);
+        let i = (lbn % k as u64) as usize;
+        let present = &self.bits[presence_range(slot, w)];
+        let stripe = &mut self.shards[shard_range(slot, n)];
+        if bit(present, i) {
+            stripe[i] = [0; PAYLOAD_BYTES];
             return;
         }
-        for shard in stripe.shards[k..].iter_mut().flatten() {
-            shard.fill(0);
+        for (j, shard) in stripe.iter_mut().enumerate().skip(k) {
+            if bit(present, j) {
+                *shard = [0; PAYLOAD_BYTES];
+            }
         }
     }
 }
@@ -819,58 +998,57 @@ impl Device for ArrayDevice {
     fn read<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> ReadOutcome {
         let (lbn, blocks) = (req.lbn, req.block_count(self.block_bytes));
         let start = self.settle(now, obs);
-        let k = self.k();
-        let n = self.n();
-        let mut read_bytes = vec![0u64; n];
-        let mut degraded_bytes = vec![0u64; n];
+        let (k, n, w) = (self.k(), self.n(), self.words);
+        let bb = self.block_bytes;
+        self.scratch.start_op(n);
         let mut extra = SimDuration::ZERO;
         let mut result: Result<(), DeviceError> = Ok(());
-        let mut degraded_blocks: Vec<(u64, u32)> = Vec::new();
-        for b in lbn..lbn + u64::from(blocks) {
-            let s = b / k as u64;
-            let slot = (b % k as u64) as usize;
-            let child = self.child_of(slot, s);
-            let direct = match self.stripes.get(&s) {
-                Some(stripe) => stripe.shards[slot].is_some(),
-                // Never-written stripes read as zeros straight off the
-                // owning child, as long as its media is present.
-                None => self.children[child].state == ChildState::Alive,
+        for (s, slots) in stripe_runs(lbn, blocks, k) {
+            let rot = (s % n as u64) as usize;
+            let present = self
+                .stripes
+                .get(s)
+                .map(|&slot| &self.bits[presence_range(slot as usize, w)]);
+            let children = &self.children;
+            // Never-written stripes read as zeros straight off the owning
+            // child, as long as its media is present.
+            let available = |i: usize| match present {
+                Some(bits) => bit(bits, i),
+                None => children[rotated(i, rot, n)].state == ChildState::Alive,
             };
-            if direct {
-                read_bytes[child] += self.block_bytes;
-                continue;
-            }
-            // Degraded: fetch any k surviving shards and decode.
-            let available: Vec<usize> = match self.stripes.get(&s) {
-                Some(stripe) => (0..n).filter(|&i| stripe.shards[i].is_some()).collect(),
-                None => (0..n)
-                    .filter(|&i| self.children[self.child_of(i, s)].state == ChildState::Alive)
-                    .collect(),
-            };
-            let lost = (n - available.len()) as u32;
-            if available.len() >= k {
-                for &i in available.iter().take(k) {
-                    degraded_bytes[self.child_of(i, s)] += self.block_bytes;
+            for i in slots {
+                if available(i) {
+                    self.scratch.load[rotated(i, rot, n)][0] += bb;
+                    continue;
                 }
-                let attempts = lost.min(self.max_retries);
-                extra += self.retry_backoff * u64::from(attempts);
-                self.counters.degraded_reads += 1;
-                degraded_blocks.push((b, lost));
-            } else {
-                // Too few survivors: attempt them all, burn the full
-                // retry budget, and report the loss.
-                for &i in &available {
-                    degraded_bytes[self.child_of(i, s)] += self.block_bytes;
-                }
-                extra += self.retry_backoff * u64::from(self.max_retries);
-                self.counters.data_loss_events += 1;
-                obs.record(&Event::UncorrectableRead {
-                    t: start,
-                    lbn: b,
-                    errors: lost,
-                });
-                if result.is_ok() {
-                    result = Err(DeviceError::ArrayDegraded { lbn: b, lost });
+                // Degraded: fetch any k surviving shards and decode.
+                let b = s * k as u64 + i as u64;
+                let survivors = (0..n).filter(|&j| available(j)).count();
+                let lost = (n - survivors) as u32;
+                if survivors >= k {
+                    for j in (0..n).filter(|&j| available(j)).take(k) {
+                        self.scratch.load[rotated(j, rot, n)][1] += bb;
+                    }
+                    let attempts = lost.min(self.max_retries);
+                    extra += self.retry_backoff * u64::from(attempts);
+                    self.counters.degraded_reads += 1;
+                    self.scratch.degraded.push((b, lost));
+                } else {
+                    // Too few survivors: attempt them all, burn the full
+                    // retry budget, and report the loss.
+                    for j in (0..n).filter(|&j| available(j)) {
+                        self.scratch.load[rotated(j, rot, n)][1] += bb;
+                    }
+                    extra += self.retry_backoff * u64::from(self.max_retries);
+                    self.counters.data_loss_events += 1;
+                    obs.record(&Event::UncorrectableRead {
+                        t: start,
+                        lbn: b,
+                        errors: lost,
+                    });
+                    if result.is_ok() {
+                        result = Err(DeviceError::ArrayDegraded { lbn: b, lost });
+                    }
                 }
             }
         }
@@ -878,17 +1056,19 @@ impl Device for ArrayDevice {
         // slowest involved child, plus the serialized retry backoff.
         let mut transfer = SimDuration::ZERO;
         let mut active_power = 0.0;
-        for c in 0..n {
-            let bytes = read_bytes[c] + degraded_bytes[c];
+        for (child, &[direct, degraded, ..]) in self.children.iter().zip(&self.scratch.load) {
+            let bytes = direct + degraded;
             if bytes == 0 {
                 continue;
             }
-            let p = &self.children[c].profile;
-            let t = p.access_latency + p.read_bandwidth.transfer_time(bytes);
+            let p = &child.profile;
+            let t = p.access_latency + child.transfer_time(false, bytes);
             transfer = transfer.max(t);
             active_power += p.active_power.get();
-            let direct_t = if read_bytes[c] > 0 {
-                p.access_latency + p.read_bandwidth.transfer_time(read_bytes[c])
+            let direct_t = if degraded == 0 {
+                t
+            } else if direct > 0 {
+                p.access_latency + child.transfer_time(false, direct)
             } else {
                 SimDuration::ZERO
             };
@@ -900,17 +1080,10 @@ impl Device for ArrayDevice {
         self.meter
             .charge_for("degraded", Watts(active_power), extra);
         let end = start + transfer + extra;
-        for (b, lost) in &degraded_blocks {
-            obs.span(&Span::new(
-                SpanKind::DegradedRead {
-                    lbn: *b,
-                    lost: *lost,
-                },
-                start,
-                end,
-            ));
+        for &(lbn, lost) in &self.scratch.degraded {
+            obs.span(&Span::new(SpanKind::DegradedRead { lbn, lost }, start, end));
         }
-        if !degraded_blocks.is_empty() || result.is_err() {
+        if !self.scratch.degraded.is_empty() || result.is_err() {
             self.degraded.record(end.saturating_since(now));
         }
         self.counters.ops += 1;
@@ -933,101 +1106,70 @@ impl Device for ArrayDevice {
                 tolerated: self.rs.parity_shards() as u32,
             });
         }
-        let k = self.k();
-        let n = self.n();
-        // Group the written blocks by stripe: blocks sharing a stripe
-        // share one parity read-modify-write.
-        let mut by_stripe: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for b in lbn..lbn + u64::from(blocks) {
-            by_stripe.entry(b / k as u64).or_default().push(b);
-        }
-        // Per-child traffic, split by whether the child served a data or
-        // a parity shard (rotation means one child can do both in a
-        // multi-stripe write): (data_read, data_write, parity_read,
-        // parity_write) bytes.
-        let mut load = vec![(0u64, 0u64, 0u64, 0u64); n];
-        let mut parity_stripes: Vec<u64> = Vec::new();
+        let (k, n) = (self.k(), self.n());
+        let bb = self.block_bytes;
+        self.scratch.start_op(n);
         let mut error: Option<DeviceError> = None;
-        for (&s, lbns) in &by_stripe {
-            self.ensure_stripe(s);
-            let children: Vec<usize> = (0..n).map(|i| self.child_of(i, s)).collect();
-            let stripe = self.stripes.get(&s).expect("stripe just ensured");
-            let available = stripe.shards.iter().filter(|x| x.is_some()).count();
-            let Some(mut data) = self.stripe_data(stripe) else {
+        // Blocks sharing a stripe share one parity read-modify-write.
+        for (s, slots) in stripe_runs(lbn, blocks, k) {
+            let rot = (s % n as u64) as usize;
+            let slot = self.slot(s);
+            let gen = self.next_gen;
+            if let Err(available) = self.store(s, slot, slots.clone(), Some(gen)) {
                 // Too few survivors to recompute parity: attempted reads
                 // are charged, the write is refused for this stripe.
-                for (i, shard) in stripe.shards.iter().enumerate() {
-                    if shard.is_some() {
-                        load[children[i]].0 += self.block_bytes;
+                for i in 0..n {
+                    if bit(self.present(slot), i) {
+                        self.scratch.load[rotated(i, rot, n)][0] += bb;
                     }
                 }
-                if error.is_none() {
-                    error = Some(DeviceError::ArrayDegraded {
-                        lbn: lbns[0],
-                        lost: (n - available) as u32,
-                    });
-                }
+                error.get_or_insert(DeviceError::ArrayDegraded {
+                    lbn: s * k as u64 + slots.start as u64,
+                    lost: (n - available) as u32,
+                });
                 continue;
-            };
+            }
             // Read-modify-write: old data + parity shards come in, new
             // ones go out.
-            for &b in lbns {
-                let slot = (b % k as u64) as usize;
-                let gen = self.next_gen;
-                self.next_gen += 1;
-                data[slot] = Self::payload(b, gen);
-                let c = children[slot];
-                load[c].0 += self.block_bytes;
-                if self.writable(c) {
-                    load[c].1 += self.block_bytes;
-                }
+            self.next_gen += slots.len() as u64;
+            for i in slots.clone() {
+                let c = rotated(i, rot, n);
+                let writes = u64::from(self.writable(c));
+                self.scratch.load[c][0] += bb;
+                self.scratch.load[c][1] += bb * writes;
             }
-            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-            let parity = self.rs.encode(&refs);
-            for j in 0..self.rs.parity_shards() {
-                let c = children[k + j];
-                load[c].2 += self.block_bytes;
-                if self.writable(c) {
-                    load[c].3 += self.block_bytes;
-                }
+            for i in k..n {
+                let c = rotated(i, rot, n);
+                let writes = u64::from(self.writable(c));
+                self.scratch.load[c][2] += bb;
+                self.scratch.load[c][3] += bb * writes;
             }
-            let alive: Vec<bool> = children
-                .iter()
-                .map(|&c| self.children[c].state != ChildState::Dead)
-                .collect();
-            let stripe = self.stripes.get_mut(&s).expect("stripe just ensured");
-            for &b in lbns {
-                let slot = (b % k as u64) as usize;
-                stripe.shards[slot] = alive[slot].then(|| data[slot].clone());
-            }
-            for (j, p) in parity.into_iter().enumerate() {
-                stripe.shards[k + j] = alive[k + j].then_some(p);
+            let acked = self.acked_mut(slot);
+            for i in slots {
+                set_bit(acked, i, true);
             }
             self.counters.parity_updates += 1;
-            parity_stripes.push(s);
-            for &b in lbns {
-                self.mapped.insert(b);
-            }
+            self.scratch.parity.push(s);
         }
         // Children work in parallel; the stripe commits when the slowest
         // involved child finishes its read-modify-write. Energy is split
         // so the parity overhead is visible in the report.
         let mut total = SimDuration::ZERO;
-        for (c, &(dr, dw, pr, pw)) in load.iter().enumerate() {
+        for (child, &[dr, dw, pr, pw]) in self.children.iter().zip(&self.scratch.load) {
             if dr + dw + pr + pw == 0 {
                 continue;
             }
-            let p = &self.children[c].profile;
-            let data_t = p.read_bandwidth.transfer_time(dr) + p.write_bandwidth.transfer_time(dw);
-            let parity_t = p.read_bandwidth.transfer_time(pr) + p.write_bandwidth.transfer_time(pw);
+            let p = &child.profile;
+            let data_t = child.transfer_time(false, dr) + child.transfer_time(true, dw);
+            let parity_t = child.transfer_time(false, pr) + child.transfer_time(true, pw);
             total = total.max(p.access_latency + data_t + parity_t);
             self.meter
                 .charge_for("write", p.active_power, p.access_latency + data_t);
             self.meter.charge_for("parity", p.active_power, parity_t);
         }
         let end = start + total;
-        for s in parity_stripes {
-            obs.span(&Span::new(SpanKind::ParityUpdate { stripe: s }, start, end));
+        for &stripe in &self.scratch.parity {
+            obs.span(&Span::new(SpanKind::ParityUpdate { stripe }, start, end));
         }
         self.counters.ops += 1;
         self.counters.bytes_written += u64::from(blocks) * self.block_bytes;
@@ -1043,9 +1185,23 @@ impl Device for ArrayDevice {
     /// the array has no cleaner to inform, so trim is pure bookkeeping.
     fn trim<O: Observer>(&mut self, _now: SimTime, req: Request, _obs: &mut O) {
         let (lbn, blocks) = (req.lbn, req.block_count(self.block_bytes));
-        for b in lbn..lbn + u64::from(blocks) {
-            self.mapped.remove(&b);
-            let _ = self.store_instant(b, vec![0u8; PAYLOAD_BYTES]);
+        let (n, w) = (self.n(), self.words);
+        for (s, slots) in stripe_runs(lbn, blocks, self.k()) {
+            let slot = self.slot(s);
+            let acked = self.acked_mut(slot);
+            for i in slots.clone() {
+                set_bit(acked, i, false);
+            }
+            if self.store(s, slot, slots.clone(), None).is_err() {
+                // Too few survivors to re-encode parity. Nothing adds a
+                // shard to such a stripe, so it never decodes again, and
+                // zeroing the surviving trimmed shards changes no decode.
+                let present = &self.bits[presence_range(slot, w)];
+                let stripe = &mut self.shards[shard_range(slot, n)];
+                for i in slots.filter(|&i| bit(present, i)) {
+                    stripe[i] = [0; PAYLOAD_BYTES];
+                }
+            }
         }
     }
 
@@ -1153,8 +1309,8 @@ mod tests {
         assert!(svc.end > svc.start);
         assert!(a.meter().category("write").get() > 0.0);
         // Rotation: stripe 0 parity on child 2, stripe 1 parity on child 0.
-        assert_eq!(a.child_of(2, 0), 2);
-        assert_eq!(a.child_of(2, 1), 0);
+        assert_eq!(rotated(2, 0, 3), 2);
+        assert_eq!(rotated(2, 1, 3), 0);
     }
 
     #[test]
@@ -1383,6 +1539,180 @@ mod tests {
     #[should_panic(expected = "needs exactly")]
     fn child_count_must_match_geometry() {
         let _ = ArrayDevice::new(2, 1, &[ChildClass::FlashDisk; 5], BLOCK);
+    }
+
+    #[test]
+    fn try_new_carries_the_reason_it_refused() {
+        let fd = [ChildClass::FlashDisk; 300];
+        let refused = |reason| Some(DeviceError::ArrayGeometry(reason));
+        assert_eq!(
+            ArrayDevice::try_new(200, 100, &fd, BLOCK).err(),
+            refused(ArrayGeometryError::Code(EcError::BadGeometry {
+                k: 200,
+                m: 100
+            }))
+        );
+        assert_eq!(
+            ArrayDevice::try_new(2, 1, &fd[..5], BLOCK).err(),
+            refused(ArrayGeometryError::Children {
+                k: 2,
+                m: 1,
+                children: 5
+            })
+        );
+        assert_eq!(
+            ArrayDevice::try_new(2, 1, &fd[..3], 0).err(),
+            refused(ArrayGeometryError::ZeroBlockSize)
+        );
+        assert!(ArrayDevice::try_new(2, 1, &fd[..3], BLOCK).is_ok());
+    }
+
+    /// Checks what every op must leave behind: no present shard on a dead
+    /// child; every present data shard holding `[lbn, generation]` with a
+    /// generation already handed out if its block is acknowledged, and
+    /// zeros if it is not; parity equal to the schoolbook encode of the
+    /// data wherever every shard is present; and the snapshot and the
+    /// unreadable blocks splitting the acknowledged blocks between them.
+    fn check_invariants(a: &ArrayDevice, ctx: std::fmt::Arguments<'_>) {
+        let (k, n) = (a.k(), a.n());
+        let mut acked_blocks = Vec::new();
+        let mut column = Vec::with_capacity(k);
+        for (s, &slot) in a.stripes.iter() {
+            let slot = slot as usize;
+            let (stripe, present, acked) = (a.stripe(slot), a.present(slot), a.acked(slot));
+            let rot = (s % n as u64) as usize;
+            for i in (0..n).filter(|&i| bit(present, i)) {
+                let child = rotated(i, rot, n);
+                assert_ne!(
+                    a.children[child].state,
+                    ChildState::Dead,
+                    "{ctx}: stripe {s} keeps shard {i} on dead child {child}"
+                );
+            }
+            for (i, shard) in stripe[..k].iter().enumerate() {
+                let lbn = s * k as u64 + i as u64;
+                if bit(acked, i) {
+                    acked_blocks.push(lbn);
+                }
+                if !bit(present, i) {
+                    continue;
+                }
+                if bit(acked, i) {
+                    let gen = generation(shard);
+                    assert_eq!(shard[..8], lbn.to_le_bytes(), "{ctx}: block {lbn}'s lbn");
+                    assert!(
+                        (1..a.next_generation()).contains(&gen),
+                        "{ctx}: block {lbn} at generation {gen}, next is {}",
+                        a.next_generation()
+                    );
+                } else {
+                    assert_eq!(*shard, [0; PAYLOAD_BYTES], "{ctx}: unacknowledged {lbn}");
+                }
+            }
+            if count(present) == n {
+                for p in k..n {
+                    for t in 0..PAYLOAD_BYTES {
+                        column.clear();
+                        column.extend(stripe[..k].iter().map(|d| d[t]));
+                        assert_eq!(
+                            stripe[p][t],
+                            a.rs.codeword_symbol(&column, p),
+                            "{ctx}: stripe {s} parity shard {p} byte {t}"
+                        );
+                    }
+                }
+            }
+        }
+        let readable: Vec<u64> = a.snapshot().into_iter().map(|(lbn, _)| lbn).collect();
+        let unreadable = a.unreadable_blocks();
+        let mut split: Vec<u64> = readable.iter().chain(&unreadable).copied().collect();
+        split.sort_unstable();
+        assert_eq!(
+            split, acked_blocks,
+            "{ctx}: snapshot {readable:?} and unreadable {unreadable:?} must split the \
+             acknowledged blocks"
+        );
+    }
+
+    /// A random stream of writes (multi-stripe among them), reads, trims,
+    /// idle gaps and power failures against arrays whose children die on
+    /// a random schedule, with no spare and with one: degraded reads,
+    /// rebuilds and read-only mode all occur. The invariants hold after
+    /// every op.
+    #[test]
+    fn invariants_hold_after_every_op() {
+        use mobistore_sim::counters::CounterSet;
+        use mobistore_sim::rng::SimRng;
+        let mut seen = ArrayCounters::default();
+        let mut failed_arrays = 0;
+        let mut trims = 0;
+        for case in 0..24u64 {
+            let mut rng = SimRng::seed_with_stream(case, 19);
+            let (k, m) = [(2, 1), (4, 2), (3, 2)][case as usize % 3];
+            let n = k + m;
+            let spares = (case / 3 % 2) as u32;
+            // One to m + 1 deaths inside the first 30 s of a run of about
+            // 50 s.
+            let mut deaths = vec![None; n];
+            for _ in 0..rng.range_inclusive(1, m as u64 + 1) {
+                let child = rng.below(n as u64) as usize;
+                deaths[child] = Some(SimTime::from_nanos(rng.below(30_000_000_000)));
+            }
+            let mut a = array(k, m)
+                .with_deaths(DeathSchedule::explicit(deaths))
+                .with_spares(spares)
+                .with_rebuild_rate(20.0);
+            a.preload((0..48).filter(|_| rng.chance(0.5)));
+            check_invariants(&a, format_args!("case {case} preload"));
+            let mut now = SimTime::ZERO;
+            for op in 0..200 {
+                // Mostly short gaps; now and then an idle one long enough
+                // for the rebuild to walk a few stripes.
+                let gap_ms = if rng.chance(0.1) {
+                    rng.range_inclusive(500, 4_000)
+                } else {
+                    rng.below(40)
+                };
+                now += SimDuration::from_nanos(gap_ms * 1_000_000);
+                let lbn = rng.below(64);
+                let blocks = rng.range_inclusive(1, 3 * k as u64) as u32;
+                let req = Request::blocks(lbn, blocks, BLOCK);
+                match rng.below(10) {
+                    0..=3 => {
+                        let _ = a.write(now, req, &mut NoopObserver);
+                    }
+                    4..=6 => {
+                        let _ = a.read(now, req, &mut NoopObserver);
+                    }
+                    7 | 8 => {
+                        a.trim(now, req, &mut NoopObserver);
+                        trims += 1;
+                    }
+                    _ => now = a.power_fail(now, &mut NoopObserver).end,
+                }
+                check_invariants(
+                    &a,
+                    format_args!("case {case} ({k}+{m}, {spares} spares) op {op}"),
+                );
+            }
+            failed_arrays += u32::from(a.is_failed());
+            seen.merge(&a.counters());
+        }
+        assert!(seen.degraded_reads > 0, "no degraded reads: {seen:?}");
+        assert!(
+            seen.rebuilds_completed > 0,
+            "no rebuild completed: {seen:?}"
+        );
+        assert!(seen.data_loss_events > 0, "no stripe lost past m: {seen:?}");
+        assert!(
+            seen.read_only_rejections > 0,
+            "no read-only rejections: {seen:?}"
+        );
+        assert!(seen.power_failures > 0 && trims > 0);
+        assert!(
+            failed_arrays > 0 && failed_arrays < 24,
+            "{failed_arrays} arrays failed"
+        );
     }
 
     #[test]

@@ -185,6 +185,9 @@ pub enum DeviceError {
         /// Concurrent losses the geometry tolerates (`m`).
         tolerated: u32,
     },
+    /// An erasure-coded array cannot be built as configured, for the
+    /// reason carried.
+    ArrayGeometry(array::ArrayGeometryError),
 }
 
 impl std::fmt::Display for DeviceError {
@@ -224,6 +227,9 @@ impl std::fmt::Display for DeviceError {
                 "array failed: {lost} children dead, geometry tolerates {tolerated}; \
                  degraded to read-only"
             ),
+            DeviceError::ArrayGeometry(reason) => {
+                write!(f, "array geometry is invalid: {reason}")
+            }
         }
     }
 }

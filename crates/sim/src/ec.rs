@@ -19,7 +19,10 @@
 //!   property that makes any-`k`-of-`k+m` reconstruction work;
 //! * erasure-only decoding: callers state *which* shards are missing
 //!   (device deaths are detected, not silent), the decoder inverts the
-//!   surviving rows and re-derives the lost ones.
+//!   surviving rows and re-derives the lost ones;
+//! * fixed buffers: a stripe is a caller-owned slice of `[u8; N]` shards,
+//!   and both directions write into it in place, so a caller that reuses
+//!   its stripes and one [`DecodeScratch`] codes without allocating.
 //!
 //! Determinism: encoding and decoding are pure functions of their inputs;
 //! no randomness, no floating point, no platform dependence.
@@ -42,8 +45,6 @@ pub enum EcError {
         /// Shards required.
         needed: usize,
     },
-    /// Shard slices disagree in length or a shard is empty.
-    ShardSizeMismatch,
 }
 
 impl std::fmt::Display for EcError {
@@ -59,7 +60,6 @@ impl std::fmt::Display for EcError {
                 f,
                 "unrecoverable stripe: {present} shards present, {needed} needed"
             ),
-            EcError::ShardSizeMismatch => write!(f, "shards must be non-empty and equally sized"),
         }
     }
 }
@@ -128,31 +128,56 @@ impl Gf256 {
 
 /// A systematic `k+m` Reed-Solomon code over fixed-size shards.
 ///
+/// A stripe is a slice of `k + m` shards of `N` bytes each, data shards
+/// first. [`encode`](Self::encode) and [`reconstruct`](Self::reconstruct)
+/// work in place on that slice: the caller owns every buffer, and once a
+/// [`DecodeScratch`] has grown neither allocates.
+///
 /// # Examples
 ///
 /// ```
-/// use mobistore_sim::ec::ReedSolomon;
+/// use mobistore_sim::ec::{DecodeScratch, ReedSolomon};
 ///
 /// let rs = ReedSolomon::new(4, 2).unwrap();
-/// let data: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i, i + 10, i + 20]).collect();
-/// let parity = rs.encode(&data.iter().map(|s| s.as_slice()).collect::<Vec<_>>());
+/// // Four data shards, then room for two parity shards.
+/// let mut shards = [[0u8; 3]; 6];
+/// for (i, shard) in (0u8..).zip(&mut shards[..4]) {
+///     *shard = [i, i + 10, i + 20];
+/// }
+/// rs.encode(&mut shards);
+/// let stripe = shards;
 ///
-/// // Lose any two shards; the survivors reconstruct the stripe.
-/// let mut shards: Vec<Option<Vec<u8>>> =
-///     data.iter().cloned().map(Some).chain(parity.into_iter().map(Some)).collect();
-/// shards[1] = None;
-/// shards[4] = None;
-/// rs.reconstruct(&mut shards).unwrap();
-/// assert_eq!(shards[1].as_deref(), Some(&data[1][..]));
+/// // Lose any two shards: bit `i` of `present` marks shard `i`, and the
+/// // survivors rebuild the lost ones in place.
+/// shards[1] = [0; 3];
+/// shards[4] = [0; 3];
+/// let present = [0b10_1101];
+/// rs.reconstruct(&mut shards, &present, &mut DecodeScratch::default())
+///     .unwrap();
+/// assert_eq!(shards, stripe);
 /// ```
 #[derive(Clone)]
 pub struct ReedSolomon {
     k: usize,
     m: usize,
     gf: Gf256,
-    /// The full `(k+m) × k` systematic encoding matrix, row-major. Rows
-    /// `0..k` are the identity; rows `k..k+m` derive parity.
-    matrix: Vec<Vec<u8>>,
+    /// The full `(k+m) × k` systematic encoding matrix, row-major: row
+    /// `i` is `matrix[i * k..(i + 1) * k]`. Rows `0..k` are the identity;
+    /// rows `k..k+m` derive parity.
+    matrix: Vec<u8>,
+}
+
+/// Working memory for [`ReedSolomon::reconstruct`]: the decode matrix of
+/// one loss pattern. A scratch reused across calls stops allocating once
+/// it has grown to the code's `k × k`.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeScratch {
+    /// The first `k` present shards' indices.
+    survivors: Vec<usize>,
+    /// Their rows of the encoding matrix, reduced to the identity.
+    rows: Vec<u8>,
+    /// The inverse of those rows.
+    inv: Vec<u8>,
 }
 
 impl std::fmt::Debug for ReedSolomon {
@@ -161,6 +186,25 @@ impl std::fmt::Debug for ReedSolomon {
             .field("k", &self.k)
             .field("m", &self.m)
             .finish()
+    }
+}
+
+/// Whether bit `i` of the word-packed bit set `bits` is set: bit `i % 64`
+/// of `bits[i / 64]`, the layout of [`ReedSolomon::reconstruct`]'s
+/// `present` shards.
+#[inline]
+pub fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Sets bit `i` of the word-packed bit set `bits` (see [`bit`]) to `on`.
+#[inline]
+pub fn set_bit(bits: &mut [u64], i: usize, on: bool) {
+    let mask = 1 << (i % 64);
+    if on {
+        bits[i / 64] |= mask;
+    } else {
+        bits[i / 64] &= !mask;
     }
 }
 
@@ -174,8 +218,8 @@ impl ReedSolomon {
         // Vandermonde rows: V[i][j] = alpha^(i*j) for i in 0..k+m. Every
         // square submatrix of V built from distinct rows is invertible.
         let n = k + m;
-        let mut vand = vec![vec![0u8; k]; n];
-        for (i, row) in vand.iter_mut().enumerate() {
+        let mut vand = vec![0u8; n * k];
+        for (i, row) in vand.chunks_exact_mut(k).enumerate() {
             for (j, cell) in row.iter_mut().enumerate() {
                 *cell = gf.pow(i * j);
             }
@@ -183,16 +227,20 @@ impl ReedSolomon {
         // Normalise to systematic form: M = V * inv(top k rows of V).
         // The top k rows become the identity; the bottom m rows keep the
         // any-k-invertible property because column operations preserve it.
-        let top: Vec<Vec<u8>> = vand[..k].to_vec();
-        let top_inv = invert(&gf, &top).expect("Vandermonde top square is invertible");
-        let mut matrix = vec![vec![0u8; k]; n];
-        for i in 0..n {
-            for j in 0..k {
+        let mut top = vand[..k * k].to_vec();
+        let mut top_inv = vec![0u8; k * k];
+        assert!(
+            invert(&gf, &mut top, &mut top_inv, k),
+            "Vandermonde top square is invertible"
+        );
+        let mut matrix = vec![0u8; n * k];
+        for (row, vrow) in matrix.chunks_exact_mut(k).zip(vand.chunks_exact(k)) {
+            for (j, cell) in row.iter_mut().enumerate() {
                 let mut acc = 0u8;
-                for (l, inv_row) in top_inv.iter().enumerate() {
-                    acc ^= gf.mul(vand[i][l], inv_row[j]);
+                for (l, &v) in vrow.iter().enumerate() {
+                    acc ^= gf.mul(v, top_inv[l * k + j]);
                 }
-                matrix[i][j] = acc;
+                *cell = acc;
             }
         }
         Ok(ReedSolomon { k, m, gf, matrix })
@@ -213,103 +261,115 @@ impl ReedSolomon {
         self.k + self.m
     }
 
-    /// Encodes `k` equally-sized data shards into `m` parity shards.
+    /// Row `i` of the encoding matrix.
+    fn row(&self, i: usize) -> &[u8] {
+        &self.matrix[i * self.k..(i + 1) * self.k]
+    }
+
+    /// Computes a stripe's parity in place: reads data shards `0..k` of
+    /// `shards` and overwrites parity shards `k..k+m`.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != k` or the shards are not equally sized.
-    pub fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
-        assert_eq!(data.len(), self.k, "encode expects exactly k data shards");
-        let len = data[0].len();
-        assert!(
-            data.iter().all(|s| s.len() == len),
-            "data shards must be equally sized"
+    /// Panics if `shards.len() != k + m`.
+    pub fn encode<const N: usize>(&self, shards: &mut [[u8; N]]) {
+        assert_eq!(
+            shards.len(),
+            self.total_shards(),
+            "encode expects k+m shards"
         );
-        (0..self.m)
-            .map(|p| {
-                let row = &self.matrix[self.k + p];
-                let mut shard = vec![0u8; len];
-                for (j, src) in data.iter().enumerate() {
-                    let coeff = row[j];
+        for p in 0..self.m {
+            self.encode_parity(shards, p);
+        }
+    }
+
+    /// Writes parity shard `k + p` from the data shards: the codec's one
+    /// encoding kernel, which [`encode`](Self::encode) runs for every
+    /// parity shard and [`reconstruct`](Self::reconstruct) for the
+    /// missing ones.
+    fn encode_parity<const N: usize>(&self, shards: &mut [[u8; N]], p: usize) {
+        let (data, parity) = shards.split_at_mut(self.k);
+        let mut acc = [0u8; N];
+        for (src, &coeff) in data.iter().zip(self.row(self.k + p)) {
+            for (a, &b) in acc.iter_mut().zip(src) {
+                *a ^= self.gf.mul(coeff, b);
+            }
+        }
+        parity[p] = acc;
+    }
+
+    /// Rebuilds in place every shard of `shards` that `present` marks
+    /// missing, leaving the present shards as they are. Bit `i % 64` of
+    /// `present[i / 64]` marks shard `i` present. The missing data shards
+    /// are solved from the first `k` present shards, then the missing
+    /// parity shards are re-encoded from the data.
+    ///
+    /// # Errors
+    ///
+    /// [`EcError::NotEnoughShards`] if fewer than `k` shards are present;
+    /// `shards` is then left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards.len() != k + m` or `present` holds fewer than
+    /// `k + m` bits.
+    pub fn reconstruct<const N: usize>(
+        &self,
+        shards: &mut [[u8; N]],
+        present: &[u64],
+        scratch: &mut DecodeScratch,
+    ) -> Result<(), EcError> {
+        let (k, n) = (self.k, self.total_shards());
+        assert_eq!(shards.len(), n, "reconstruct expects k+m shards");
+        let DecodeScratch {
+            survivors,
+            rows,
+            inv,
+        } = scratch;
+        survivors.clear();
+        survivors.extend((0..n).filter(|&i| bit(present, i)));
+        if survivors.len() == n {
+            return Ok(());
+        }
+        if survivors.len() < k {
+            return Err(EcError::NotEnoughShards {
+                present: survivors.len(),
+                needed: k,
+            });
+        }
+        survivors.truncate(k);
+        if (0..k).any(|j| !bit(present, j)) {
+            // Invert the k surviving rows to express the data shards in
+            // terms of the survivors: data[j] = sum_l inv[j][l] *
+            // survivor[l].
+            rows.clear();
+            for &i in survivors.iter() {
+                rows.extend_from_slice(self.row(i));
+            }
+            inv.resize(k * k, 0);
+            assert!(
+                invert(&self.gf, rows, inv, k),
+                "any k rows of an MDS matrix are invertible"
+            );
+            for (j, inv_row) in inv.chunks_exact(k).enumerate() {
+                if bit(present, j) {
+                    continue;
+                }
+                let mut acc = [0u8; N];
+                for (&coeff, &src) in inv_row.iter().zip(survivors.iter()) {
                     if coeff == 0 {
                         continue;
                     }
-                    for (dst, &b) in shard.iter_mut().zip(src.iter()) {
-                        *dst ^= self.gf.mul(coeff, b);
+                    for (a, &b) in acc.iter_mut().zip(&shards[src]) {
+                        *a ^= self.gf.mul(coeff, b);
                     }
                 }
-                shard
-            })
-            .collect()
-    }
-
-    /// Reconstructs every missing shard in place. `shards` must have
-    /// `k + m` entries; `None` marks an erased shard. On success every
-    /// entry is `Some` and data shards carry their original bytes.
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        assert_eq!(
-            shards.len(),
-            self.k + self.m,
-            "reconstruct expects k+m shard slots"
-        );
-        let present: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
-        if present.len() == shards.len() {
-            return Ok(());
-        }
-        if present.len() < self.k {
-            return Err(EcError::NotEnoughShards {
-                present: present.len(),
-                needed: self.k,
-            });
-        }
-        let len = shards[present[0]].as_ref().expect("present").len();
-        if len == 0
-            || present
-                .iter()
-                .any(|&i| shards[i].as_ref().expect("present").len() != len)
-        {
-            return Err(EcError::ShardSizeMismatch);
-        }
-
-        // Invert the k surviving rows to express the data shards in terms
-        // of the survivors.
-        let rows: Vec<Vec<u8>> = present[..self.k]
-            .iter()
-            .map(|&i| self.matrix[i].clone())
-            .collect();
-        let inv = invert(&self.gf, &rows).expect("any k rows of an MDS matrix are invertible");
-
-        // data[j] = sum_l inv[j][l] * survivor[l]
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(self.k);
-        for inv_row in &inv {
-            let mut shard = vec![0u8; len];
-            for (l, &src_idx) in present[..self.k].iter().enumerate() {
-                let coeff = inv_row[l];
-                if coeff == 0 {
-                    continue;
-                }
-                let src = shards[src_idx].as_ref().expect("present");
-                for (dst, &b) in shard.iter_mut().zip(src.iter()) {
-                    *dst ^= self.gf.mul(coeff, b);
-                }
-            }
-            data.push(shard);
-        }
-
-        // Fill missing data shards, then re-derive missing parity shards.
-        let parity_needed: Vec<usize> = (self.k..self.k + self.m)
-            .filter(|&i| shards[i].is_none())
-            .collect();
-        for i in 0..self.k {
-            if shards[i].is_none() {
-                shards[i] = Some(data[i].clone());
+                shards[j] = acc;
             }
         }
-        if !parity_needed.is_empty() {
-            let data_refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
-            let parity = self.encode(&data_refs);
-            for i in parity_needed {
-                shards[i] = Some(parity[i - self.k].clone());
+        for p in 0..self.m {
+            if !bit(present, k + p) {
+                self.encode_parity(shards, p);
             }
         }
         Ok(())
@@ -326,7 +386,7 @@ impl ReedSolomon {
         }
         // Null space of the survivors' rows: solve rows * x = 0 for a
         // nonzero x via Gaussian elimination with a free variable.
-        let mut rows: Vec<Vec<u8>> = survivors.iter().map(|&i| self.matrix[i].clone()).collect();
+        let mut rows: Vec<Vec<u8>> = survivors.iter().map(|&i| self.row(i).to_vec()).collect();
         let k = self.k;
         let mut pivot_of_col: Vec<Option<usize>> = vec![None; k];
         let mut r = 0;
@@ -375,7 +435,7 @@ impl ReedSolomon {
     /// data vector (test/verification helper).
     pub fn codeword_symbol(&self, data: &[u8], position: usize) -> u8 {
         assert_eq!(data.len(), self.k);
-        let row = &self.matrix[position];
+        let row = self.row(position);
         let mut acc = 0u8;
         for (j, &d) in data.iter().enumerate() {
             acc ^= self.gf.mul(row[j], d);
@@ -384,36 +444,40 @@ impl ReedSolomon {
     }
 }
 
-/// Inverts a square matrix over GF(2^8) by Gauss-Jordan elimination;
-/// `None` if singular.
-fn invert(gf: &Gf256, mat: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {
-    let n = mat.len();
-    let mut a: Vec<Vec<u8>> = mat.to_vec();
-    let mut inv: Vec<Vec<u8>> = (0..n)
-        .map(|i| (0..n).map(|j| u8::from(i == j)).collect())
-        .collect();
+/// Inverts the `n × n` row-major matrix `a` over GF(2^8) by Gauss-Jordan
+/// elimination, reducing `a` to the identity and writing the inverse to
+/// `inv` (both `n * n` long); false if `a` is singular.
+fn invert(gf: &Gf256, a: &mut [u8], inv: &mut [u8], n: usize) -> bool {
+    inv.fill(0);
+    for i in 0..n {
+        inv[i * n + i] = 1;
+    }
     for col in 0..n {
-        let pivot = (col..n).find(|&r| a[r][col] != 0)?;
-        a.swap(col, pivot);
-        inv.swap(col, pivot);
-        let p_inv = gf.inv(a[col][col]);
-        for j in 0..n {
-            a[col][j] = gf.mul(a[col][j], p_inv);
-            inv[col][j] = gf.mul(inv[col][j], p_inv);
+        let Some(pivot) = (col..n).find(|&r| a[r * n + col] != 0) else {
+            return false;
+        };
+        if pivot != col {
+            for j in 0..n {
+                a.swap(col * n + j, pivot * n + j);
+                inv.swap(col * n + j, pivot * n + j);
+            }
+        }
+        let p_inv = gf.inv(a[col * n + col]);
+        for j in col * n..(col + 1) * n {
+            a[j] = gf.mul(a[j], p_inv);
+            inv[j] = gf.mul(inv[j], p_inv);
         }
         for r in 0..n {
-            if r != col && a[r][col] != 0 {
-                let f = a[r][col];
+            let f = a[r * n + col];
+            if r != col && f != 0 {
                 for j in 0..n {
-                    let sa = gf.mul(f, a[col][j]);
-                    a[r][j] ^= sa;
-                    let si = gf.mul(f, inv[col][j]);
-                    inv[r][j] ^= si;
+                    a[r * n + j] ^= gf.mul(f, a[col * n + j]);
+                    inv[r * n + j] ^= gf.mul(f, inv[col * n + j]);
                 }
             }
         }
     }
-    Some(inv)
+    true
 }
 
 #[cfg(test)]
@@ -421,36 +485,46 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
 
-    fn random_shards(rng: &mut SimRng, k: usize, len: usize) -> Vec<Vec<u8>> {
-        (0..k)
-            .map(|_| (0..len).map(|_| rng.next_u32() as u8).collect())
-            .collect()
+    /// A stripe of `k + m` shards: random data, then its encoded parity.
+    fn random_stripe<const N: usize>(rng: &mut SimRng, rs: &ReedSolomon) -> Vec<[u8; N]> {
+        let mut shards = vec![[0u8; N]; rs.total_shards()];
+        for shard in &mut shards[..rs.data_shards()] {
+            shard.fill_with(|| rng.next_u32() as u8);
+        }
+        rs.encode(&mut shards);
+        shards
+    }
+
+    /// The presence bits of a stripe of `n` shards that lost `lost`.
+    fn present(n: usize, lost: u32) -> [u64; 1] {
+        [!u64::from(lost) & ((1 << n) - 1)]
     }
 
     /// Every subset of k survivors out of k+m reconstructs the stripe.
     #[test]
     fn any_k_of_n_reconstructs() {
         let mut rng = SimRng::seed_from_u64(1994);
+        let mut scratch = DecodeScratch::default();
         for &(k, m) in &[(2usize, 1usize), (3, 2), (4, 2), (5, 3), (8, 2)] {
             let rs = ReedSolomon::new(k, m).unwrap();
-            let data = random_shards(&mut rng, k, 24);
-            let parity = rs.encode(&data.iter().map(|s| s.as_slice()).collect::<Vec<_>>());
-            let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
+            let full = random_stripe::<24>(&mut rng, &rs);
             let n = k + m;
             // Iterate all loss masks of exactly m shards.
             for mask in 0u32..(1 << n) {
                 if mask.count_ones() as usize != m {
                     continue;
                 }
-                let mut shards: Vec<Option<Vec<u8>>> = (0..n)
-                    .map(|i| (mask & (1 << i) == 0).then(|| full[i].clone()))
-                    .collect();
-                rs.reconstruct(&mut shards).unwrap_or_else(|e| {
-                    panic!("{k}+{m} mask {mask:b}: {e}");
-                });
-                for (i, shard) in shards.iter().enumerate() {
-                    assert_eq!(shard.as_deref(), Some(&full[i][..]), "{k}+{m} shard {i}");
+                let mut shards = full.clone();
+                for (i, shard) in shards.iter_mut().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        *shard = [0; 24];
+                    }
                 }
+                rs.reconstruct(&mut shards, &present(n, mask), &mut scratch)
+                    .unwrap_or_else(|e| {
+                        panic!("{k}+{m} mask {mask:b}: {e}");
+                    });
+                assert_eq!(shards, full, "{k}+{m} mask {mask:b}");
             }
         }
     }
@@ -460,20 +534,20 @@ mod tests {
     fn more_than_m_losses_error() {
         let mut rng = SimRng::seed_from_u64(7);
         let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = random_shards(&mut rng, 4, 8);
-        let parity = rs.encode(&data.iter().map(|s| s.as_slice()).collect::<Vec<_>>());
-        let full: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
-        let mut shards: Vec<Option<Vec<u8>>> = full.into_iter().map(Some).collect();
-        shards[0] = None;
-        shards[2] = None;
-        shards[5] = None;
+        let mut shards = random_stripe::<8>(&mut rng, &rs);
+        let before = shards.clone();
         assert_eq!(
-            rs.reconstruct(&mut shards),
+            rs.reconstruct(
+                &mut shards,
+                &present(6, 0b10_0101),
+                &mut DecodeScratch::default()
+            ),
             Err(EcError::NotEnoughShards {
                 present: 3,
                 needed: 4
             })
         );
+        assert_eq!(shards, before, "a refused decode writes nothing");
     }
 
     /// k-1 shards provably cannot determine the stripe: for every set of
@@ -516,7 +590,7 @@ mod tests {
         let rs = ReedSolomon::new(5, 3).unwrap();
         for i in 0..5 {
             for j in 0..5 {
-                assert_eq!(rs.matrix[i][j], u8::from(i == j));
+                assert_eq!(rs.row(i)[j], u8::from(i == j));
             }
         }
     }
@@ -528,23 +602,85 @@ mod tests {
         // generation-tagged payloads (and the crashcheck oracle) detect.
         let mut rng = SimRng::seed_from_u64(3);
         let rs = ReedSolomon::new(3, 2).unwrap();
-        let data = random_shards(&mut rng, 3, 16);
-        let parity = rs.encode(&data.iter().map(|s| s.as_slice()).collect::<Vec<_>>());
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .map(Some)
-            .chain(parity.into_iter().map(Some))
-            .collect();
-        shards[0] = None; // data shard lost
-        shards[3] = Some(vec![0u8; 16]); // surviving parity sabotaged
-        shards[4] = None; // decode must lean on the sabotaged shard
-        rs.reconstruct(&mut shards).unwrap();
+        let honest = random_stripe::<16>(&mut rng, &rs);
+        let mut shards = honest.clone();
+        shards[3] = [0; 16]; // surviving parity sabotaged
+                             // Shard 0 (data) and shard 4 (parity) are lost, so the decode
+                             // must lean on the sabotaged shard.
+        rs.reconstruct(
+            &mut shards,
+            &present(5, 0b1_0001),
+            &mut DecodeScratch::default(),
+        )
+        .unwrap();
         assert_ne!(
-            shards[0].as_deref(),
-            Some(&data[0][..]),
+            shards[0], honest[0],
             "sabotage must corrupt the decode, not vanish silently"
         );
+        assert_eq!(shards[3], [0; 16], "a present shard is never rewritten");
+    }
+
+    /// The stripe the encoding matrix makes of `data`, computed one
+    /// schoolbook product at a time: shard `i`'s byte `t` is the sum over
+    /// `j` of `matrix[i][j] · data[j][t]`, each product a carry-less
+    /// multiply reduced by the field polynomial.
+    fn schoolbook_stripe(rs: &ReedSolomon, data: &[[u8; 16]]) -> Vec<[u8; 16]> {
+        (0..rs.total_shards())
+            .map(|i| {
+                let mut shard = [0u8; 16];
+                for (t, byte) in shard.iter_mut().enumerate() {
+                    for (j, src) in data.iter().enumerate() {
+                        *byte ^= clmul_reduce(rs.row(i)[j], src[t]);
+                    }
+                }
+                shard
+            })
+            .collect()
+    }
+
+    /// `encode` and `reconstruct` against the schoolbook product: random
+    /// 16-byte shards, every erasure pattern of up to `m` losses rebuilt
+    /// exactly (the lost shards start as garbage), and every pattern of
+    /// `m + 1` losses refused without a byte written.
+    #[test]
+    fn encode_and_reconstruct_match_a_schoolbook_product() {
+        let mut rng = SimRng::seed_from_u64(19);
+        let mut scratch = DecodeScratch::default();
+        for &(k, m) in &[(2usize, 1usize), (4, 2), (8, 2)] {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            let n = k + m;
+            for trial in 0..4 {
+                let mut stripe = vec![[0u8; 16]; n];
+                for shard in &mut stripe {
+                    shard.fill_with(|| rng.next_u32() as u8);
+                }
+                let want = schoolbook_stripe(&rs, &stripe[..k]);
+                assert_eq!(want[..k], stripe[..k], "{k}+{m}: systematic rows");
+                rs.encode(&mut stripe);
+                assert_eq!(stripe, want, "{k}+{m} trial {trial}: encode");
+                for mask in 1u32..(1 << n) {
+                    let losses = mask.count_ones() as usize;
+                    if losses > m + 1 {
+                        continue;
+                    }
+                    let mut shards = want.clone();
+                    for (i, shard) in shards.iter_mut().enumerate() {
+                        if mask & (1 << i) != 0 {
+                            shard.fill_with(|| rng.next_u32() as u8);
+                        }
+                    }
+                    let garbage = shards.clone();
+                    let res = rs.reconstruct(&mut shards, &present(n, mask), &mut scratch);
+                    if losses <= m {
+                        assert_eq!(res, Ok(()), "{k}+{m} mask {mask:b}");
+                        assert_eq!(shards, want, "{k}+{m} trial {trial} mask {mask:b}");
+                    } else {
+                        assert!(res.is_err(), "{k}+{m} mask {mask:b}");
+                        assert_eq!(shards, garbage, "{k}+{m} mask {mask:b}: refused");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,6 +59,7 @@ type Page<T> = [Option<T>; PAGE_ENTRIES];
 /// assert_eq!(table.get(1 << 40), None);
 /// let keys: Vec<u64> = table.iter().map(|(lbn, _)| lbn).collect();
 /// assert_eq!(keys, [7, 4_100]);
+/// assert_eq!(table.iter_from(8).next(), Some((4_100, &'b')));
 /// assert_eq!(table.remove(7), Some('A'));
 /// assert_eq!(table.len(), 1);
 /// ```
@@ -157,14 +158,26 @@ impl<T> LbnTable<T> {
 
     /// Iterates the occupied entries in ascending lbn order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        self.iter_from(0)
+    }
+
+    /// Iterates the occupied entries at or after `lbn` in ascending lbn
+    /// order, skipping the pages below `lbn`'s without visiting them.
+    pub fn iter_from(&self, lbn: u64) -> impl Iterator<Item = (u64, &T)> + '_ {
+        // A key past every page index starts past the last page.
+        let (first, skip) = split(lbn).unwrap_or((usize::MAX, 0));
         self.pages
             .iter()
             .enumerate()
-            .filter_map(|(p, page)| Some((p as u64) << PAGE_BITS).zip(page.as_deref()))
-            .flat_map(|(base, page)| {
-                page.iter()
+            .skip(first)
+            .filter_map(|(p, page)| Some(p).zip(page.as_deref()))
+            .flat_map(move |(p, page)| {
+                let base = (p as u64) << PAGE_BITS;
+                let from = if p == first { skip } else { 0 };
+                page[from..]
+                    .iter()
                     .enumerate()
-                    .filter_map(move |(s, v)| Some(base | s as u64).zip(v.as_ref()))
+                    .filter_map(move |(s, v)| Some(base | (from + s) as u64).zip(v.as_ref()))
             })
     }
 }
@@ -235,6 +248,14 @@ mod tests {
                 assert_eq!(table.get(k), model.get(&k), "case {case} op {op}");
                 assert_eq!(table.len(), model.len(), "case {case} op {op}");
                 assert_eq!(table.is_empty(), model.is_empty(), "case {case} op {op}");
+                let from = key(&mut rng);
+                assert!(
+                    table
+                        .iter_from(from)
+                        .take(3)
+                        .eq(model.range(from..).take(3).map(|(&k, v)| (k, v))),
+                    "case {case} op {op}: walk from {from}"
+                );
             }
             let got: Vec<(u64, u64)> = table.iter().map(|(k, &v)| (k, v)).collect();
             let want: Vec<(u64, u64)> = model.into_iter().collect();
@@ -249,6 +270,7 @@ mod tests {
             assert_eq!(table.get(k), None);
             assert_eq!(table.get_mut(k), None);
             assert_eq!(table.remove(k), None);
+            assert_eq!(table.iter_from(k).next(), None);
         }
         assert!(table.pages.is_empty(), "no top level for an empty table");
         table.insert(4_095, 1);
@@ -257,7 +279,9 @@ mod tests {
         for k in [MAX_LBN_END - 1, MAX_LBN_END, 1 << 40, u64::MAX] {
             assert_eq!(table.get(k), None);
             assert_eq!(table.remove(k), None);
+            assert_eq!(table.iter_from(k).next(), None);
         }
+        assert_eq!(table.iter_from(4_096).next(), Some((4_096, &2)));
         assert_eq!((table.pages.len(), pages(&table)), (2, 2));
         // The top key of the domain costs a 2^20-slot top level and one
         // page.

@@ -2,9 +2,11 @@
 //!
 //! Every op the simulator replays touches the DRAM cache's index, the
 //! flash card's block map and, under cleaning, the cleaner's live-block
-//! list. Those structures and the per-op block lists are reused across
-//! ops, so a replay's heap allocations come from set-up and from tables
-//! growing to their working size, not from the ops themselves. Trace
+//! list; on an erasure-coded array it touches the stripe table, the shard
+//! arena and the array's per-op scratch. Those structures and the per-op
+//! block lists are reused across ops, so a replay's heap allocations come
+//! from set-up and from tables growing to their working size, not from
+//! the ops themselves. Trace
 //! generation likewise lays each record out into one reused buffer. The
 //! tests count the allocations one `simulate` or `generate` call makes on
 //! the calling thread and bound them per op or per trace.
@@ -12,11 +14,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use mobistore::core::config::SystemConfig;
 use mobistore::core::simulator::simulate;
+use mobistore::device::array::ChildClass;
 use mobistore::device::params::intel_datasheet;
 use mobistore::experiments::flash_card_config;
 use mobistore::sim::units::MIB;
-use mobistore::Workload;
+use mobistore::trace::record::{DiskOpKind, Trace};
+use mobistore::{Metrics, Workload};
 
 /// The system allocator, counting the allocations each thread makes.
 struct CountingAlloc;
@@ -92,6 +97,78 @@ fn card_replay_with_dram_allocates_under_a_tenth_per_op() {
         per_op < 0.1,
         "{allocs} heap allocations over {ops} ops ({per_op:.3} per op)"
     );
+}
+
+/// Heap allocations one `simulate` call makes, and the metrics it
+/// returns.
+fn counted_simulate(config: &SystemConfig, trace: &Trace) -> (u64, Metrics) {
+    let before = allocations();
+    let metrics = simulate(config, trace);
+    (allocations() - before, metrics)
+}
+
+#[test]
+fn array_replay_with_dram_allocates_under_a_tenth_per_op() {
+    // The cache-sweep array cell: a 4+2 flash-disk array behind 2 MB of
+    // write-through DRAM, so every write reaches the array as a parity
+    // read-modify-write. Dos adds trims and writes that span several
+    // stripes.
+    //
+    // Set-up allocates a fixed amount: the array's codec tables, its
+    // stripe table and arena grown by the preload, and everything a
+    // flash-disk run builds too. At scale 0.05 dos has under 300 ops, too
+    // few to amortise that, so each trace is also replayed without its
+    // second half, and the ops of that half are held to the bound on
+    // their own.
+    let config = SystemConfig::array(4, 2, vec![ChildClass::FlashDisk; 6]).with_dram(2 * MIB);
+    for workload in [Workload::Mac, Workload::Dos] {
+        let name = workload.name();
+        let trace = workload.generate_scaled(0.05, 1994);
+        let mut first_half = trace.clone();
+        first_half.ops.truncate(trace.ops.len() / 2);
+        let second_half = &trace.ops[first_half.ops.len()..];
+        if workload == Workload::Dos {
+            assert!(
+                second_half.iter().any(|op| op.kind == DiskOpKind::Trim),
+                "dos: no trims in the second half"
+            );
+            assert!(
+                second_half
+                    .iter()
+                    .any(|op| op.kind == DiskOpKind::Write && op.blocks > 4),
+                "dos: no write longer than a 4-block stripe in the second half"
+            );
+        }
+
+        let (allocs, metrics) = counted_simulate(&config, &trace);
+        let (first_allocs, _) = counted_simulate(&config, &first_half);
+
+        let array = metrics.array.expect("an array run reports array counters");
+        assert!(
+            array.parity_updates > 0,
+            "{name}: no writes reached the array"
+        );
+        let ops = trace.ops.len() as u64;
+        let per_op = allocs as f64 / ops as f64;
+        if workload == Workload::Mac {
+            assert!(
+                ops >= 2_000,
+                "{name}: too few ops ({ops}) to amortise set-up"
+            );
+            assert!(
+                per_op < 0.1,
+                "{name}: {allocs} heap allocations over {ops} ops ({per_op:.3} per op)"
+            );
+        }
+        let extra = allocs.saturating_sub(first_allocs);
+        let per_extra_op = extra as f64 / second_half.len() as f64;
+        assert!(
+            per_extra_op < 0.1,
+            "{name}: the second half's {} ops made {extra} heap allocations \
+             ({per_extra_op:.3} per op; {allocs} over the whole run, {per_op:.3} per op)",
+            second_half.len()
+        );
+    }
 }
 
 #[test]
