@@ -19,6 +19,7 @@ use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_sim::units::MIB;
 
 use crate::lru::LruSet;
+use crate::MemoryState;
 
 /// Whether writes propagate immediately or on eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,13 +65,14 @@ pub struct Evicted {
 /// use mobistore_cache::dram::{BufferCache, WritePolicy};
 /// use mobistore_device::params::dram_nec;
 /// use mobistore_sim::obs::NoopObserver;
-/// use mobistore_sim::time::SimTime;
+/// use mobistore_sim::time::{SimDuration, SimTime};
 ///
 /// let mut cache = BufferCache::new(dram_nec(), 8 * 1024, 1024, WritePolicy::WriteThrough);
 /// let t = SimTime::ZERO;
 /// let mut misses = Vec::new();
-/// cache.read_probe(t, &[1, 2], &mut misses, &mut NoopObserver);
+/// let access = cache.read_probe(t, &[1, 2], &mut misses, &mut NoopObserver);
 /// assert_eq!(misses, [1, 2], "both blocks miss");
+/// assert!(access > SimDuration::ZERO, "a probe costs its access time");
 /// cache.insert(1, false);
 /// cache.read_probe(t, &[1], &mut misses, &mut NoopObserver);
 /// assert!(misses.is_empty(), "now a hit");
@@ -84,11 +86,9 @@ pub struct BufferCache {
     /// its LRU node.
     lru: LruSet,
     policy: WritePolicy,
-    meter: EnergyMeter,
+    meter: EnergyMeter<MemoryState>,
     stats: CacheStats,
 }
-
-const CATEGORIES: &[&str] = &["active", "idle"];
 
 impl BufferCache {
     /// Creates a cache of `capacity_bytes` over blocks of `block_size`.
@@ -132,7 +132,7 @@ impl BufferCache {
             block_size,
             lru: LruSet::new(blocks),
             policy,
-            meter: EnergyMeter::new(CATEGORIES),
+            meter: EnergyMeter::new(),
             stats: CacheStats::default(),
         })
     }
@@ -159,28 +159,29 @@ impl BufferCache {
     }
 
     /// Returns the energy meter for breakdowns.
-    pub fn meter(&self) -> &EnergyMeter {
+    pub fn meter(&self) -> &EnergyMeter<MemoryState> {
         &self.meter
     }
 
     /// Zeroes energy and counters while keeping contents (warm-up boundary).
     pub fn reset_metrics(&mut self) {
-        self.meter = EnergyMeter::new(CATEGORIES);
+        self.meter = EnergyMeter::new();
         self.stats = CacheStats::default();
     }
 
     /// Probes a read issued at `now`: touches the blocks that hit and
     /// replaces the contents of `misses` with the blocks that miss,
-    /// updating hit/miss counters. The split is reported to `obs` as an
-    /// [`Event::CacheRead`] plus a [`SpanKind::CacheLookup`] span covering
-    /// the cache's access time for the probed blocks.
+    /// updating hit/miss counters, and charges the access of every probed
+    /// block. Returns that access time. The split is reported to `obs` as
+    /// an [`Event::CacheRead`] plus a [`SpanKind::CacheLookup`] span
+    /// covering the access time.
     pub fn read_probe<O: Observer>(
         &mut self,
         now: SimTime,
         lbns: &[u64],
         misses: &mut Vec<u64>,
         obs: &mut O,
-    ) {
+    ) -> SimDuration {
         misses.clear();
         for &lbn in lbns {
             if self.lru.touch(lbn) {
@@ -190,6 +191,7 @@ impl BufferCache {
                 misses.push(lbn);
             }
         }
+        let access = self.charge_access(lbns.len() as u64 * self.block_size);
         let hits = (lbns.len() - misses.len()) as u32;
         obs.record(&Event::CacheRead {
             t: now,
@@ -202,8 +204,9 @@ impl BufferCache {
                 misses: misses.len() as u32,
             },
             now,
-            now + self.access_time(lbns.len() as u64 * self.block_size),
+            now + access,
         ));
+        access
     }
 
     /// Inserts a block (`dirty` marks unwritten data under write-back);
@@ -223,16 +226,17 @@ impl BufferCache {
     }
 
     /// Records a write of the given blocks issued at `now`, inserting them,
-    /// and replaces the contents of `flushes` with the dirty evictions the
-    /// caller must flush (write-back only). The absorbed blocks and dirty
-    /// evictions are reported to `obs` as an [`Event::CacheWrite`].
+    /// replaces the contents of `flushes` with the dirty evictions the
+    /// caller must flush (write-back only), and charges the access of the
+    /// written blocks. Returns that access time. The absorbed blocks and
+    /// dirty evictions are reported to `obs` as an [`Event::CacheWrite`].
     pub fn write<O: Observer>(
         &mut self,
         now: SimTime,
         lbns: &[u64],
         flushes: &mut Vec<u64>,
         obs: &mut O,
-    ) {
+    ) -> SimDuration {
         flushes.clear();
         for &lbn in lbns {
             self.stats.writes += 1;
@@ -247,6 +251,7 @@ impl BufferCache {
             blocks: lbns.len() as u32,
             dirty_evictions: flushes.len() as u32,
         });
+        self.charge_access(lbns.len() as u64 * self.block_size)
     }
 
     /// Drops a block (file deletion) and its dirty data; returns true if
@@ -272,27 +277,25 @@ impl BufferCache {
         dirty
     }
 
-    /// Time to move `bytes` between the CPU and the cache.
-    pub fn access_time(&self, bytes: u64) -> SimDuration {
-        self.params.access_latency + self.params.bandwidth.transfer_time(bytes)
-    }
-
-    /// Charges the energy of one access of `bytes` (the array draws its
-    /// active power for the transfer duration, on top of refresh).
-    pub fn charge_access(&mut self, bytes: u64) {
-        let dur = self.access_time(bytes);
+    /// Charges the energy of one access of `bytes` and returns its time:
+    /// the latency plus the transfer, during which the array draws its
+    /// active power on top of refresh.
+    #[inline]
+    fn charge_access(&mut self, bytes: u64) -> SimDuration {
+        let dur = self.params.access_latency + self.params.bandwidth.transfer_time(bytes);
         let delta = Watts(
             (self.params.active_power_per_mib.get() - self.params.idle_power_per_mib.get())
                 * self.capacity_mib,
         );
-        self.meter.charge_for("active", delta, dur);
+        self.meter.charge_for(MemoryState::Active, delta, dur);
+        dur
     }
 
     /// Charges refresh power for a span of simulated time; call once with
     /// the measured portion's duration.
     pub fn charge_idle_span(&mut self, span: SimDuration) {
         let refresh = Watts(self.params.idle_power_per_mib.get() * self.capacity_mib);
-        self.meter.charge_for("idle", refresh, span);
+        self.meter.charge_for(MemoryState::Idle, refresh, span);
     }
 }
 
@@ -410,15 +413,56 @@ mod tests {
         let mut c = cache(2048, WritePolicy::WriteThrough);
         c.charge_access(4096);
         c.charge_idle_span(SimDuration::from_secs(100));
-        assert!(c.meter().category("active").get() > 0.0);
+        assert!(c.meter().category(MemoryState::Active).get() > 0.0);
         // 2 MiB at 0.025 W/MiB for 100 s = 5 J.
-        assert!((c.meter().category("idle").get() - 5.0).abs() < 1e-9);
+        assert!((c.meter().category(MemoryState::Idle).get() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn access_time_scales_with_bytes() {
+        let mut c = cache(4, WritePolicy::WriteThrough);
+        assert!(c.charge_access(64 * 1024) > c.charge_access(1024));
+    }
+
+    #[test]
+    fn read_probe_and_write_return_the_time_they_charge() {
+        let p = dram_nec();
+        let mut c = cache(64, WritePolicy::WriteThrough);
+        let capacity_mib = (64 * 1024) as f64 / MIB as f64;
+        let delta =
+            Watts((p.active_power_per_mib.get() - p.idle_power_per_mib.get()) * capacity_mib);
+        let active = |c: &BufferCache| {
+            let m = c.meter();
+            (
+                m.category(MemoryState::Active).get().to_bits(),
+                m.category_time(MemoryState::Active),
+            )
+        };
+
+        let mut misses = Vec::new();
+        let read = c.read_probe(T0, &[1, 2, 3], &mut misses, &mut NoopObserver);
+        assert_eq!(read, p.access_latency + p.bandwidth.transfer_time(3 * 1024));
+        assert_eq!(active(&c), ((delta * read).get().to_bits(), read));
+
+        let mut flushes = Vec::new();
+        let wrote = c.write(T0, &[4, 5], &mut flushes, &mut NoopObserver);
+        assert_eq!(
+            wrote,
+            p.access_latency + p.bandwidth.transfer_time(2 * 1024)
+        );
+        let energy = delta * read + delta * wrote;
+        assert_eq!(active(&c), (energy.get().to_bits(), read + wrote));
+        assert_eq!(
+            c.meter().category_time(MemoryState::Idle),
+            SimDuration::ZERO
+        );
+    }
+
+    #[test]
+    fn breakdown_names_its_states_in_report_order() {
         let c = cache(4, WritePolicy::WriteThrough);
-        assert!(c.access_time(64 * 1024) > c.access_time(1024));
+        let names: Vec<_> = c.meter().breakdown_timed().map(|(n, ..)| n).collect();
+        assert_eq!(names, ["active", "idle"]);
     }
 
     #[test]

@@ -18,6 +18,17 @@ pub mod sram;
 pub use dram::{BufferCache, CacheStats, Evicted, WritePolicy};
 pub use sram::{SramStats, SramWriteBuffer};
 
+mobistore_sim::energy_states! {
+    /// The energy states of a memory chip, DRAM or SRAM.
+    pub enum MemoryState {
+        /// Moving data: the access draws active power above the
+        /// idle floor.
+        Active => "active",
+        /// Holding data: DRAM refresh, SRAM retention.
+        Idle => "idle",
+    }
+}
+
 /// A typed cache-layer failure.
 ///
 /// [`SramWriteBuffer::absorb`] returns it on overflow; the constructors come

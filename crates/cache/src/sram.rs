@@ -19,6 +19,8 @@ use mobistore_sim::lbn::LbnTable;
 use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::time::{SimDuration, SimTime};
 
+use crate::MemoryState;
+
 mobistore_sim::counter_set! {
     /// Counters the buffer maintains alongside energy.
     pub struct SramStats {
@@ -58,11 +60,9 @@ pub struct SramWriteBuffer {
     blocks: Vec<u64>,
     /// Each buffered block's position in `blocks`.
     index: LbnTable<u32>,
-    meter: EnergyMeter,
+    meter: EnergyMeter<MemoryState>,
     stats: SramStats,
 }
-
-const CATEGORIES: &[&str] = &["active", "idle"];
 
 impl SramWriteBuffer {
     /// Creates a buffer of `capacity_bytes` over blocks of `block_size`.
@@ -100,7 +100,7 @@ impl SramWriteBuffer {
             block_size,
             blocks: Vec::new(),
             index: LbnTable::new(),
-            meter: EnergyMeter::new(CATEGORIES),
+            meter: EnergyMeter::new(),
             stats: SramStats::default(),
         })
     }
@@ -136,14 +136,14 @@ impl SramWriteBuffer {
     }
 
     /// Returns the energy meter for breakdowns.
-    pub fn meter(&self) -> &EnergyMeter {
+    pub fn meter(&self) -> &EnergyMeter<MemoryState> {
         &self.meter
     }
 
     /// Zeroes energy and counters while keeping contents (warm-up
     /// boundary).
     pub fn reset_metrics(&mut self) {
-        self.meter = EnergyMeter::new(CATEGORIES);
+        self.meter = EnergyMeter::new();
         self.stats = SramStats::default();
     }
 
@@ -239,23 +239,21 @@ impl SramWriteBuffer {
         true
     }
 
-    /// Time to move `bytes` in or out of the buffer.
-    pub fn access_time(&self, bytes: u64) -> SimDuration {
-        self.params.access_latency + self.params.bandwidth.transfer_time(bytes)
-    }
-
-    /// Charges the energy of one access of `bytes`.
-    pub fn charge_access(&mut self, bytes: u64) {
-        let dur = self.access_time(bytes);
+    /// Charges the energy of one access of `bytes`, moved in or out of
+    /// the buffer, and returns its time: the latency plus the transfer.
+    #[inline]
+    pub fn charge_access(&mut self, bytes: u64) -> SimDuration {
+        let dur = self.params.access_latency + self.params.bandwidth.transfer_time(bytes);
         self.meter
-            .charge_for("active", self.params.active_power, dur);
+            .charge_for(MemoryState::Active, self.params.active_power, dur);
+        dur
     }
 
     /// Charges retention power for a span of simulated time.
     pub fn charge_idle_span(&mut self, span: SimDuration) {
         let kib = self.capacity_bytes() as f64 / 1024.0;
         let retention = Watts(self.params.idle_power_per_kib.get() * kib);
-        self.meter.charge_for("idle", retention, span);
+        self.meter.charge_for(MemoryState::Idle, retention, span);
     }
 }
 
@@ -394,8 +392,8 @@ mod tests {
 
     #[test]
     fn access_time_is_55ns_per_byte_plus_latency() {
-        let b = buf(4);
-        let t = b.access_time(1000);
+        let mut b = buf(4);
+        let t = b.charge_access(1000);
         // 500 ns latency + 55 us transfer.
         assert_eq!(t.as_nanos(), 500 + 55_000);
     }
@@ -405,8 +403,31 @@ mod tests {
         let mut b = buf(64); // 32 KB
         b.charge_access(512);
         b.charge_idle_span(SimDuration::from_secs(1000));
-        assert!(b.meter().category("active").get() > 0.0);
+        assert!(b.meter().category(MemoryState::Active).get() > 0.0);
         // 32 KiB x 2e-6 W/KiB x 1000 s = 0.064 J.
-        assert!((b.meter().category("idle").get() - 0.064).abs() < 1e-9);
+        assert!((b.meter().category(MemoryState::Idle).get() - 0.064).abs() < 1e-9);
+    }
+
+    #[test]
+    fn charge_access_returns_the_time_it_charges() {
+        let p = sram_nec();
+        let mut b = buf(8);
+        let first = b.charge_access(3 * 512);
+        assert_eq!(first, p.access_latency + p.bandwidth.transfer_time(3 * 512));
+        let second = b.charge_access(512);
+        assert_eq!(second, p.access_latency + p.bandwidth.transfer_time(512));
+        let m = b.meter();
+        assert_eq!(m.category_time(MemoryState::Active), first + second);
+        let energy = p.active_power * first + p.active_power * second;
+        assert_eq!(
+            m.category(MemoryState::Active).get().to_bits(),
+            energy.get().to_bits()
+        );
+    }
+
+    #[test]
+    fn breakdown_names_its_states_in_report_order() {
+        let names: Vec<_> = buf(4).meter().breakdown_timed().map(|(n, ..)| n).collect();
+        assert_eq!(names, ["active", "idle"]);
     }
 }

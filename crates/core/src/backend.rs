@@ -10,7 +10,7 @@ use mobistore_device::flashdisk::FlashDisk;
 use mobistore_device::Device;
 use mobistore_flash::store::FlashCardStore;
 
-use crate::metrics::Metrics;
+use crate::metrics::{component, Metrics};
 
 /// A [`Device`] the simulator can drive and report on.
 pub(crate) trait Backend: Device {
@@ -42,7 +42,7 @@ impl Backend for MagneticDisk {
     }
 
     fn report(&self, m: &mut Metrics) {
-        m.energy_by_component.push(("disk", self.energy()));
+        m.energy_by_component.push((component::DISK, self.energy()));
         m.backend_states = self.meter().breakdown_timed().collect();
         m.disk = Some(self.counters());
     }
@@ -56,7 +56,8 @@ impl Backend for FlashDisk {
     }
 
     fn report(&self, m: &mut Metrics) {
-        m.energy_by_component.push(("flash", self.energy()));
+        m.energy_by_component
+            .push((component::FLASH, self.energy()));
         m.backend_states = self.meter().breakdown_timed().collect();
         m.flash_disk = Some(self.counters());
     }
@@ -70,7 +71,8 @@ impl Backend for FlashCardStore {
     }
 
     fn report(&self, m: &mut Metrics) {
-        m.energy_by_component.push(("flash", self.energy()));
+        m.energy_by_component
+            .push((component::FLASH, self.energy()));
         m.backend_states = self.meter().breakdown_timed().collect();
         m.flash_card = Some(self.counters());
         m.wear = Some(self.wear());
@@ -88,7 +90,8 @@ impl Backend for ArrayDevice {
     }
 
     fn report(&self, m: &mut Metrics) {
-        m.energy_by_component.push(("array", self.energy()));
+        m.energy_by_component
+            .push((component::ARRAY, self.energy()));
         m.backend_states = self.meter().breakdown_timed().collect();
         m.array = Some(self.counters());
         let degraded = self.degraded_recorder();

@@ -217,11 +217,11 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
             }
             sweep.run("ec-array", &working, || {
                 let mut arr = ArrayDevice::try_new(*k, *m, children, trace.block_size)
+                    .and_then(|arr| arr.try_with_rebuild_rate(*rebuild_rate))
                     .map_err(|e| format!("cannot build array: {e}"))?
                     .with_queueing(queueing)
                     .with_deaths(DeathSchedule::explicit(deaths.clone()))
-                    .with_spares(*spares)
-                    .with_rebuild_rate(*rebuild_rate);
+                    .with_spares(*spares);
                 arr.preload(working.iter().copied());
                 Ok(arr)
             })
@@ -852,6 +852,32 @@ mod tests {
         ] {
             let report = torture(&config, &toy_trace(8), &TortureOptions::default());
             assert_eq!(report.violations, [violation]);
+            assert_eq!((report.crashes, report.ops_replayed), (0, 0));
+        }
+    }
+
+    #[test]
+    fn an_unusable_rebuild_rate_is_a_violation_not_a_panic() {
+        use mobistore_device::array::ChildClass;
+        for (rate, shown) in [
+            (0.0, "0.0"),
+            (-1.0, "-1.0"),
+            (f64::NAN, "NaN"),
+            (1e-300, "1e-300"),
+        ] {
+            let mut config = SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3]);
+            if let BackendConfig::Array { rebuild_rate, .. } = &mut config.backend {
+                *rebuild_rate = rate;
+            }
+            let report = torture(&config, &toy_trace(8), &TortureOptions::default());
+            assert_eq!(
+                report.violations,
+                [format!(
+                    "cannot build array: array geometry is invalid: a rebuild rate of {shown} \
+                     stripes/s gives no per-stripe period of at least 1 ns that fits the \
+                     simulated clock"
+                )]
+            );
             assert_eq!((report.crashes, report.ops_replayed), (0, 0));
         }
     }

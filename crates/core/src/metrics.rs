@@ -7,16 +7,47 @@
 
 use mobistore_cache::dram::CacheStats;
 use mobistore_cache::sram::SramStats;
-use mobistore_device::array::ArrayCounters;
-use mobistore_device::disk::DiskCounters;
-use mobistore_device::flashdisk::FlashDiskCounters;
-use mobistore_flash::store::{FlashCardCounters, WearStats};
+use mobistore_device::array::{ArrayCounters, ArrayState};
+use mobistore_device::disk::{DiskCounters, DiskState};
+use mobistore_device::flashdisk::{FlashDiskCounters, FlashDiskState};
+use mobistore_flash::store::{CardState, FlashCardCounters, WearStats};
 use mobistore_sim::counters::CounterSet;
-use mobistore_sim::energy::Joules;
+use mobistore_sim::energy::{EnergyState, Joules};
 use mobistore_sim::hist::{Histogram, Percentiles};
 use mobistore_sim::obs::CounterRegistry;
 use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
+
+/// The names a [`Metrics::energy_by_component`] entry carries.
+pub mod component {
+    /// The magnetic disk.
+    pub const DISK: &str = "disk";
+    /// Either flash backend: the flash disk or the flash card.
+    pub const FLASH: &str = "flash";
+    /// The erasure-coded array.
+    pub const ARRAY: &str = "array";
+    /// The SRAM write buffer.
+    pub const SRAM: &str = "sram";
+    /// The DRAM buffer cache.
+    pub const DRAM: &str = "dram";
+    /// Every component name.
+    pub const ALL: [&str; 5] = [DISK, FLASH, ARRAY, SRAM, DRAM];
+}
+
+/// The state names a [`Metrics::backend_states`] entry can carry: every
+/// backend's energy states, each backend's in its report order. Names
+/// two backends share appear once per backend.
+pub fn backend_state_names() -> impl Iterator<Item = &'static str> {
+    [
+        DiskState::NAMES,
+        FlashDiskState::NAMES,
+        CardState::NAMES,
+        ArrayState::NAMES,
+    ]
+    .into_iter()
+    .flatten()
+    .copied()
+}
 
 /// Results of one simulation run (the measured, post-warm-up portion).
 #[derive(Debug, Clone, Default)]
@@ -25,7 +56,8 @@ pub struct Metrics {
     pub name: String,
     /// Total energy over the measured portion, all components.
     pub energy: Joules,
-    /// Energy per component: `("disk" | "flash" | "dram" | "sram", joules)`.
+    /// Energy per component, named from [`component`]: the backend's
+    /// first, then `sram` and `dram` where present.
     pub energy_by_component: Vec<(&'static str, Joules)>,
     /// The backend device's per-state breakdown: `(state, energy, time in
     /// state)` — e.g. how long the disk spent spun down, or the card spent

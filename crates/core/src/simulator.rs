@@ -30,7 +30,7 @@ use mobistore_trace::record::{working_set, DiskOp, DiskOpKind, Trace};
 
 use crate::backend::Backend;
 use crate::config::{BackendConfig, SystemConfig};
-use crate::metrics::Metrics;
+use crate::metrics::{component, Metrics};
 
 /// Options controlling a simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -137,7 +137,8 @@ pub enum ConfigError {
     /// malformed, or fingerprint-mismatched against the configuration.
     Checkpoint(String),
     /// The backend device refused the configured geometry (an
-    /// erasure-coded array's `k`, `m`, child list or block size).
+    /// erasure-coded array's `k`, `m`, child list, block size or rebuild
+    /// rate).
     DeviceGeometry(mobistore_device::DeviceError),
 }
 
@@ -383,11 +384,11 @@ pub fn try_simulate_observed<O: Observer>(
             rebuild_rate,
         } => {
             let mut arr = ArrayDevice::try_new(*k, *m, children, trace.block_size)
+                .and_then(|arr| arr.try_with_rebuild_rate(*rebuild_rate))
                 .map_err(ConfigError::DeviceGeometry)?
                 .with_queueing(queueing)
                 .with_deaths(DeathSchedule::new(&config.fault, children.len()))
-                .with_spares(*spares)
-                .with_rebuild_rate(*rebuild_rate);
+                .with_spares(*spares);
             // Every block the trace reads gets a generation-stamped stripe
             // to decode (the crash checker preloads the same way).
             arr.preload(working_set(&trace.ops).into_iter());
@@ -580,22 +581,16 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         let now = op.time;
         let mut s = std::mem::take(&mut self.buffers);
         s.fill_lbns(op);
-        let bytes = op.bytes(self.block_size);
 
         // Without DRAM every block misses.
+        let mut response = SimDuration::ZERO;
         let misses = match self.dram.as_mut() {
             Some(cache) => {
-                cache.read_probe(now, &s.lbns, &mut s.misses, self.obs);
-                cache.charge_access(bytes);
+                response = cache.read_probe(now, &s.lbns, &mut s.misses, self.obs);
                 &s.misses
             }
             None => &s.lbns,
         };
-
-        let mut response = self
-            .dram
-            .as_ref()
-            .map_or(SimDuration::ZERO, |c| c.access_time(bytes));
         if !misses.is_empty() {
             let (fetch, fill_ok) = self.fetch_from_backend(now, op, misses);
             response += fetch;
@@ -648,9 +643,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         let mut resp = SimDuration::ZERO;
         if sram_blocks > 0 {
             let buf = self.sram.as_mut().expect("counted hits imply a buffer");
-            let b = sram_blocks * block_size;
-            buf.charge_access(b);
-            resp += buf.access_time(b);
+            resp += buf.charge_access(sram_blocks * block_size);
         }
         if device_blocks == 0 {
             return (resp, true);
@@ -678,13 +671,10 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         let now = op.time;
         let mut s = std::mem::take(&mut self.buffers);
         s.fill_lbns(op);
-        let bytes = op.bytes(self.block_size);
 
         let mut dram_time = SimDuration::ZERO;
         if let Some(cache) = self.dram.as_mut() {
-            cache.write(now, &s.lbns, &mut s.flushes, self.obs);
-            cache.charge_access(bytes);
-            dram_time = cache.access_time(bytes);
+            dram_time = cache.write(now, &s.lbns, &mut s.flushes, self.obs);
         }
 
         let response = match self.write_policy {
@@ -725,8 +715,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
                 }
                 buf.absorb(now, lbns, self.obs)
                     .expect("a drained buffer holds any write no larger than itself");
-                buf.charge_access(bytes);
-                let out = resp + buf.access_time(bytes);
+                let out = resp + buf.charge_access(bytes);
                 self.sram = Some(buf);
                 out
             }
@@ -885,12 +874,13 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         self.device.report(&mut m);
         if let Some(buf) = self.sram.as_mut() {
             buf.charge_idle_span(span);
-            m.energy_by_component.push(("sram", buf.energy()));
+            m.energy_by_component.push((component::SRAM, buf.energy()));
             m.sram = Some(buf.stats());
         }
         if let Some(cache) = self.dram.as_mut() {
             cache.charge_idle_span(span);
-            m.energy_by_component.push(("dram", cache.energy()));
+            m.energy_by_component
+                .push((component::DRAM, cache.energy()));
             m.cache = Some(cache.stats());
         }
         m.energy = m.energy_by_component.iter().map(|(_, j)| *j).sum();
@@ -1028,6 +1018,43 @@ mod tests {
                 children: 2
             })
         );
+    }
+
+    #[test]
+    fn an_unusable_rebuild_rate_is_a_typed_config_error() {
+        use crate::config::BackendConfig;
+        use mobistore_device::array::{ArrayGeometryError, ChildClass};
+        use mobistore_device::DeviceError;
+        use mobistore_sim::fault::FaultConfig;
+        let trace = miss_trace(400, 1000);
+        // A child dies mid-run and the spare starts a rebuild, which is
+        // where a rate that is finite and positive but gives no
+        // per-stripe period (1e-300) used to panic.
+        let base = SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3])
+            .with_spares(1)
+            .with_dram(0)
+            .with_faults(FaultConfig::with_rate(0.0, 9).with_death_rate(20.0));
+        let rebuilt = simulate(&base, &trace).array.expect("array counters");
+        assert!(
+            rebuilt.rebuild_stripes > 0,
+            "no rebuild ran; raise the rate"
+        );
+        for rate in [0.0, -1.0, f64::NAN, 1e-300] {
+            // The field is public, so the builder's check can be bypassed.
+            let mut cfg = base.clone();
+            if let BackendConfig::Array { rebuild_rate, .. } = &mut cfg.backend {
+                *rebuild_rate = rate;
+            }
+            assert_eq!(
+                try_simulate(&cfg, &trace, RunOptions::default()).err(),
+                Some(SimError::Config(ConfigError::DeviceGeometry(
+                    DeviceError::ArrayGeometry(ArrayGeometryError::RebuildRate {
+                        bits: rate.to_bits()
+                    })
+                ))),
+                "{rate:?}"
+            );
+        }
     }
 
     #[test]

@@ -144,6 +144,13 @@ pub enum ArrayGeometryError {
     },
     /// The block size is zero.
     ZeroBlockSize,
+    /// The rebuild rate gives no per-stripe period (see
+    /// [`rebuild_period`]). Carries the rate as [`f64::to_bits`], which
+    /// keeps the error `Eq`.
+    RebuildRate {
+        /// The refused stripes-per-second rate's bit pattern.
+        bits: u64,
+    },
 }
 
 impl std::fmt::Display for ArrayGeometryError {
@@ -156,8 +163,23 @@ impl std::fmt::Display for ArrayGeometryError {
                 k + m
             ),
             ArrayGeometryError::ZeroBlockSize => write!(f, "block size must be nonzero"),
+            ArrayGeometryError::RebuildRate { bits } => write!(
+                f,
+                "a rebuild rate of {:?} stripes/s gives no per-stripe period of at least 1 ns \
+                 that fits the simulated clock",
+                f64::from_bits(bits)
+            ),
         }
     }
+}
+
+/// The per-stripe period `1/rate` of a rebuild paced at `rate` stripes
+/// per second, if it rounds to at least 1 ns and fits the simulated
+/// clock: `None` for a zero, negative, NaN or infinite rate, and for one
+/// so small (1e-300) or so large (1e12) that the period cannot be
+/// simulated.
+pub fn rebuild_period(rate: f64) -> Option<SimDuration> {
+    SimDuration::try_from_secs_f64(1.0 / rate).filter(|d| !d.is_zero())
 }
 
 mobistore_sim::counter_set! {
@@ -264,10 +286,6 @@ const REBUILD_CHECKPOINT_STRIPES: u64 = 64;
 /// Per-child metadata re-read after power loss (stripe map + rebuild
 /// watermark headers).
 const RECOVERY_SCAN_BYTES: u64 = 64 * 1024;
-
-const CATEGORIES: &[&str] = &[
-    "read", "write", "parity", "degraded", "rebuild", "idle", "recover",
-];
 
 /// Buffers one op fills and the next reuses, so that once they have grown
 /// the op path allocates nothing.
@@ -398,8 +416,9 @@ pub struct ArrayDevice {
     queueing: QueueDiscipline,
     deaths: DeathSchedule,
     spares: u32,
-    /// Stripes per second the background rebuild reconstructs.
-    rebuild_rate: f64,
+    /// Time the background rebuild takes per stripe: the inverse of its
+    /// stripes-per-second rate.
+    rebuild_period: SimDuration,
     retry_backoff: SimDuration,
     max_retries: u32,
     /// The stripe table: stripe number → the stripe's slot in `shards`
@@ -422,10 +441,30 @@ pub struct ArrayDevice {
     rebuild: Option<RebuildJob>,
     failed: bool,
     free_at: SimTime,
-    meter: EnergyMeter,
+    meter: EnergyMeter<ArrayState>,
     counters: ArrayCounters,
     degraded: LatencyRecorder,
     scratch: Scratch,
+}
+
+mobistore_sim::energy_states! {
+    /// The array's energy states, in report order.
+    pub enum ArrayState {
+        /// Direct shard reads.
+        Read => "read",
+        /// Data-shard writes.
+        Write => "write",
+        /// Parity-shard writes.
+        Parity => "parity",
+        /// Survivor reads that decode a missing shard.
+        Degraded => "degraded",
+        /// Reconstructing stripes onto a hot spare.
+        Rebuild => "rebuild",
+        /// Children powered with no request.
+        Idle => "idle",
+        /// Re-reading stripe metadata after a power failure.
+        Recover => "recover",
+    }
 }
 
 impl ArrayDevice {
@@ -484,7 +523,7 @@ impl ArrayDevice {
             queueing: QueueDiscipline::Fifo,
             deaths: DeathSchedule::quiet(n),
             spares: 1,
-            rebuild_rate: 128.0,
+            rebuild_period: SimDuration::from_secs_f64(1.0 / 128.0),
             retry_backoff: SimDuration::from_millis_f64(1.0),
             max_retries: 3,
             stripes: LbnTable::new(),
@@ -496,7 +535,7 @@ impl ArrayDevice {
             rebuild: None,
             failed: false,
             free_at: SimTime::ZERO,
-            meter: EnergyMeter::new(CATEGORIES),
+            meter: EnergyMeter::new(),
             counters: ArrayCounters::default(),
             degraded: LatencyRecorder::new(),
             scratch: Scratch::default(),
@@ -538,14 +577,28 @@ impl ArrayDevice {
     ///
     /// # Panics
     ///
-    /// Panics if `rate` is not finite and positive.
-    pub fn with_rebuild_rate(mut self, rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "rebuild rate must be finite and positive, got {rate}"
-        );
-        self.rebuild_rate = rate;
-        self
+    /// Panics if `rate` gives no per-stripe period (see
+    /// [`rebuild_period`]).
+    pub fn with_rebuild_rate(self, rate: f64) -> Self {
+        match self.try_with_rebuild_rate(rate) {
+            Ok(array) => array,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible [`with_rebuild_rate`](Self::with_rebuild_rate): returns
+    /// [`DeviceError::ArrayGeometry`] instead of panicking when `rate`
+    /// gives no per-stripe period.
+    pub fn try_with_rebuild_rate(mut self, rate: f64) -> Result<Self, DeviceError> {
+        let Some(period) = rebuild_period(rate) else {
+            return Err(DeviceError::ArrayGeometry(
+                ArrayGeometryError::RebuildRate {
+                    bits: rate.to_bits(),
+                },
+            ));
+        };
+        self.rebuild_period = period;
+        Ok(self)
     }
 
     /// Data-shard count `k`.
@@ -582,7 +635,7 @@ impl ArrayDevice {
     }
 
     /// Returns the energy meter for per-state breakdowns.
-    pub fn meter(&self) -> &EnergyMeter {
+    pub fn meter(&self) -> &EnergyMeter<ArrayState> {
         &self.meter
     }
 
@@ -600,7 +653,7 @@ impl ArrayDevice {
     /// Zeroes energy and counters while keeping array state; used at the
     /// warm-up boundary (§4.2).
     pub fn reset_metrics(&mut self) {
-        self.meter = EnergyMeter::new(CATEGORIES);
+        self.meter = EnergyMeter::new();
         self.counters = ArrayCounters::default();
         self.degraded = LatencyRecorder::new();
     }
@@ -695,7 +748,8 @@ impl ArrayDevice {
             .filter(|c| c.state != ChildState::Dead)
             .map(|c| c.profile.idle_power.get())
             .sum();
-        self.meter.charge_for("idle", Watts(idle_power), idle);
+        self.meter
+            .charge_for(ArrayState::Idle, Watts(idle_power), idle);
         self.free_at = now;
         now
     }
@@ -712,7 +766,7 @@ impl ArrayDevice {
         if self.rebuild.is_none() && self.rebuild_queue.is_empty() {
             return SimDuration::ZERO;
         }
-        let per_stripe = SimDuration::from_secs_f64(1.0 / self.rebuild_rate);
+        let per_stripe = self.rebuild_period;
         let mut busy = SimDuration::ZERO;
         let mut cursor = from;
         loop {
@@ -762,7 +816,8 @@ impl ArrayDevice {
                 self.counters.rebuild_stripes += done;
                 self.counters.rebuild_time += batch_time;
                 let power = self.children[job.child].profile.active_power;
-                self.meter.charge_for("rebuild", power, batch_time);
+                self.meter
+                    .charge_for(ArrayState::Rebuild, power, batch_time);
                 obs.span(&Span::new(
                     SpanKind::Rebuild {
                         stripe: first,
@@ -1073,12 +1128,15 @@ impl Device for ArrayDevice {
                 SimDuration::ZERO
             };
             self.meter
-                .charge_for("read", p.active_power, direct_t.min(t));
-            self.meter
-                .charge_for("degraded", p.active_power, t.saturating_sub(direct_t));
+                .charge_for(ArrayState::Read, p.active_power, direct_t.min(t));
+            self.meter.charge_for(
+                ArrayState::Degraded,
+                p.active_power,
+                t.saturating_sub(direct_t),
+            );
         }
         self.meter
-            .charge_for("degraded", Watts(active_power), extra);
+            .charge_for(ArrayState::Degraded, Watts(active_power), extra);
         let end = start + transfer + extra;
         for &(lbn, lost) in &self.scratch.degraded {
             obs.span(&Span::new(SpanKind::DegradedRead { lbn, lost }, start, end));
@@ -1164,8 +1222,9 @@ impl Device for ArrayDevice {
             let parity_t = child.transfer_time(false, pr) + child.transfer_time(true, pw);
             total = total.max(p.access_latency + data_t + parity_t);
             self.meter
-                .charge_for("write", p.active_power, p.access_latency + data_t);
-            self.meter.charge_for("parity", p.active_power, parity_t);
+                .charge_for(ArrayState::Write, p.active_power, p.access_latency + data_t);
+            self.meter
+                .charge_for(ArrayState::Parity, p.active_power, parity_t);
         }
         let end = start + total;
         for &stripe in &self.scratch.parity {
@@ -1231,7 +1290,8 @@ impl Device for ArrayDevice {
             let t = c.profile.access_latency
                 + c.profile.read_bandwidth.transfer_time(RECOVERY_SCAN_BYTES);
             scan = scan.max(t);
-            self.meter.charge_for("recover", c.profile.active_power, t);
+            self.meter
+                .charge_for(ArrayState::Recover, c.profile.active_power, t);
         }
         let end = now + scan;
         self.counters.power_failures += 1;
@@ -1278,6 +1338,50 @@ mod tests {
         ArrayDevice::new(k, m, &vec![ChildClass::FlashDisk; k + m], BLOCK)
     }
 
+    #[test]
+    fn rebuild_period_refuses_what_the_clock_cannot_pace() {
+        for bad in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300, 1e12] {
+            assert_eq!(rebuild_period(bad), None, "{bad:?}");
+            let err = array(2, 1).try_with_rebuild_rate(bad).err();
+            assert_eq!(
+                err,
+                Some(DeviceError::ArrayGeometry(
+                    ArrayGeometryError::RebuildRate {
+                        bits: bad.to_bits()
+                    }
+                )),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            rebuild_period(128.0),
+            Some(SimDuration::from_nanos(7_812_500))
+        );
+        assert_eq!(rebuild_period(1e9), Some(SimDuration::from_nanos(1)));
+        assert!(array(2, 1).try_with_rebuild_rate(1e-6).is_ok());
+        assert_eq!(
+            ArrayGeometryError::RebuildRate {
+                bits: 1e-300f64.to_bits()
+            }
+            .to_string(),
+            "a rebuild rate of 1e-300 stripes/s gives no per-stripe period of at least 1 ns \
+             that fits the simulated clock"
+        );
+    }
+
+    #[test]
+    fn breakdown_names_its_states_in_report_order() {
+        let names: Vec<_> = array(2, 1)
+            .meter()
+            .breakdown_timed()
+            .map(|(n, ..)| n)
+            .collect();
+        assert_eq!(
+            names,
+            ["read", "write", "parity", "degraded", "rebuild", "idle", "recover"]
+        );
+    }
+
     fn death_at(n: usize, child: usize, at: SimTime) -> DeathSchedule {
         let mut deaths = vec![None; n];
         deaths[child] = Some(at);
@@ -1307,7 +1411,7 @@ mod tests {
         // One stripe: 2 data + 1 parity shards, read-modify-write.
         assert_eq!(a.counters().parity_updates, 1);
         assert!(svc.end > svc.start);
-        assert!(a.meter().category("write").get() > 0.0);
+        assert!(a.meter().category(ArrayState::Write).get() > 0.0);
         // Rotation: stripe 0 parity on child 2, stripe 1 parity on child 0.
         assert_eq!(rotated(2, 0, 3), 2);
         assert_eq!(rotated(2, 1, 3), 0);
@@ -1335,7 +1439,7 @@ mod tests {
         assert_eq!(a.snapshot().len(), 8, "no block was lost");
         assert!(r.end > r.start);
         assert!(a.degraded_recorder().summary().count > 0);
-        assert!(a.meter().category("degraded").get() > 0.0);
+        assert!(a.meter().category(ArrayState::Degraded).get() > 0.0);
     }
 
     #[test]
@@ -1388,7 +1492,7 @@ mod tests {
         let (_, res) = read(&mut a, SimTime::from_secs_f64(40.0), 0, 16);
         assert!(res.is_ok());
         assert_eq!(a.counters().degraded_reads, before);
-        assert!(a.meter().category("rebuild").get() > 0.0);
+        assert!(a.meter().category(ArrayState::Rebuild).get() > 0.0);
     }
 
     #[test]
@@ -1488,7 +1592,7 @@ mod tests {
         assert_eq!(svc.start, mid);
         assert!(svc.end > mid, "recovery scan takes time");
         assert!(a.counters().recovery_time > SimDuration::ZERO);
-        assert!(a.meter().category("recover").get() > 0.0);
+        assert!(a.meter().category(ArrayState::Recover).get() > 0.0);
         let (r, res) = read(&mut a, svc.end, 0, 1);
         assert!(res.is_ok());
         assert_eq!(r.start, svc.end, "array serves as soon as recovered");

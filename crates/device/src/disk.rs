@@ -146,7 +146,7 @@ pub struct MagneticDisk {
     spin_down_timeout: Option<SimDuration>,
     queueing: crate::QueueDiscipline,
     seek_model: SeekModel,
-    meter: EnergyMeter,
+    meter: EnergyMeter<DiskState>,
     counters: DiskCounters,
     /// End of the latest activity; the platters are spinning at this
     /// instant (every access and spin-up leaves the disk spinning).
@@ -159,7 +159,23 @@ pub struct MagneticDisk {
     fat_scan_bytes: u64,
 }
 
-const CATEGORIES: &[&str] = &["active", "idle", "spinup", "spindown", "standby", "recover"];
+mobistore_sim::energy_states! {
+    /// The disk's energy states, in report order.
+    pub enum DiskState {
+        /// Seeking, rotating and transferring.
+        Active => "active",
+        /// Spinning with no request.
+        Idle => "idle",
+        /// Spinning up from standby.
+        SpinUp => "spinup",
+        /// Winding down after the spin-down timeout.
+        SpinDown => "spindown",
+        /// Stopped.
+        Standby => "standby",
+        /// The post-power-failure recovery scan.
+        Recover => "recover",
+    }
+}
 
 impl MagneticDisk {
     /// Creates a disk that spins down after `spin_down_timeout` of
@@ -180,7 +196,7 @@ impl MagneticDisk {
             policy,
             queueing: crate::QueueDiscipline::Fifo,
             seek_model: SeekModel::SameFileAverage,
-            meter: EnergyMeter::new(CATEGORIES),
+            meter: EnergyMeter::new(),
             counters: DiskCounters::default(),
             free_at: SimTime::ZERO,
             last_file: None,
@@ -225,14 +241,14 @@ impl MagneticDisk {
     }
 
     /// Returns the energy meter for per-state breakdowns.
-    pub fn meter(&self) -> &EnergyMeter {
+    pub fn meter(&self) -> &EnergyMeter<DiskState> {
         &self.meter
     }
 
     /// Zeroes energy and counters while keeping mechanical state; used at
     /// the warm-up boundary (§4.2).
     pub fn reset_metrics(&mut self) {
-        self.meter = EnergyMeter::new(CATEGORIES);
+        self.meter = EnergyMeter::new();
         self.counters = DiskCounters::default();
     }
 
@@ -340,7 +356,7 @@ impl MagneticDisk {
         let active = seek + self.params.avg_rotation + bandwidth.transfer_time(bytes);
         let end = ready + active;
         self.meter
-            .charge_for("active", self.params.active_power, active);
+            .charge_for(DiskState::Active, self.params.active_power, active);
         let transfer_start = ready + seek + self.params.avg_rotation;
         obs.span(&Span::new(SpanKind::DiskSeek, ready, transfer_start));
         obs.span(&Span::new(
@@ -376,11 +392,13 @@ impl MagneticDisk {
         }
         let gap = now - self.free_at;
         let Some(timeout) = self.spin_down_timeout else {
-            self.meter.charge_for("idle", self.params.idle_power, gap);
+            self.meter
+                .charge_for(DiskState::Idle, self.params.idle_power, gap);
             return now;
         };
         if gap <= timeout {
-            self.meter.charge_for("idle", self.params.idle_power, gap);
+            self.meter
+                .charge_for(DiskState::Idle, self.params.idle_power, gap);
             self.adapt(gap, false);
             return now;
         }
@@ -388,7 +406,7 @@ impl MagneticDisk {
 
         // The disk began spinning down `timeout` after it went idle.
         self.meter
-            .charge_for("idle", self.params.idle_power, timeout);
+            .charge_for(DiskState::Idle, self.params.idle_power, timeout);
         obs.record(&Event::DiskSpinDown {
             t: self.free_at + timeout,
         });
@@ -397,24 +415,27 @@ impl MagneticDisk {
         let spin_up_start = if now < down_complete {
             // Mid-spin-down: wait out the remaining wind-down.
             self.meter.charge_for(
-                "spindown",
+                DiskState::SpinDown,
                 self.params.spin_down_power,
                 self.params.spin_down_time,
             );
             down_complete
         } else {
             self.meter.charge_for(
-                "spindown",
+                DiskState::SpinDown,
                 self.params.spin_down_power,
                 self.params.spin_down_time,
             );
-            self.meter
-                .charge_for("standby", self.params.standby_power, now - down_complete);
+            self.meter.charge_for(
+                DiskState::Standby,
+                self.params.standby_power,
+                now - down_complete,
+            );
             now
         };
         obs.record(&Event::DiskSpinUp { t: spin_up_start });
         self.meter.charge_for(
-            "spinup",
+            DiskState::SpinUp,
             self.params.spin_up_power,
             self.params.spin_up_time,
         );
@@ -430,24 +451,27 @@ impl MagneticDisk {
         }
         let gap = end - self.free_at;
         match self.spin_down_timeout {
-            None => self.meter.charge_for("idle", self.params.idle_power, gap),
+            None => self
+                .meter
+                .charge_for(DiskState::Idle, self.params.idle_power, gap),
             Some(timeout) if gap <= timeout => {
-                self.meter.charge("idle", self.params.idle_power * gap);
+                self.meter
+                    .charge(DiskState::Idle, self.params.idle_power * gap);
             }
             Some(timeout) => {
                 self.meter
-                    .charge_for("idle", self.params.idle_power, timeout);
+                    .charge_for(DiskState::Idle, self.params.idle_power, timeout);
                 let after = gap - timeout;
                 let down = after.min(self.params.spin_down_time);
                 self.meter
-                    .charge_for("spindown", self.params.spin_down_power, down);
+                    .charge_for(DiskState::SpinDown, self.params.spin_down_power, down);
                 if after > self.params.spin_down_time {
                     self.counters.spin_downs += 1;
                     obs.record(&Event::DiskSpinDown {
                         t: self.free_at + timeout,
                     });
                     self.meter.charge_for(
-                        "standby",
+                        DiskState::Standby,
                         self.params.standby_power,
                         after - self.params.spin_down_time,
                     );
@@ -479,8 +503,8 @@ impl Device for MagneticDisk {
     ///
     /// The disk loses spindle state, so recovery always pays a spin-up
     /// (an [`Event::DiskSpinUp`]), then one average seek + rotation and the
-    /// FAT transfer. The scan is charged to the `"recover"` energy category
-    /// at active power.
+    /// FAT transfer. The scan is charged to [`DiskState::Recover`] at
+    /// active power.
     fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
         // Settle history up to the failure instant; whatever state the
         // platters were in, the outage leaves them stopped.
@@ -488,7 +512,7 @@ impl Device for MagneticDisk {
         obs.record(&Event::DiskSpinUp { t: ready });
         let spun_up = ready + self.params.spin_up_time;
         self.meter.charge_for(
-            "spinup",
+            DiskState::SpinUp,
             self.params.spin_up_power,
             self.params.spin_up_time,
         );
@@ -500,7 +524,7 @@ impl Device for MagneticDisk {
             + self.params.read_bandwidth.transfer_time(fat_bytes);
         let end = spun_up + scan;
         self.meter
-            .charge_for("recover", self.params.active_power, scan);
+            .charge_for(DiskState::Recover, self.params.active_power, scan);
 
         self.counters.power_failures += 1;
         self.counters.recovery_time += end - ready;
@@ -648,7 +672,7 @@ mod tests {
         let svc = read(&mut d, later, 0, Some(1));
         assert_eq!(svc.start, later);
         // The whole hour was spinning idle at 0.7 W.
-        let idle = d.meter().category("idle");
+        let idle = d.meter().category(DiskState::Idle);
         assert!((idle.get() - 0.7 * 3600.0).abs() < 1.0);
     }
 
@@ -659,15 +683,30 @@ mod tests {
         let later = first.end + SimDuration::from_secs(100);
         let _ = read(&mut d, later, 4 * KIB, Some(1));
         let m = d.meter();
-        for cat in ["active", "idle", "spinup", "spindown", "standby"] {
-            assert!(m.category(cat).get() > 0.0, "missing energy in {cat}");
+        for state in [
+            DiskState::Active,
+            DiskState::Idle,
+            DiskState::SpinUp,
+            DiskState::SpinDown,
+            DiskState::Standby,
+        ] {
+            assert!(m.category(state).get() > 0.0, "missing energy in {state:?}");
         }
         // Idle capped at the 5 s threshold: 0.7 W x 5 s.
-        assert!((m.category("idle").get() - 3.5).abs() < 1e-6);
+        assert!((m.category(DiskState::Idle).get() - 3.5).abs() < 1e-6);
         // Standby covers 100 - 5 - 2.5 = 92.5 s at 0.015 W.
-        assert!((m.category("standby").get() - 92.5 * 0.015).abs() < 1e-6);
+        assert!((m.category(DiskState::Standby).get() - 92.5 * 0.015).abs() < 1e-6);
         // Spin-up: 3 W x 1 s.
-        assert!((m.category("spinup").get() - 3.0).abs() < 1e-9);
+        assert!((m.category(DiskState::SpinUp).get() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn breakdown_names_its_states_in_report_order() {
+        let names: Vec<_> = disk().meter().breakdown_timed().map(|(n, ..)| n).collect();
+        assert_eq!(
+            names,
+            ["active", "idle", "spinup", "spindown", "standby", "recover"]
+        );
     }
 
     #[test]
@@ -675,13 +714,13 @@ mod tests {
         let mut d = disk();
         let first = read(&mut d, SimTime::ZERO, 0, Some(1));
         d.finish(first.end + SimDuration::from_secs(2), &mut NoopObserver);
-        assert!((d.meter().category("idle").get() - 1.4).abs() < 1e-9);
+        assert!((d.meter().category(DiskState::Idle).get() - 1.4).abs() < 1e-9);
 
         // And a trailing gap long enough to spin down reaches standby.
         let mut d2 = disk();
         let first = read(&mut d2, SimTime::ZERO, 0, Some(1));
         d2.finish(first.end + SimDuration::from_secs(100), &mut NoopObserver);
-        assert!(d2.meter().category("standby").get() > 0.0);
+        assert!(d2.meter().category(DiskState::Standby).get() > 0.0);
         assert_eq!(d2.counters().spin_downs, 1);
     }
 
@@ -827,7 +866,7 @@ mod tests {
         assert_eq!(c.power_failures, 1);
         assert_eq!(c.spin_ups, 1);
         assert_eq!(c.recovery_time, svc.end - svc.start);
-        assert!(d.meter().category("recover").get() > 0.0);
+        assert!(d.meter().category(DiskState::Recover).get() > 0.0);
         // Recovery pays the 1 s spin-up before the 25.7 ms scan starts.
         assert!((svc.end - svc.start).as_secs_f64() > 1.0257);
         // The scan moved the head: the same-file heuristic seeks again.

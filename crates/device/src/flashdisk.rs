@@ -68,7 +68,7 @@ mobistore_sim::counter_set! {
 pub struct FlashDisk {
     params: FlashDiskParams,
     queueing: crate::QueueDiscipline,
-    meter: EnergyMeter,
+    meter: EnergyMeter<FlashDiskState>,
     counters: FlashDiskCounters,
     free_at: SimTime,
     /// Bytes of pre-erased sectors available for fast writes.
@@ -83,14 +83,26 @@ pub struct FlashDisk {
     last_write: SimTime,
 }
 
-const CATEGORIES: &[&str] = &["active", "erase", "idle", "recover"];
-
 /// Per-sector metadata the emulation layer re-reads after power loss (the
 /// SDP controller's remap/erase-state headers).
 const REMAP_HEADER_BYTES: u64 = 32;
 /// The emulated sector size (§2: the SDP erases one 512-byte sector at a
 /// time).
 const SECTOR_BYTES: u64 = 512;
+
+mobistore_sim::energy_states! {
+    /// The flash disk's energy states, in report order.
+    pub enum FlashDiskState {
+        /// Reading and writing sectors, foreground erasures included.
+        Active => "active",
+        /// Pre-erasing sectors in the background (SDP5A).
+        Erase => "erase",
+        /// Powered with no request.
+        Idle => "idle",
+        /// Re-reading sector headers after a power failure.
+        Recover => "recover",
+    }
+}
 
 impl FlashDisk {
     /// Creates a flash disk; under [`ErasePolicy::Asynchronous`] the spare
@@ -103,7 +115,7 @@ impl FlashDisk {
         FlashDisk {
             params,
             queueing: crate::QueueDiscipline::Fifo,
-            meter: EnergyMeter::new(CATEGORIES),
+            meter: EnergyMeter::new(),
             counters: FlashDiskCounters::default(),
             free_at: SimTime::ZERO,
             erased_pool,
@@ -151,7 +163,7 @@ impl FlashDisk {
     }
 
     /// Returns the energy meter for per-state breakdowns.
-    pub fn meter(&self) -> &EnergyMeter {
+    pub fn meter(&self) -> &EnergyMeter<FlashDiskState> {
         &self.meter
     }
 
@@ -163,7 +175,7 @@ impl FlashDisk {
     /// Zeroes energy and counters while keeping device state; used at the
     /// warm-up boundary (§4.2).
     pub fn reset_metrics(&mut self) {
-        self.meter = EnergyMeter::new(CATEGORIES);
+        self.meter = EnergyMeter::new();
         self.counters = FlashDiskCounters::default();
     }
 
@@ -230,10 +242,11 @@ impl FlashDisk {
                 ));
             }
             self.meter
-                .charge_for("erase", self.params.active_power, spent);
+                .charge_for(FlashDiskState::Erase, self.params.active_power, spent);
             idle = gap - spent;
         }
-        self.meter.charge_for("idle", self.params.idle_power, idle);
+        self.meter
+            .charge_for(FlashDiskState::Idle, self.params.idle_power, idle);
         self.free_at = now;
         now
     }
@@ -297,7 +310,7 @@ impl Device for FlashDisk {
         }
         let end = start + total;
         self.meter
-            .charge_for("active", self.params.active_power, total);
+            .charge_for(FlashDiskState::Active, self.params.active_power, total);
         obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
         if let Some((attempts, extra)) = retry {
             obs.span(&Span::new(
@@ -321,7 +334,7 @@ impl Device for FlashDisk {
         let total = self.params.access_latency + self.write_time(bytes);
         let end = start + total;
         self.meter
-            .charge_for("active", self.params.active_power, total);
+            .charge_for(FlashDiskState::Active, self.params.active_power, total);
 
         self.counters.ops += 1;
         self.counters.bytes_written += bytes;
@@ -359,7 +372,7 @@ impl Device for FlashDisk {
         let total = self.params.access_latency + scan;
         let end = now + total;
         self.meter
-            .charge_for("recover", self.params.active_power, total);
+            .charge_for(FlashDiskState::Recover, self.params.active_power, total);
         self.counters.power_failures += 1;
         self.counters.recovery_time += total;
         self.free_at = end;
@@ -457,19 +470,26 @@ mod tests {
     }
 
     #[test]
+    fn breakdown_names_its_states_in_report_order() {
+        let fd = FlashDisk::new(sdp5_datasheet());
+        let names: Vec<_> = fd.meter().breakdown_timed().map(|(n, ..)| n).collect();
+        assert_eq!(names, ["active", "erase", "idle", "recover"]);
+    }
+
+    #[test]
     fn energy_covers_idle_and_erase() {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
         let first = write(&mut fd, SimTime::ZERO, 512 * KIB);
         fd.finish(first.end + SimDuration::from_secs(10), &mut NoopObserver);
         let m = fd.meter();
-        assert!(m.category("active").get() > 0.0);
+        assert!(m.category(FlashDiskState::Active).get() > 0.0);
         assert!(
-            m.category("erase").get() > 0.0,
+            m.category(FlashDiskState::Erase).get() > 0.0,
             "background erase consumed energy"
         );
-        assert!(m.category("idle").get() > 0.0);
+        assert!(m.category(FlashDiskState::Idle).get() > 0.0);
         // 512 Kbytes of garbage erase in 512/150 = 3.41 s of the 10 s gap.
-        let erase_j = m.category("erase").get();
+        let erase_j = m.category(FlashDiskState::Erase).get();
         assert!((erase_j - 0.36 * (512.0 / 150.0)).abs() < 0.01, "{erase_j}");
     }
 
@@ -509,7 +529,7 @@ mod tests {
         assert_eq!(fd.erased_pool(), pool, "flash state is non-volatile");
         assert_eq!(fd.counters().power_failures, 1);
         assert_eq!(fd.counters().recovery_time, svc.end - svc.start);
-        assert!(fd.meter().category("recover").get() > 0.0);
+        assert!(fd.meter().category(FlashDiskState::Recover).get() > 0.0);
 
         // A crash mid-access abandons the in-flight request: the device is
         // free for recovery at the crash instant, not at the access's

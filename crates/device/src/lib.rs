@@ -282,6 +282,7 @@ pub struct Service {
 
 impl Service {
     /// The time spent servicing (excluding queueing).
+    #[inline]
     pub fn service_time(&self) -> SimDuration {
         self.end - self.start
     }
@@ -291,6 +292,7 @@ impl Service {
     /// # Panics
     ///
     /// Panics if `issued` is after `end`.
+    #[inline]
     pub fn response(&self, issued: SimTime) -> SimDuration {
         self.end - issued
     }

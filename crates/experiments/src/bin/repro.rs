@@ -105,6 +105,7 @@ use std::time::{Duration, Instant};
 
 use mobistore_core::crashcheck::CrashPoints;
 use mobistore_core::simulator::SimError;
+use mobistore_device::array::rebuild_period;
 use mobistore_device::DeviceError;
 use mobistore_experiments::fleet::FleetOptions;
 use mobistore_experiments::render::{try_render_target, RenderOptions, RenderedTarget, TARGETS};
@@ -286,7 +287,7 @@ fn main() -> ExitCode {
                 }
             },
             "--rebuild-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if period(1.0 / v).is_some() => render.durability.rebuild_rate = v,
+                Some(v) if rebuild_period(v).is_some() => render.durability.rebuild_rate = v,
                 _ => {
                     return usage(
                         "--rebuild-rate needs a positive stripes/sec rate \
@@ -536,8 +537,7 @@ fn parse_interval(s: &str) -> Option<Option<SimDuration>> {
 }
 
 /// `secs` as a simulated period, if it rounds to at least 1 ns and fits
-/// the clock (2^64 ns, about 584 years). Also bounds `--rebuild-rate`'s
-/// per-stripe period `1/rate`.
+/// the clock (2^64 ns, about 584 years).
 fn period(secs: f64) -> Option<SimDuration> {
     SimDuration::try_from_secs_f64(secs).filter(|d| !d.is_zero())
 }

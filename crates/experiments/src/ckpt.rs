@@ -39,13 +39,12 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
 
-use mobistore_core::metrics::Metrics;
+use mobistore_core::metrics::{backend_state_names, component, Metrics};
 use mobistore_flash::store::WearStats;
 use mobistore_sim::counters::CounterSet;
 use mobistore_sim::energy::Joules;
-use mobistore_sim::fleet::{fnv1a, ShardError};
+use mobistore_sim::fleet::{fnv1a, Mix, ShardError};
 use mobistore_sim::hist::Histogram;
 use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
@@ -118,25 +117,6 @@ fn unesc(token: &str) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-/// Interns a string, leaking each distinct value exactly once.
-///
-/// Checkpointed labels (workload/device classes, component and state
-/// names) restore into `&'static str` fields; the registry bounds the
-/// leak to the small closed set of distinct names a fleet uses.
-fn intern(s: &str) -> &'static str {
-    static REGISTRY: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut reg = REGISTRY
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("intern registry never panics while locked");
-    if let Some(known) = reg.iter().find(|k| **k == s) {
-        return known;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    reg.push(leaked);
-    leaked
 }
 
 /// Hex bit pattern of an `f64` (bit-exact round trip).
@@ -320,6 +300,27 @@ fn parse_str(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<String,
     unesc(token).map_err(|e| cur.fail(&format!("bad {what}: {e}")))
 }
 
+/// Parses an escaped label that must be one of the closed set `known`
+/// (checkpointed labels restore into `&'static str` fields), returning
+/// the set's own name.
+fn parse_label(
+    cur: &Lines<'_>,
+    token: Option<&str>,
+    what: &str,
+    known: impl IntoIterator<Item = &'static str>,
+) -> Result<&'static str, String> {
+    let label = parse_str(cur, token, what)?;
+    known
+        .into_iter()
+        .find(|name| *name == label)
+        .ok_or_else(|| cur.fail(&format!("unknown {what} '{label}'")))
+}
+
+/// A mix's labels, in its order.
+fn labels(mix: &Mix) -> impl Iterator<Item = &'static str> + '_ {
+    mix.entries().iter().map(|&(name, _)| name)
+}
+
 fn parse_u32(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<u32, String> {
     u32::try_from(parse_u64(cur, token, what)?)
         .map_err(|_| cur.fail(&format!("{what} out of range")))
@@ -375,12 +376,12 @@ fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
             "m.name" => m.name = parse_str(cur, t.next(), "name")?,
             "m.energy" => m.energy = Joules(parse_f64_bits(cur, t.next(), "energy")?),
             "m.comp" => {
-                let name = intern(&parse_str(cur, t.next(), "component")?);
+                let name = parse_label(cur, t.next(), "component", component::ALL)?;
                 let j = Joules(parse_f64_bits(cur, t.next(), "component energy")?);
                 m.energy_by_component.push((name, j));
             }
             "m.state" => {
-                let name = intern(&parse_str(cur, t.next(), "state")?);
+                let name = parse_label(cur, t.next(), "state", backend_state_names())?;
                 let j = Joules(parse_f64_bits(cur, t.next(), "state energy")?);
                 let d = SimDuration::from_nanos(parse_u64(cur, t.next(), "state duration")?);
                 m.backend_states.push((name, j, d));
@@ -525,6 +526,7 @@ fn parse(
     let mut state = FoldState::fresh();
     state.chunks_done = chunks_done;
     let mut total_seen = false;
+    let (workloads, devices) = (workload_mix(), device_mix());
     loop {
         let line = cur.next()?;
         let mut t = line.split_whitespace();
@@ -532,8 +534,8 @@ fn parse(
             "row" => {
                 let index = parse_u32(&cur, t.next(), "index")?;
                 let users = parse_u64(&cur, t.next(), "users")?;
-                let workload = intern(&parse_str(&cur, t.next(), "workload")?);
-                let device = intern(&parse_str(&cur, t.next(), "device")?);
+                let workload = parse_label(&cur, t.next(), "workload", labels(&workloads))?;
+                let device = parse_label(&cur, t.next(), "device", labels(&devices))?;
                 let ops = parse_u64(&cur, t.next(), "ops")?;
                 let energy_j = parse_f64_bits(&cur, t.next(), "energy")?;
                 let digest = t
@@ -756,6 +758,16 @@ mod tests {
             ("m.wear ", 1, big.clone(), "max_erase out of range"),
             // One token more than the set has fields.
             (set.as_str(), 99, "0".to_owned(), "counter values"),
+            // Labels outside their closed sets.
+            ("row ", 3, "amiga".to_owned(), "unknown workload 'amiga'"),
+            ("row ", 4, "floppy".to_owned(), "unknown device 'floppy'"),
+            (
+                "m.comp ",
+                1,
+                "battery".to_owned(),
+                "unknown component 'battery'",
+            ),
+            ("m.state ", 1, "idlx".to_owned(), "unknown state 'idlx'"),
         ] {
             let hostile = with_token(&doc, prefix, index, &token);
             let err = parse(&hostile, fp, total_chunks, shards).unwrap_err();

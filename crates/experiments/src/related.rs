@@ -13,7 +13,9 @@ use std::fmt;
 
 use mobistore_device::params::intel_datasheet;
 use mobistore_device::{Device, QueueDiscipline, Request};
-use mobistore_flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
+use mobistore_flash::store::{
+    CardState, CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy,
+};
 use mobistore_sim::obs::NoopObserver;
 use mobistore_sim::rng::SimRng;
 use mobistore_sim::time::{SimDuration, SimTime};
@@ -80,8 +82,8 @@ pub fn run(scale: Scale) -> EnvyCheck {
             card.finish(now, &mut NoopObserver);
 
             let meter = card.meter();
-            let clean = meter.category_time("clean").as_secs_f64();
-            let active = meter.category_time("active").as_secs_f64();
+            let clean = meter.category_time(CardState::Clean).as_secs_f64();
+            let active = meter.category_time(CardState::Active).as_secs_f64();
             let busy = clean + active;
             EnvyPoint {
                 utilization,

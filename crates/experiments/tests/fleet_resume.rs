@@ -180,6 +180,48 @@ fn fingerprint_mismatch_is_a_typed_config_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every checkpointed label restores into a closed set (state,
+/// component, workload and device names), so the committed checkpoint
+/// with one backend state renamed is refused with the config exit code,
+/// not accepted under a name no run produces.
+#[test]
+fn an_unknown_state_label_is_a_typed_config_error() {
+    let dir = scratch("unknown-label");
+    let golden =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fleet_resume.ckpt");
+    let doc = std::fs::read_to_string(&golden).expect("committed checkpoint");
+    assert!(
+        doc.contains("\nm.state idle "),
+        "fixture lost its idle state"
+    );
+    let hostile = dir.join("renamed-state.ckpt");
+    std::fs::write(
+        &hostile,
+        doc.replacen("\nm.state idle ", "\nm.state idlx ", 1),
+    )
+    .unwrap();
+    let out = repro(&[
+        "--scale",
+        "0.02",
+        "--seed",
+        "1994",
+        "--resume-from",
+        hostile.to_str().unwrap(),
+        "fleet",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "an unknown state label should exit 3; stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("unknown state 'idlx'"),
+        "refusal does not name the label:\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn injected_panics_quarantine_and_exit_8_with_ledger_everywhere() {
     let dir = scratch("quarantine");

@@ -342,7 +342,7 @@ pub struct FlashCardStore {
     /// Per-episode distribution of injected retry delays (write-retry
     /// backoff, erase-retry pulses, read-retry backoff).
     backoff: LatencyRecorder,
-    meter: EnergyMeter,
+    meter: EnergyMeter<CardState>,
     counters: FlashCardCounters,
     free_at: SimTime,
     live_blocks: u64,
@@ -354,7 +354,21 @@ pub struct FlashCardStore {
     read_only: bool,
 }
 
-const CATEGORIES: &[&str] = &["active", "clean", "scrub", "idle", "recover"];
+mobistore_sim::energy_states! {
+    /// The card's energy states, in report order.
+    pub enum CardState {
+        /// Reading and programming blocks.
+        Active => "active",
+        /// Cleaning: copying live blocks and erasing segments.
+        Clean => "clean",
+        /// Scrubbing: re-reading and refreshing aged blocks.
+        Scrub => "scrub",
+        /// Powered with no work.
+        Idle => "idle",
+        /// Scanning segment logs after a power failure.
+        Recover => "recover",
+    }
+}
 
 impl FlashCardStore {
     /// Creates an empty card.
@@ -418,7 +432,7 @@ impl FlashCardStore {
             next_scrub: SimTime::ZERO,
             scrub_cursor: 0,
             backoff: LatencyRecorder::new(),
-            meter: EnergyMeter::new(CATEGORIES),
+            meter: EnergyMeter::new(),
             counters: FlashCardCounters::default(),
             free_at: SimTime::ZERO,
             live_blocks: 0,
@@ -591,7 +605,7 @@ impl FlashCardStore {
     }
 
     /// Returns the energy meter for per-state breakdowns.
-    pub fn meter(&self) -> &EnergyMeter {
+    pub fn meter(&self) -> &EnergyMeter<CardState> {
         &self.meter
     }
 
@@ -615,7 +629,7 @@ impl FlashCardStore {
     /// used at the warm-up boundary (§4.2). Pass `reset_wear` to also zero
     /// per-segment erase counts, as the endurance experiment does.
     pub fn reset_metrics(&mut self, reset_wear: bool) {
-        self.meter = EnergyMeter::new(CATEGORIES);
+        self.meter = EnergyMeter::new();
         self.counters = FlashCardCounters::default();
         self.backoff = LatencyRecorder::new();
         if reset_wear {
@@ -1052,8 +1066,11 @@ impl FlashCardStore {
             return None;
         }
         let job = self.job.take().expect("job exists");
-        self.meter
-            .charge_for("clean", self.config.params.active_power, job.remaining);
+        self.meter.charge_for(
+            CardState::Clean,
+            self.config.params.active_power,
+            job.remaining,
+        );
         let spent = job.remaining;
         self.finish_job(at + spent, job.victim, job.retire, job.started, obs);
         Some(spent)
@@ -1124,7 +1141,7 @@ impl FlashCardStore {
             let slice = job.remaining.min(now - t);
             job.remaining -= slice;
             self.meter
-                .charge_for("clean", self.config.params.active_power, slice);
+                .charge_for(CardState::Clean, self.config.params.active_power, slice);
             t += slice;
             if self.job.as_ref().expect("job exists").remaining.is_zero() {
                 let job = self.job.take().expect("job exists");
@@ -1134,7 +1151,7 @@ impl FlashCardStore {
         t = self.run_scrub(t, now, obs);
         if t < now {
             self.meter
-                .charge_for("idle", self.config.params.idle_power, now - t);
+                .charge_for(CardState::Idle, self.config.params.idle_power, now - t);
         }
         self.free_at = now;
         now
@@ -1174,7 +1191,7 @@ impl FlashCardStore {
             }
             if begin > t {
                 self.meter
-                    .charge_for("idle", self.config.params.idle_power, begin - t);
+                    .charge_for(CardState::Idle, self.config.params.idle_power, begin - t);
             }
             let s = &self.segments[seg as usize];
             let erase_count = u64::from(s.erase_count);
@@ -1217,7 +1234,7 @@ impl FlashCardStore {
             self.counters.scrub_passes += 1;
             self.counters.scrub_reads += u64::from(blocks);
             self.meter
-                .charge_for("scrub", self.config.params.active_power, pass);
+                .charge_for(CardState::Scrub, self.config.params.active_power, pass);
             t = begin + pass;
             obs.record(&Event::ScrubPass {
                 t,
@@ -1429,7 +1446,7 @@ impl Device for FlashCardStore {
         }
         let end = start + dur;
         self.meter
-            .charge_for("active", self.config.params.active_power, dur);
+            .charge_for(CardState::Active, self.config.params.active_power, dur);
         obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
         if retry_attempts > 0 {
             obs.span(&Span::new(
@@ -1548,7 +1565,7 @@ impl Device for FlashCardStore {
         }
         let end = start + wait + dur;
         self.meter
-            .charge_for("active", self.config.params.active_power, dur);
+            .charge_for(CardState::Active, self.config.params.active_power, dur);
         obs.span(&Span::new(
             SpanKind::FlashProgram { bytes },
             start + wait,
@@ -1582,7 +1599,7 @@ impl Device for FlashCardStore {
     /// the logical-to-physical map, and the orphaned segment (detected by
     /// the scan) is reclaimed with a fresh erase, reported as an
     /// [`Event::FlashCleanEnd`]. The card is busy for the whole recovery;
-    /// time and energy are charged to the `"recover"` state and
+    /// time and energy are charged to [`CardState::Recover`] and
     /// [`FlashCardCounters::recovery_time`].
     fn power_fail<O: Observer>(&mut self, at: SimTime, obs: &mut O) -> Service {
         // Background cleaning progressed until the lights went out.
@@ -1605,7 +1622,7 @@ impl Device for FlashCardStore {
         }
         let end = start + dur;
         self.meter
-            .charge_for("recover", self.config.params.active_power, dur);
+            .charge_for(CardState::Recover, self.config.params.active_power, dur);
         self.counters.power_failures += 1;
         self.counters.recovery_time += dur;
         self.free_at = self.free_at.max(end);
@@ -1660,6 +1677,13 @@ mod tests {
             victim_policy: VictimPolicy::GreedyMinLive,
             queueing: mobistore_device::QueueDiscipline::Fifo,
         })
+    }
+
+    #[test]
+    fn breakdown_names_its_states_in_report_order() {
+        let card = small_card(CleanerMode::Background);
+        let names: Vec<_> = card.meter().breakdown_timed().map(|(n, ..)| n).collect();
+        assert_eq!(names, ["active", "clean", "scrub", "idle", "recover"]);
     }
 
     #[test]
@@ -1779,7 +1803,7 @@ mod tests {
                 t = write(&mut card, t, lbn % live, 1).end;
             }
             card.check_invariants();
-            card.meter().category("clean").get()
+            card.meter().category(CardState::Clean).get()
         };
         let low = run(820); // 40%
         let high = run(1434); // 70%
@@ -1815,7 +1839,7 @@ mod tests {
         let svc = read(&mut card, later, 128, 1);
         assert_eq!(svc.start, later, "reads never wait for cleaning");
         assert_eq!(card.counters().erasures, 1, "idle gap erased the victim");
-        assert!(card.meter().category("clean").get() > 0.0);
+        assert!(card.meter().category(CardState::Clean).get() > 0.0);
         card.check_invariants();
     }
 
@@ -2295,7 +2319,7 @@ mod tests {
         assert_eq!(card.counters().power_failures, 1);
         assert_eq!(card.counters().erasures, 1, "orphan re-erased by recovery");
         assert!(card.counters().recovery_time > SimDuration::ZERO);
-        assert!(card.meter().category("recover").get() > 0.0);
+        assert!(card.meter().category(CardState::Recover).get() > 0.0);
         assert!(svc.end > svc.start);
         card.check_invariants();
         // The reclaimed segment is writable again.
@@ -2439,8 +2463,8 @@ mod tests {
             scrubbed.counters().scrub_reads,
             64 * scrubbed.counters().scrub_passes
         );
-        assert!(scrubbed.meter().category("scrub").get() > 0.0);
-        assert_eq!(plain.meter().category("scrub").get(), 0.0);
+        assert!(scrubbed.meter().category(CardState::Scrub).get() > 0.0);
+        assert_eq!(plain.meter().category(CardState::Scrub).get(), 0.0);
         scrubbed.check_invariants();
     }
 

@@ -7,6 +7,7 @@
 
 use core::fmt;
 use core::iter::Sum;
+use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, Sub};
 
 use crate::time::SimDuration;
@@ -51,6 +52,7 @@ impl Watts {
 
 impl Mul<SimDuration> for Watts {
     type Output = Joules;
+    #[inline]
     fn mul(self, rhs: SimDuration) -> Joules {
         Joules(self.0 * rhs.as_secs_f64())
     }
@@ -58,12 +60,14 @@ impl Mul<SimDuration> for Watts {
 
 impl Add for Joules {
     type Output = Joules;
+    #[inline]
     fn add(self, rhs: Joules) -> Joules {
         Joules(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Joules {
+    #[inline]
     fn add_assign(&mut self, rhs: Joules) {
         self.0 += rhs.0;
     }
@@ -106,113 +110,188 @@ impl fmt::Display for Watts {
     }
 }
 
-/// Accumulates energy, optionally broken down by a small set of named
-/// categories (e.g. "active", "idle", "spin-up").
+/// A component's energy states: a closed set, declared once with
+/// [`energy_states!`](crate::energy_states) as a fieldless enum whose
+/// variants name the states in report order.
+pub trait EnergyState: Copy + 'static {
+    /// Every state's report name, in declaration order.
+    const NAMES: &'static [&'static str];
+    /// The state's position in declaration order, below `NAMES.len()`.
+    fn index(self) -> usize;
+}
+
+/// The most states one component may declare (the EC array has seven).
+pub const MAX_STATES: usize = 8;
+
+/// Declares a component's energy states: a fieldless enum whose every
+/// variant names the state it reports as.
 ///
-/// Categories are fixed at construction; charging to an unknown category
-/// panics, which catches typos in device code early.
+/// The enum derives `Debug, Clone, Copy, PartialEq, Eq` and implements
+/// [`EnergyState`] with the names in declaration order. Declaring more
+/// than [`MAX_STATES`] states fails to compile.
+///
+/// # Examples
+///
+/// ```
+/// use mobistore_sim::energy::EnergyState;
+/// use mobistore_sim::energy_states;
+///
+/// energy_states! {
+///     /// A toy device's power states.
+///     pub enum ToyState {
+///         /// Serving a request.
+///         Active => "active",
+///         /// Powered, waiting.
+///         Idle => "idle",
+///     }
+/// }
+///
+/// assert_eq!(ToyState::NAMES, ["active", "idle"]);
+/// assert_eq!(ToyState::Idle.index(), 1);
+/// ```
+#[macro_export]
+macro_rules! energy_states {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident => $label:literal
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant,
+            )+
+        }
+
+        impl $crate::energy::EnergyState for $name {
+            const NAMES: &'static [&'static str] = &[$($label),+];
+
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+
+        const _: () = assert!(
+            <$name as $crate::energy::EnergyState>::NAMES.len() <= $crate::energy::MAX_STATES,
+            "more energy states than an EnergyMeter holds"
+        );
+    };
+}
+
+/// Accumulates energy and time per energy state of one component.
+///
+/// The states are the component's [`EnergyState`] enum, so a charge
+/// indexes a fixed array: no lookup, no allocation, and no state that
+/// was not declared. Names appear only in the report-time
+/// [`breakdown`](Self::breakdown) and
+/// [`breakdown_timed`](Self::breakdown_timed).
 ///
 /// # Examples
 ///
 /// ```
 /// use mobistore_sim::energy::{EnergyMeter, Watts};
+/// use mobistore_sim::energy_states;
 /// use mobistore_sim::time::SimDuration;
 ///
-/// let mut meter = EnergyMeter::new(&["active", "idle"]);
-/// meter.charge("active", Watts(1.75) * SimDuration::from_secs(2));
-/// meter.charge("idle", Watts(0.7) * SimDuration::from_secs(10));
+/// energy_states! {
+///     /// A toy device's power states.
+///     pub enum ToyState {
+///         /// Serving a request.
+///         Active => "active",
+///         /// Powered, waiting.
+///         Idle => "idle",
+///     }
+/// }
+///
+/// let mut meter = EnergyMeter::new();
+/// meter.charge_for(ToyState::Active, Watts(1.75), SimDuration::from_secs(2));
+/// meter.charge_for(ToyState::Idle, Watts(0.7), SimDuration::from_secs(10));
 /// assert!((meter.total().get() - 10.5).abs() < 1e-9);
-/// assert_eq!(meter.category("active").get(), 3.5);
+/// assert_eq!(meter.category(ToyState::Active).get(), 3.5);
 /// ```
-#[derive(Debug, Clone)]
-pub struct EnergyMeter {
-    categories: Vec<(&'static str, Joules, SimDuration)>,
+#[derive(Clone)]
+pub struct EnergyMeter<S: EnergyState> {
+    /// Energy and attributed time, indexed by [`EnergyState::index`];
+    /// slots past the declared states stay zero.
+    slots: [(Joules, SimDuration); MAX_STATES],
+    states: PhantomData<S>,
 }
 
-impl EnergyMeter {
-    /// Creates a meter with the given category names.
-    pub fn new(categories: &[&'static str]) -> Self {
+impl<S: EnergyState> Default for EnergyMeter<S> {
+    fn default() -> Self {
+        EnergyMeter::new()
+    }
+}
+
+impl<S: EnergyState> EnergyMeter<S> {
+    /// Creates a meter with nothing charged to any state.
+    pub fn new() -> Self {
         EnergyMeter {
-            categories: categories
-                .iter()
-                .map(|&name| (name, Joules::ZERO, SimDuration::ZERO))
-                .collect(),
+            slots: [(Joules::ZERO, SimDuration::ZERO); MAX_STATES],
+            states: PhantomData,
         }
     }
 
-    /// Adds `energy` to `category` without attributing any state time
+    /// Adds `energy` to `state` without attributing any state time
     /// (e.g. a fixed per-operation cost).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `category` was not declared at construction.
-    pub fn charge(&mut self, category: &str, energy: Joules) {
-        let slot = self.slot(category);
-        slot.1 += energy;
+    #[inline]
+    pub fn charge(&mut self, state: S, energy: Joules) {
+        self.slots[state.index()].0 += energy;
     }
 
-    /// Charges `power × duration` to `category` and attributes the
-    /// duration as time spent in that state, enabling duty-cycle reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `category` was not declared at construction.
-    pub fn charge_for(&mut self, category: &str, power: Watts, duration: SimDuration) {
-        let slot = self.slot(category);
-        slot.1 += power * duration;
-        slot.2 += duration;
+    /// Charges `power × duration` to `state` and attributes the duration
+    /// as time spent in that state, enabling duty-cycle reports.
+    #[inline]
+    pub fn charge_for(&mut self, state: S, power: Watts, duration: SimDuration) {
+        let slot = &mut self.slots[state.index()];
+        slot.0 += power * duration;
+        slot.1 += duration;
     }
 
-    fn slot(&mut self, category: &str) -> &mut (&'static str, Joules, SimDuration) {
-        self.categories
-            .iter_mut()
-            .find(|(name, _, _)| *name == category)
-            .unwrap_or_else(|| panic!("unknown energy category: {category}"))
+    /// Returns the energy charged to `state`.
+    pub fn category(&self, state: S) -> Joules {
+        self.slots[state.index()].0
     }
 
-    /// Returns the energy charged to `category`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `category` was not declared at construction.
-    pub fn category(&self, category: &str) -> Joules {
-        self.categories
-            .iter()
-            .find(|(name, _, _)| *name == category)
-            .map(|(_, e, _)| *e)
-            .unwrap_or_else(|| panic!("unknown energy category: {category}"))
-    }
-
-    /// Returns the time attributed to `category` via
+    /// Returns the time attributed to `state` via
     /// [`charge_for`](Self::charge_for).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `category` was not declared at construction.
-    pub fn category_time(&self, category: &str) -> SimDuration {
-        self.categories
-            .iter()
-            .find(|(name, _, _)| *name == category)
-            .map(|(_, _, d)| *d)
-            .unwrap_or_else(|| panic!("unknown energy category: {category}"))
+    pub fn category_time(&self, state: S) -> SimDuration {
+        self.slots[state.index()].1
     }
 
-    /// Returns total energy across all categories.
+    /// Returns total energy across all states, summed in declaration
+    /// order.
     pub fn total(&self) -> Joules {
-        self.categories.iter().map(|(_, e, _)| *e).sum()
+        self.breakdown().map(|(_, e)| e).sum()
     }
 
-    /// Iterates over `(category, energy)` pairs in declaration order.
+    /// Iterates over `(state name, energy)` pairs in declaration order.
     pub fn breakdown(&self) -> impl Iterator<Item = (&'static str, Joules)> + '_ {
-        self.categories.iter().map(|(n, e, _)| (*n, *e))
+        self.breakdown_timed().map(|(n, e, _)| (n, e))
     }
 
-    /// Iterates over `(category, energy, attributed time)` triples in
+    /// Iterates over `(state name, energy, attributed time)` triples in
     /// declaration order.
     pub fn breakdown_timed(
         &self,
     ) -> impl Iterator<Item = (&'static str, Joules, SimDuration)> + '_ {
-        self.categories.iter().copied()
+        S::NAMES
+            .iter()
+            .zip(&self.slots)
+            .map(|(&n, &(e, d))| (n, e, d))
+    }
+}
+
+impl<S: EnergyState> fmt::Debug for EnergyMeter<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.breakdown_timed()).finish()
     }
 }
 
@@ -220,6 +299,26 @@ impl EnergyMeter {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    energy_states! {
+        /// Two test states.
+        pub enum Pair {
+            /// The first.
+            A => "a",
+            /// The second.
+            B => "b",
+        }
+    }
+
+    energy_states! {
+        /// Test states named like a component's.
+        pub enum Duty {
+            /// Serving.
+            Active => "active",
+            /// Waiting.
+            Idle => "idle",
+        }
+    }
 
     #[test]
     fn power_times_time_is_energy() {
@@ -239,12 +338,12 @@ mod tests {
 
     #[test]
     fn meter_accumulates_per_category() {
-        let mut m = EnergyMeter::new(&["a", "b"]);
-        m.charge("a", Joules(1.0));
-        m.charge("a", Joules(2.0));
-        m.charge("b", Joules(4.0));
-        assert_eq!(m.category("a").get(), 3.0);
-        assert_eq!(m.category("b").get(), 4.0);
+        let mut m = EnergyMeter::new();
+        m.charge(Pair::A, Joules(1.0));
+        m.charge(Pair::A, Joules(2.0));
+        m.charge(Pair::B, Joules(4.0));
+        assert_eq!(m.category(Pair::A).get(), 3.0);
+        assert_eq!(m.category(Pair::B).get(), 4.0);
         assert_eq!(m.total().get(), 7.0);
         let names: Vec<_> = m.breakdown().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a", "b"]);
@@ -252,22 +351,15 @@ mod tests {
 
     #[test]
     fn charge_for_tracks_time_and_energy() {
-        let mut m = EnergyMeter::new(&["active", "idle"]);
-        m.charge_for("active", Watts(2.0), SimDuration::from_secs(3));
-        m.charge_for("active", Watts(1.0), SimDuration::from_secs(1));
-        m.charge("active", Joules(0.5)); // Untimed surcharge.
-        assert!((m.category("active").get() - 7.5).abs() < 1e-12);
-        assert_eq!(m.category_time("active"), SimDuration::from_secs(4));
-        assert_eq!(m.category_time("idle"), SimDuration::ZERO);
+        let mut m = EnergyMeter::new();
+        m.charge_for(Duty::Active, Watts(2.0), SimDuration::from_secs(3));
+        m.charge_for(Duty::Active, Watts(1.0), SimDuration::from_secs(1));
+        m.charge(Duty::Active, Joules(0.5)); // Untimed surcharge.
+        assert!((m.category(Duty::Active).get() - 7.5).abs() < 1e-12);
+        assert_eq!(m.category_time(Duty::Active), SimDuration::from_secs(4));
+        assert_eq!(m.category_time(Duty::Idle), SimDuration::ZERO);
         let timed: Vec<_> = m.breakdown_timed().collect();
         assert_eq!(timed.len(), 2);
         assert_eq!(timed[0].0, "active");
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown energy category")]
-    fn unknown_category_panics() {
-        let mut m = EnergyMeter::new(&["a"]);
-        m.charge("nope", Joules(1.0));
     }
 }

@@ -114,6 +114,7 @@ impl fmt::Debug for Histogram {
 }
 
 /// Maps a value to its bucket index.
+#[inline]
 fn bucket_index(nanos: u64) -> usize {
     if nanos < SUB {
         return nanos as usize;
@@ -145,6 +146,7 @@ impl Histogram {
     }
 
     /// Records one observation of `nanos`.
+    #[inline]
     pub fn record(&mut self, nanos: u64) {
         let i = bucket_index(nanos);
         if i >= self.counts.len() {
@@ -283,6 +285,7 @@ impl LatencyRecorder {
     }
 
     /// Records one response time.
+    #[inline]
     pub fn record(&mut self, response: SimDuration) {
         self.stats.record(response.as_millis_f64());
         self.hist.record(response.as_nanos());

@@ -6,7 +6,8 @@
 //!
 //! * [`time`] — an integer-nanosecond simulated clock ([`time::SimTime`],
 //!   [`time::SimDuration`]);
-//! * [`energy`] — joule/watt units and the per-category [`energy::EnergyMeter`];
+//! * [`energy`] — joule/watt units, typed energy states
+//!   ([`energy_states!`]) and the per-state [`energy::EnergyMeter`];
 //! * [`units`] — byte sizes and [`units::Bandwidth`] (Kbytes/s, as in the
 //!   paper);
 //! * [`stats`] — streaming mean/max/σ ([`stats::OnlineStats`]) matching the

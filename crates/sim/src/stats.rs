@@ -50,6 +50,7 @@ impl OnlineStats {
     /// # Panics
     ///
     /// Panics if `x` is NaN.
+    #[inline]
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "NaN observation");
         self.count += 1;

@@ -54,6 +54,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `secs` is negative, non-finite, or too large for the clock.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimTime(SimDuration::from_secs_f64(secs).0)
     }
@@ -70,11 +71,13 @@ impl SimTime {
 
     /// Returns the duration elapsed since `earlier`, or `SimDuration::ZERO`
     /// if `earlier` is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
@@ -84,6 +87,7 @@ impl SimTime {
     }
 
     /// Returns the earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
             self
@@ -140,6 +144,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative, non-finite, or too large for the clock.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimDuration::try_from_secs_f64(secs).unwrap_or_else(|| {
             panic!("time must be finite, non-negative and fit the simulated clock, got {secs}s")
@@ -149,6 +154,7 @@ impl SimDuration {
     /// Like [`SimDuration::from_secs_f64`], but returns `None` where that
     /// panics: for a negative, non-finite, or too large `secs`. Outside
     /// input (CLI flags) goes through here.
+    #[inline]
     pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
         let ns = secs * 1e9;
         (secs.is_finite() && secs >= 0.0 && ns <= u64::MAX as f64)
@@ -161,6 +167,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `millis` is negative, non-finite, or too large.
+    #[inline]
     pub fn from_millis_f64(millis: f64) -> Self {
         SimDuration::from_secs_f64(millis / 1e3)
     }
@@ -181,6 +188,7 @@ impl SimDuration {
     }
 
     /// Returns `self - other`, or `ZERO` if `other` is larger.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -191,6 +199,7 @@ impl SimDuration {
     }
 
     /// Returns the larger of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {
             self
@@ -200,6 +209,7 @@ impl SimDuration {
     }
 
     /// Returns the smaller of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self.0 <= other.0 {
             self
@@ -237,12 +247,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("simulated clock overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -250,6 +262,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -261,6 +274,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -272,12 +286,14 @@ impl Sub for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -285,6 +301,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -295,6 +312,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -302,6 +320,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
@@ -309,6 +328,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

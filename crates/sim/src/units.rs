@@ -58,6 +58,7 @@ impl Bandwidth {
     }
 
     /// Returns the time needed to transfer `bytes` at this rate.
+    #[inline]
     pub fn transfer_time(self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.0)
     }
