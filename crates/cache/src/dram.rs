@@ -302,8 +302,10 @@ impl BufferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::LruSet;
     use mobistore_device::params::dram_nec;
     use mobistore_sim::obs::NoopObserver;
+    use mobistore_sim::rng::SimRng;
 
     const T0: SimTime = SimTime::ZERO;
 
@@ -487,5 +489,169 @@ mod tests {
             .expect_err("zero block size");
         assert_eq!(e, CacheError::ZeroBlockSize);
         assert!(BufferCache::try_new(dram_nec(), 8192, 1024, WritePolicy::WriteBack).is_ok());
+    }
+
+    /// The reference for the dirty bit: an LRU of `(key, dirty)` pairs in
+    /// a list, most recent first.
+    struct NaiveDirtyLru {
+        cap: usize,
+        items: Vec<(u64, bool)>,
+    }
+
+    impl NaiveDirtyLru {
+        fn new(cap: usize) -> Self {
+            NaiveDirtyLru {
+                cap,
+                items: Vec::new(),
+            }
+        }
+
+        /// Touches `key`, or inserts it clean, evicting the LRU pair when
+        /// full; `dirty` then sets its flag (`None` keeps it). Returns
+        /// the evicted pair.
+        fn insert(&mut self, key: u64, dirty: Option<bool>) -> Option<(u64, bool)> {
+            let (old, evicted) = match self.items.iter().position(|p| p.0 == key) {
+                Some(i) => (self.items.remove(i).1, None),
+                None if self.items.len() == self.cap => (false, self.items.pop()),
+                None => (false, None),
+            };
+            self.items.insert(0, (key, dirty.unwrap_or(old)));
+            evicted
+        }
+
+        fn touch(&mut self, key: u64) -> bool {
+            let present = self.items.iter().any(|p| p.0 == key);
+            if present {
+                self.insert(key, None);
+            }
+            present
+        }
+
+        fn remove(&mut self, key: u64) -> bool {
+            let before = self.items.len();
+            self.items.retain(|p| p.0 != key);
+            self.items.len() < before
+        }
+
+        fn dirty_len(&self) -> usize {
+            self.items.iter().filter(|p| p.1).count()
+        }
+
+        /// Clears every flag, returning the flagged keys ascending.
+        fn take_dirty(&mut self) -> Vec<u64> {
+            let mut keys: Vec<u64> = self.items.iter().filter(|p| p.1).map(|p| p.0).collect();
+            keys.sort_unstable();
+            self.items.iter_mut().for_each(|p| p.1 = false);
+            keys
+        }
+
+        fn keys(&self) -> Vec<u64> {
+            self.items.iter().map(|p| p.0).collect()
+        }
+    }
+
+    /// A key among the 20 that straddle the LRU index's page boundary at
+    /// 4,096.
+    fn straddling_key(rng: &mut SimRng) -> u64 {
+        4_086 + rng.below(20)
+    }
+
+    #[test]
+    fn lru_dirty_bits_match_a_reference_op_by_op() {
+        let mut dirty_evictions = 0;
+        for case in 0..64u64 {
+            let mut rng = SimRng::seed_with_stream(case, 41);
+            let cap = rng.range_inclusive(1, 11) as usize;
+            let mut lru = LruSet::new(cap);
+            let mut model = NaiveDirtyLru::new(cap);
+            for op in 0..400 {
+                let key = straddling_key(&mut rng);
+                match rng.below(7) {
+                    0 | 1 => {
+                        let dirty = rng.chance(0.5);
+                        let evicted = lru.insert_dirty(key, dirty);
+                        assert_eq!(
+                            evicted,
+                            model.insert(key, Some(dirty)),
+                            "case {case} op {op}"
+                        );
+                        dirty_evictions += u32::from(evicted.is_some_and(|e| e.1));
+                    }
+                    2 => assert_eq!(
+                        lru.insert(key),
+                        model.insert(key, None).map(|e| e.0),
+                        "case {case} op {op}"
+                    ),
+                    3 => assert_eq!(lru.touch(key), model.touch(key), "case {case} op {op}"),
+                    4 => assert_eq!(lru.remove(key), model.remove(key), "case {case} op {op}"),
+                    5 => {
+                        let mut taken = vec![];
+                        lru.take_dirty(&mut taken);
+                        taken.sort_unstable();
+                        assert_eq!(taken, model.take_dirty(), "case {case} op {op}");
+                    }
+                    _ => {
+                        let popped = model.items.pop().map(|p| p.0);
+                        assert_eq!(lru.pop_lru(), popped, "case {case} op {op}");
+                    }
+                }
+                assert_eq!(lru.dirty_len(), model.dirty_len(), "case {case} op {op}");
+                let order: Vec<u64> = lru.iter_mru().collect();
+                assert_eq!(order, model.keys(), "case {case} op {op}");
+            }
+        }
+        assert!(dirty_evictions > 0, "no dirty key was ever evicted");
+    }
+
+    #[test]
+    fn cache_dirt_and_power_fail_losses_match_a_reference_op_by_op() {
+        let mut lost_total = 0;
+        for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+            let write_dirties = policy == WritePolicy::WriteBack;
+            for case in 0..32u64 {
+                let mut rng = SimRng::seed_with_stream(case, 43);
+                let cap = rng.range_inclusive(1, 11);
+                let mut c = cache(cap, policy);
+                let mut model = NaiveDirtyLru::new(cap as usize);
+                let (mut flushes, mut misses) = (Vec::new(), Vec::new());
+                for op in 0..300 {
+                    let lbn = straddling_key(&mut rng);
+                    let lbns: Vec<u64> = (lbn..lbn + rng.range_inclusive(1, 3)).collect();
+                    match rng.below(6) {
+                        0 | 1 => {
+                            c.write(T0, &lbns, &mut flushes, &mut NoopObserver);
+                            let want: Vec<u64> = lbns
+                                .iter()
+                                .filter_map(|&l| model.insert(l, Some(write_dirties)))
+                                .filter_map(|(l, dirty)| dirty.then_some(l))
+                                .collect();
+                            assert_eq!(flushes, want, "case {case} op {op}");
+                        }
+                        2 => {
+                            // A read: hits touch, misses fill clean.
+                            c.read_probe(T0, &lbns, &mut misses, &mut NoopObserver);
+                            let want: Vec<u64> =
+                                lbns.iter().copied().filter(|&l| !model.touch(l)).collect();
+                            assert_eq!(misses, want, "case {case} op {op}");
+                            for &l in &misses {
+                                let evicted = c.insert(l, false).map(|e| (e.lbn, e.dirty));
+                                assert_eq!(evicted, model.insert(l, Some(false)), "case {case}");
+                            }
+                        }
+                        3 => {
+                            assert_eq!(c.invalidate(lbn), model.remove(lbn), "case {case} op {op}")
+                        }
+                        4 => assert_eq!(c.drain_dirty(), model.take_dirty(), "case {case} op {op}"),
+                        _ => {
+                            let lost = c.power_fail_clear();
+                            assert_eq!(lost, model.dirty_len() as u64, "case {case} op {op}");
+                            model.items.clear();
+                            lost_total += lost;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(lost_total > 0, "no power failure lost dirty data");
     }
 }

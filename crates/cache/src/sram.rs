@@ -207,24 +207,26 @@ impl SramWriteBuffer {
         obs.record(&Event::SramReadHit { t: now, blocks: 1 });
     }
 
-    /// Empties the buffer for a flush at `now`, returning the buffered
-    /// blocks in ascending order (block-mapped backends need the
-    /// addresses); a non-empty drain counts as a flush and is reported to
-    /// `obs` as an [`Event::SramFlush`].
-    pub fn drain_blocks<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Vec<u64> {
+    /// Empties the buffer for a flush at `now`, replacing the contents of
+    /// `out` with the buffered blocks in ascending order (block-mapped
+    /// backends need the addresses); a non-empty drain counts as a flush
+    /// and is reported to `obs` as an [`Event::SramFlush`]. A caller that
+    /// reuses `out` allocates nothing once it has grown to the buffer's
+    /// size.
+    pub fn drain_blocks<O: Observer>(&mut self, now: SimTime, out: &mut Vec<u64>, obs: &mut O) {
         for &lbn in &self.blocks {
             self.index.remove(lbn);
         }
-        let mut blocks: Vec<u64> = self.blocks.drain(..).collect();
-        blocks.sort_unstable();
-        if !blocks.is_empty() {
+        out.clear();
+        out.append(&mut self.blocks);
+        out.sort_unstable();
+        if !out.is_empty() {
             self.stats.flushes += 1;
             obs.record(&Event::SramFlush {
                 t: now,
-                blocks: blocks.len() as u32,
+                blocks: out.len() as u32,
             });
         }
-        blocks
     }
 
     /// Drops a block (file deletion); returns true if it was buffered.
@@ -272,6 +274,13 @@ mod tests {
         b.absorb(SimTime::ZERO, lbns, &mut NoopObserver)
     }
 
+    /// Drains `b` into a new buffer and returns it.
+    fn drain(b: &mut SramWriteBuffer) -> Vec<u64> {
+        let mut out = Vec::new();
+        b.drain_blocks(SimTime::ZERO, &mut out, &mut NoopObserver);
+        out
+    }
+
     #[test]
     fn absorb_until_full() {
         let mut b = buf(4);
@@ -295,10 +304,7 @@ mod tests {
         assert!(b.fits(&[9, 8]) && !b.fits(&[9, 8, 6]));
         absorb(&mut b, &[9, 8]).unwrap();
         assert_eq!(b.len(), 3);
-        assert_eq!(
-            b.drain_blocks(SimTime::ZERO, &mut NoopObserver),
-            vec![7, 8, 9]
-        );
+        assert_eq!(drain(&mut b), vec![7, 8, 9]);
     }
 
     #[test]
@@ -320,24 +326,23 @@ mod tests {
 
     #[test]
     fn drain_returns_sorted_blocks_and_clears() {
+        // One reused buffer: each drain replaces what it held.
+        let mut out = vec![99];
         let mut b = buf(4);
         absorb(&mut b, &[3, 1, 2]).unwrap();
-        assert_eq!(
-            b.drain_blocks(SimTime::ZERO, &mut NoopObserver),
-            vec![1, 2, 3]
-        );
+        b.drain_blocks(SimTime::ZERO, &mut out, &mut NoopObserver);
+        assert_eq!(out, vec![1, 2, 3]);
         assert!(b.is_empty());
         assert_eq!(b.stats().flushes, 1);
         // Draining an empty buffer is free and not a flush.
-        assert!(b.drain_blocks(SimTime::ZERO, &mut NoopObserver).is_empty());
+        b.drain_blocks(SimTime::ZERO, &mut out, &mut NoopObserver);
+        assert!(out.is_empty());
         assert_eq!(b.stats().flushes, 1);
         // Absorbs arriving out of order, across calls, drain ascending.
         absorb(&mut b, &[40, 12]).unwrap();
         absorb(&mut b, &[30, 5]).unwrap();
-        assert_eq!(
-            b.drain_blocks(SimTime::ZERO, &mut NoopObserver),
-            vec![5, 12, 30, 40]
-        );
+        b.drain_blocks(SimTime::ZERO, &mut out, &mut NoopObserver);
+        assert_eq!(out, vec![5, 12, 30, 40]);
         assert_eq!(b.stats().flushes, 2);
     }
 
@@ -355,7 +360,7 @@ mod tests {
         assert!(b.invalidate(1));
         assert!(b.invalidate(4), "the moved block is still indexed");
         assert!(!b.contains(1) && !b.contains(4) && b.contains(3));
-        assert_eq!(b.drain_blocks(SimTime::ZERO, &mut NoopObserver), vec![2, 3]);
+        assert_eq!(drain(&mut b), vec![2, 3]);
         assert!(!b.contains(2), "a drain forgets every block");
     }
 
@@ -378,8 +383,7 @@ mod tests {
                             model.extend(lbns);
                         } else {
                             let want: Vec<u64> = std::mem::take(&mut model).into_iter().collect();
-                            let got = b.drain_blocks(SimTime::ZERO, &mut NoopObserver);
-                            assert_eq!(got, want, "case {case} op {op}");
+                            assert_eq!(drain(&mut b), want, "case {case} op {op}");
                         }
                     }
                     _ => assert_eq!(b.invalidate(lbn), model.remove(&lbn), "case {case} op {op}"),

@@ -408,6 +408,8 @@ struct OpBuffers {
     misses: Vec<u64>,
     /// Dirty write-back evictions to flush.
     flushes: Vec<u64>,
+    /// The blocks an SRAM flush drains.
+    drained: Vec<u64>,
 }
 
 impl OpBuffers {
@@ -684,7 +686,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
                 self.flush_writeback(now, &s.flushes);
                 dram_time
             }
-            _ => dram_time + self.write_to_backend(now, op, &s.lbns),
+            _ => dram_time + self.write_to_backend(now, op, &s.lbns, &mut s.drained),
         };
         self.buffers = s;
         response
@@ -698,15 +700,22 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
     /// "synchronous writes that fit in SRAM are made asynchronous with
     /// respect to the disk", so under the paper's open-loop model the
     /// flush happens in the background (the device still pays the time
-    /// and energy); under FIFO it delays the triggering write.
-    fn write_to_backend(&mut self, now: SimTime, op: &DiskOp, lbns: &[u64]) -> SimDuration {
+    /// and energy); under FIFO it delays the triggering write. A flush
+    /// drains the buffer into `drained`.
+    fn write_to_backend(
+        &mut self,
+        now: SimTime,
+        op: &DiskOp,
+        lbns: &[u64],
+        drained: &mut Vec<u64>,
+    ) -> SimDuration {
         let bytes = lbns.len() as u64 * self.block_size;
         match self.sram.take() {
             Some(mut buf) if lbns.len() <= buf.capacity_blocks() => {
                 let mut resp = SimDuration::ZERO;
                 if !buf.fits(lbns) {
-                    let blocks = buf.drain_blocks(now, self.obs);
-                    let svc = self.flush(now, &blocks, true);
+                    buf.drain_blocks(now, drained, self.obs);
+                    let svc = self.flush(now, drained, true);
                     self.last_completion = self.last_completion.max(svc.end);
                     if self.queueing == QueueDiscipline::Fifo {
                         resp += svc.response(now);

@@ -49,7 +49,9 @@ use mobistore_sim::hist::Histogram;
 use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
 
-use crate::fleet::{device_mix, workload_mix, FleetOptions, FoldState, ShardRow, CHUNK};
+use crate::fleet::{
+    device_mix, device_states, workload_mix, FleetOptions, FoldState, ShardRow, CHUNK,
+};
 use crate::Scale;
 
 /// The checkpoint schema identifier (also the file's first line).
@@ -351,8 +353,9 @@ fn channel<'m>(
     m.channels_mut().into_iter().find(|(name, ..)| *name == key)
 }
 
-/// Decodes one `m.*` block (after its introducing `class`/`total` line).
-fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
+/// Decodes one `m.*` block (after its introducing `class`/`total` line),
+/// whose `m.state` lines may name only `states`.
+fn decode_metrics(cur: &mut Lines<'_>, states: &[&'static str]) -> Result<Metrics, String> {
     let mut m = Metrics::empty("");
     loop {
         let line = cur.next()?;
@@ -381,7 +384,7 @@ fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
                 m.energy_by_component.push((name, j));
             }
             "m.state" => {
-                let name = parse_label(cur, t.next(), "state", backend_state_names())?;
+                let name = parse_label(cur, t.next(), "state", states.iter().copied())?;
                 let j = Joules(parse_f64_bits(cur, t.next(), "state energy")?);
                 let d = SimDuration::from_nanos(parse_u64(cur, t.next(), "state duration")?);
                 m.backend_states.push((name, j, d));
@@ -527,6 +530,7 @@ fn parse(
     state.chunks_done = chunks_done;
     let mut total_seen = false;
     let (workloads, devices) = (workload_mix(), device_mix());
+    let all_states: Vec<&'static str> = backend_state_names().collect();
     loop {
         let line = cur.next()?;
         let mut t = line.split_whitespace();
@@ -563,17 +567,18 @@ fn parse(
                 });
             }
             "class" => {
+                // A class block carries its own backend's states only.
                 let label = parse_str(&cur, t.next(), "class label")?;
-                let m = decode_metrics(&mut cur)?;
                 let slot = state
                     .per_class
                     .iter_mut()
                     .find(|(n, _)| *n == label)
                     .ok_or_else(|| format!("unknown device class '{label}'"))?;
-                slot.1 = m;
+                slot.1 = decode_metrics(&mut cur, device_states(slot.0))?;
             }
             "total" => {
-                state.total = decode_metrics(&mut cur)?;
+                // The fleet-wide merge mixes every backend's states.
+                state.total = decode_metrics(&mut cur, &all_states)?;
                 total_seen = true;
             }
             "end" => break,
@@ -775,6 +780,36 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_class_block_takes_only_its_own_backends_states() {
+        let (state, opts, total_chunks, shards) = state_after_chaos();
+        let fp = fingerprint(&opts, Scale::quick());
+        let doc = encode(&state, fp, total_chunks, shards);
+        // `doc` with the first state after `block` renamed `name`.
+        const STATE: &str = "\nm.state ";
+        let rename = |block: &str, name: &str| {
+            let start = doc.find(block).unwrap_or_else(|| panic!("no {block:?}"));
+            let at = start + doc[start..].find(STATE).expect("a state") + STATE.len();
+            let end = at + doc[at..].find(' ').expect("a state energy");
+            format!("{}{name}{}", &doc[..at], &doc[end..])
+        };
+        // Another backend's state is refused in a class block and
+        // accepted in the total block.
+        for (class, foreign) in [
+            ("cu140-disk", "clean"),
+            ("sdp5-flashdisk", "spinup"),
+            ("intel-card", "standby"),
+        ] {
+            let hostile = rename(&format!("\nclass {class}\n"), foreign);
+            let err = parse(&hostile, fp, total_chunks, shards).unwrap_err();
+            let want = format!("unknown state '{foreign}'");
+            assert!(err.contains(&want), "{class}: {err}");
+            let mixed = rename("\ntotal\n", foreign);
+            let total = parse(&mixed, fp, total_chunks, shards);
+            assert!(total.is_ok(), "total: {foreign}");
+        }
+    }
+
     /// `doc` with token `index` of its first line starting with `prefix`
     /// replaced by `token`, or `token` appended if the line is shorter.
     fn with_token(doc: &str, prefix: &str, index: usize, token: &str) -> String {
@@ -816,7 +851,7 @@ mod tests {
         }
         let mut doc = String::new();
         encode_metrics(&mut doc, &m);
-        let back = decode_metrics(&mut Lines::new(&doc)).expect("round trip");
+        let back = decode_metrics(&mut Lines::new(&doc), &[]).expect("round trip");
         assert!(back.array.is_some() && back.wear.is_some());
         assert_eq!(format!("{back:?}"), format!("{m:?}"));
     }

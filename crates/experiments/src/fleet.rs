@@ -45,7 +45,11 @@ use std::time::Instant;
 use mobistore_core::config::SystemConfig;
 use mobistore_core::metrics::Metrics;
 use mobistore_core::simulator::{simulate, ConfigError, SimError};
+use mobistore_device::disk::DiskState;
+use mobistore_device::flashdisk::FlashDiskState;
 use mobistore_device::params::{cu140_datasheet, intel_datasheet, sdp5_datasheet};
+use mobistore_flash::store::CardState;
+use mobistore_sim::energy::EnergyState;
 use mobistore_sim::exec::{ordered_stream_map, panic_cause};
 use mobistore_sim::fault::FaultConfig;
 use mobistore_sim::fleet::{
@@ -97,6 +101,17 @@ pub fn workload_mix() -> Mix {
 /// The fleet's device mix: the paper's three storage alternatives.
 pub fn device_mix() -> Mix {
     Mix::new(&[("cu140-disk", 3), ("sdp5-flashdisk", 2), ("intel-card", 3)])
+}
+
+/// The energy states the backend of a [`device_mix`] class reports (see
+/// [`shard_config`]), in report order.
+pub(crate) fn device_states(device: &str) -> &'static [&'static str] {
+    match device {
+        "cu140-disk" => DiskState::NAMES,
+        "sdp5-flashdisk" => FlashDiskState::NAMES,
+        "intel-card" => CardState::NAMES,
+        other => panic!("unknown device class {other}"),
+    }
 }
 
 /// `repro fleet` parameters.

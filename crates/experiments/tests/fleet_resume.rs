@@ -180,26 +180,17 @@ fn fingerprint_mismatch_is_a_typed_config_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every checkpointed label restores into a closed set (state,
-/// component, workload and device names), so the committed checkpoint
-/// with one backend state renamed is refused with the config exit code,
-/// not accepted under a name no run produces.
-#[test]
-fn an_unknown_state_label_is_a_typed_config_error() {
-    let dir = scratch("unknown-label");
+/// Resumes the committed checkpoint with its first occurrence of `from`
+/// replaced by `to`, and requires the config exit code and a refusal
+/// naming `label`.
+fn resume_edited_checkpoint_is_refused(name: &str, from: &str, to: &str, label: &str) {
+    let dir = scratch(name);
     let golden =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fleet_resume.ckpt");
     let doc = std::fs::read_to_string(&golden).expect("committed checkpoint");
-    assert!(
-        doc.contains("\nm.state idle "),
-        "fixture lost its idle state"
-    );
-    let hostile = dir.join("renamed-state.ckpt");
-    std::fs::write(
-        &hostile,
-        doc.replacen("\nm.state idle ", "\nm.state idlx ", 1),
-    )
-    .unwrap();
+    assert!(doc.contains(from), "fixture lost {from:?}");
+    let hostile = dir.join("edited.ckpt");
+    std::fs::write(&hostile, doc.replacen(from, to, 1)).unwrap();
     let out = repro(&[
         "--scale",
         "0.02",
@@ -216,10 +207,48 @@ fn an_unknown_state_label_is_a_typed_config_error() {
         "an unknown state label should exit 3; stderr:\n{stderr}"
     );
     assert!(
-        stderr.contains("unknown state 'idlx'"),
+        stderr.contains(&format!("unknown state '{label}'")),
         "refusal does not name the label:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every checkpointed label restores into a closed set (state,
+/// component, workload and device names), so the committed checkpoint
+/// with one backend state renamed is refused with the config exit code,
+/// not accepted under a name no run produces.
+#[test]
+fn an_unknown_state_label_is_a_typed_config_error() {
+    resume_edited_checkpoint_is_refused(
+        "unknown-label",
+        "\nm.state idle ",
+        "\nm.state idlx ",
+        "idlx",
+    );
+}
+
+/// A device class's block carries its own backend's states: the disk
+/// block naming `clean`, a card state, is refused.
+#[test]
+fn a_class_block_naming_another_backends_state_is_refused() {
+    let golden =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fleet_resume.ckpt");
+    let doc = std::fs::read_to_string(&golden).expect("committed checkpoint");
+    let disk = doc.find("\nclass cu140-disk\n").expect("a disk block");
+    let next = doc[disk + 1..]
+        .find("\nclass ")
+        .map_or(doc.len(), |i| disk + 1 + i);
+    let standby = doc.find("\nm.state standby ").expect("a standby state");
+    assert!(
+        disk < standby && standby < next,
+        "the first standby state is not the disk block's"
+    );
+    resume_edited_checkpoint_is_refused(
+        "foreign-state",
+        "\nm.state standby ",
+        "\nm.state clean ",
+        "clean",
+    );
 }
 
 #[test]

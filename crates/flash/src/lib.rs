@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod live_index;
 pub mod store;
 
 pub use store::{

@@ -36,6 +36,8 @@ use mobistore_sim::obs::{Event, FaultKind, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 
+use crate::live_index::LiveIndex;
+
 /// Bytes of per-block metadata (logical block number, state bits) the
 /// recovery scan reads back per occupied slot when rebuilding the block
 /// map after a power failure — the MFFS log-scan cost, not a full data
@@ -321,9 +323,12 @@ pub struct FlashCardStore {
     /// there, or [`NO_LBN`]. The cleaner and the scrubber read one
     /// segment's live blocks from here instead of scanning `map`.
     slots: Vec<u64>,
-    /// Reused buffer for [`live_lbns`](Self::live_lbns): the cleaner and
-    /// the scrubber take it for one pass and put it back.
+    /// Reused buffer for [`live_lbns`](Self::live_lbns): the scrubber
+    /// takes it for one pass and puts it back.
     live_buf: Vec<u64>,
+    /// The `Full` segments by live count, kept under every victim policy;
+    /// the greedy victim is its minimum.
+    by_live: LiveIndex,
     /// Segment currently accepting writes.
     frontier: u32,
     /// Fully-erased segments ready to become the frontier.
@@ -423,6 +428,7 @@ impl FlashCardStore {
             segments,
             map: LbnTable::new(),
             live_buf: Vec::new(),
+            by_live: LiveIndex::new(num_segments, blocks_per_segment),
             frontier: 0,
             erased,
             bad: Vec::new(),
@@ -724,6 +730,7 @@ impl FlashCardStore {
             // The blocks k < placed with k % fillable == seg - 1.
             s.live = ((placed + u64::from(fillable - seg)) / u64::from(fillable)) as u32;
             s.used = self.blocks_per_segment;
+            self.by_live.insert(seg, s.live);
         }
         self.erased = vec![reserve];
         self.debug_check();
@@ -743,7 +750,11 @@ impl FlashCardStore {
     /// Marks the slot at `loc` dead: the segment loses a live block and
     /// the slot table forgets the lbn.
     fn kill_slot(&mut self, loc: BlockLoc) {
-        self.segments[loc.seg as usize].live -= 1;
+        let s = &mut self.segments[loc.seg as usize];
+        s.live -= 1;
+        if s.state == SegState::Full {
+            self.by_live.shift(loc.seg, s.live + 1, s.live);
+        }
         let i = self.slot_index(loc.seg, loc.slot);
         self.slots[i] = NO_LBN;
     }
@@ -768,8 +779,7 @@ impl FlashCardStore {
     /// Replaces the contents of `out` with the lbns of `seg`'s live
     /// blocks in ascending order, read from the slot table (at most
     /// `blocks_per_segment` entries). The scrubber needs the order: it
-    /// draws one bit-error sample per block in visit order. The cleaner
-    /// relocates in the same order.
+    /// draws one bit-error sample per block in visit order.
     fn live_lbns(&self, seg: u32, out: &mut Vec<u64>) {
         let start = self.slot_index(seg, 0);
         let summary = &self.slots[start..start + self.blocks_per_segment as usize];
@@ -823,7 +833,9 @@ impl FlashCardStore {
         let Some(next) = self.erased.pop() else {
             return false;
         };
-        self.segments[self.frontier as usize].state = SegState::Full;
+        let old = &mut self.segments[self.frontier as usize];
+        old.state = SegState::Full;
+        self.by_live.insert(self.frontier, old.live);
         self.segments[next as usize].state = SegState::Frontier;
         self.segments[next as usize].opened_at_seq = self.open_seq;
         self.open_seq += 1;
@@ -905,13 +917,7 @@ impl FlashCardStore {
             // Cleaning a fully-live segment frees nothing.
             .filter(|(_, s)| s.live < self.blocks_per_segment);
         match self.config.victim_policy {
-            // The `(live, index)` order as one integer (segment indices fit
-            // in 32 bits): a branch-free minimum over every segment, which
-            // the cleaner computes once per pass.
-            VictimPolicy::GreedyMinLive => candidates
-                .map(|(i, s)| (u64::from(s.live) << 32) | i as u64)
-                .min()
-                .map(|key| key as u32),
+            VictimPolicy::GreedyMinLive => self.greedy_victim(free),
             VictimPolicy::Fifo => candidates
                 .min_by_key(|(i, s)| (s.opened_at_seq, *i))
                 .map(|(i, _)| i as u32),
@@ -954,6 +960,14 @@ impl FlashCardStore {
         }
     }
 
+    /// The greedy victim: the `Full` segment with the fewest live blocks,
+    /// lowest index first, if it fits in `free` blocks and has a dead slot
+    /// (if the minimum fails, every `Full` segment fails too).
+    fn greedy_victim(&self, free: u64) -> Option<u32> {
+        let (live, seg) = self.by_live.min()?;
+        (u64::from(live) <= free && live < self.blocks_per_segment).then_some(seg)
+    }
+
     /// Starts a background job if the erased pool is empty and cleaning is
     /// possible. `at` stamps the observer event.
     fn maybe_start_job<O: Observer>(&mut self, at: SimTime, obs: &mut O) {
@@ -974,18 +988,8 @@ impl FlashCardStore {
         };
         // Logically relocate live data now (map + space bookkeeping); the
         // *time* of copying plus erasure is paid by the job as it runs.
-        // Relocation preserves each block's write generation: the cleaner
-        // moves data, it does not rewrite it.
-        let mut lbns = std::mem::take(&mut self.live_buf);
-        self.live_lbns(victim, &mut lbns);
-        let copy_blocks = lbns.len() as u64;
-        for &lbn in &lbns {
-            self.relocate_block(lbn);
-            self.stamp_frontier(at);
-        }
-        self.live_buf = lbns;
+        let copy_blocks = u64::from(self.evacuate(victim, at));
         self.counters.blocks_copied += copy_blocks;
-        debug_assert_eq!(self.segments[victim as usize].live, 0);
 
         let copy_bytes = copy_blocks * self.config.block_size;
         // Copies are internal to the card: they run at raw speeds even
@@ -1053,6 +1057,40 @@ impl FlashCardStore {
         true
     }
 
+    /// Moves `victim`'s live blocks to the frontier in one walk of its
+    /// slot row, keeping their write generations (the cleaner copies
+    /// data, it does not rewrite it); returns how many moved. They take
+    /// frontier slots in row order, which no output sees: the snapshot,
+    /// the events and the scrubber's sorted walk see segments only. Panics
+    /// if they overflow the frontier: a pass starts only with the erased
+    /// pool empty, so that is the free space the victim was admitted to.
+    fn evacuate(&mut self, victim: u32, at: SimTime) -> u32 {
+        let (to, bps) = (self.frontier, self.blocks_per_segment);
+        let live = self.segments[victim as usize].live;
+        let used = self.segments[to as usize].used;
+        assert!(live + used <= bps, "pass overflows the frontier");
+        let (row, dst) = (self.slot_index(victim, 0), self.slot_index(to, used));
+        let mut moved = 0;
+        for i in row..row + bps as usize {
+            let lbn = std::mem::replace(&mut self.slots[i], NO_LBN);
+            if lbn != NO_LBN {
+                self.slots[dst + moved as usize] = lbn;
+                let loc = self.map.get_mut(lbn).expect("a slot names a mapped block");
+                (loc.seg, loc.slot) = (to, used + moved);
+                moved += 1;
+            }
+        }
+        debug_assert_eq!(moved, live, "segment {victim}'s live count");
+        let f = &mut self.segments[to as usize];
+        (f.used, f.live) = (used + live, f.live + live);
+        self.segments[victim as usize].live = 0;
+        self.by_live.shift(victim, live, 0);
+        if live > 0 {
+            self.stamp_frontier(at);
+        }
+        live
+    }
+
     /// Completes the current job's remaining work in the foreground (a
     /// write is waiting at sim time `at`); returns the time spent, or
     /// `None` if there is no job and nothing is cleanable. Starts a job
@@ -1088,10 +1126,9 @@ impl FlashCardStore {
         started: SimTime,
         obs: &mut O,
     ) {
-        let start = self.slot_index(victim, 0);
-        self.slots[start..start + self.blocks_per_segment as usize].fill(NO_LBN);
+        // The pass emptied the victim's slots and live count (`evacuate`).
         let seg = &mut self.segments[victim as usize];
-        seg.live = 0;
+        self.by_live.remove(victim, seg.live);
         seg.used = 0;
         seg.erase_count += 1;
         if retire {
@@ -1335,6 +1372,8 @@ impl FlashCardStore {
         for &b in &self.bad {
             assert_eq!(self.segments[b as usize].state, SegState::Bad);
         }
+        let indexed = |s: &Segment| (s.state == SegState::Full).then_some(s.live);
+        self.by_live.check(self.segments.iter().map(indexed));
         let census = self.census();
         assert_eq!(
             census.total(),
@@ -2508,6 +2547,23 @@ mod tests {
         by_segment
     }
 
+    /// The scan the greedy policy ran before the live-count index, kept
+    /// as its reference: the minimum `(live, index)` over every `Full`
+    /// non-frontier segment whose live data fits in free space and that
+    /// has a dead slot, packed into one integer.
+    fn scan_greedy_victim(card: &FlashCardStore) -> Option<u32> {
+        let free = card.free_blocks();
+        card.segments
+            .iter()
+            .enumerate()
+            .filter(|(i, s)| s.state == SegState::Full && *i as u32 != card.frontier)
+            .filter(|(_, s)| u64::from(s.live) <= free)
+            .filter(|(_, s)| s.live < card.blocks_per_segment)
+            .map(|(i, s)| (u64::from(s.live) << 32) | i as u64)
+            .min()
+            .map(|key| key as u32)
+    }
+
     #[test]
     fn slot_table_walk_matches_a_full_map_scan_after_every_op() {
         use mobistore_sim::rng::SimRng;
@@ -2519,6 +2575,7 @@ mod tests {
         ];
         let mut seen = FlashCardCounters::default();
         let mut case = 0u64;
+        let mut greedy_picks = 0u64;
         for mode in [CleanerMode::Background, CleanerMode::OnDemand] {
             for victim_policy in policies {
                 for hazards in [false, true] {
@@ -2590,6 +2647,15 @@ mod tests {
                                 "case {case} ({mode:?}, {victim_policy:?}) op {op}: segment {seg}"
                             );
                         }
+                        // The index keeps the greedy choice under every
+                        // policy, so any card can check it.
+                        let greedy = card.greedy_victim(card.free_blocks());
+                        assert_eq!(
+                            greedy,
+                            scan_greedy_victim(&card),
+                            "case {case} ({mode:?}, {victim_policy:?}) op {op}: greedy victim"
+                        );
+                        greedy_picks += u64::from(greedy.is_some());
                         card.check_invariants();
                     }
                     seen.merge(&card.counters());
@@ -2603,6 +2669,7 @@ mod tests {
         assert!(seen.uncorrectable_reads > 0, "{seen:?}");
         assert!(seen.scrub_passes > 0, "{seen:?}");
         assert!(seen.power_failures > 0, "{seen:?}");
+        assert!(greedy_picks > 0, "no op left a greedy victim to compare");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Allocation guard for the simulator's op path and for trace generation.
 //!
 //! Every op the simulator replays touches the DRAM cache's index, the
-//! flash card's block map and, under cleaning, the cleaner's live-block
-//! list; on an erasure-coded array it touches the stripe table, the shard
-//! arena and the array's per-op scratch. Those structures and the per-op
+//! flash card's block map and, under cleaning, the cleaner's slot table;
+//! an SRAM flush drains the write buffer's blocks into a list; on an
+//! erasure-coded array an op touches the stripe table, the shard arena
+//! and the array's per-op scratch. Those structures and the per-op
 //! block lists are reused across ops, so a replay's heap allocations come
 //! from set-up and from tables growing to their working size, not from
 //! the ops themselves. Trace
@@ -17,7 +18,7 @@ use std::cell::Cell;
 use mobistore::core::config::SystemConfig;
 use mobistore::core::simulator::simulate;
 use mobistore::device::array::ChildClass;
-use mobistore::device::params::intel_datasheet;
+use mobistore::device::params::{cu140_datasheet, intel_datasheet};
 use mobistore::experiments::flash_card_config;
 use mobistore::sim::units::MIB;
 use mobistore::trace::record::{DiskOpKind, Trace};
@@ -105,6 +106,27 @@ fn counted_simulate(config: &SystemConfig, trace: &Trace) -> (u64, Metrics) {
     let before = allocations();
     let metrics = simulate(config, trace);
     (allocations() - before, metrics)
+}
+
+#[test]
+fn disk_replay_with_sram_allocates_under_a_tenth_per_op() {
+    // Table 4's hp row on the cu140: no DRAM (hp sits below the buffer
+    // cache) and the default 32-KB SRAM write buffer, so a write that
+    // overflows the buffer flushes it to the disk on the write path.
+    let trace = Workload::Hp.generate_scaled(0.05, 1994);
+    let config = SystemConfig::disk(cu140_datasheet()).with_dram(0);
+    let ops = trace.ops.len() as u64;
+
+    let (allocs, metrics) = counted_simulate(&config, &trace);
+
+    let flushes = metrics.sram.expect("an SRAM run reports its stats").flushes;
+    assert!(ops >= 1_500, "too few ops ({ops}) to amortise set-up");
+    assert!(flushes >= 100, "only {flushes} SRAM flushes over {ops} ops");
+    let per_op = allocs as f64 / ops as f64;
+    assert!(
+        per_op < 0.1 && allocs < flushes,
+        "{allocs} heap allocations over {ops} ops ({per_op:.3} per op) and {flushes} flushes"
+    );
 }
 
 #[test]
