@@ -132,21 +132,22 @@ impl TortureReport {
 pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
     let n = trace.ops.len().min(opts.max_ops);
     let ops = &trace.ops[..n];
+    let mut report = TortureReport {
+        name: config.name.clone(),
+        truncated_ops: (trace.ops.len() - n) as u64,
+        ..TortureReport::default()
+    };
+    if let Err(e) = lbn_domain_end(trace) {
+        report.violations.push(format!("cannot replay: {e}"));
+        return report;
+    }
     let working = working_set(ops);
     let mut sweep = Sweep {
         ops,
         block_size: trace.block_size,
         opts,
-        report: TortureReport {
-            name: config.name.clone(),
-            truncated_ops: (trace.ops.len() - n) as u64,
-            ..TortureReport::default()
-        },
+        report,
     };
-    if let Err(e) = lbn_domain_end(trace) {
-        sweep.report.violations.push(format!("cannot replay: {e}"));
-        return sweep.report;
-    }
     let queueing = config.queueing;
     match &config.backend {
         BackendConfig::Disk {

@@ -26,7 +26,7 @@ use mobistore_sim::lbn::MAX_LBN_END;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
-use mobistore_trace::record::{working_set, DiskOp, DiskOpKind, Trace};
+use mobistore_trace::record::{working_set_runs, DiskOp, DiskOpKind, Trace};
 
 use crate::backend::Backend;
 use crate::config::{BackendConfig, SystemConfig};
@@ -340,8 +340,8 @@ pub fn try_simulate_observed<O: Observer>(
             mode,
             victim_policy,
         } => {
-            let working = working_set(&trace.ops);
-            let w = working.len() as u64;
+            let working = working_set_runs(&trace.ops);
+            let w: u64 = working.iter().map(|(start, end)| end - start).sum();
             let capacity_blocks =
                 (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
             let target =
@@ -358,7 +358,7 @@ pub fn try_simulate_observed<O: Observer>(
             // so free space exists as cleanable garbage rather than
             // pristine erased segments. The filler follows the trace's
             // blocks and must stay inside the lbn domain too.
-            let filler_base = end.max(working.last().map_or(0, |l| l + 1));
+            let filler_base = end.max(working.last().map_or(0, |&(_, run_end)| run_end));
             let filler_end = filler_base.saturating_add(target - w);
             if filler_end > MAX_LBN_END {
                 return Err(ConfigError::LbnDomain { end: filler_end }.into());
@@ -373,7 +373,8 @@ pub fn try_simulate_observed<O: Observer>(
             })
             .with_faults(config.fault)
             .with_integrity(config.integrity);
-            card.preload_aged(working.into_iter().chain(filler_base..filler_end));
+            let blocks = working.into_iter().flat_map(|(start, end)| start..end);
+            card.preload_aged(blocks.chain(filler_base..filler_end));
             Simulator::new(config, trace, card, obs).run(trace, options)
         }
         BackendConfig::Array {
@@ -391,7 +392,8 @@ pub fn try_simulate_observed<O: Observer>(
                 .with_spares(*spares);
             // Every block the trace reads gets a generation-stamped stripe
             // to decode (the crash checker preloads the same way).
-            arr.preload(working_set(&trace.ops).into_iter());
+            let working = working_set_runs(&trace.ops);
+            arr.preload(working.into_iter().flat_map(|(start, end)| start..end));
             Simulator::new(config, trace, arr, obs).run(trace, options)
         }
     };

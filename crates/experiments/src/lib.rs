@@ -75,7 +75,7 @@ use std::sync::Arc;
 use mobistore_core::config::SystemConfig;
 use mobistore_device::params::FlashCardParams;
 use mobistore_sim::units::MIB;
-use mobistore_trace::record::{working_set_runs, Trace};
+use mobistore_trace::record::{working_set_len, Trace};
 use mobistore_workload::Workload;
 
 /// How much of each workload to run.
@@ -112,17 +112,15 @@ pub fn shared_trace(workload: Workload, scale: Scale) -> Arc<Trace> {
     mobistore_workload::cache::trace(workload, scale.fraction, scale.seed)
 }
 
-/// Counts the distinct blocks a trace touches (its flash working set).
+/// Counts the distinct blocks a trace reads or writes (its flash working
+/// set).
 ///
-/// Works on merged `(start, end)` block ranges rather than materializing
-/// one entry per block, so a multi-megabyte op costs O(1) here and the
-/// whole computation (a radix sort and a merge) is linear in the op
-/// count, not in the blocks.
+/// Sets the ops' blocks in a paged bitmap and counts the bits
+/// ([`working_set_len`]): one pass over the ops, with memory that follows
+/// the 4,096-lbn pages the trace touches (512 bytes each), not its op
+/// count, and no list of blocks or ranges built.
 pub fn working_set_blocks(trace: &Trace) -> u64 {
-    working_set_runs(&trace.ops)
-        .iter()
-        .map(|(start, end)| end - start)
-        .sum()
+    working_set_len(&trace.ops)
 }
 
 /// Builds a flash-card configuration whose capacity can hold `trace`'s

@@ -682,10 +682,25 @@ impl FlashCardStore {
     ///
     /// # Panics
     ///
-    /// Panics if called on a non-empty card, if the blocks do not fit in
-    /// the fillable segments, or on an lbn at or past [`MAX_LBN_END`].
+    /// Panics if the card is not fresh: if its frontier has used a slot
+    /// (a card written and then trimmed to nothing has), or if a segment
+    /// other than the frontier is not in the erased pool (an earlier aged
+    /// preload, even of nothing, leaves them full). Panics too if the
+    /// blocks do not fit in the fillable segments, or on an lbn at or past
+    /// [`MAX_LBN_END`].
     pub fn preload_aged(&mut self, lbns: impl IntoIterator<Item = u64>) {
-        assert_eq!(self.live_blocks, 0, "preload_aged requires an empty card");
+        // A frontier opens only to take a block, so a frontier with no
+        // slot used is segment 0, the one a new card starts with.
+        let used = self.segments[self.frontier as usize].used;
+        assert_eq!(
+            used, 0,
+            "preload_aged requires a fresh card: the frontier has used {used} slots"
+        );
+        assert_eq!(
+            self.erased.len() + 1,
+            self.segments.len(),
+            "preload_aged requires a fresh card: every segment but the frontier erased"
+        );
         let reserve = self.segments.len() as u32 - 1;
         let fillable = reserve - 1;
         let capacity = u64::from(fillable) * u64::from(self.blocks_per_segment);
@@ -1861,6 +1876,33 @@ mod tests {
     fn aged_preload_rejects_overfill() {
         let mut card = small_card(CleanerMode::Background);
         card.preload_aged(0..300); // > 2 x 128 fillable
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "preload_aged requires a fresh card: the frontier has used 128 slots"
+    )]
+    fn aged_preload_rejects_a_card_written_then_trimmed() {
+        // No live block is left, but the frontier is full, and the aged
+        // layout assumes an empty one.
+        let mut card = small_card(CleanerMode::Background);
+        write(&mut card, SimTime::ZERO, 0, 128);
+        trim(&mut card, 0, 128);
+        assert_eq!(card.live_blocks(), 0);
+        card.preload_aged(0..10);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "preload_aged requires a fresh card: every segment but the frontier erased"
+    )]
+    fn aged_preload_rejects_a_second_preload() {
+        // An empty aged preload still fills the fillable segments with
+        // dead slots; a second would index them in the live-count index
+        // twice.
+        let mut card = small_card(CleanerMode::Background);
+        card.preload_aged(std::iter::empty());
+        card.preload_aged(0..10);
     }
 
     #[test]

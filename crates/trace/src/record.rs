@@ -7,7 +7,9 @@
 //! disk-level operations by [`crate::layout::FileLayout`].
 
 use core::fmt;
+use core::ops::Range;
 
+use mobistore_sim::lbn::MAX_LBN_END;
 use mobistore_sim::time::SimTime;
 
 /// Identifies a file within one trace.
@@ -187,62 +189,161 @@ pub fn working_set(ops: &[DiskOp]) -> Vec<u64> {
 }
 
 /// [`working_set`] as ascending, disjoint `(start, end)` block ranges,
-/// merged from the ops' ranges sorted by start, so that the cost follows
-/// the op count, not the blocks touched.
+/// read back from a paged bitmap of the blocks, so that the memory
+/// follows the 4,096-lbn pages the ops touch, not the op count.
 pub fn working_set_runs(ops: &[DiskOp]) -> Vec<(u64, u64)> {
-    let ranges: Vec<(u64, u64)> = ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .map(|op| (op.lbn, op.lbn.saturating_add(u64::from(op.blocks))))
-        .collect();
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for (start, end) in sort_by_start(ranges) {
-        match runs.last_mut() {
-            Some((_, run_end)) if start <= *run_end => *run_end = (*run_end).max(end),
-            _ if start < end => runs.push((start, end)),
-            _ => {}
-        }
-    }
-    runs
+    BlockBitmap::of(ops).runs()
 }
 
-/// log2 of the radix [`sort_by_start`] sorts by.
-const DIGIT_BITS: u32 = 11;
+/// The number of blocks in [`working_set`], counted from the same bitmap
+/// as [`working_set_runs`] without building the runs.
+pub fn working_set_len(ops: &[DiskOp]) -> u64 {
+    BlockBitmap::of(ops).len()
+}
 
-/// Sorts ranges by start with a stable LSD radix sort: one counting pass
-/// per 11-bit digit of the largest start, so a trace whose lbns end below
-/// 2^22 takes two passes and any `u64` at most six. Ranges with equal
-/// starts keep their order, which the merge in [`working_set_runs`] does
-/// not depend on. Needs one buffer the size of `ranges` and a 2,048-entry
-/// count table, whatever the lbn span.
-fn sort_by_start(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    const RADIX: usize = 1 << DIGIT_BITS;
-    let max_start = ranges.iter().map(|&(start, _)| start).max().unwrap_or(0);
-    let bits = u64::BITS - max_start.leading_zeros();
-    let mut sorted = vec![(0, 0); ranges.len()];
-    let mut shift = 0;
-    while shift < bits {
-        let digit = |start: u64| (start >> shift) as usize & (RADIX - 1);
-        let mut next = [0usize; RADIX];
-        for &(start, _) in &ranges {
-            next[digit(start)] += 1;
+/// log2 of the lbns one bitmap page covers.
+const PAGE_BITS: u32 = 12;
+/// 64-bit words per bitmap page: 4,096 bits, 512 bytes.
+const PAGE_WORDS: usize = 1 << (PAGE_BITS - 6);
+
+/// The blocks a list of ops reads or writes, as a bitmap over the lbn
+/// domain: 512-byte pages of 4,096 lbns, each allocated when an op first
+/// touches it, under an index of 4 bytes per page up to the highest page
+/// touched (4 MiB at most, for an lbn just below [`MAX_LBN_END`]). Parts
+/// of ranges at or past `MAX_LBN_END`, which every device refuses, are
+/// kept as a list and sorted when read.
+///
+/// A dense trace costs a few bits per block (the generated workloads end
+/// below 33,000 lbns: nine pages). A sparse one costs a 512-byte page per
+/// 4,096-lbn range it touches, where the card's block map then spends
+/// 64 KiB on the same range.
+#[derive(Default)]
+struct BlockBitmap {
+    /// One plus the position in `pages` of page `lbn >> 12`; 0 while no
+    /// op has touched it.
+    index: Vec<u32>,
+    /// The touched pages, in the order ops first touched them.
+    pages: Vec<[u64; PAGE_WORDS]>,
+    /// The parts of the ops' ranges at or past `MAX_LBN_END`, in op
+    /// order.
+    beyond: Vec<(u64, u64)>,
+}
+
+impl BlockBitmap {
+    /// Sets the blocks of every read and write in `ops`; trims are
+    /// skipped.
+    fn of(ops: &[DiskOp]) -> Self {
+        let mut set = BlockBitmap::default();
+        for op in ops.iter().filter(|op| op.kind != DiskOpKind::Trim) {
+            set.insert(op.lbn, op.lbn.saturating_add(u64::from(op.blocks)));
         }
-        // Each digit's first slot in `sorted`: the count before it.
-        let mut first = 0;
-        for slot in &mut next {
-            let count = *slot;
-            *slot = first;
-            first += count;
-        }
-        for &range in &ranges {
-            let slot = &mut next[digit(range.0)];
-            sorted[*slot] = range;
-            *slot += 1;
-        }
-        std::mem::swap(&mut ranges, &mut sorted);
-        shift += DIGIT_BITS;
+        set
     }
-    ranges
+
+    /// Adds blocks `start..end`.
+    fn insert(&mut self, start: u64, end: u64) {
+        if start >= end {
+            return;
+        }
+        if end > MAX_LBN_END {
+            self.beyond.push((start.max(MAX_LBN_END), end));
+        }
+        let end = end.min(MAX_LBN_END);
+        let mut lbn = start;
+        while lbn < end {
+            let page = lbn >> PAGE_BITS;
+            let page_start = page << PAGE_BITS;
+            let stop = end.min(page_start + (1 << PAGE_BITS));
+            let bits = (lbn - page_start) as usize..(stop - page_start) as usize;
+            set_bits(self.page_mut(page), bits);
+            lbn = stop;
+        }
+    }
+
+    /// Page `page`, allocated zeroed on its first touch.
+    fn page_mut(&mut self, page: u64) -> &mut [u64; PAGE_WORDS] {
+        // Pages lie below MAX_LBN_END >> PAGE_BITS = 2^20.
+        let page = page as usize;
+        if page >= self.index.len() {
+            self.index.resize(page + 1, 0);
+        }
+        if self.index[page] == 0 {
+            self.pages.push([0; PAGE_WORDS]);
+            self.index[page] = self.pages.len() as u32;
+        }
+        &mut self.pages[self.index[page] as usize - 1]
+    }
+
+    /// The number of blocks set.
+    fn len(self) -> u64 {
+        let in_domain: u64 = self
+            .pages
+            .iter()
+            .flatten()
+            .map(|word| u64::from(word.count_ones()))
+            .sum();
+        let mut beyond = Vec::new();
+        merge_sorted(&mut beyond, self.beyond);
+        in_domain + beyond.iter().map(|(start, end)| end - start).sum::<u64>()
+    }
+
+    /// The blocks set, as ascending, disjoint, non-adjacent ranges.
+    fn runs(self) -> Vec<(u64, u64)> {
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for (page, &slot) in self.index.iter().enumerate() {
+            if slot == 0 {
+                continue;
+            }
+            let words = &self.pages[slot as usize - 1];
+            let page_start = (page as u64) << PAGE_BITS;
+            for (i, &word) in words.iter().enumerate() {
+                let base = page_start + 64 * i as u64;
+                let mut bits = word;
+                while bits != 0 {
+                    // The lowest run of ones: `ones` bits from bit `zeros`.
+                    let zeros = bits.trailing_zeros();
+                    let ones = (!(bits >> zeros)).trailing_zeros();
+                    let start = base + u64::from(zeros);
+                    push_run(&mut runs, start, start + u64::from(ones));
+                    bits &= u64::MAX.checked_shl(zeros + ones).unwrap_or(0);
+                }
+            }
+        }
+        merge_sorted(&mut runs, self.beyond);
+        runs
+    }
+}
+
+/// Sets a non-empty range of a page's 4,096 bits.
+fn set_bits(words: &mut [u64; PAGE_WORDS], bits: Range<usize>) {
+    let (first, last) = (bits.start / 64, (bits.end - 1) / 64);
+    let low = u64::MAX << (bits.start % 64);
+    let high = u64::MAX >> (63 - (bits.end - 1) % 64);
+    if first == last {
+        words[first] |= low & high;
+    } else {
+        words[first] |= low;
+        words[first + 1..last].fill(u64::MAX);
+        words[last] |= high;
+    }
+}
+
+/// Sorts `ranges` by start and appends them to `runs`, ascending runs
+/// that all start before every range, merging what overlaps or touches.
+fn merge_sorted(runs: &mut Vec<(u64, u64)>, mut ranges: Vec<(u64, u64)>) {
+    ranges.sort_unstable();
+    for (start, end) in ranges {
+        push_run(runs, start, end);
+    }
+}
+
+/// Appends `start..end` to `runs`, or extends the last run if the range
+/// overlaps or touches it; `start` is at or past the last run's start.
+fn push_run(runs: &mut Vec<(u64, u64)>, start: u64, end: u64) {
+    match runs.last_mut() {
+        Some((_, run_end)) if start <= *run_end => *run_end = (*run_end).max(end),
+        _ => runs.push((start, end)),
+    }
 }
 
 #[cfg(test)]
@@ -302,6 +403,7 @@ mod tests {
 
     #[test]
     fn working_set_skips_trims_and_dedups() {
+        use DiskOpKind::{Read, Trim, Write};
         let op = |kind, lbn, blocks| DiskOp {
             time: SimTime::ZERO,
             kind,
@@ -309,30 +411,78 @@ mod tests {
             blocks,
             file: FileId(0),
         };
-        let ops = [
-            op(DiskOpKind::Write, 4, 3),
-            op(DiskOpKind::Read, 2, 3),
-            op(DiskOpKind::Trim, 100, 2),
-        ];
+        let ops = [op(Write, 4, 3), op(Read, 2, 3), op(Trim, 100, 2)];
         assert_eq!(working_set(&ops), vec![2, 3, 4, 5, 6]);
+        assert_eq!(working_set_len(&ops), 5);
         assert!(working_set(&[]).is_empty());
+        assert_eq!(working_set_len(&[]), 0);
         // Nested (20..30 holds 22..25), adjacent (30..32 after 20..30),
         // overlapping (40..45 and 43..48), duplicate and zero-block ops;
         // a zero-block op inside a gap adds nothing.
         let ops = [
-            op(DiskOpKind::Write, 40, 5),
-            op(DiskOpKind::Read, 22, 3),
-            op(DiskOpKind::Write, 20, 10),
-            op(DiskOpKind::Read, 30, 2),
-            op(DiskOpKind::Read, 43, 5),
-            op(DiskOpKind::Write, 43, 5),
-            op(DiskOpKind::Write, 35, 0),
-            op(DiskOpKind::Read, 20, 0),
-            op(DiskOpKind::Trim, 32, 8),
+            op(Write, 40, 5),
+            op(Read, 22, 3),
+            op(Write, 20, 10),
+            op(Read, 30, 2),
+            op(Read, 43, 5),
+            op(Write, 43, 5),
+            op(Write, 35, 0),
+            op(Read, 20, 0),
+            op(Trim, 32, 8),
         ];
         let want: Vec<u64> = (20..32).chain(40..48).collect();
         assert_eq!(working_set(&ops), want);
-        assert_eq!(working_set(&ops), expand_sort_dedup(&ops));
+        check_against_reference(&ops, "nested");
+
+        // Single blocks on either side of a word (63/64) and of a page
+        // (4,095/4,096) join into one run each; an op straddling either
+        // boundary sets both sides.
+        let ops = [
+            op(Read, 64, 1),
+            op(Read, 63, 1),
+            op(Write, 4_096, 1),
+            op(Read, 4_095, 1),
+        ];
+        assert_eq!(working_set_runs(&ops), [(63, 65), (4_095, 4_097)]);
+        check_against_reference(&ops, "boundaries");
+        let ops = [op(Write, 60, 8), op(Read, 4_090, 12), op(Read, 8_190, 2)];
+        assert_eq!(
+            working_set_runs(&ops),
+            [(60, 68), (4_090, 4_102), (8_190, 8_192)]
+        );
+        check_against_reference(&ops, "straddling");
+        // Whole words and whole pages: an aligned 64-block op, a
+        // page-aligned one beside it, and a 65,536-block op from an
+        // unaligned start over 17 pages, overlapping the first.
+        let ops = [
+            op(Write, 128, 64),
+            op(Write, 3 * 4_096, 64),
+            op(Read, 12_000, 65_536),
+        ];
+        assert_eq!(working_set_runs(&ops), [(128, 192), (12_000, 77_536)]);
+        check_against_reference(&ops, "long");
+        // Sparse: one op in each of 1,000 pages, every other page skipped,
+        // each at a different offset into its page.
+        let ops: Vec<DiskOp> = (0..1_000u64)
+            .map(|p| op(Write, 2 * p * 4_096 + (p * 61) % 4_090, 1 + (p % 7) as u32))
+            .collect();
+        assert_eq!(working_set_runs(&ops).len(), 1_000);
+        check_against_reference(&ops, "sparse");
+        // The end of the lbn domain: a range ending exactly at 2^32 stays
+        // in the bitmap, a range starting there goes to the sorted list,
+        // and the two join into one run; a range crossing 2^32 is split
+        // between them and read back whole.
+        let end = MAX_LBN_END;
+        assert_eq!(working_set_runs(&[op(Write, end - 5, 5)]), [(end - 5, end)]);
+        let ops = [op(Read, end, 3), op(Write, end - 5, 5)];
+        assert_eq!(working_set_runs(&ops), [(end - 5, end + 3)]);
+        check_against_reference(&ops, "joined at 2^32");
+        let ops = [op(Write, end - 2, 7), op(Read, end + 9, 1), op(Read, 7, 1)];
+        assert_eq!(
+            working_set_runs(&ops),
+            [(7, 8), (end - 2, end + 5), (end + 9, end + 10)]
+        );
+        check_against_reference(&ops, "crossing 2^32");
 
         for case in 0..200u64 {
             let mut rng = SimRng::seed_with_stream(case, 31);
@@ -342,9 +492,9 @@ mod tests {
             let ops: Vec<DiskOp> = (0..rng.below(60))
                 .map(|_| {
                     let kind = match rng.below(3) {
-                        0 => DiskOpKind::Read,
-                        1 => DiskOpKind::Write,
-                        _ => DiskOpKind::Trim,
+                        0 => Read,
+                        1 => Write,
+                        _ => Trim,
                     };
                     let lbn = if rng.chance(0.1) {
                         5_000 + rng.below(window)
@@ -359,54 +509,56 @@ mod tests {
                     op(kind, lbn, blocks as u32)
                 })
                 .collect();
-            assert_eq!(working_set(&ops), expand_sort_dedup(&ops), "case {case}");
+            check_against_reference(&ops, &format!("case {case}"));
         }
-        // Lbns near `u64::MAX`, mixed with low ones, so that every one of
-        // the sort's six digits varies; ranges still end by `u64::MAX`.
+        // Lbns at any scale up to `u64::MAX`, mixed with low ones: the
+        // parts at or past 2^32 take the sorted list. Every tenth case
+        // also draws lbns around 2^32, so that runs cross into the list
+        // from the bitmap (its index then spans the whole domain, which
+        // a debug build takes tens of milliseconds to walk). Ranges still
+        // end by `u64::MAX`.
         for case in 0..200u64 {
             let mut rng = SimRng::seed_with_stream(case, 37);
             let window = rng.range_inclusive(1, 300);
+            let arms = if case % 10 == 0 { 5 } else { 4 };
             let ops: Vec<DiskOp> = (0..rng.below(60))
                 .map(|_| {
                     let kind = match rng.below(3) {
-                        0 => DiskOpKind::Read,
-                        1 => DiskOpKind::Write,
-                        _ => DiskOpKind::Trim,
+                        0 => Read,
+                        1 => Write,
+                        _ => Trim,
                     };
-                    let lbn = match rng.below(4) {
+                    let lbn = match rng.below(arms) {
                         0 => rng.below(window),
                         1 => rng.next_u64() >> rng.range_inclusive(1, 63),
-                        _ => u64::MAX - 300 - rng.below(window),
+                        2 | 3 => u64::MAX - 300 - rng.below(window),
+                        _ => MAX_LBN_END - 150 + rng.below(window),
                     };
                     op(kind, lbn, rng.below(12) as u32)
                 })
                 .collect();
-            assert_eq!(
-                working_set(&ops),
-                expand_sort_dedup(&ops),
-                "high case {case}"
-            );
+            check_against_reference(&ops, &format!("high case {case}"));
         }
     }
 
-    #[test]
-    fn radix_sort_is_stable_by_start() {
-        for case in 0..100u64 {
-            let mut rng = SimRng::seed_with_stream(case, 39);
-            // Few distinct starts, so ties are common; the end records the
-            // input position.
-            let starts = [0, 1, 2_047, 2_048, 1 << 22, u64::MAX - 1, u64::MAX];
-            let ranges: Vec<(u64, u64)> = (0..rng.below(200))
-                .map(|i| (starts[rng.below(starts.len() as u64) as usize], i))
-                .collect();
-            let mut want = ranges.clone();
-            want.sort_by_key(|&(start, _)| start);
-            assert_eq!(sort_by_start(ranges), want, "case {case}");
-        }
+    /// Checks `ops`' working set three ways against
+    /// [`expand_sort_dedup`]: the runs (ascending, and separated by a
+    /// gap), their blocks, and the count.
+    fn check_against_reference(ops: &[DiskOp], label: &str) {
+        let want = expand_sort_dedup(ops);
+        let runs = working_set_runs(ops);
+        assert!(
+            runs.iter().all(|&(start, end)| start < end)
+                && runs.windows(2).all(|pair| pair[0].1 < pair[1].0),
+            "{label}: runs not ascending and separated: {runs:?}"
+        );
+        let blocks: Vec<u64> = runs.iter().flat_map(|&(start, end)| start..end).collect();
+        assert_eq!(blocks, want, "{label}");
+        assert_eq!(working_set_len(ops), want.len() as u64, "{label}");
     }
 
-    /// The reference the range merge must match: every block of every
-    /// op, sorted and deduplicated.
+    /// The reference the bitmap must match: every block of every op,
+    /// sorted and deduplicated.
     fn expand_sort_dedup(ops: &[DiskOp]) -> Vec<u64> {
         let mut blocks: Vec<u64> = ops
             .iter()

@@ -1,4 +1,5 @@
-//! Allocation guard for the simulator's op path and for trace generation.
+//! Allocation guard for the simulator's op path, for trace generation
+//! and for the working set.
 //!
 //! Every op the simulator replays touches the DRAM cache's index, the
 //! flash card's block map and, under cleaning, the cleaner's slot table;
@@ -10,7 +11,9 @@
 //! the ops themselves. Trace
 //! generation likewise lays each record out into one reused buffer. The
 //! tests count the allocations one `simulate` or `generate` call makes on
-//! the calling thread and bound them per op or per trace.
+//! the calling thread and bound them per op or per trace. The working
+//! set is a bitmap of the pages a trace touches, so its tests bound the
+//! most heap bytes the thread holds at once instead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,17 +22,24 @@ use mobistore::core::config::SystemConfig;
 use mobistore::core::simulator::simulate;
 use mobistore::device::array::ChildClass;
 use mobistore::device::params::{cu140_datasheet, intel_datasheet};
-use mobistore::experiments::flash_card_config;
+use mobistore::experiments::{flash_card_config, working_set_blocks};
 use mobistore::sim::units::MIB;
-use mobistore::trace::record::{DiskOpKind, Trace};
+use mobistore::trace::record::{working_set_runs, DiskOpKind, Trace};
 use mobistore::{Metrics, Workload};
 
-/// The system allocator, counting the allocations each thread makes.
+/// The system allocator, counting the allocations each thread makes and
+/// the heap bytes it holds.
 struct CountingAlloc;
 
 thread_local! {
     /// Allocations (including reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed. A block freed by a
+    /// thread other than the one that allocated it moves both threads'
+    /// counts, so it may go below zero.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE_BYTES` has held since [`peak_heap`] last reset it.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn note_allocation() {
@@ -38,33 +48,60 @@ fn note_allocation() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Adds `allocated` bytes to this thread's live count, raises its peak
+/// to match, then takes `freed` bytes off. No block reaches `i64::MAX`
+/// bytes.
+fn note_bytes(allocated: usize, freed: usize) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let held = live.get() + allocated as i64;
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(held)));
+        live.set(held - freed as i64);
+    });
+}
+
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over. Counting touches only
-// a const-initialised thread-local `Cell`, which never allocates.
+// unchanged and returns its result, so `System`'s guarantees carry over.
+// Counting touches only const-initialised thread-local `Cell`s, which
+// never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            note_bytes(layout.size(), 0);
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_allocation();
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            note_bytes(layout.size(), 0);
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_allocation();
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract;
         // `ptr` came from this allocator, which is `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            // Counted as a move: the new block is held beside the old one
+            // at the peak, whether or not `System` grew it in place.
+            note_bytes(new_size, layout.size());
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract;
         // `ptr` came from this allocator, which is `System`.
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        note_bytes(0, layout.size());
     }
 }
 
@@ -73,6 +110,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Runs `f` and returns its result with the most heap bytes this thread
+/// held at once while it ran, beyond what it held before. The result
+/// itself counts, since `f` allocated it.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    let out = f();
+    let peak = u64::try_from(PEAK_BYTES.with(Cell::get) - before)
+        .expect("the peak starts at the live count");
+    (out, peak)
 }
 
 #[test]
@@ -210,4 +259,45 @@ fn trace_generation_allocates_a_constant_per_trace() {
             workload.name()
         );
     }
+}
+
+/// The mac trace at scale 0.05 and the bytes two lists of its ops'
+/// `(start, end)` ranges would take: a sort-and-merge working set (one
+/// list, plus a second buffer to sort it into) needs that much.
+fn mac_and_its_range_lists() -> (Trace, u64) {
+    let trace = Workload::Mac.generate_scaled(0.05, 1994);
+    let ops = trace.ops.len() as u64;
+    assert!(ops >= 2_000, "too few ops ({ops})");
+    let range_lists = ops * 2 * std::mem::size_of::<(u64, u64)>() as u64;
+    (trace, range_lists)
+}
+
+#[test]
+fn working_set_runs_peak_heap_is_under_a_tenth_of_the_range_lists() {
+    // Mac at scale 0.05 touches about 2,200 lbns, one bitmap page, in a
+    // few hundred runs: the runs returned cost more than the bitmap.
+    let (trace, range_lists) = mac_and_its_range_lists();
+    let (runs, peak) = peak_heap(|| working_set_runs(&trace.ops));
+    assert!(!runs.is_empty());
+    assert!(
+        peak * 10 <= range_lists,
+        "working_set_runs peaked at {peak} heap bytes for {} ops in {} runs \
+         (two range lists: {range_lists})",
+        trace.ops.len(),
+        runs.len()
+    );
+}
+
+#[test]
+fn working_set_blocks_peak_heap_is_under_a_tenth_of_the_range_lists() {
+    let (trace, range_lists) = mac_and_its_range_lists();
+    let (blocks, peak) = peak_heap(|| working_set_blocks(&trace));
+    let runs = working_set_runs(&trace.ops);
+    assert_eq!(blocks, runs.iter().map(|(start, end)| end - start).sum());
+    assert!(
+        peak * 10 <= range_lists,
+        "working_set_blocks peaked at {peak} heap bytes for {} ops \
+         (two range lists: {range_lists})",
+        trace.ops.len()
+    );
 }
