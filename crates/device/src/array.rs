@@ -967,9 +967,10 @@ impl ArrayDevice {
 
     /// The acknowledged `(lbn, generation)` mapping as far as the array
     /// can still decode it, sorted by block. Blocks whose stripes have
-    /// too few survivors are omitted — [`unreadable_blocks`]
-    /// (Self::unreadable_blocks) lists exactly those, and the read path
-    /// reports them as typed errors, so the loss is never silent.
+    /// too few survivors are omitted —
+    /// [`unreadable_blocks`](Self::unreadable_blocks) lists exactly those,
+    /// and the read path reports them as typed errors, so the loss is
+    /// never silent.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let k = self.k();
         let mut out = Vec::new();

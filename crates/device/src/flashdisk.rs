@@ -354,7 +354,7 @@ impl Device for FlashDisk {
     /// survive; an in-flight access is abandoned. The emulation layer hides
     /// recovery inside the controller: on power-up it re-reads the remap
     /// and erase-state headers of its spare pool (one
-    /// [`REMAP_HEADER_BYTES`] header per [`SECTOR_BYTES`] sector) before
+    /// `REMAP_HEADER_BYTES` header per `SECTOR_BYTES` sector) before
     /// serving requests. Returns the recovery interval.
     fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
         if now < self.free_at {

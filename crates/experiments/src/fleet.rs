@@ -30,9 +30,8 @@
 //! Determinism contract: a shard's bytes are a pure function of
 //! `(fleet seed, shard index)` — its trace seed, demand draw, fault seed,
 //! and chaos draws all derive from that pair. Shards are simulated in
-//! fixed chunks dispatched through
-//! [`ordered_stream_map`](mobistore_sim::exec::ordered_stream_map) and
-//! folded in shard-index order with a fixed chunk size, so the report,
+//! fixed chunks dispatched through [`ordered_stream_map`] and folded in
+//! shard-index order with a fixed chunk size, so the report,
 //! the merged percentiles, and the `--metrics-out` document are
 //! byte-identical at any `--jobs` count, and simulating shard `k` alone
 //! reproduces exactly the bytes it contributed in-fleet.

@@ -26,9 +26,14 @@
 //! through. Both run on one private pool; [`parallel_map`] is its
 //! in-order delivery with a sink that pushes onto a `Vec`.
 //!
+//! [`spare_core`] is the one rule for work that splits a single
+//! computation over a second thread: a core is spare when more than one
+//! job is allowed and the caller is not one of a pool's workers.
+//!
 //! No external dependencies: `std::thread::scope`, a mutex and a
 //! condvar, and one atomic counter.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,6 +69,23 @@ pub fn jobs() -> usize {
             .filter(|&n| n > 0)
     });
     env.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+thread_local! {
+    /// True on the worker threads a pool spawns.
+    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True when the caller may run a helper thread beside itself: more than
+/// one job is allowed ([`jobs`]) and the caller is not a pool worker.
+///
+/// A pool's workers already fill the cores [`jobs`] allows, so work
+/// inside a [`parallel_map`] or [`ordered_stream_map`] item never sees a
+/// spare core, and neither does anything under `--jobs 1`. Items a pool
+/// runs inline (one job, or a single item) run on the calling thread and
+/// see what the caller sees.
+pub fn spare_core() -> bool {
+    jobs() > 1 && !POOL_WORKER.with(Cell::get)
 }
 
 /// Renders a panic payload as a human-readable cause string: the `&str`
@@ -199,6 +221,7 @@ where
         for worker in 0..workers {
             let prof_ctx = prof_ctx.clone();
             scope.spawn(move || {
+                POOL_WORKER.with(|w| w.set(true));
                 crate::prof::set_context(prof_ctx);
                 loop {
                     if state.lock().expect("pool state poisoned").panic.is_some() {
@@ -373,5 +396,19 @@ mod tests {
     #[test]
     fn jobs_is_positive() {
         assert!(jobs() >= 1);
+    }
+
+    #[test]
+    fn pool_workers_see_no_spare_core() {
+        // The calling thread is no worker; a single item runs inline on
+        // it and sees the same.
+        assert_eq!(spare_core(), jobs() > 1);
+        assert_eq!(parallel_map(&[0u8], |_| spare_core()), [jobs() > 1]);
+        let items: Vec<u32> = (0..64).collect();
+        let seen = parallel_map(&items, |_| spare_core());
+        assert!(seen.iter().all(|&spare| !spare), "{seen:?}");
+        let mut streamed = Vec::new();
+        ordered_stream_map(&items, |_| spare_core(), |_, spare| streamed.push(spare));
+        assert!(streamed.iter().all(|&spare| !spare), "{streamed:?}");
     }
 }

@@ -8,7 +8,7 @@
 //! trade-off space.
 //!
 //! [`FaultPlan`] is a seeded source of fault decisions, driven by
-//! [`SimRng`](crate::rng::SimRng) so that a `(seed, stream)` pair fully
+//! [`SimRng`] so that a `(seed, stream)` pair fully
 //! determines every injected fault. Device models own their plan, which
 //! makes runs reproducible and parallel-safe by construction: two
 //! simulations built from the same [`FaultConfig`] inject identical fault

@@ -204,14 +204,17 @@ impl FleetConfig {
     /// Panics if `k >= shards`.
     pub fn shard_range(&self, k: u32) -> (u64, u64) {
         assert!(k < self.shards, "shard {k} out of range");
-        let n = u128::from(self.shards);
-        let lo = (u128::from(k) << 64).div_ceil(n);
+        let n = u64::from(self.shards);
+        // Shard k starts at ⌈k·2^64 / n⌉. With 2^64 = q·n + r, that is
+        // k·q + ⌈k·r / n⌉, and k < n ≤ 2^32, r ≤ n keep k·r below 2^64.
+        let (q, r) = (u64::MAX / n, u64::MAX % n + 1);
+        let lo = |k: u64| k * q + (k * r).div_ceil(n);
         let hi = if k + 1 == self.shards {
-            u128::from(u64::MAX)
+            u64::MAX
         } else {
-            (u128::from(k + 1) << 64).div_ceil(n) - 1
+            lo(u64::from(k) + 1) - 1
         };
-        (lo as u64, hi as u64)
+        (lo(u64::from(k)), hi)
     }
 
     /// Builds the full shard plan: user counts per shard (one pass over
@@ -441,6 +444,49 @@ mod tests {
                 expect_lo = hi.wrapping_add(1);
             }
             assert_eq!(expect_lo, 0, "last shard must end at u64::MAX");
+        }
+    }
+
+    /// [`FleetConfig::shard_range`] as `u128` division, the form its
+    /// `u64` arithmetic replaces.
+    fn shard_range_u128(shards: u32, k: u32) -> (u64, u64) {
+        let n = u128::from(shards);
+        let lo = (u128::from(k) << 64).div_ceil(n);
+        let hi = if k + 1 == shards {
+            u128::from(u64::MAX)
+        } else {
+            (u128::from(k + 1) << 64).div_ceil(n) - 1
+        };
+        (lo as u64, hi as u64)
+    }
+
+    #[test]
+    fn shard_ranges_match_u128_division() {
+        for shards in [1u32, 2, 3, 7, 4096, 10_007] {
+            let cfg = config(shards, 1, 9);
+            for k in 0..shards {
+                assert_eq!(
+                    cfg.shard_range(k),
+                    shard_range_u128(shards, k),
+                    "shard {k} of {shards}"
+                );
+            }
+        }
+        // The largest shard count: its ends, the middle, and a SimRng
+        // sample between them.
+        let shards = u32::MAX;
+        let cfg = config(shards, 1, 9);
+        let mut rng = crate::rng::SimRng::seed_from_u64(4099);
+        let sampled = (0..2_000).map(|_| rng.below(u64::from(shards)) as u32);
+        for k in [0, 1, 2, shards / 2, shards - 2, shards - 1]
+            .into_iter()
+            .chain(sampled)
+        {
+            assert_eq!(
+                cfg.shard_range(k),
+                shard_range_u128(shards, k),
+                "shard {k} of {shards}"
+            );
         }
     }
 

@@ -140,7 +140,7 @@ impl SimRng {
     pub fn standard_normal(&mut self) -> f64 {
         let u1: f64 = 1.0 - self.f64(); // (0, 1]: safe for ln
         let u2: f64 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+        box_muller(u1, u2)
     }
 
     /// Samples a log-normal distribution parameterised by the *target*
@@ -154,6 +154,13 @@ impl SimRng {
     pub fn lognormal_mean_std(&mut self, mean: f64, std: f64) -> f64 {
         LogNormal::new(mean, std).sample(self)
     }
+}
+
+/// The standard normal that the Box–Muller transform makes of `u1` in
+/// `(0, 1]` and `u2` in `[0, 1)`.
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
 /// A log-normal distribution parameterised by the *target* arithmetic
@@ -213,7 +220,21 @@ impl LogNormal {
 
     /// Draws one value.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        (self.mu + self.sigma * rng.standard_normal()).exp()
+        let u1 = 1.0 - rng.f64();
+        let u2 = rng.f64();
+        self.transform(u1, u2)
+    }
+
+    /// The value a draw makes of its two uniforms: [`LogNormal::sample`]
+    /// is `transform(1.0 - rng.f64(), rng.f64())`, with the uniforms
+    /// drawn in that order. Splitting the draw from the transform lets a
+    /// caller take the uniforms in one pass and the logarithm, root,
+    /// cosine and exponential in another, with bit-identical values.
+    ///
+    /// `u1` must lie in `(0, 1]` and `u2` in `[0, 1)`.
+    #[inline]
+    pub fn transform(&self, u1: f64, u2: f64) -> f64 {
+        (self.mu + self.sigma * box_muller(u1, u2)).exp()
     }
 }
 
@@ -435,6 +456,7 @@ mod tests {
             let mut fast = SimRng::seed_with_stream(case as u64, 43);
             let mut reference = fast.clone();
             let mut via_rng = fast.clone();
+            let mut uniforms = fast.clone();
             for draw in 0..5_000 {
                 let want = lognormal_per_draw(&mut reference, mean, std).to_bits();
                 assert_eq!(
@@ -444,6 +466,13 @@ mod tests {
                 );
                 assert_eq!(
                     via_rng.lognormal_mean_std(mean, std).to_bits(),
+                    want,
+                    "{mean}/{std} #{draw}"
+                );
+                let u1 = 1.0 - uniforms.f64();
+                let u2 = uniforms.f64();
+                assert_eq!(
+                    dist.transform(u1, u2).to_bits(),
                     want,
                     "{mean}/{std} #{draw}"
                 );

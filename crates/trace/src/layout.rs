@@ -61,6 +61,10 @@ struct Extent {
 #[derive(Debug)]
 pub struct FileLayout {
     block_size: u64,
+    /// `log2(block_size)` when the block size is a power of two (every
+    /// generated trace's is), so byte counts convert to blocks with a
+    /// shift; `None` divides.
+    block_shift: Option<u32>,
     /// The current extent of each file, by file id.
     extents: LbnTable<Extent>,
     /// Free extents, kept sorted by start block for deterministic first-fit.
@@ -78,6 +82,9 @@ impl FileLayout {
         assert!(block_size > 0, "block size must be positive");
         FileLayout {
             block_size,
+            block_shift: block_size
+                .is_power_of_two()
+                .then(|| block_size.trailing_zeros()),
             extents: LbnTable::new(),
             free: Vec::new(),
             next_block: 0,
@@ -160,8 +167,21 @@ impl FileLayout {
         trace
     }
 
+    /// The whole blocks `bytes` spans from the start of a file.
+    fn blocks_in(&self, bytes: u64) -> u64 {
+        match self.block_shift {
+            Some(shift) => bytes >> shift,
+            None => bytes / self.block_size,
+        }
+    }
+
+    /// The blocks that hold `bytes`, at least one.
     fn blocks_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.block_size).max(1)
+        let blocks = match self.block_shift {
+            Some(shift) => (bytes >> shift) + u64::from(bytes & (self.block_size - 1) != 0),
+            None => bytes.div_ceil(self.block_size),
+        };
+        blocks.max(1)
     }
 
     fn access(&mut self, rec: &FileRecord, out: &mut Vec<DiskOp>) {
@@ -198,7 +218,7 @@ impl FileLayout {
             }
         };
 
-        let first = rec.offset / self.block_size;
+        let first = self.blocks_in(rec.offset);
         let kind = if rec.op == Op::Read {
             DiskOpKind::Read
         } else {
@@ -611,7 +631,8 @@ mod tests {
         use mobistore_sim::rng::SimRng;
         for case in 0..64u64 {
             let mut rng = SimRng::seed_with_stream(case, 53);
-            let block_size = [512, 1024, 4096][rng.below(3) as usize];
+            // 1,000 B is no power of two, so the layout divides.
+            let block_size = [512, 1000, 1024, 4096][rng.below(4) as usize];
             // A few files on a page boundary and one just below the id
             // bound join the dense ids, so the table's pages and its top
             // level both grow.

@@ -23,8 +23,10 @@ use mobistore::core::simulator::simulate;
 use mobistore::device::array::ChildClass;
 use mobistore::device::params::{cu140_datasheet, intel_datasheet};
 use mobistore::experiments::{flash_card_config, working_set_blocks};
+use mobistore::sim::exec;
 use mobistore::sim::units::MIB;
-use mobistore::trace::record::{working_set_runs, DiskOpKind, Trace};
+use mobistore::trace::record::{working_set_runs, DiskOp, DiskOpKind, Trace};
+use mobistore::workload::TraceSpec;
 use mobistore::{Metrics, Workload};
 
 /// The system allocator, counting the allocations each thread makes and
@@ -258,6 +260,59 @@ fn trace_generation_allocates_a_constant_per_trace() {
             "{}: {allocs} heap allocations for {ops} ops",
             workload.name()
         );
+    }
+}
+
+#[test]
+fn full_length_generation_allocates_a_constant_and_peaks_at_the_trace() {
+    // Full-length mac is long enough that, with a core spare, generation
+    // runs its interarrival clock on a helper thread that appends to the
+    // trace, fed 512 loop iterations at a time; `--jobs 1` leaves no core
+    // spare, so one loop runs. No other test in this binary reads the job
+    // count.
+    let spec = TraceSpec::mac();
+    let op_bytes = std::mem::size_of::<DiskOp>() as u64;
+    let reserved = (spec.expected_ops() + 16) * op_bytes;
+    let mut tables = 0;
+    for jobs in [1, 2] {
+        exec::set_jobs(jobs);
+        assert_eq!(exec::spare_core(), jobs > 1);
+        let before = allocations();
+        let (trace, peak) = peak_heap(|| Workload::Mac.generate(1994));
+        let allocs = allocations() - before;
+        let ops = trace.ops.len() as u64;
+        let chunks = spec.expected_ops() / 512;
+        assert!(
+            allocs <= 32 && allocs * 10 < chunks,
+            "--jobs {jobs}: {allocs} heap allocations for {ops} ops ({chunks} chunks)"
+        );
+        // This trace outgrows its reservation, and the growth holds the
+        // old and the new buffer at once: on the calling thread for one
+        // loop, on the helper for two passes.
+        let grown = trace.ops.capacity() as u64 * op_bytes;
+        let trace_bytes = if jobs == 1 {
+            reserved + grown
+        } else {
+            reserved
+        };
+        let beyond = peak.saturating_sub(trace_bytes);
+        if jobs == 1 {
+            // The popularity, size and layout tables: about 121 KB.
+            assert!(
+                beyond <= 128 * 1024,
+                "one loop peaked at {peak} heap bytes, {beyond} beyond the trace's {trace_bytes}"
+            );
+            tables = beyond;
+        } else {
+            // The same tables, three chunks of 512 iterations at 56 B
+            // each (86 KB), the thread and its channels: a byte per op
+            // held across the trace would be 162 KB more.
+            assert!(
+                beyond <= tables + 96 * 1024,
+                "two passes peaked at {peak} heap bytes, {beyond} beyond the trace's \
+                 {trace_bytes}, against {tables} for one loop"
+            );
+        }
     }
 }
 
