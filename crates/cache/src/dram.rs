@@ -14,6 +14,7 @@
 use mobistore_device::params::DramParams;
 use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
 use mobistore_sim::obs::{Event, Observer};
+use mobistore_sim::price::PriceTable;
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_sim::units::MIB;
@@ -86,6 +87,8 @@ pub struct BufferCache {
     /// its LRU node.
     lru: LruSet,
     policy: WritePolicy,
+    /// One access's time, and its energy above refresh.
+    access: PriceTable,
     meter: EnergyMeter<MemoryState>,
     stats: CacheStats,
 }
@@ -126,12 +129,23 @@ impl BufferCache {
                 block_size,
             });
         }
+        let capacity_mib = capacity_bytes as f64 / MIB as f64;
+        // An access draws its active power on top of refresh.
+        let access = PriceTable::new(
+            params.access_latency,
+            params.bandwidth,
+            Watts(
+                (params.active_power_per_mib.get() - params.idle_power_per_mib.get())
+                    * capacity_mib,
+            ),
+        );
         Ok(BufferCache {
             params,
-            capacity_mib: capacity_bytes as f64 / MIB as f64,
+            capacity_mib,
             block_size,
             lru: LruSet::new(blocks),
             policy,
+            access,
             meter: EnergyMeter::new(),
             stats: CacheStats::default(),
         })
@@ -282,13 +296,10 @@ impl BufferCache {
     /// active power on top of refresh.
     #[inline]
     fn charge_access(&mut self, bytes: u64) -> SimDuration {
-        let dur = self.params.access_latency + self.params.bandwidth.transfer_time(bytes);
-        let delta = Watts(
-            (self.params.active_power_per_mib.get() - self.params.idle_power_per_mib.get())
-                * self.capacity_mib,
-        );
-        self.meter.charge_for(MemoryState::Active, delta, dur);
-        dur
+        let cost = self.access.price(bytes);
+        self.meter
+            .charge_timed(MemoryState::Active, cost.energy, cost.time);
+        cost.time
     }
 
     /// Charges refresh power for a span of simulated time; call once with
@@ -303,9 +314,73 @@ impl BufferCache {
 mod tests {
     use super::*;
     use crate::lru::LruSet;
+    use crate::testing::assert_prices_match;
     use mobistore_device::params::dram_nec;
     use mobistore_sim::obs::NoopObserver;
     use mobistore_sim::rng::SimRng;
+
+    impl BufferCache {
+        /// The power an access draws above refresh.
+        fn access_power(&self) -> Watts {
+            let p = &self.params;
+            Watts((p.active_power_per_mib.get() - p.idle_power_per_mib.get()) * self.capacity_mib)
+        }
+
+        /// Replaces the price table with a fresh one, which knows no size.
+        fn forget_prices(&mut self) {
+            let p = &self.params;
+            self.access = PriceTable::new(p.access_latency, p.bandwidth, self.access_power());
+        }
+    }
+
+    #[test]
+    fn the_access_table_prices_every_size_as_the_formula() {
+        let mut c = cache(512, WritePolicy::WriteThrough);
+        let (p, power) = (c.params.clone(), c.access_power());
+        assert_prices_match(&mut c.access, p.access_latency, p.bandwidth, power, 1024);
+    }
+
+    #[test]
+    fn memoized_prices_match_a_twin_that_prices_every_access_afresh() {
+        // Reads and writes of 1 to 64 blocks (one in twenty up to 512),
+        // refresh spans, evictions and one power failure. Before every
+        // access the twin's table is replaced, so every price it charges
+        // is computed by the formula at that access.
+        let mut rng = SimRng::seed_from_u64(1994);
+        let mut memo = cache(2_048, WritePolicy::WriteBack);
+        let mut twin = memo.clone();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..20_000 {
+            let most = if rng.chance(0.05) { 512 } else { 64 };
+            let n = rng.range_inclusive(1, most);
+            let start = rng.below(8_000);
+            let lbns: Vec<u64> = (start..start + n).collect();
+            let now = SimTime::from_nanos(i * 1_000);
+            twin.forget_prices();
+            match rng.below(10) {
+                0..=4 => assert_eq!(
+                    memo.read_probe(now, &lbns, &mut a, &mut NoopObserver),
+                    twin.read_probe(now, &lbns, &mut b, &mut NoopObserver)
+                ),
+                5..=8 => assert_eq!(
+                    memo.write(now, &lbns, &mut a, &mut NoopObserver),
+                    twin.write(now, &lbns, &mut b, &mut NoopObserver)
+                ),
+                _ => {
+                    let span = SimDuration::from_micros(rng.below(5_000_000));
+                    memo.charge_idle_span(span);
+                    twin.charge_idle_span(span);
+                }
+            }
+            assert_eq!(a, b, "access {i}");
+            if i == 10_000 {
+                assert_eq!(memo.power_fail_clear(), twin.power_fail_clear());
+            }
+        }
+        assert_eq!(memo.meter, twin.meter);
+        assert_eq!(memo.stats, twin.stats);
+        assert!(memo.stats.read_hits > 0 && memo.stats.writebacks > 0);
+    }
 
     const T0: SimTime = SimTime::ZERO;
 

@@ -82,3 +82,35 @@ impl std::fmt::Display for CacheError {
 }
 
 impl std::error::Error for CacheError {}
+
+/// Checks the cache components' tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use mobistore_sim::energy::Watts;
+    use mobistore_sim::price::PriceTable;
+    use mobistore_sim::rng::SimRng;
+    use mobistore_sim::time::SimDuration;
+    use mobistore_sim::units::Bandwidth;
+
+    /// Prices sizes of 0 to 4,096 blocks of `block` bytes, then 4,096
+    /// drawn sizes of up to 65,536 blocks, which collide in the table's
+    /// entries, and checks each bit for bit against the direct formula:
+    /// `latency + bandwidth.transfer_time(bytes)` at `power`.
+    pub fn assert_prices_match(
+        table: &mut PriceTable,
+        latency: SimDuration,
+        bandwidth: Bandwidth,
+        power: Watts,
+        block: u64,
+    ) {
+        let mut rng = SimRng::seed_from_u64(block);
+        let drawn: Vec<u64> = (0..4_096).map(|_| rng.below(65_537) * block).collect();
+        for bytes in (0..=4_096).map(|n| n * block).chain(drawn) {
+            let time = latency + bandwidth.transfer_time(bytes);
+            let cost = table.price(bytes);
+            assert_eq!(cost.time, time, "{bytes} bytes at {bandwidth:?}");
+            let energy = (power * time).get().to_bits();
+            assert_eq!(cost.energy.get().to_bits(), energy, "{bytes} bytes");
+        }
+    }
+}

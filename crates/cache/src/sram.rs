@@ -17,6 +17,7 @@ use mobistore_device::params::SramParams;
 use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
 use mobistore_sim::lbn::LbnTable;
 use mobistore_sim::obs::{Event, Observer};
+use mobistore_sim::price::PriceTable;
 use mobistore_sim::time::{SimDuration, SimTime};
 
 use crate::MemoryState;
@@ -60,6 +61,8 @@ pub struct SramWriteBuffer {
     blocks: Vec<u64>,
     /// Each buffered block's position in `blocks`.
     index: LbnTable<u32>,
+    /// One access's time and energy.
+    access: PriceTable,
     meter: EnergyMeter<MemoryState>,
     stats: SramStats,
 }
@@ -95,6 +98,7 @@ impl SramWriteBuffer {
             });
         }
         Ok(SramWriteBuffer {
+            access: PriceTable::new(params.access_latency, params.bandwidth, params.active_power),
             params,
             capacity_blocks,
             block_size,
@@ -245,10 +249,10 @@ impl SramWriteBuffer {
     /// the buffer, and returns its time: the latency plus the transfer.
     #[inline]
     pub fn charge_access(&mut self, bytes: u64) -> SimDuration {
-        let dur = self.params.access_latency + self.params.bandwidth.transfer_time(bytes);
+        let cost = self.access.price(bytes);
         self.meter
-            .charge_for(MemoryState::Active, self.params.active_power, dur);
-        dur
+            .charge_timed(MemoryState::Active, cost.energy, cost.time);
+        cost.time
     }
 
     /// Charges retention power for a span of simulated time.
@@ -262,9 +266,84 @@ impl SramWriteBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::assert_prices_match;
     use crate::CacheError;
     use mobistore_device::params::sram_nec;
     use mobistore_sim::obs::NoopObserver;
+    use mobistore_sim::rng::SimRng;
+
+    impl SramWriteBuffer {
+        /// Replaces the price table with a fresh one, which knows no size.
+        fn forget_prices(&mut self) {
+            let p = &self.params;
+            self.access = PriceTable::new(p.access_latency, p.bandwidth, p.active_power);
+        }
+    }
+
+    #[test]
+    fn the_access_table_prices_every_size_as_the_formula() {
+        let mut b = buf(64);
+        let p = b.params.clone();
+        assert_prices_match(
+            &mut b.access,
+            p.access_latency,
+            p.bandwidth,
+            p.active_power,
+            512,
+        );
+    }
+
+    #[test]
+    fn memoized_prices_match_a_twin_that_prices_every_access_afresh() {
+        // Writes of 1 to 16 blocks absorbed until one overflows and the
+        // buffer drains, reads served from it, and retention spans, as the
+        // simulator drives them. Battery-backed SRAM keeps its contents
+        // through a power failure, so there is none to replay. Before every
+        // access the twin's table is replaced, so every price it charges is
+        // computed by the formula at that access.
+        let mut rng = SimRng::seed_from_u64(1994);
+        let mut memo = buf(64);
+        let mut twin = memo.clone();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..20_000 {
+            let n = rng.range_inclusive(1, 16);
+            let start = rng.below(4_000);
+            let lbns: Vec<u64> = (start..start + n).collect();
+            let now = SimTime::from_nanos(i * 1_000);
+            twin.forget_prices();
+            match rng.below(10) {
+                0..=5 => {
+                    if !memo.fits(&lbns) {
+                        memo.drain_blocks(now, &mut a, &mut NoopObserver);
+                        twin.drain_blocks(now, &mut b, &mut NoopObserver);
+                        assert_eq!(a, b);
+                        let bytes = a.len() as u64 * 512;
+                        assert_eq!(memo.charge_access(bytes), twin.charge_access(bytes));
+                    }
+                    absorb(&mut memo, &lbns).unwrap();
+                    absorb(&mut twin, &lbns).unwrap();
+                    let bytes = n * 512;
+                    assert_eq!(memo.charge_access(bytes), twin.charge_access(bytes));
+                }
+                6..=8 => {
+                    if memo.contains(start) {
+                        assert!(twin.contains(start));
+                        memo.note_read_hit(now, &mut NoopObserver);
+                        twin.note_read_hit(now, &mut NoopObserver);
+                        assert_eq!(memo.charge_access(512), twin.charge_access(512));
+                    }
+                }
+                _ => {
+                    let span = SimDuration::from_micros(rng.below(5_000_000));
+                    memo.charge_idle_span(span);
+                    twin.charge_idle_span(span);
+                }
+            }
+        }
+        assert_eq!(memo.meter, twin.meter);
+        assert_eq!(memo.stats, twin.stats);
+        assert!(memo.stats.flushes > 0 && memo.stats.read_hits > 0);
+    }
 
     fn buf(blocks: u64) -> SramWriteBuffer {
         SramWriteBuffer::new(sram_nec(), blocks * 512, 512)

@@ -884,6 +884,42 @@ mod tests {
     }
 
     #[test]
+    fn the_builder_takes_any_rebuild_rate_and_the_run_refuses_unusable_ones() {
+        use crate::simulator::{try_simulate, ConfigError, RunOptions, SimError};
+        use mobistore_device::array::{ArrayGeometryError, ChildClass};
+        use mobistore_device::DeviceError;
+        let trace = toy_trace(8);
+        for (rate, shown) in [
+            (0.0, "0.0"),
+            (-1.0, "-1.0"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (1e-300, "1e-300"),
+        ] {
+            let config =
+                SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3]).with_rebuild_rate(rate);
+            assert_eq!(
+                try_simulate(&config, &trace, RunOptions::default()).err(),
+                Some(SimError::Config(ConfigError::DeviceGeometry(
+                    DeviceError::ArrayGeometry(ArrayGeometryError::RebuildRate {
+                        bits: rate.to_bits()
+                    })
+                ))),
+                "{rate:?}"
+            );
+            let report = torture(&config, &trace, &TortureOptions::default());
+            assert_eq!(
+                report.violations,
+                [format!(
+                    "cannot build array: array geometry is invalid: a rebuild rate of {shown} \
+                     stripes/s gives no per-stripe period of at least 1 ns that fits the \
+                     simulated clock"
+                )]
+            );
+        }
+    }
+
+    #[test]
     fn sabotaged_recovery_is_caught_by_the_shadow() {
         // Silently losing one mapped block after recovery is invisible to
         // the card's own invariants but not to the differential check.

@@ -26,7 +26,7 @@ use mobistore_sim::lbn::MAX_LBN_END;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
-use mobistore_trace::record::{working_set_runs, DiskOp, DiskOpKind, Trace};
+use mobistore_trace::record::{working_set_runs_and_end, DiskOp, DiskOpKind, Trace};
 
 use crate::backend::Backend;
 use crate::config::{BackendConfig, SystemConfig};
@@ -289,7 +289,11 @@ pub fn try_simulate(
 /// if that is past [`MAX_LBN_END`]: the one refusal every entry point that
 /// builds block-mapped devices from a trace applies before building them.
 pub(crate) fn lbn_domain_end(trace: &Trace) -> Result<u64, ConfigError> {
-    let end = trace.blocks_spanned();
+    in_lbn_domain(trace.blocks_spanned())
+}
+
+/// `end`, or [`ConfigError::LbnDomain`] if it is past [`MAX_LBN_END`].
+fn in_lbn_domain(end: u64) -> Result<u64, ConfigError> {
     if end > MAX_LBN_END {
         return Err(ConfigError::LbnDomain { end });
     }
@@ -303,7 +307,9 @@ pub(crate) fn lbn_domain_end(trace: &Trace) -> Result<u64, ConfigError> {
 /// the device (preloading the block-mapped ones with the trace's working
 /// set) and hands it to a simulator monomorphised for that device. Before
 /// building anything it refuses a run whose blocks would pass
-/// [`MAX_LBN_END`] with [`ConfigError::LbnDomain`].
+/// [`MAX_LBN_END`] with [`ConfigError::LbnDomain`]. The block-mapped
+/// devices take where the trace ends from the pass that finds their
+/// working set, so one pass over the ops serves both.
 pub fn try_simulate_observed<O: Observer>(
     config: &SystemConfig,
     trace: &Trace,
@@ -313,7 +319,6 @@ pub fn try_simulate_observed<O: Observer>(
     if options.warm_percent >= 100 {
         return Err(ConfigError::NothingToMeasure.into());
     }
-    let end = lbn_domain_end(trace)?;
     let queueing = config.queueing;
     let metrics = match &config.backend {
         BackendConfig::Disk {
@@ -321,6 +326,7 @@ pub fn try_simulate_observed<O: Observer>(
             spin_down,
             seek_model,
         } => {
+            lbn_domain_end(trace)?;
             let disk = MagneticDisk::with_policy(params.clone(), *spin_down)
                 .with_queueing(queueing)
                 .with_seek_model(*seek_model)
@@ -328,6 +334,7 @@ pub fn try_simulate_observed<O: Observer>(
             Simulator::new(config, trace, disk, obs).run(trace, options)
         }
         BackendConfig::FlashDisk { params } => {
+            lbn_domain_end(trace)?;
             let fd = FlashDisk::new(params.clone())
                 .with_queueing(queueing)
                 .with_integrity(config.integrity);
@@ -340,7 +347,8 @@ pub fn try_simulate_observed<O: Observer>(
             mode,
             victim_policy,
         } => {
-            let working = working_set_runs(&trace.ops);
+            let (working, end) = working_set_runs_and_end(&trace.ops);
+            let end = in_lbn_domain(end)?;
             let w: u64 = working.iter().map(|(start, end)| end - start).sum();
             let capacity_blocks =
                 (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
@@ -384,6 +392,8 @@ pub fn try_simulate_observed<O: Observer>(
             spares,
             rebuild_rate,
         } => {
+            let (working, end) = working_set_runs_and_end(&trace.ops);
+            in_lbn_domain(end)?;
             let mut arr = ArrayDevice::try_new(*k, *m, children, trace.block_size)
                 .and_then(|arr| arr.try_with_rebuild_rate(*rebuild_rate))
                 .map_err(ConfigError::DeviceGeometry)?
@@ -392,7 +402,6 @@ pub fn try_simulate_observed<O: Observer>(
                 .with_spares(*spares);
             // Every block the trace reads gets a generation-stamped stripe
             // to decode (the crash checker preloads the same way).
-            let working = working_set_runs(&trace.ops);
             arr.preload(working.into_iter().flat_map(|(start, end)| start..end));
             Simulator::new(config, trace, arr, obs).run(trace, options)
         }
@@ -712,10 +721,18 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         drained: &mut Vec<u64>,
     ) -> SimDuration {
         let bytes = lbns.len() as u64 * self.block_size;
-        match self.sram.take() {
-            Some(mut buf) if lbns.len() <= buf.capacity_blocks() => {
+        // The buffer stays where it is: it carries its price table, so
+        // moving it out and back would copy that twice per write.
+        let fits = self
+            .sram
+            .as_ref()
+            .filter(|buf| lbns.len() <= buf.capacity_blocks())
+            .map(|buf| buf.fits(lbns));
+        match fits {
+            Some(fits) => {
                 let mut resp = SimDuration::ZERO;
-                if !buf.fits(lbns) {
+                if !fits {
+                    let buf = self.sram.as_mut().expect("the buffer checked above");
                     buf.drain_blocks(now, drained, self.obs);
                     let svc = self.flush(now, drained, true);
                     self.last_completion = self.last_completion.max(svc.end);
@@ -724,16 +741,14 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
                         self.note_critical_service(now, &svc);
                     }
                 }
+                let buf = self.sram.as_mut().expect("the buffer checked above");
                 buf.absorb(now, lbns, self.obs)
                     .expect("a drained buffer holds any write no larger than itself");
-                let out = resp + buf.charge_access(bytes);
-                self.sram = Some(buf);
-                out
+                resp + buf.charge_access(bytes)
             }
-            other => {
+            None => {
                 // No buffer, or the write is bigger than the buffer:
                 // straight to the device.
-                self.sram = other;
                 let req = Request::new(op.lbn, bytes).of_file(op.file.0);
                 match self.device.write(now, req, self.obs) {
                     Ok(svc) => {

@@ -39,6 +39,7 @@ use mobistore_sim::fault::DeathSchedule;
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::lbn::LbnTable;
 use mobistore_sim::obs::{Event, Observer};
+use mobistore_sim::price::PriceTable;
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_sim::units::Bandwidth;
@@ -235,6 +236,9 @@ enum ChildState {
 #[derive(Clone)]
 struct Child {
     profile: ChildProfile,
+    /// The transfer terms of shard reads and writes.
+    read: PriceTable,
+    write: PriceTable,
     state: ChildState,
     /// When the child died; cleared when the open vulnerability window is
     /// accounted (rebuild completion or end of run).
@@ -244,19 +248,29 @@ struct Child {
 }
 
 impl Child {
-    /// The time this child takes to read `bytes`, or to write them if
-    /// `write`. A transfer of zero bytes takes exactly zero time, without
-    /// computing it.
-    fn transfer_time(&self, write: bool, bytes: u64) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
+    /// A live child of `class`.
+    fn new(class: ChildClass) -> Self {
+        let profile = class.profile();
+        Child {
+            profile,
+            read: PriceTable::transfer(profile.read_bandwidth),
+            write: PriceTable::transfer(profile.write_bandwidth),
+            state: ChildState::Alive,
+            died_at: None,
+            death_fired: false,
         }
-        let bandwidth = if write {
-            self.profile.write_bandwidth
+    }
+
+    /// The time this child takes to read `bytes`, or to write them if
+    /// `write`.
+    #[inline]
+    fn transfer_time(&mut self, write: bool, bytes: u64) -> SimDuration {
+        let table = if write {
+            &mut self.write
         } else {
-            self.profile.read_bandwidth
+            &mut self.read
         };
-        bandwidth.transfer_time(bytes)
+        table.price(bytes).time
     }
 }
 
@@ -508,12 +522,7 @@ impl ArrayDevice {
         }
         let children = children
             .iter()
-            .map(|&class| Child {
-                profile: class.profile(),
-                state: ChildState::Alive,
-                died_at: None,
-                death_fired: false,
-            })
+            .map(|&class| Child::new(class))
             .collect::<Vec<_>>();
         let n = children.len();
         Ok(ArrayDevice {
@@ -1112,12 +1121,12 @@ impl Device for ArrayDevice {
         // slowest involved child, plus the serialized retry backoff.
         let mut transfer = SimDuration::ZERO;
         let mut active_power = 0.0;
-        for (child, &[direct, degraded, ..]) in self.children.iter().zip(&self.scratch.load) {
+        for (child, &[direct, degraded, ..]) in self.children.iter_mut().zip(&self.scratch.load) {
             let bytes = direct + degraded;
             if bytes == 0 {
                 continue;
             }
-            let p = &child.profile;
+            let p = child.profile;
             let t = p.access_latency + child.transfer_time(false, bytes);
             transfer = transfer.max(t);
             active_power += p.active_power.get();
@@ -1214,11 +1223,11 @@ impl Device for ArrayDevice {
         // involved child finishes its read-modify-write. Energy is split
         // so the parity overhead is visible in the report.
         let mut total = SimDuration::ZERO;
-        for (child, &[dr, dw, pr, pw]) in self.children.iter().zip(&self.scratch.load) {
+        for (child, &[dr, dw, pr, pw]) in self.children.iter_mut().zip(&self.scratch.load) {
             if dr + dw + pr + pw == 0 {
                 continue;
             }
-            let p = &child.profile;
+            let p = child.profile;
             let data_t = child.transfer_time(false, dr) + child.transfer_time(true, dw);
             let parity_t = child.transfer_time(false, pr) + child.transfer_time(true, pw);
             total = total.max(p.access_latency + data_t + parity_t);
@@ -1287,9 +1296,12 @@ impl Device for ArrayDevice {
             job.since_checkpoint = 0;
         }
         let mut scan = SimDuration::ZERO;
-        for c in self.children.iter().filter(|c| c.state != ChildState::Dead) {
-            let t = c.profile.access_latency
-                + c.profile.read_bandwidth.transfer_time(RECOVERY_SCAN_BYTES);
+        for c in self
+            .children
+            .iter_mut()
+            .filter(|c| c.state != ChildState::Dead)
+        {
+            let t = c.profile.access_latency + c.transfer_time(false, RECOVERY_SCAN_BYTES);
             scan = scan.max(t);
             self.meter
                 .charge_for(ArrayState::Recover, c.profile.active_power, t);
@@ -1323,9 +1335,71 @@ impl Device for ArrayDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{assert_prices_match, drive_twins};
     use mobistore_sim::obs::NoopObserver;
 
     const BLOCK: u64 = 1024;
+
+    impl ArrayDevice {
+        /// Replaces the children's price tables with fresh ones, which know
+        /// no size.
+        fn forget_prices(&mut self) {
+            for c in &mut self.children {
+                c.read = PriceTable::transfer(c.profile.read_bandwidth);
+                c.write = PriceTable::transfer(c.profile.write_bandwidth);
+            }
+        }
+    }
+
+    /// Every child class, twice.
+    const MIXED: [ChildClass; 6] = [
+        ChildClass::FlashDisk,
+        ChildClass::HardDisk,
+        ChildClass::FlashCard,
+        ChildClass::FlashDisk,
+        ChildClass::HardDisk,
+        ChildClass::FlashCard,
+    ];
+
+    #[test]
+    fn child_tables_price_every_size_as_the_formula() {
+        let mut arr = ArrayDevice::new(4, 2, &MIXED, BLOCK);
+        for c in &mut arr.children {
+            let p = c.profile;
+            for (table, bandwidth) in [
+                (&mut c.read, p.read_bandwidth),
+                (&mut c.write, p.write_bandwidth),
+            ] {
+                assert_prices_match(table, SimDuration::ZERO, bandwidth, Watts::ZERO, BLOCK);
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_prices_match_a_twin_that_prices_every_op_afresh() {
+        // One child dies early and a spare rebuilds it; another dies for
+        // good later, so reads run degraded.
+        let mut deaths = vec![None; 6];
+        deaths[1] = Some(SimTime::ZERO + SimDuration::from_secs(5_000));
+        deaths[4] = Some(SimTime::ZERO + SimDuration::from_secs(30_000));
+        let mut memo = ArrayDevice::new(4, 2, &MIXED, BLOCK)
+            .with_deaths(DeathSchedule::explicit(deaths))
+            .with_spares(1)
+            .with_rebuild_rate(1_000.0);
+        memo.preload(0..40_000);
+        let mut twin = memo.clone();
+        drive_twins(
+            &mut memo,
+            &mut twin,
+            BLOCK,
+            40_000,
+            ArrayDevice::forget_prices,
+        );
+        assert_eq!(memo.meter, twin.meter);
+        assert_eq!(memo.counters, twin.counters);
+        let c = memo.counters;
+        assert!(c.degraded_reads > 0 && c.rebuilds_completed > 0 && c.device_deaths == 2);
+    }
 
     fn write(a: &mut ArrayDevice, t: SimTime, lbn: u64, n: u32) -> Result<Service, DeviceError> {
         a.write(t, Request::blocks(lbn, n, BLOCK), &mut NoopObserver)

@@ -21,6 +21,7 @@
 
 use mobistore_sim::energy::{EnergyMeter, Joules};
 use mobistore_sim::obs::{Event, Observer};
+use mobistore_sim::price::PriceTable;
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 
@@ -146,6 +147,10 @@ pub struct MagneticDisk {
     spin_down_timeout: Option<SimDuration>,
     queueing: crate::QueueDiscipline,
     seek_model: SeekModel,
+    /// The transfer terms of reads and writes; seeks and rotation join
+    /// them per access.
+    read_transfer: PriceTable,
+    write_transfer: PriceTable,
     meter: EnergyMeter<DiskState>,
     counters: DiskCounters,
     /// End of the latest activity; the platters are spinning at this
@@ -191,6 +196,8 @@ impl MagneticDisk {
     /// Creates a disk with an explicit [`SpinDownPolicy`].
     pub fn with_policy(params: DiskParams, policy: SpinDownPolicy) -> Self {
         MagneticDisk {
+            read_transfer: PriceTable::transfer(params.read_bandwidth),
+            write_transfer: PriceTable::transfer(params.write_bandwidth),
             params,
             spin_down_timeout: policy.initial_threshold(),
             policy,
@@ -349,11 +356,11 @@ impl MagneticDisk {
                 self.params.avg_seek.mul_f64(frac)
             }
         };
-        let bandwidth = match dir {
-            Dir::Read => self.params.read_bandwidth,
-            Dir::Write => self.params.write_bandwidth,
+        let transfer = match dir {
+            Dir::Read => self.read_transfer.price(bytes).time,
+            Dir::Write => self.write_transfer.price(bytes).time,
         };
-        let active = seek + self.params.avg_rotation + bandwidth.transfer_time(bytes);
+        let active = seek + self.params.avg_rotation + transfer;
         let end = ready + active;
         self.meter
             .charge_for(DiskState::Active, self.params.active_power, active);
@@ -521,7 +528,7 @@ impl Device for MagneticDisk {
         let fat_bytes = self.fat_scan_bytes;
         let scan = self.params.avg_seek
             + self.params.avg_rotation
-            + self.params.read_bandwidth.transfer_time(fat_bytes);
+            + self.read_transfer.price(fat_bytes).time;
         let end = spun_up + scan;
         self.meter
             .charge_for(DiskState::Recover, self.params.active_power, scan);
@@ -547,8 +554,53 @@ impl Device for MagneticDisk {
 mod tests {
     use super::*;
     use crate::params::cu140_datasheet;
+    use crate::testing::{assert_prices_match, drive_twins};
+    use mobistore_sim::energy::Watts;
     use mobistore_sim::obs::NoopObserver;
     use mobistore_sim::units::KIB;
+
+    impl MagneticDisk {
+        /// Replaces the price tables with fresh ones, which know no size.
+        fn forget_prices(&mut self) {
+            self.read_transfer = PriceTable::transfer(self.params.read_bandwidth);
+            self.write_transfer = PriceTable::transfer(self.params.write_bandwidth);
+        }
+    }
+
+    #[test]
+    fn transfer_tables_price_every_size_as_the_formula() {
+        let mut d = disk();
+        let p = d.params.clone();
+        for (table, bandwidth) in [
+            (&mut d.read_transfer, p.read_bandwidth),
+            (&mut d.write_transfer, p.write_bandwidth),
+        ] {
+            assert_prices_match(table, SimDuration::ZERO, bandwidth, Watts::ZERO, 512);
+        }
+    }
+
+    #[test]
+    fn memoized_prices_match_a_twin_that_prices_every_op_afresh() {
+        for model in [
+            SeekModel::SameFileAverage,
+            SeekModel::DistanceBased {
+                capacity_blocks: 40_000,
+            },
+        ] {
+            let mut memo = disk().with_seek_model(model).with_fat_scan_bytes(24 * KIB);
+            let mut twin = memo.clone();
+            drive_twins(
+                &mut memo,
+                &mut twin,
+                512,
+                40_000,
+                MagneticDisk::forget_prices,
+            );
+            assert_eq!(memo.meter, twin.meter);
+            assert_eq!(memo.counters, twin.counters);
+            assert!(memo.counters.spin_ups > 1 && memo.counters.power_failures == 1);
+        }
+    }
 
     fn disk() -> MagneticDisk {
         MagneticDisk::new(cu140_datasheet(), Some(SimDuration::from_secs(5)))

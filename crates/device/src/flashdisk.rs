@@ -16,6 +16,7 @@
 use mobistore_sim::energy::{EnergyMeter, Joules};
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
 use mobistore_sim::obs::{Event, Observer};
+use mobistore_sim::price::{Cost, PriceTable};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::SimTime;
 
@@ -68,6 +69,14 @@ mobistore_sim::counter_set! {
 pub struct FlashDisk {
     params: FlashDiskParams,
     queueing: crate::QueueDiscipline,
+    /// A read's time and energy (the recovery scan's too).
+    read: PriceTable,
+    /// An on-demand write's time and energy.
+    write: PriceTable,
+    /// The transfer terms of an asynchronous write: the pre-erased rate,
+    /// and the erase the deficit pays before it.
+    pre_erased: PriceTable,
+    erase: PriceTable,
     meter: EnergyMeter<FlashDiskState>,
     counters: FlashDiskCounters,
     free_at: SimTime,
@@ -113,6 +122,18 @@ impl FlashDisk {
             ErasePolicy::Asynchronous => params.spare_pool_bytes,
         };
         FlashDisk {
+            read: PriceTable::new(
+                params.access_latency,
+                params.read_bandwidth,
+                params.active_power,
+            ),
+            write: PriceTable::new(
+                params.access_latency,
+                params.write_bandwidth,
+                params.active_power,
+            ),
+            pre_erased: PriceTable::transfer(params.pre_erased_write_bandwidth),
+            erase: PriceTable::transfer(params.erase_bandwidth),
             params,
             queueing: crate::QueueDiscipline::Fifo,
             meter: EnergyMeter::new(),
@@ -179,9 +200,12 @@ impl FlashDisk {
         self.counters = FlashDiskCounters::default();
     }
 
-    fn write_time(&mut self, bytes: u64) -> mobistore_sim::time::SimDuration {
+    /// The time and energy of a write of `bytes`. An asynchronous write
+    /// takes what it can from the erased pool and erases the deficit
+    /// inline.
+    fn write_cost(&mut self, bytes: u64) -> Cost {
         match self.params.erase_policy {
-            ErasePolicy::OnDemand => self.params.write_bandwidth.transfer_time(bytes),
+            ErasePolicy::OnDemand => self.write.price(bytes),
             ErasePolicy::Asynchronous => {
                 let from_pool = bytes.min(self.erased_pool);
                 let deficit = bytes - from_pool;
@@ -191,14 +215,14 @@ impl FlashDisk {
                 self.garbage += bytes;
                 self.counters.bytes_pre_erased += from_pool;
                 self.counters.bytes_erased_on_demand += deficit;
-                self.params
-                    .pre_erased_write_bandwidth
-                    .transfer_time(from_pool)
-                    + self.params.erase_bandwidth.transfer_time(deficit)
-                    + self
-                        .params
-                        .pre_erased_write_bandwidth
-                        .transfer_time(deficit)
+                let time = self.params.access_latency
+                    + self.pre_erased.price(from_pool).time
+                    + self.erase.price(deficit).time
+                    + self.pre_erased.price(deficit).time;
+                Cost {
+                    time,
+                    energy: self.params.active_power * time,
+                }
             }
         }
     }
@@ -264,8 +288,8 @@ impl Device for FlashDisk {
     fn read<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> ReadOutcome {
         let (lbn, bytes) = (req.lbn, req.bytes);
         let start = self.settle(now, obs);
-        let transfer = self.params.read_bandwidth.transfer_time(bytes);
-        let mut total = self.params.access_latency + transfer;
+        let cost = self.read.price(bytes);
+        let mut total = cost.time;
         let mut retry = None;
         let mut result = Ok(());
         let verdict = self
@@ -288,6 +312,7 @@ impl Device for FlashDisk {
             } => {
                 self.counters.read_retries += u64::from(attempts);
                 // Each retry backs off and re-runs the transfer.
+                let transfer = cost.time - self.params.access_latency;
                 let extra =
                     (self.integrity.config().retry_backoff + transfer) * u64::from(attempts);
                 total += extra;
@@ -309,8 +334,9 @@ impl Device for FlashDisk {
             }
         }
         let end = start + total;
+        let energy = self.read.energy(cost, total);
         self.meter
-            .charge_for(FlashDiskState::Active, self.params.active_power, total);
+            .charge_timed(FlashDiskState::Active, energy, total);
         obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
         if let Some((attempts, extra)) = retry {
             obs.span(&Span::new(
@@ -331,10 +357,10 @@ impl Device for FlashDisk {
     fn write<O: Observer>(&mut self, now: SimTime, req: Request, obs: &mut O) -> WriteOutcome {
         let bytes = req.bytes;
         let start = self.settle(now, obs);
-        let total = self.params.access_latency + self.write_time(bytes);
-        let end = start + total;
+        let cost = self.write_cost(bytes);
+        let end = start + cost.time;
         self.meter
-            .charge_for(FlashDiskState::Active, self.params.active_power, total);
+            .charge_timed(FlashDiskState::Active, cost.energy, cost.time);
 
         self.counters.ops += 1;
         self.counters.bytes_written += bytes;
@@ -365,16 +391,12 @@ impl Device for FlashDisk {
             let _ = self.settle(now, obs);
         }
         let sectors = self.params.spare_pool_bytes.div_ceil(SECTOR_BYTES);
-        let scan = self
-            .params
-            .read_bandwidth
-            .transfer_time(sectors * REMAP_HEADER_BYTES);
-        let total = self.params.access_latency + scan;
-        let end = now + total;
+        let scan = self.read.price(sectors * REMAP_HEADER_BYTES);
+        let end = now + scan.time;
         self.meter
-            .charge_for(FlashDiskState::Recover, self.params.active_power, total);
+            .charge_timed(FlashDiskState::Recover, scan.energy, scan.time);
         self.counters.power_failures += 1;
-        self.counters.recovery_time += total;
+        self.counters.recovery_time += scan.time;
         self.free_at = end;
         Service { start: now, end }
     }
@@ -390,9 +412,67 @@ impl Device for FlashDisk {
 mod tests {
     use super::*;
     use crate::params::{sdp10_measured, sdp5_datasheet, sdp5a_datasheet};
+    use crate::testing::{assert_prices_match, drive_twins};
+    use mobistore_sim::energy::Watts;
     use mobistore_sim::obs::NoopObserver;
     use mobistore_sim::time::SimDuration;
     use mobistore_sim::units::KIB;
+
+    impl FlashDisk {
+        /// Replaces the price tables with fresh ones, which know no size.
+        fn forget_prices(&mut self) {
+            let p = &self.params;
+            self.read = PriceTable::new(p.access_latency, p.read_bandwidth, p.active_power);
+            self.write = PriceTable::new(p.access_latency, p.write_bandwidth, p.active_power);
+            self.pre_erased = PriceTable::transfer(p.pre_erased_write_bandwidth);
+            self.erase = PriceTable::transfer(p.erase_bandwidth);
+        }
+    }
+
+    #[test]
+    fn price_tables_price_every_size_as_the_formula() {
+        let mut fd = FlashDisk::new(sdp5a_datasheet());
+        let p = fd.params.clone();
+        let (latency, power) = (p.access_latency, p.active_power);
+        for (table, latency, bandwidth, power) in [
+            (&mut fd.read, latency, p.read_bandwidth, power),
+            (&mut fd.write, latency, p.write_bandwidth, power),
+            (
+                &mut fd.pre_erased,
+                SimDuration::ZERO,
+                p.pre_erased_write_bandwidth,
+                Watts::ZERO,
+            ),
+            (
+                &mut fd.erase,
+                SimDuration::ZERO,
+                p.erase_bandwidth,
+                Watts::ZERO,
+            ),
+        ] {
+            assert_prices_match(table, latency, bandwidth, power, 512);
+        }
+    }
+
+    #[test]
+    fn memoized_prices_match_a_twin_that_prices_every_op_afresh() {
+        // Errors around the ECC budget, so that reads are corrected,
+        // retried and lost, and corrections and retries lengthen them.
+        let integrity = IntegrityConfig {
+            base_errors: 6.0,
+            seed: 24,
+            ..IntegrityConfig::none()
+        };
+        for params in [sdp5_datasheet(), sdp5a_datasheet()] {
+            let mut memo = FlashDisk::new(params).with_integrity(integrity);
+            let mut twin = memo.clone();
+            drive_twins(&mut memo, &mut twin, 512, 40_000, FlashDisk::forget_prices);
+            assert_eq!(memo.meter, twin.meter);
+            assert_eq!(memo.counters, twin.counters);
+            let c = memo.counters;
+            assert!(c.ecc_corrected > 0 && c.read_retries > 0 && c.uncorrectable_reads > 0);
+        }
+    }
 
     fn write(fd: &mut FlashDisk, now: SimTime, bytes: u64) -> Service {
         let written = fd.write(now, Request::new(0, bytes), &mut NoopObserver);

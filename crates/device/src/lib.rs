@@ -315,3 +315,96 @@ mod tests {
         );
     }
 }
+
+/// Checks the device models' tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use mobistore_sim::energy::Watts;
+    use mobistore_sim::obs::NoopObserver;
+    use mobistore_sim::price::PriceTable;
+    use mobistore_sim::rng::SimRng;
+    use mobistore_sim::time::{SimDuration, SimTime};
+    use mobistore_sim::units::Bandwidth;
+
+    use crate::{Device, Request};
+
+    /// Prices sizes of 0 to 4,096 blocks of `block` bytes, then 4,096
+    /// drawn sizes of up to 65,536 blocks, which collide in the table's
+    /// entries, and checks each bit for bit against the direct formula:
+    /// `latency + bandwidth.transfer_time(bytes)` at `power`.
+    pub fn assert_prices_match(
+        table: &mut PriceTable,
+        latency: SimDuration,
+        bandwidth: Bandwidth,
+        power: Watts,
+        block: u64,
+    ) {
+        let mut rng = SimRng::seed_from_u64(block);
+        let drawn: Vec<u64> = (0..4_096).map(|_| rng.below(65_537) * block).collect();
+        for bytes in (0..=4_096).map(|n| n * block).chain(drawn) {
+            let time = latency + bandwidth.transfer_time(bytes);
+            let cost = table.price(bytes);
+            assert_eq!(cost.time, time, "{bytes} bytes at {bandwidth:?}");
+            let energy = (power * time).get().to_bits();
+            assert_eq!(cost.energy.get().to_bits(), energy, "{bytes} bytes");
+        }
+    }
+
+    /// Drives `memo` and `twin` through one seeded op stream of `block`-byte
+    /// blocks below lbn `span`: reads, writes and trims of 1 to 64 blocks
+    /// (one in twenty up to 512), after gaps of none to two minutes, with
+    /// one power failure halfway and a trailing idle minute. Before every
+    /// op `forget` gives the twin fresh price tables, so every price the
+    /// twin charges is computed by the formula at that op. Asserts that
+    /// both return the same services and outcomes, op by op.
+    pub fn drive_twins<D: Device>(
+        memo: &mut D,
+        twin: &mut D,
+        block: u64,
+        span: u64,
+        forget: impl Fn(&mut D),
+    ) {
+        let mut rng = SimRng::seed_from_u64(1994);
+        let obs = &mut NoopObserver;
+        let mut now = SimTime::ZERO;
+        for i in 0..4_000 {
+            now += match rng.below(4) {
+                0 => SimDuration::ZERO,
+                1 => SimDuration::from_micros(rng.below(20_000)),
+                2 => SimDuration::from_millis(rng.below(3_000)),
+                _ => SimDuration::from_secs(rng.below(120)),
+            };
+            let most = if rng.chance(0.05) { 512 } else { 64 };
+            let blocks = rng.range_inclusive(1, most);
+            let req = Request::blocks(rng.below(span - blocks), blocks as u32, block)
+                .of_file(rng.below(8));
+            forget(twin);
+            if i == 2_000 {
+                assert_eq!(
+                    memo.power_fail(now, obs),
+                    twin.power_fail(now, obs),
+                    "op {i}"
+                );
+                continue;
+            }
+            match rng.below(8) {
+                0..=3 => assert_eq!(memo.read(now, req, obs), twin.read(now, req, obs), "op {i}"),
+                4..=6 => {
+                    assert_eq!(
+                        memo.write(now, req, obs),
+                        twin.write(now, req, obs),
+                        "op {i}"
+                    )
+                }
+                _ => {
+                    memo.trim(now, req, obs);
+                    twin.trim(now, req, obs);
+                }
+            }
+        }
+        forget(twin);
+        let end = now + SimDuration::from_mins(1);
+        memo.finish(end, obs);
+        twin.finish(end, obs);
+    }
+}

@@ -33,6 +33,7 @@ use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
 use mobistore_sim::lbn::{LbnTable, MAX_LBN_END};
 use mobistore_sim::obs::{Event, FaultKind, Observer};
+use mobistore_sim::price::PriceTable;
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 
@@ -347,6 +348,15 @@ pub struct FlashCardStore {
     /// Per-episode distribution of injected retry delays (write-retry
     /// backoff, erase-retry pulses, read-retry backoff).
     backoff: LatencyRecorder,
+    /// A read's and a write's time and energy, before any ECC penalty or
+    /// retry joins them.
+    read_price: PriceTable,
+    write_price: PriceTable,
+    /// The transfer terms of the cleaner's internal copies; the
+    /// scrubber's re-reads and the recovery scan read at the copy rate
+    /// too.
+    copy_read: PriceTable,
+    copy_write: PriceTable,
     meter: EnergyMeter<CardState>,
     counters: FlashCardCounters,
     free_at: SimTime,
@@ -420,6 +430,11 @@ impl FlashCardStore {
         ];
         segments[0].state = SegState::Frontier;
         let erased = (1..num_segments).rev().collect();
+        let p = &config.params;
+        let read_price = PriceTable::new(p.access_latency, p.read_bandwidth, p.active_power);
+        let write_price = PriceTable::new(p.access_latency, p.write_bandwidth, p.active_power);
+        let copy_read = PriceTable::transfer(p.copy_read_bandwidth);
+        let copy_write = PriceTable::transfer(p.copy_write_bandwidth);
 
         Ok(FlashCardStore {
             config,
@@ -438,6 +453,10 @@ impl FlashCardStore {
             next_scrub: SimTime::ZERO,
             scrub_cursor: 0,
             backoff: LatencyRecorder::new(),
+            read_price,
+            write_price,
+            copy_read,
+            copy_write,
             meter: EnergyMeter::new(),
             counters: FlashCardCounters::default(),
             free_at: SimTime::ZERO,
@@ -1009,16 +1028,8 @@ impl FlashCardStore {
         let copy_bytes = copy_blocks * self.config.block_size;
         // Copies are internal to the card: they run at raw speeds even
         // when the foreground path carries file-system software costs.
-        let copy_time = self
-            .config
-            .params
-            .copy_read_bandwidth
-            .transfer_time(copy_bytes)
-            + self
-                .config
-                .params
-                .copy_write_bandwidth
-                .transfer_time(copy_bytes);
+        let copy_time =
+            self.copy_read.price(copy_bytes).time + self.copy_write.price(copy_bytes).time;
         // Draw the erase outcome now so the job's total duration is fixed
         // at start (transient retries re-run the 1.6 s pulse; a permanent
         // failure pays one failed pulse, then retires the segment). The
@@ -1233,10 +1244,9 @@ impl FlashCardStore {
             let begin = t.max(self.next_scrub);
             let pass = self.config.params.access_latency
                 + self
-                    .config
-                    .params
-                    .copy_read_bandwidth
-                    .transfer_time(u64::from(blocks) * self.config.block_size);
+                    .copy_read
+                    .price(u64::from(blocks) * self.config.block_size)
+                    .time;
             if begin + pass > now {
                 self.live_buf = lbns;
                 break; // Defer: the pass does not fit in this idle gap.
@@ -1425,13 +1435,8 @@ impl Device for FlashCardStore {
         let (lbn, blocks) = (req.lbn, req.block_count(self.config.block_size));
         let start = self.settle(now, obs);
         let bytes = u64::from(blocks) * self.config.block_size;
-        let mut dur = self.config.params.access_latency
-            + self.config.params.read_bandwidth.transfer_time(bytes);
-        let block_read = self
-            .config
-            .params
-            .read_bandwidth
-            .transfer_time(self.config.block_size);
+        let cost = self.read_price.price(bytes);
+        let mut dur = cost.time;
         let mut result = Ok(());
         let mut retry_extra = SimDuration::ZERO;
         let mut retry_attempts = 0u32;
@@ -1466,6 +1471,11 @@ impl Device for FlashCardStore {
                 ReadVerdict::Retried { errors, attempts } => {
                     self.counters.read_retries += u64::from(attempts);
                     // Each retry backs off and re-reads the block.
+                    let block_read = self
+                        .config
+                        .params
+                        .read_bandwidth
+                        .transfer_time(self.config.block_size);
                     let extra =
                         (self.plan.config().retry_backoff + block_read) * u64::from(attempts);
                     self.backoff.record(extra);
@@ -1499,8 +1509,8 @@ impl Device for FlashCardStore {
             }
         }
         let end = start + dur;
-        self.meter
-            .charge_for(CardState::Active, self.config.params.active_power, dur);
+        let energy = self.read_price.energy(cost, dur);
+        self.meter.charge_timed(CardState::Active, energy, dur);
         obs.span(&Span::new(SpanKind::FlashRead { bytes }, start, end));
         if retry_attempts > 0 {
             obs.span(&Span::new(
@@ -1601,8 +1611,8 @@ impl Device for FlashCardStore {
             self.counters.cleaning_waits += 1;
         }
         let bytes = u64::from(blocks) * self.config.block_size;
-        let mut dur = self.config.params.access_latency
-            + self.config.params.write_bandwidth.transfer_time(bytes);
+        let cost = self.write_price.price(bytes);
+        let mut dur = cost.time;
         // Transient program failures: the controller backs off and re-runs
         // the whole transfer, charging active power for the extra passes.
         let retries = self.plan.write_retries();
@@ -1618,8 +1628,8 @@ impl Device for FlashCardStore {
             dur += extra;
         }
         let end = start + wait + dur;
-        self.meter
-            .charge_for(CardState::Active, self.config.params.active_power, dur);
+        let energy = self.write_price.energy(cost, dur);
+        self.meter.charge_timed(CardState::Active, energy, dur);
         obs.span(&Span::new(
             SpanKind::FlashProgram { bytes },
             start + wait,
@@ -1663,12 +1673,7 @@ impl Device for FlashCardStore {
         // Log scan: header read per occupied (live or dead) slot.
         let census = self.census();
         let scan_bytes = (census.live + census.dead) * RECOVERY_HEADER_BYTES;
-        let mut dur = self.config.params.access_latency
-            + self
-                .config
-                .params
-                .copy_read_bandwidth
-                .transfer_time(scan_bytes);
+        let mut dur = self.config.params.access_latency + self.copy_read.price(scan_bytes).time;
         // Orphaned-segment reclaim: the interrupted victim is re-erased.
         if let Some(job) = orphan {
             dur += self.config.params.erase_time;
@@ -1731,6 +1736,134 @@ mod tests {
             victim_policy: VictimPolicy::GreedyMinLive,
             queueing: mobistore_device::QueueDiscipline::Fifo,
         })
+    }
+
+    impl FlashCardStore {
+        /// Replaces the price tables with fresh ones, which know no size.
+        fn forget_prices(&mut self) {
+            let p = &self.config.params;
+            self.read_price = PriceTable::new(p.access_latency, p.read_bandwidth, p.active_power);
+            self.write_price = PriceTable::new(p.access_latency, p.write_bandwidth, p.active_power);
+            self.copy_read = PriceTable::transfer(p.copy_read_bandwidth);
+            self.copy_write = PriceTable::transfer(p.copy_write_bandwidth);
+        }
+    }
+
+    #[test]
+    fn price_tables_price_every_size_as_the_formula() {
+        use mobistore_sim::energy::Watts;
+        use mobistore_sim::rng::SimRng;
+        let mut card = small_card(CleanerMode::Background);
+        let p = card.config.params.clone();
+        let (latency, power) = (p.access_latency, p.active_power);
+        let zero = SimDuration::ZERO;
+        for (table, latency, bandwidth, power) in [
+            (&mut card.read_price, latency, p.read_bandwidth, power),
+            (&mut card.write_price, latency, p.write_bandwidth, power),
+            (
+                &mut card.copy_read,
+                zero,
+                p.copy_read_bandwidth,
+                Watts::ZERO,
+            ),
+            (
+                &mut card.copy_write,
+                zero,
+                p.copy_write_bandwidth,
+                Watts::ZERO,
+            ),
+        ] {
+            // 0 to 4,096 blocks, then drawn sizes of up to 65,536 blocks,
+            // which collide in the table's entries.
+            let mut rng = SimRng::seed_from_u64(KIB);
+            let drawn: Vec<u64> = (0..4_096).map(|_| rng.below(65_537) * KIB).collect();
+            for bytes in (0..=4_096).map(|n| n * KIB).chain(drawn) {
+                let time = latency + bandwidth.transfer_time(bytes);
+                let cost = table.price(bytes);
+                assert_eq!(cost.time, time, "{bytes} bytes at {bandwidth:?}");
+                let energy = (power * time).get().to_bits();
+                assert_eq!(cost.energy.get().to_bits(), energy, "{bytes} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_prices_match_a_twin_that_prices_every_op_afresh() {
+        use mobistore_sim::rng::SimRng;
+        // A 4-MB card half full, with write retries, reads that
+        // are corrected, retried and lost, hourly scrubbing, cleaning in
+        // idle gaps and under waiting writes, and one power failure.
+        // Before every op the twin's tables are replaced, so every price
+        // it charges is computed by the formula at that op.
+        let card = || {
+            let mut card = FlashCardStore::new(FlashCardConfig {
+                params: intel_datasheet(),
+                block_size: KIB,
+                capacity_bytes: 4 * 1024 * KIB,
+                mode: CleanerMode::Background,
+                victim_policy: VictimPolicy::GreedyMinLive,
+                queueing: mobistore_device::QueueDiscipline::Fifo,
+            })
+            .with_faults(FaultConfig {
+                write_fail_rate: 0.1,
+                ..FaultConfig::none()
+            })
+            .with_integrity(
+                IntegrityConfig {
+                    base_errors: 6.0,
+                    // Relocating every block read with 6 or more errors
+                    // drains the erased pool without starting a cleaning
+                    // job, and the card goes read-only within 20 ops.
+                    relocate_threshold: 11,
+                    seed: 24,
+                    ..IntegrityConfig::none()
+                }
+                .with_scrub(SimDuration::from_hours(1)),
+            );
+            card.preload_aged(0..2_000);
+            card
+        };
+        let (mut memo, mut twin) = (card(), card());
+        let mut rng = SimRng::seed_from_u64(1994);
+        let obs = &mut NoopObserver;
+        let mut now = SimTime::ZERO;
+        for i in 0..4_000 {
+            now += match rng.below(4) {
+                0 => SimDuration::ZERO,
+                1 => SimDuration::from_micros(rng.below(20_000)),
+                2 => SimDuration::from_millis(rng.below(3_000)),
+                _ => SimDuration::from_secs(rng.below(120)),
+            };
+            let most = if rng.chance(0.05) { 256 } else { 32 };
+            let blocks = rng.range_inclusive(1, most);
+            let r = req(rng.below(2_000 - blocks), blocks as u32);
+            twin.forget_prices();
+            if i == 2_000 {
+                assert_eq!(memo.power_fail(now, obs), twin.power_fail(now, obs));
+                continue;
+            }
+            match rng.below(8) {
+                0..=3 => assert_eq!(memo.read(now, r, obs), twin.read(now, r, obs), "op {i}"),
+                4..=6 => assert_eq!(memo.write(now, r, obs), twin.write(now, r, obs), "op {i}"),
+                _ => {
+                    memo.trim(now, r, obs);
+                    twin.trim(now, r, obs);
+                }
+            }
+        }
+        twin.forget_prices();
+        let end = now + SimDuration::from_hours(2);
+        memo.finish(end, obs);
+        twin.finish(end, obs);
+        assert_eq!(memo.meter, twin.meter);
+        assert_eq!(memo.counters, twin.counters);
+        let c = memo.counters;
+        assert!(
+            c.write_retries > 0 && c.read_retries > 0 && c.ecc_corrected > 0,
+            "{c:?}"
+        );
+        assert!(c.uncorrectable_reads > 0 && c.scrub_passes > 0 && c.cleaning_waits > 0);
+        assert_eq!(c.power_failures, 1);
     }
 
     #[test]
@@ -2443,12 +2576,20 @@ mod tests {
         write(&mut noisy, SimTime::ZERO, 0, 8);
         let t = SimTime::from_secs_f64(1.0);
         let ok = read(&mut clean, t, 0, 8);
+        let before = noisy.meter().category(CardState::Active);
         let slow = read(&mut noisy, t, 0, 8);
         assert!(noisy.counters().ecc_corrected > 0);
         let extra = (slow.end - slow.start).saturating_sub(ok.end - ok.start);
         assert_eq!(
             extra,
             cfg.correction_penalty * noisy.counters().ecc_corrected
+        );
+        // The corrected read draws active power for its whole time,
+        // penalties included.
+        let energy = before + intel_datasheet().active_power * (slow.end - slow.start);
+        assert_eq!(
+            noisy.meter().category(CardState::Active).get().to_bits(),
+            energy.get().to_bits()
         );
         noisy.check_invariants();
     }

@@ -250,8 +250,16 @@ impl<S: EnergyState> EnergyMeter<S> {
     /// as time spent in that state, enabling duty-cycle reports.
     #[inline]
     pub fn charge_for(&mut self, state: S, power: Watts, duration: SimDuration) {
+        self.charge_timed(state, power * duration, duration);
+    }
+
+    /// Adds `energy`, already computed as some power × `duration` (a
+    /// [`PriceTable`](crate::price::PriceTable)'s cost), to `state` and
+    /// attributes the duration as time spent in it.
+    #[inline]
+    pub fn charge_timed(&mut self, state: S, energy: Joules, duration: SimDuration) {
         let slot = &mut self.slots[state.index()];
-        slot.0 += power * duration;
+        slot.0 += energy;
         slot.1 += duration;
     }
 
@@ -261,7 +269,8 @@ impl<S: EnergyState> EnergyMeter<S> {
     }
 
     /// Returns the time attributed to `state` via
-    /// [`charge_for`](Self::charge_for).
+    /// [`charge_for`](Self::charge_for) and
+    /// [`charge_timed`](Self::charge_timed).
     pub fn category_time(&self, state: S) -> SimDuration {
         self.slots[state.index()].1
     }
@@ -286,6 +295,18 @@ impl<S: EnergyState> EnergyMeter<S> {
             .iter()
             .zip(&self.slots)
             .map(|(&n, &(e, d))| (n, e, d))
+    }
+}
+
+/// Two meters are equal when every state holds the same energy, bit for
+/// bit, and the same time: a deterministic replay reproduces the bits, so
+/// that is what two runs of it are compared by.
+impl<S: EnergyState> PartialEq for EnergyMeter<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots
+            .iter()
+            .zip(&other.slots)
+            .all(|((ea, ta), (eb, tb))| ea.0.to_bits() == eb.0.to_bits() && ta == tb)
     }
 }
 
@@ -361,5 +382,25 @@ mod tests {
         let timed: Vec<_> = m.breakdown_timed().collect();
         assert_eq!(timed.len(), 2);
         assert_eq!(timed[0].0, "active");
+    }
+
+    #[test]
+    fn meters_are_equal_when_their_bits_are() {
+        let mut a = EnergyMeter::new();
+        a.charge_for(Duty::Active, Watts(0.1), SimDuration::from_nanos(3));
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        // 0.1 + 0.2 and 0.3 differ in the last bit.
+        a.charge(Duty::Idle, Joules(0.1));
+        a.charge(Duty::Idle, Joules(0.2));
+        b.charge(Duty::Idle, Joules(0.3));
+        assert_ne!(a, b);
+        let mut c = EnergyMeter::new();
+        c.charge_timed(
+            Duty::Active,
+            Watts(0.1) * SimDuration::from_nanos(3),
+            SimDuration::from_nanos(4),
+        );
+        assert_ne!(c, EnergyMeter::new(), "time counts too");
     }
 }

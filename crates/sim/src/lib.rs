@@ -10,6 +10,9 @@
 //!   ([`energy_states!`]) and the per-state [`energy::EnergyMeter`];
 //! * [`units`] — byte sizes and [`units::Bandwidth`] (Kbytes/s, as in the
 //!   paper);
+//! * [`price`] — [`price::PriceTable`], the time and energy of an access
+//!   of a given size at a fixed latency, bandwidth and power, computed once
+//!   per size;
 //! * [`stats`] — streaming mean/max/σ ([`stats::OnlineStats`]) matching the
 //!   columns of the paper's Table 4;
 //! * [`rng`] — a deterministic PCG32 generator and the distribution samplers
@@ -68,6 +71,7 @@ pub mod hist;
 pub mod integrity;
 pub mod lbn;
 pub mod obs;
+pub mod price;
 pub mod prof;
 pub mod rng;
 pub mod span;
@@ -83,6 +87,7 @@ pub use fleet::{FleetConfig, FleetPlan, FleetShard, Mix};
 pub use hist::{Histogram, LatencyRecorder, Percentiles};
 pub use integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
 pub use obs::{CounterRegistry, Event, NoopObserver, Observer};
+pub use price::{Cost, PriceTable};
 pub use rng::SimRng;
 pub use span::{Span, SpanKind};
 pub use stats::{OnlineStats, Summary};

@@ -192,13 +192,21 @@ pub fn working_set(ops: &[DiskOp]) -> Vec<u64> {
 /// read back from a paged bitmap of the blocks, so that the memory
 /// follows the 4,096-lbn pages the ops touch, not the op count.
 pub fn working_set_runs(ops: &[DiskOp]) -> Vec<(u64, u64)> {
-    BlockBitmap::of(ops).runs()
+    working_set_runs_and_end(ops).0
+}
+
+/// [`working_set_runs`], and where the blocks of every op, trims
+/// included, end: [`Trace::blocks_spanned`] of the same ops, from the same
+/// pass.
+pub fn working_set_runs_and_end(ops: &[DiskOp]) -> (Vec<(u64, u64)>, u64) {
+    let (set, end) = BlockBitmap::of(ops);
+    (set.runs(), end)
 }
 
 /// The number of blocks in [`working_set`], counted from the same bitmap
 /// as [`working_set_runs`] without building the runs.
 pub fn working_set_len(ops: &[DiskOp]) -> u64 {
-    BlockBitmap::of(ops).len()
+    BlockBitmap::of(ops).0.len()
 }
 
 /// log2 of the lbns one bitmap page covers.
@@ -230,14 +238,20 @@ struct BlockBitmap {
 }
 
 impl BlockBitmap {
-    /// Sets the blocks of every read and write in `ops`; trims are
-    /// skipped.
-    fn of(ops: &[DiskOp]) -> Self {
+    /// Sets the blocks of every read and write in `ops`, trims skipped,
+    /// and returns the set with where the blocks of every op, trims
+    /// included, end (saturating at `u64::MAX`).
+    fn of(ops: &[DiskOp]) -> (Self, u64) {
         let mut set = BlockBitmap::default();
-        for op in ops.iter().filter(|op| op.kind != DiskOpKind::Trim) {
-            set.insert(op.lbn, op.lbn.saturating_add(u64::from(op.blocks)));
+        let mut spanned = 0;
+        for op in ops {
+            let end = op.lbn.saturating_add(u64::from(op.blocks));
+            spanned = spanned.max(end);
+            if op.kind != DiskOpKind::Trim {
+                set.insert(op.lbn, end);
+            }
         }
-        set
+        (set, spanned)
     }
 
     /// Adds blocks `start..end`.
@@ -543,10 +557,21 @@ mod tests {
 
     /// Checks `ops`' working set three ways against
     /// [`expand_sort_dedup`]: the runs (ascending, and separated by a
-    /// gap), their blocks, and the count.
+    /// gap), their blocks, and the count; and the end the same pass
+    /// returns against a max over every op, trims included.
     fn check_against_reference(ops: &[DiskOp], label: &str) {
         let want = expand_sort_dedup(ops);
         let runs = working_set_runs(ops);
+        let spanned = ops
+            .iter()
+            .map(|op| op.lbn.saturating_add(u64::from(op.blocks)))
+            .max()
+            .unwrap_or(0);
+        assert_eq!(
+            working_set_runs_and_end(ops),
+            (runs.clone(), spanned),
+            "{label}"
+        );
         assert!(
             runs.iter().all(|&(start, end)| start < end)
                 && runs.windows(2).all(|pair| pair[0].1 < pair[1].0),
