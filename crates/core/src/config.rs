@@ -9,17 +9,20 @@
 //! flash 80% utilized) so each Table 4 row is one builder call.
 
 use mobistore_cache::dram::WritePolicy;
-use mobistore_device::array::ChildClass;
+use mobistore_device::array::{geometry, ChildClass, DEFAULT_REBUILD_RATE};
 use mobistore_device::disk::{SeekModel, SpinDownPolicy};
 use mobistore_device::params::{
     dram_nec, sram_nec, DiskParams, DramParams, FlashCardParams, FlashDiskParams, SramParams,
 };
-use mobistore_device::QueueDiscipline;
+use mobistore_device::{DeviceError, QueueDiscipline};
 use mobistore_flash::store::{CleanerMode, VictimPolicy};
 use mobistore_sim::fault::FaultConfig;
 use mobistore_sim::integrity::IntegrityConfig;
+use mobistore_sim::rule::Rule;
 use mobistore_sim::time::SimDuration;
 use mobistore_sim::units::MIB;
+
+use crate::simulator::ConfigError;
 
 /// The non-volatile backend of a storage system.
 #[derive(Debug, Clone)]
@@ -137,105 +140,116 @@ pub const DEFAULT_FLASH_UTILIZATION: f64 = 0.80;
 pub const DEFAULT_FLASH_CAPACITY: u64 = 40 * MIB;
 
 impl SystemConfig {
-    /// A magnetic-disk system with the Table 4 defaults (2-Mbyte DRAM,
-    /// write-through, 5 s spin-down, 32-Kbyte SRAM write buffer).
-    pub fn disk(params: DiskParams) -> Self {
+    /// A system over `backend` with the defaults every backend shares
+    /// (2-Mbyte DRAM, write-through, open-loop, no faults) and §5.5's
+    /// 32-Kbyte SRAM write buffer in front of a disk only: the paper's
+    /// flash configurations have none.
+    fn new(name: String, backend: BackendConfig) -> Self {
+        let disk = matches!(backend, BackendConfig::Disk { .. });
         SystemConfig {
-            name: params.name.to_owned(),
+            name,
             dram_bytes: DEFAULT_DRAM_BYTES,
             dram_params: dram_nec(),
             write_policy: WritePolicy::WriteThrough,
             queueing: QueueDiscipline::OpenLoop,
-            sram_bytes: DEFAULT_SRAM_BYTES,
+            sram_bytes: if disk { DEFAULT_SRAM_BYTES } else { 0 },
             sram_params: sram_nec(),
             fault: FaultConfig::none(),
             integrity: IntegrityConfig::none(),
-            backend: BackendConfig::Disk {
+            backend,
+        }
+    }
+
+    /// A magnetic-disk system with the Table 4 defaults (2-Mbyte DRAM,
+    /// write-through, 5 s spin-down, 32-Kbyte SRAM write buffer).
+    pub fn disk(params: DiskParams) -> Self {
+        Self::new(
+            params.name.to_owned(),
+            BackendConfig::Disk {
                 params,
                 spin_down: SpinDownPolicy::Fixed(DEFAULT_SPIN_DOWN),
                 seek_model: SeekModel::SameFileAverage,
             },
-        }
+        )
     }
 
     /// A flash-disk system with the Table 4 defaults.
     pub fn flash_disk(params: FlashDiskParams) -> Self {
-        SystemConfig {
-            name: params.name.to_owned(),
-            dram_bytes: DEFAULT_DRAM_BYTES,
-            dram_params: dram_nec(),
-            write_policy: WritePolicy::WriteThrough,
-            queueing: QueueDiscipline::OpenLoop,
-            sram_bytes: 0,
-            sram_params: sram_nec(),
-            fault: FaultConfig::none(),
-            integrity: IntegrityConfig::none(),
-            backend: BackendConfig::FlashDisk { params },
-        }
+        Self::new(params.name.to_owned(), BackendConfig::FlashDisk { params })
     }
 
     /// A flash-card system with the Table 4 defaults (40-Mbyte card, 80%
     /// utilized, background cleaning, greedy victim selection).
     pub fn flash_card(params: FlashCardParams) -> Self {
-        SystemConfig {
-            name: params.name.to_owned(),
-            dram_bytes: DEFAULT_DRAM_BYTES,
-            dram_params: dram_nec(),
-            write_policy: WritePolicy::WriteThrough,
-            queueing: QueueDiscipline::OpenLoop,
-            sram_bytes: 0,
-            sram_params: sram_nec(),
-            fault: FaultConfig::none(),
-            integrity: IntegrityConfig::none(),
-            backend: BackendConfig::FlashCard {
+        Self::new(
+            params.name.to_owned(),
+            BackendConfig::FlashCard {
                 params,
                 capacity_bytes: DEFAULT_FLASH_CAPACITY,
                 utilization: Some(DEFAULT_FLASH_UTILIZATION),
                 mode: CleanerMode::Background,
                 victim_policy: VictimPolicy::GreedyMinLive,
             },
-        }
+        )
     }
 
     /// An erasure-coded `k + m` array over `children` device profiles,
     /// with the flash-disk-style defaults (2-Mbyte DRAM, write-through,
     /// no SRAM buffer), one hot spare, and a 128-stripe/s rebuild pace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `m == 0` or `children.len() != k + m`. A
-    /// geometry past the codec's 255 shards is built, and
-    /// [`try_simulate`](crate::simulator::try_simulate) refuses it with
-    /// [`ConfigError::DeviceGeometry`](crate::simulator::ConfigError::DeviceGeometry),
-    /// as it refuses any [`BackendConfig::Array`] that
-    /// [`mobistore_device::ArrayDevice::try_new`] rejects.
+    /// [`validate`](Self::validate) checks the geometry.
     pub fn array(k: usize, m: usize, children: Vec<ChildClass>) -> Self {
-        assert!(k >= 1 && m >= 1, "array geometry {k}+{m} is invalid");
-        assert_eq!(
-            children.len(),
-            k + m,
-            "array geometry {k}+{m} needs exactly {} children, got {}",
-            k + m,
-            children.len()
-        );
-        SystemConfig {
-            name: format!("array-{k}+{m}"),
-            dram_bytes: DEFAULT_DRAM_BYTES,
-            dram_params: dram_nec(),
-            write_policy: WritePolicy::WriteThrough,
-            queueing: QueueDiscipline::OpenLoop,
-            sram_bytes: 0,
-            sram_params: sram_nec(),
-            fault: FaultConfig::none(),
-            integrity: IntegrityConfig::none(),
-            backend: BackendConfig::Array {
+        Self::new(
+            format!("array-{k}+{m}"),
+            BackendConfig::Array {
                 k,
                 m,
                 children,
                 spares: 1,
-                rebuild_rate: 128.0,
+                rebuild_rate: DEFAULT_REBUILD_RATE,
             },
+        )
+    }
+
+    /// Checks every rule that reads only the configuration, on every
+    /// backend: the fault and integrity knobs ([`FaultConfig::validate`],
+    /// [`IntegrityConfig::validate`]), a flash card's utilization (a
+    /// [`Rule::Fraction`]), and an array's geometry and rebuild rate
+    /// ([`geometry`]). A run calls it before it builds anything; the rules
+    /// that read the trace are checked where the run builds its card.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.fault.validate().map_err(ConfigError::Knob)?;
+        self.integrity.validate().map_err(ConfigError::Knob)?;
+        match &self.backend {
+            BackendConfig::FlashCard {
+                utilization: Some(u),
+                ..
+            } => Rule::Fraction
+                .check("utilization", *u)
+                .map_err(ConfigError::Knob)?,
+            BackendConfig::Array {
+                k,
+                m,
+                children,
+                rebuild_rate,
+                ..
+            } => {
+                geometry(*k, *m, children.len(), *rebuild_rate)
+                    .map_err(|e| ConfigError::DeviceGeometry(DeviceError::ArrayGeometry(e)))?;
+            }
+            _ => {}
         }
+        Ok(())
+    }
+
+    /// The one builder panic: a setter applied to a backend without its
+    /// knob, which is a programming error rather than a bad value.
+    /// `knob_applies` names the knob with its verb (`spares apply`).
+    fn wrong_backend(&self, knob_applies: &str, backend: &str) -> ! {
+        panic!(
+            "config '{}': {knob_applies} only to {backend} backends, not the {} backend",
+            self.name,
+            self.backend.kind()
+        )
     }
 
     /// Overrides the configuration label.
@@ -306,12 +320,7 @@ impl SystemConfig {
     pub fn with_spin_down_policy(mut self, policy: SpinDownPolicy) -> Self {
         match &mut self.backend {
             BackendConfig::Disk { spin_down, .. } => *spin_down = policy,
-            other => panic!(
-                "config '{}': spin-down applies only to magnetic-disk backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("spin-down applies", "magnetic-disk"),
         }
         self
     }
@@ -324,34 +333,21 @@ impl SystemConfig {
     pub fn with_seek_model(mut self, model: SeekModel) -> Self {
         match &mut self.backend {
             BackendConfig::Disk { seek_model, .. } => *seek_model = model,
-            other => panic!(
-                "config '{}': seek model applies only to magnetic-disk backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("seek model applies", "magnetic-disk"),
         }
         self
     }
 
-    /// Sets the flash-card storage utilization (§5.2's sweep variable).
+    /// Sets the flash-card storage utilization (§5.2's sweep variable), a
+    /// fraction in `[0, 1)` that [`validate`](Self::validate) checks.
     ///
     /// # Panics
     ///
-    /// Panics on non-flash-card backends or a fraction outside `[0, 1)`.
+    /// Panics on non-flash-card backends.
     pub fn with_utilization(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&fraction),
-            "utilization out of range: {fraction}"
-        );
         match &mut self.backend {
             BackendConfig::FlashCard { utilization, .. } => *utilization = Some(fraction),
-            other => panic!(
-                "config '{}': utilization applies only to flash-card backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("utilization applies", "flash-card"),
         }
         self
     }
@@ -364,12 +360,7 @@ impl SystemConfig {
     pub fn with_flash_capacity(mut self, bytes: u64) -> Self {
         match &mut self.backend {
             BackendConfig::FlashCard { capacity_bytes, .. } => *capacity_bytes = bytes,
-            other => panic!(
-                "config '{}': flash capacity applies only to flash-card backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("flash capacity applies", "flash-card"),
         }
         self
     }
@@ -382,12 +373,7 @@ impl SystemConfig {
     pub fn with_cleaner_mode(mut self, new_mode: CleanerMode) -> Self {
         match &mut self.backend {
             BackendConfig::FlashCard { mode, .. } => *mode = new_mode,
-            other => panic!(
-                "config '{}': cleaner mode applies only to flash-card backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("cleaner mode applies", "flash-card"),
         }
         self
     }
@@ -400,12 +386,7 @@ impl SystemConfig {
     pub fn with_victim_policy(mut self, policy: VictimPolicy) -> Self {
         match &mut self.backend {
             BackendConfig::FlashCard { victim_policy, .. } => *victim_policy = policy,
-            other => panic!(
-                "config '{}': victim policy applies only to flash-card backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("victim policy applies", "flash-card"),
         }
         self
     }
@@ -418,21 +399,16 @@ impl SystemConfig {
     pub fn with_spares(mut self, count: u32) -> Self {
         match &mut self.backend {
             BackendConfig::Array { spares, .. } => *spares = count,
-            other => panic!(
-                "config '{}': spares apply only to ec-array backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("spares apply", "ec-array"),
         }
         self
     }
 
-    /// Sets the array rebuild pace in stripes per second. The rate is
-    /// checked where the run builds the array: one whose per-stripe period
+    /// Sets the array rebuild pace in stripes per second; one whose
+    /// per-stripe period
     /// [`rebuild_period`](mobistore_device::array::rebuild_period) refuses
-    /// comes back from `try_simulate` as
-    /// [`ConfigError::DeviceGeometry`](crate::simulator::ConfigError::DeviceGeometry).
+    /// comes back from [`validate`](Self::validate) as
+    /// [`ConfigError::DeviceGeometry`].
     ///
     /// # Panics
     ///
@@ -440,12 +416,7 @@ impl SystemConfig {
     pub fn with_rebuild_rate(mut self, stripes_per_sec: f64) -> Self {
         match &mut self.backend {
             BackendConfig::Array { rebuild_rate, .. } => *rebuild_rate = stripes_per_sec,
-            other => panic!(
-                "config '{}': rebuild rate applies only to ec-array backends, \
-                 not the {} backend",
-                self.name,
-                other.kind()
-            ),
+            _ => self.wrong_backend("rebuild rate applies", "ec-array"),
         }
         self
     }
@@ -455,6 +426,7 @@ impl SystemConfig {
 mod tests {
     use super::*;
     use mobistore_device::params::{cu140_datasheet, intel_datasheet, sdp5_datasheet};
+    use mobistore_sim::rule::KnobError;
 
     #[test]
     fn disk_defaults_match_table4() {
@@ -522,9 +494,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn utilization_must_be_fraction() {
-        let _ = SystemConfig::flash_card(intel_datasheet()).with_utilization(1.5);
+        // The builder takes any value; the check refuses it, typed.
+        let cfg = SystemConfig::flash_card(intel_datasheet()).with_utilization(1.5);
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::Knob(KnobError {
+                knob: "utilization",
+                value: "1.5".into(),
+                rule: Rule::Fraction,
+            })
+        );
+        assert_eq!(
+            err.to_string(),
+            "utilization out of range: 1.5; must be finite, in [0, 1)"
+        );
     }
 
     #[test]
@@ -585,9 +570,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "array geometry 0+2 is invalid")]
-    fn array_zero_data_shards_panics() {
-        let _ = SystemConfig::array(0, 2, vec![ChildClass::FlashDisk; 2]);
+    fn array_zero_data_shards_is_refused() {
+        let cfg = SystemConfig::array(0, 2, vec![ChildClass::FlashDisk; 2]);
+        assert_eq!(
+            cfg.validate().unwrap_err().to_string(),
+            "array geometry is invalid: bad erasure-code geometry 0+2: need k >= 1, m >= 1, \
+             k+m <= 255"
+        );
     }
 
     #[test]
@@ -668,5 +657,315 @@ mod tests {
         let _ = SystemConfig::flash_disk(sdp5_datasheet())
             .named("sdp5")
             .with_victim_policy(VictimPolicy::GreedyMinLive);
+    }
+
+    use crate::crashcheck::{torture, CrashPoints, TortureOptions};
+    use crate::simulator::{try_simulate, RunOptions, SimError};
+    use mobistore_sim::rng::SimRng;
+    use mobistore_sim::time::SimTime;
+    use mobistore_trace::record::{DiskOp, DiskOpKind, FileId, Trace};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Forty mixed ops over 24 blocks, one every 10 ms.
+    fn trace40() -> Trace {
+        let mut trace = Trace::new(1024);
+        for i in 0..40u64 {
+            trace.push(DiskOp {
+                time: SimTime::from_nanos(i * 10_000_000),
+                kind: match i % 8 {
+                    0 | 2 | 5 => DiskOpKind::Write,
+                    7 => DiskOpKind::Trim,
+                    _ => DiskOpKind::Read,
+                },
+                lbn: (i * 7) % 24,
+                blocks: 1 + (i % 3) as u32,
+                file: FileId(i % 3),
+            });
+        }
+        trace
+    }
+
+    /// `config` through both entry points, failing the test on a panic in
+    /// either: `try_simulate`'s outcome and `torture`'s violations.
+    fn both(config: &SystemConfig, trace: &Trace) -> (Result<(), SimError>, Vec<String>) {
+        let opts = TortureOptions {
+            max_ops: 40,
+            crash_points: CrashPoints::Sampled(2),
+            ..TortureOptions::default()
+        };
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            try_simulate(config, trace, RunOptions::default()).map(drop)
+        }));
+        let report = catch_unwind(AssertUnwindSafe(|| torture(config, trace, &opts)));
+        match (run, report) {
+            (Ok(run), Ok(report)) => (run, report.violations),
+            _ => panic!("'{}' panicked: {config:?}", config.name),
+        }
+    }
+
+    #[test]
+    fn every_broken_rule_is_refused_typed_by_both_entry_points() {
+        let card = || SystemConfig::flash_card(intel_datasheet()).with_flash_capacity(4 * MIB);
+        let array = || SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3]);
+        let disk = || SystemConfig::disk(cu140_datasheet());
+        let on_field = move |u: f64| {
+            let mut cfg = card();
+            if let BackendConfig::FlashCard { utilization, .. } = &mut cfg.backend {
+                *utilization = Some(u);
+            }
+            cfg
+        };
+        let bits = |errors: f64| IntegrityConfig {
+            base_errors: errors,
+            ..IntegrityConfig::none()
+        };
+        let ecc_zero = IntegrityConfig {
+            ecc_correctable: 0,
+            ..IntegrityConfig::none()
+        };
+        let rate = |r: f64| FaultConfig::with_rate(r, 1);
+        let deaths = |r: f64| FaultConfig::none().with_death_rate(r);
+        // Each row names the knob refused; "" is a device geometry.
+        type Row = (&'static str, Box<dyn Fn() -> SystemConfig>, &'static str);
+        let rows: Vec<Row> = vec![
+            (
+                "card, rate 2",
+                Box::new(move || card().with_faults(rate(2.0))),
+                "write_fail_rate",
+            ),
+            (
+                "card, NaN rate",
+                Box::new(move || card().with_faults(rate(f64::NAN))),
+                "write_fail_rate",
+            ),
+            (
+                "array, rate 2",
+                Box::new(move || array().with_faults(rate(2.0))),
+                "write_fail_rate",
+            ),
+            (
+                "array, deaths -1",
+                Box::new(move || array().with_faults(deaths(-1.0))),
+                "death_rate",
+            ),
+            (
+                "array, NaN deaths",
+                Box::new(move || array().with_faults(deaths(f64::NAN))),
+                "death_rate",
+            ),
+            (
+                "disk, zero power-fail mean",
+                Box::new(move || {
+                    disk().with_faults(FaultConfig::none().with_power_failures(SimDuration::ZERO))
+                }),
+                "power_fail_mean",
+            ),
+            (
+                "flash disk, base_errors -1",
+                Box::new(move || {
+                    SystemConfig::flash_disk(sdp5_datasheet()).with_integrity(bits(-1.0))
+                }),
+                "base_errors",
+            ),
+            (
+                "card, base_errors -1",
+                Box::new(move || card().with_integrity(bits(-1.0))),
+                "base_errors",
+            ),
+            (
+                "card, ecc_correctable 0",
+                Box::new(move || card().with_integrity(ecc_zero)),
+                "ecc_correctable",
+            ),
+            (
+                "card, zero scrub interval",
+                Box::new(move || {
+                    card().with_integrity(IntegrityConfig::none().with_scrub(SimDuration::ZERO))
+                }),
+                "scrub_interval",
+            ),
+            (
+                "card, utilization 1.5 on the field",
+                Box::new(move || on_field(1.5)),
+                "utilization",
+            ),
+            (
+                "card, NaN utilization on the field",
+                Box::new(move || on_field(f64::NAN)),
+                "utilization",
+            ),
+            (
+                "with_utilization(1.5)",
+                Box::new(move || card().with_utilization(1.5)),
+                "utilization",
+            ),
+            (
+                "array(0, 2, ..)",
+                Box::new(|| SystemConfig::array(0, 2, vec![ChildClass::FlashDisk; 2])),
+                "",
+            ),
+            (
+                "card of 0 bytes",
+                Box::new(move || card().with_flash_capacity(0)),
+                "",
+            ),
+            (
+                "card of 1,000 bytes",
+                Box::new(move || card().with_flash_capacity(1_000)),
+                "",
+            ),
+            (
+                "disk, rate 2",
+                Box::new(move || disk().with_faults(rate(2.0))),
+                "write_fail_rate",
+            ),
+            (
+                "disk, base_errors -1",
+                Box::new(move || disk().with_integrity(bits(-1.0))),
+                "base_errors",
+            ),
+        ];
+        let trace = trace40();
+        for (row, build, knob) in &rows {
+            let config = catch_unwind(AssertUnwindSafe(build))
+                .unwrap_or_else(|_| panic!("{row}: the builder panicked"));
+            let (run, violations) = both(&config, &trace);
+            let Err(SimError::Config(e)) = run else {
+                panic!("{row}: not refused typed: {run:?}");
+            };
+            match &e {
+                ConfigError::Knob(k) => assert_eq!(k.knob, *knob, "{row}"),
+                ConfigError::DeviceGeometry(_) => assert_eq!(*knob, "", "{row}"),
+                other => panic!("{row}: {other:?}"),
+            }
+            assert_eq!(violations.len(), 1, "{row}: {violations:?}");
+            assert!(
+                violations[0].ends_with(&format!(": {e}")),
+                "{row}: {violations:?} vs {e}"
+            );
+        }
+        // Refused by the run only: torture preloads no filler.
+        let aged = |fraction: &str, capacity: u64, fillable: u64| {
+            ConfigError::Knob(KnobError {
+                knob: "utilization",
+                value: format!("{fraction} of {capacity} blocks"),
+                rule: Rule::AtMost("the blocks an aged card can fill", fillable),
+            })
+        };
+        for (config, refusal) in [
+            (
+                SystemConfig::flash_card(intel_datasheet()).with_utilization(0.995),
+                aged("0.995", 40_960, 40_704),
+            ),
+            (
+                SystemConfig::flash_card(intel_datasheet()).with_flash_capacity(MIB),
+                aged("0.8", 1_024, 768),
+            ),
+        ] {
+            let (run, violations) = both(&config, &trace);
+            assert_eq!(run, Err(SimError::Config(refusal)));
+            assert!(violations.is_empty(), "{violations:?}");
+        }
+        // Without a utilization the working set alone is the preload, and
+        // a two-segment card can fill none of it.
+        let mut bare = card().with_flash_capacity(256 * 1024);
+        if let BackendConfig::FlashCard { utilization, .. } = &mut bare.backend {
+            *utilization = None;
+        }
+        let w = mobistore_trace::record::working_set(&trace.ops).len() as u64;
+        let (run, violations) = both(&bare, &trace);
+        let overfull = ConfigError::FlashOverfull {
+            working_set_blocks: w,
+            target_blocks: 0,
+        };
+        assert_eq!(run, Err(SimError::Config(overfull)));
+        assert_eq!(
+            violations,
+            [format!(
+                "working set ({w} blocks) exceeds the 0 blocks an aged card can fill"
+            )]
+        );
+    }
+
+    /// Values every drawn knob can take, beside random ones.
+    const SPECIAL: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
+        0.0,
+        1e-300,
+        0.5,
+        1.0,
+        1.5,
+        1e300,
+    ];
+
+    #[test]
+    fn fuzzed_knobs_end_in_a_result_never_a_panic() {
+        let trace = trace40();
+        let mut rng = SimRng::seed_with_stream(1994, 0xc0f1);
+        let (mut ran, mut refused) = (0, 0);
+        for i in 0..320u64 {
+            // One knob in eight takes a special or random value; the rest
+            // keep their defaults, so many draws get past the check.
+            let mut draw = |default: f64, random: f64| match rng.below(96) {
+                n @ 0..=9 => SPECIAL[n as usize],
+                10 | 11 => random * rng.f64(),
+                _ => default,
+            };
+            let interval = |v: f64| match SimDuration::try_from_secs_f64(v) {
+                _ if v.is_nan() => None,
+                Some(d) => Some(d),
+                None if v > 0.0 => Some(SimDuration::MAX),
+                None => Some(SimDuration::ZERO),
+            };
+            let mut config = match i % 4 {
+                0 => SystemConfig::disk(cu140_datasheet()),
+                1 => SystemConfig::flash_disk(sdp5_datasheet()),
+                2 => SystemConfig::flash_card(intel_datasheet())
+                    .with_flash_capacity((1 + i % 16 / 4) * MIB)
+                    .with_utilization(draw(0.5, 2.0)),
+                _ => {
+                    let (k, m) = (draw(2.0, 16.0) as usize, draw(1.0, 16.0) as usize);
+                    let n = match draw(0.0, 2.0) {
+                        0.0 => k.saturating_add(m),
+                        v => v as usize,
+                    };
+                    SystemConfig::array(k, m, vec![ChildClass::FlashDisk; n.min(300)])
+                        .with_rebuild_rate(draw(128.0, 2.0))
+                }
+            };
+            config.fault = FaultConfig {
+                write_fail_rate: draw(0.0, 2.0),
+                erase_fail_rate: draw(0.0, 2.0),
+                permanent_rate: draw(0.1, 2.0),
+                death_rate: draw(0.0, 2.0),
+                power_fail_mean: interval(draw(f64::NAN, 2.0)),
+                seed: i,
+                ..FaultConfig::none()
+            };
+            config.integrity = IntegrityConfig {
+                base_errors: draw(0.0, 2.0),
+                errors_per_erase: draw(0.0, 2.0),
+                retention_per_hour: draw(0.0, 2.0),
+                ecc_correctable: draw(8.0, 16.0) as u32,
+                retry_threshold: draw(12.0, 16.0) as u32,
+                relocate_threshold: draw(6.0, 16.0) as u32,
+                scrub_interval: interval(draw(f64::NAN, 2.0)),
+                seed: i,
+                ..IntegrityConfig::none()
+            };
+            let (run, violations) = both(&config, &trace);
+            match config.validate() {
+                Err(e) => {
+                    refused += 1;
+                    assert_eq!(run, Err(SimError::Config(e.clone())), "{config:?}");
+                    assert_eq!(violations, [format!("cannot replay: {e}")]);
+                }
+                Ok(()) => ran += u32::from(run.is_ok()),
+            }
+        }
+        assert!(ran > 40 && refused > 40, "ran {ran}, refused {refused}");
     }
 }

@@ -125,8 +125,9 @@ impl TortureReport {
 
 /// Runs the torture sweep on `config`'s backend.
 ///
-/// A trace whose blocks end past
-/// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END) is refused as
+/// A configuration that [`SystemConfig::validate`] refuses, or a trace
+/// whose blocks end past
+/// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END), is refused as
 /// `simulate` refuses it: the report carries the one violation and
 /// nothing is replayed.
 pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
@@ -137,7 +138,7 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
         truncated_ops: (trace.ops.len() - n) as u64,
         ..TortureReport::default()
     };
-    if let Err(e) = lbn_domain_end(trace) {
+    if let Err(e) = config.validate().and_then(|()| lbn_domain_end(trace)) {
         report.violations.push(format!("cannot replay: {e}"));
         return report;
     }
@@ -183,11 +184,11 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
                     .map_err(|e| format!("cannot build card: {e}"))?
                     .with_faults(config.fault)
                     .with_integrity(config.integrity);
-                if working.len() as u64 > card.capacity_blocks() {
+                if working.len() as u64 > card.fillable_blocks() {
                     return Err(format!(
-                        "working set ({} blocks) exceeds card capacity ({} blocks)",
+                        "working set ({} blocks) exceeds the {} blocks an aged card can fill",
                         working.len(),
-                        card.capacity_blocks()
+                        card.fillable_blocks()
                     ));
                 }
                 card.preload_aged(working.iter().copied());
@@ -208,10 +209,7 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
                 .last()
                 .map_or(0, |op| op.time.saturating_since(SimTime::ZERO).as_nanos());
             let mut deaths: Vec<Option<SimTime>> = vec![None; children.len()];
-            // With no children there is nothing to kill, and the build
-            // below refuses the geometry.
-            let victims = if children.is_empty() { 0 } else { *m };
-            for d in 0..victims {
+            for d in 0..*m {
                 let child = d * children.len() / *m;
                 let at = span_ns * (d as u64 + 1) / (*m as u64 + 1);
                 deaths[child] = Some(SimTime::from_nanos(at));
@@ -842,12 +840,12 @@ mod tests {
         for (config, violation) in [
             (
                 wide,
-                "cannot build array: array geometry is invalid: bad erasure-code geometry \
+                "cannot replay: array geometry is invalid: bad erasure-code geometry \
                  200+100: need k >= 1, m >= 1, k+m <= 255",
             ),
             (
                 childless,
-                "cannot build array: array geometry is invalid: a 2+1 array needs exactly 3 \
+                "cannot replay: array geometry is invalid: a 2+1 array needs exactly 3 \
                  children, got 0",
             ),
         ] {
@@ -874,7 +872,7 @@ mod tests {
             assert_eq!(
                 report.violations,
                 [format!(
-                    "cannot build array: array geometry is invalid: a rebuild rate of {shown} \
+                    "cannot replay: array geometry is invalid: a rebuild rate of {shown} \
                      stripes/s gives no per-stripe period of at least 1 ns that fits the \
                      simulated clock"
                 )]
@@ -911,9 +909,45 @@ mod tests {
             assert_eq!(
                 report.violations,
                 [format!(
-                    "cannot build array: array geometry is invalid: a rebuild rate of {shown} \
+                    "cannot replay: array geometry is invalid: a rebuild rate of {shown} \
                      stripes/s gives no per-stripe period of at least 1 ns that fits the \
                      simulated clock"
+                )]
+            );
+        }
+    }
+
+    #[test]
+    fn an_aged_card_is_checked_against_the_blocks_it_can_fill() {
+        // card_config()'s four segments of 128 blocks leave two to fill.
+        let reads = |blocks: u64| {
+            let mut trace = Trace::new(1024);
+            for (i, lbn) in (0..blocks).step_by(8).enumerate() {
+                trace.push(DiskOp {
+                    time: SimTime::from_secs_f64(i as f64),
+                    kind: DiskOpKind::Read,
+                    lbn,
+                    blocks: (blocks - lbn).min(8) as u32,
+                    file: FileId(0),
+                });
+            }
+            trace
+        };
+        let opts = TortureOptions {
+            crash_points: CrashPoints::Sampled(4),
+            ..TortureOptions::default()
+        };
+        let report = torture(&card_config(), &reads(256), &opts);
+        assert!(report.passed(), "{:?}", report.violations);
+        assert_eq!(report.crashes, 4);
+        for blocks in [257, 512] {
+            let report =
+                std::panic::catch_unwind(|| torture(&card_config(), &reads(blocks), &opts))
+                    .expect("a working set past the fillable blocks is a violation, not a panic");
+            assert_eq!(
+                report.violations,
+                [format!(
+                    "working set ({blocks} blocks) exceeds the 256 blocks an aged card can fill"
                 )]
             );
         }

@@ -24,6 +24,7 @@ use mobistore_sim::fault::{DeathSchedule, PowerFailSchedule};
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::lbn::MAX_LBN_END;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
+use mobistore_sim::rule::{KnobError, Rule};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_trace::record::{working_set_runs_and_end, DiskOp, DiskOpKind, Trace};
@@ -83,10 +84,10 @@ pub fn simulate(config: &SystemConfig, trace: &Trace) -> Metrics {
 ///
 /// # Panics
 ///
-/// Panics if a flash-card backend cannot hold the trace's working set at
-/// the configured utilization/capacity (§5.2 requires the accessed data to
-/// fit within the preallocated bound), or if the warm-up consumes the
-/// whole trace. Use [`try_simulate`] for a fallible variant.
+/// Panics where [`try_simulate`] returns an error: a configuration that
+/// breaks a rule, a flash card that cannot hold the trace's working set
+/// (§5.2 requires the accessed data to fit the preallocated bound), or a
+/// warm-up that consumes the whole trace.
 pub fn simulate_with(config: &SystemConfig, trace: &Trace, options: RunOptions) -> Metrics {
     simulate_observed(config, trace, options, &mut NoopObserver)
 }
@@ -138,8 +139,11 @@ pub enum ConfigError {
     Checkpoint(String),
     /// The backend device refused the configured geometry (an
     /// erasure-coded array's `k`, `m`, child list, block size or rebuild
-    /// rate).
+    /// rate, or a flash card's segments).
     DeviceGeometry(mobistore_device::DeviceError),
+    /// A knob breaks its rule (see
+    /// [`SystemConfig::validate`](crate::config::SystemConfig::validate)).
+    Knob(KnobError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -167,6 +171,7 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::Checkpoint(reason) => write!(f, "checkpoint: {reason}"),
             ConfigError::DeviceGeometry(e) => write!(f, "{e}"),
+            ConfigError::Knob(e) => write!(f, "{e}"),
         }
     }
 }
@@ -306,16 +311,19 @@ fn in_lbn_domain(end: u64) -> Result<u64, ConfigError> {
 /// This is the one place that looks at the configured backend: it builds
 /// the device (preloading the block-mapped ones with the trace's working
 /// set) and hands it to a simulator monomorphised for that device. Before
-/// building anything it refuses a run whose blocks would pass
-/// [`MAX_LBN_END`] with [`ConfigError::LbnDomain`]. The block-mapped
-/// devices take where the trace ends from the pass that finds their
-/// working set, so one pass over the ops serves both.
+/// building anything it refuses what [`SystemConfig::validate`] refuses,
+/// and a run whose blocks would pass [`MAX_LBN_END`] with
+/// [`ConfigError::LbnDomain`]. The block-mapped devices take where the
+/// trace ends from the pass that finds their working set, so one pass over
+/// the ops serves both. A card's working set, and capacity × utilization,
+/// must fit the blocks an aged card can fill.
 pub fn try_simulate_observed<O: Observer>(
     config: &SystemConfig,
     trace: &Trace,
     options: RunOptions,
     obs: &mut O,
 ) -> Result<Metrics, SimError> {
+    config.validate()?;
     if options.warm_percent >= 100 {
         return Err(ConfigError::NothingToMeasure.into());
     }
@@ -350,14 +358,37 @@ pub fn try_simulate_observed<O: Observer>(
             let (working, end) = working_set_runs_and_end(&trace.ops);
             let end = in_lbn_domain(end)?;
             let w: u64 = working.iter().map(|(start, end)| end - start).sum();
-            let capacity_blocks =
-                (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
-            let target =
-                utilization.map_or(w, |frac| (capacity_blocks as f64 * frac).round() as u64);
+            let card = FlashCardStore::try_new(FlashCardConfig {
+                params: params.clone(),
+                block_size: trace.block_size,
+                capacity_bytes: *capacity_bytes,
+                mode: *mode,
+                victim_policy: *victim_policy,
+                queueing,
+            })
+            .map_err(ConfigError::DeviceGeometry)?;
+            let capacity = card.capacity_blocks();
+            let target = utilization.map_or(w, |frac| (capacity as f64 * frac).round() as u64);
             if w > target {
                 return Err(ConfigError::FlashOverfull {
                     working_set_blocks: w,
                     target_blocks: target,
+                }
+                .into());
+            }
+            let fillable = card.fillable_blocks();
+            if target > fillable {
+                return Err(match *utilization {
+                    Some(frac) => ConfigError::Knob(KnobError {
+                        knob: "utilization",
+                        value: format!("{frac:?} of {capacity} blocks"),
+                        rule: Rule::AtMost("the blocks an aged card can fill", fillable),
+                    }),
+                    // Without a utilization the target is the working set.
+                    None => ConfigError::FlashOverfull {
+                        working_set_blocks: w,
+                        target_blocks: fillable,
+                    },
                 }
                 .into());
             }
@@ -371,16 +402,9 @@ pub fn try_simulate_observed<O: Observer>(
             if filler_end > MAX_LBN_END {
                 return Err(ConfigError::LbnDomain { end: filler_end }.into());
             }
-            let mut card = FlashCardStore::new(FlashCardConfig {
-                params: params.clone(),
-                block_size: trace.block_size,
-                capacity_bytes: *capacity_bytes,
-                mode: *mode,
-                victim_policy: *victim_policy,
-                queueing,
-            })
-            .with_faults(config.fault)
-            .with_integrity(config.integrity);
+            let mut card = card
+                .with_faults(config.fault)
+                .with_integrity(config.integrity);
             let blocks = working.into_iter().flat_map(|(start, end)| start..end);
             card.preload_aged(blocks.chain(filler_base..filler_end));
             Simulator::new(config, trace, card, obs).run(trace, options)
@@ -505,10 +529,6 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
     }
 
     fn run(mut self, trace: &Trace, options: RunOptions) -> Metrics {
-        assert!(
-            options.warm_percent < 100,
-            "warm-up must leave something to measure"
-        );
         // One relaxed atomic add per run keeps the ops/sec denominators
         // (perfbench, --timings-json) honest without touching the per-op
         // path.
@@ -821,10 +841,11 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
             let Some(sched) = self.power_fails.as_mut() else {
                 return;
             };
-            let at = SimTime::from_secs_f64(sched.next_at_secs());
-            if at > until {
-                return;
-            }
+            // An instant past the clock's end never comes.
+            let at = match SimDuration::try_from_secs_f64(sched.next_at_secs()) {
+                Some(d) if SimTime::ZERO + d <= until => SimTime::ZERO + d,
+                _ => return,
+            };
             sched.advance();
             self.power_fail(at);
         }
@@ -1378,6 +1399,28 @@ mod tests {
             let b = simulate(&cfg, &trace);
             assert_eq!(a.energy.get(), b.energy.get(), "{}", cfg.name);
             assert_eq!(a.fault_totals(), b.fault_totals(), "{}", cfg.name);
+        }
+    }
+
+    #[test]
+    fn instants_past_the_clock_never_come() {
+        use mobistore_device::array::ChildClass;
+        use mobistore_sim::fault::FaultConfig;
+        let trace = small_trace(100, 1000);
+        // Means this long draw power failures and deaths past the clock's
+        // end for some seeds; those never come, and the runs complete.
+        for seed in 0..8 {
+            let never = FaultConfig::with_rate(0.0, seed)
+                .with_power_failures(SimDuration::MAX)
+                .with_death_rate(1e-300);
+            for cfg in [
+                SystemConfig::disk(cu140_datasheet()),
+                SystemConfig::array(2, 1, vec![ChildClass::FlashDisk; 3]),
+            ] {
+                let m = try_simulate(&cfg.with_faults(never), &trace, RunOptions::default());
+                let t = m.expect("runs").fault_totals();
+                assert_eq!((t.power_failures, t.device_deaths), (0, 0), "seed {seed}");
+            }
         }
     }
 

@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use mobistore_sim::ec::{bit, set_bit, DecodeScratch, EcError, ReedSolomon};
+use mobistore_sim::ec::{bit, check_geometry, set_bit, DecodeScratch, EcError, ReedSolomon};
 use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
 use mobistore_sim::fault::DeathSchedule;
 use mobistore_sim::hist::LatencyRecorder;
@@ -180,7 +180,28 @@ impl std::fmt::Display for ArrayGeometryError {
 /// so small (1e-300) or so large (1e12) that the period cannot be
 /// simulated.
 pub fn rebuild_period(rate: f64) -> Option<SimDuration> {
-    SimDuration::try_from_secs_f64(1.0 / rate).filter(|d| !d.is_zero())
+    SimDuration::period(1.0 / rate)
+}
+
+/// The rebuild pace an array starts with, in stripes per second.
+pub const DEFAULT_REBUILD_RATE: f64 = 128.0;
+
+/// The array's geometry rule: a `k + m` code the codec can build
+/// ([`check_geometry`]), one child per shard, and a rebuild `rate` with a
+/// per-stripe period ([`rebuild_period`]), which it returns.
+pub fn geometry(
+    k: usize,
+    m: usize,
+    children: usize,
+    rate: f64,
+) -> Result<SimDuration, ArrayGeometryError> {
+    check_geometry(k, m).map_err(ArrayGeometryError::Code)?;
+    if children != k + m {
+        return Err(ArrayGeometryError::Children { k, m, children });
+    }
+    rebuild_period(rate).ok_or(ArrayGeometryError::RebuildRate {
+        bits: rate.to_bits(),
+    })
 }
 
 mobistore_sim::counter_set! {
@@ -496,30 +517,23 @@ impl ArrayDevice {
     }
 
     /// Fallible [`new`](Self::new): returns
-    /// [`DeviceError::ArrayGeometry`] instead of panicking if the codec
-    /// cannot build a `k + m` code, `children` does not hold `k + m`
-    /// devices, or `block_bytes` is zero.
+    /// [`DeviceError::ArrayGeometry`] instead of panicking if the
+    /// [`geometry`] rule refuses `k`, `m` and `children`, or `block_bytes`
+    /// is zero.
     pub fn try_new(
         k: usize,
         m: usize,
         children: &[ChildClass],
         block_bytes: u64,
     ) -> Result<Self, DeviceError> {
-        let refuse = |reason| Err(DeviceError::ArrayGeometry(reason));
-        let rs = match ReedSolomon::new(k, m) {
-            Ok(rs) => rs,
-            Err(e) => return refuse(ArrayGeometryError::Code(e)),
-        };
-        if children.len() != k + m {
-            return refuse(ArrayGeometryError::Children {
-                k,
-                m,
-                children: children.len(),
-            });
-        }
+        let rebuild_period = geometry(k, m, children.len(), DEFAULT_REBUILD_RATE)
+            .map_err(DeviceError::ArrayGeometry)?;
         if block_bytes == 0 {
-            return refuse(ArrayGeometryError::ZeroBlockSize);
+            return Err(DeviceError::ArrayGeometry(
+                ArrayGeometryError::ZeroBlockSize,
+            ));
         }
+        let rs = ReedSolomon::new(k, m).expect("the geometry rule admits the code");
         let children = children
             .iter()
             .map(|&class| Child::new(class))
@@ -532,7 +546,7 @@ impl ArrayDevice {
             queueing: QueueDiscipline::Fifo,
             deaths: DeathSchedule::quiet(n),
             spares: 1,
-            rebuild_period: SimDuration::from_secs_f64(1.0 / 128.0),
+            rebuild_period,
             retry_backoff: SimDuration::from_millis_f64(1.0),
             max_retries: 3,
             stripes: LbnTable::new(),
@@ -599,14 +613,11 @@ impl ArrayDevice {
     /// [`DeviceError::ArrayGeometry`] instead of panicking when `rate`
     /// gives no per-stripe period.
     pub fn try_with_rebuild_rate(mut self, rate: f64) -> Result<Self, DeviceError> {
-        let Some(period) = rebuild_period(rate) else {
-            return Err(DeviceError::ArrayGeometry(
-                ArrayGeometryError::RebuildRate {
-                    bits: rate.to_bits(),
-                },
-            ));
-        };
-        self.rebuild_period = period;
+        self.rebuild_period = rebuild_period(rate).ok_or(DeviceError::ArrayGeometry(
+            ArrayGeometryError::RebuildRate {
+                bits: rate.to_bits(),
+            },
+        ))?;
         Ok(self)
     }
 

@@ -14,6 +14,7 @@
 //!   suspended while the device serves requests.
 
 use mobistore_sim::energy::{EnergyMeter, Joules};
+use mobistore_sim::fault::RETRY_BACKOFF;
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
 use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::price::{Cost, PriceTable};
@@ -149,14 +150,12 @@ impl FlashDisk {
     /// Installs a bit-error/ECC plan built from `integrity`. A zero-rate
     /// configuration (the default) draws nothing and leaves behaviour
     /// bit-identical to a device without a plan. The flash disk ignores
-    /// `scrub_interval` — its controller hides sector management, so there
-    /// is no segment walk to schedule — and uses the configuration's own
-    /// `retry_backoff` (it has no fault plan to borrow one from).
+    /// `scrub_interval`: its controller hides sector management, so there
+    /// is no segment walk to schedule.
     ///
     /// # Panics
     ///
-    /// Panics if `integrity` has a negative or non-finite rate or
-    /// disordered thresholds.
+    /// Panics where [`IntegrityConfig::validate`] refuses `integrity`.
     pub fn with_integrity(mut self, integrity: IntegrityConfig) -> Self {
         self.integrity = IntegrityPlan::new(integrity);
         self
@@ -313,8 +312,7 @@ impl Device for FlashDisk {
                 self.counters.read_retries += u64::from(attempts);
                 // Each retry backs off and re-runs the transfer.
                 let transfer = cost.time - self.params.access_latency;
-                let extra =
-                    (self.integrity.config().retry_backoff + transfer) * u64::from(attempts);
+                let extra = (RETRY_BACKOFF + transfer) * u64::from(attempts);
                 total += extra;
                 retry = Some((attempts, extra));
                 obs.record(&Event::ReadRetry {

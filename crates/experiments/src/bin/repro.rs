@@ -110,8 +110,10 @@ use mobistore_device::DeviceError;
 use mobistore_experiments::fleet::FleetOptions;
 use mobistore_experiments::render::{try_render_target, RenderOptions, RenderedTarget, TARGETS};
 use mobistore_experiments::{export, Scale};
+use mobistore_sim::ec::{check_geometry, MAX_SHARDS};
 use mobistore_sim::exec;
 use mobistore_sim::prof;
+use mobistore_sim::rule::Rule;
 use mobistore_sim::span::{chrome_trace_json, Span};
 use mobistore_sim::time::SimDuration;
 
@@ -178,10 +180,7 @@ fn main() -> ExitCode {
                 None => return usage("--trace-out needs a file path"),
             },
             "--progress" => render.progress = true,
-            "--fault-rates" => match args
-                .next()
-                .map(|v| parse_list(&v, |r| (0.0..=1.0).contains(&r)))
-            {
+            "--fault-rates" => match args.next().map(|v| parse_list(&v, Rule::Probability)) {
                 Some(Some(rates)) => render.reliability.rates = rates,
                 _ => {
                     return usage("--fault-rates needs comma-separated rates in [0, 1]");
@@ -208,7 +207,7 @@ fn main() -> ExitCode {
                 Some(v) => render.crashcheck.seed = v,
                 None => return usage("--crash-seed needs an integer"),
             },
-            "--ber-rates" => match args.next().map(|v| parse_list(&v, |r| r >= 0.0)) {
+            "--ber-rates" => match args.next().map(|v| parse_list(&v, Rule::Rate)) {
                 Some(Some(rates)) => render.integrity.rates = rates,
                 _ => {
                     return usage("--ber-rates needs comma-separated non-negative error counts");
@@ -261,9 +260,7 @@ fn main() -> ExitCode {
             // Hidden chaos knobs (absent from the usage string): they
             // exist so tests and CI can prove the supervisor end-to-end.
             "--chaos-panic-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && (0.0..=1.0).contains(&v) => {
-                    render.fleet.chaos.panic_rate = v;
-                }
+                Some(v) if Rule::Probability.admits(v) => render.fleet.chaos.panic_rate = v,
                 _ => return usage("--chaos-panic-rate needs a probability in [0, 1]"),
             },
             "--chaos-fail-point" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
@@ -275,12 +272,11 @@ fn main() -> ExitCode {
                 _ => {
                     return usage(&format!(
                         "--ec needs comma-separated k+m geometries with k >= 1, \
-                         m >= 1, and k+m <= the {}-device stripe limit",
-                        mobistore_experiments::durability::MAX_SHARDS
+                         m >= 1, and k+m <= the {MAX_SHARDS}-device stripe limit"
                     ));
                 }
             },
-            "--death-rates" => match args.next().map(|v| parse_list(&v, |r| r >= 0.0)) {
+            "--death-rates" => match args.next().map(|v| parse_list(&v, Rule::Rate)) {
                 Some(Some(rates)) => render.durability.death_rates = rates,
                 _ => {
                     return usage("--death-rates needs comma-separated non-negative rates");
@@ -502,55 +498,40 @@ fn parse_crash_points(s: &str) -> Option<CrashPoints> {
     }
 }
 
-/// Parses `--ec`: comma-separated `k+m` geometries. Each part must be
-/// two positive integers joined by `+`, with `k+m` within the GF(2^8)
-/// codec's 255-shard stripe limit — `0+2`, `4+0`, `200+100`, and
-/// anything unparsable are usage errors.
+/// Parses `--ec`: comma-separated `k+m` geometries, each two integers
+/// joined by `+` that the codec's [`check_geometry`] admits — `0+2`,
+/// `4+0`, `200+100`, and anything unparsable are usage errors.
 fn parse_geometries(s: &str) -> Option<Vec<(usize, usize)>> {
     let geometries: Option<Vec<(usize, usize)>> = s
         .split(',')
         .map(|part| {
             let (k, m) = part.trim().split_once('+')?;
-            match (k.trim().parse::<usize>(), m.trim().parse::<usize>()) {
-                (Ok(k), Ok(m))
-                    if k >= 1
-                        && m >= 1
-                        && k + m <= mobistore_experiments::durability::MAX_SHARDS =>
-                {
-                    Some((k, m))
-                }
-                _ => None,
-            }
+            let (k, m) = (k.trim().parse().ok()?, m.trim().parse().ok()?);
+            check_geometry(k, m).ok().map(|()| (k, m))
         })
         .collect();
     geometries.filter(|g| !g.is_empty())
 }
 
 /// Parses `--fault-power-interval` and `--scrub-interval`: `0` disables
-/// the feature (`Some(None)`); any other value must be a [`period`].
+/// the feature (`Some(None)`); any other value must be a
+/// [`SimDuration::period`].
 fn parse_interval(s: &str) -> Option<Option<SimDuration>> {
     let secs = s.parse::<f64>().ok()?;
     if secs == 0.0 {
         return Some(None);
     }
-    period(secs).map(Some)
+    SimDuration::period(secs).map(Some)
 }
 
-/// `secs` as a simulated period, if it rounds to at least 1 ns and fits
-/// the clock (2^64 ns, about 584 years).
-fn period(secs: f64) -> Option<SimDuration> {
-    SimDuration::try_from_secs_f64(secs).filter(|d| !d.is_zero())
-}
-
-/// Parses a comma-separated list of finite numbers that each pass `ok`:
-/// `--fault-rates` are probabilities in `[0, 1]`; `--ber-rates` and
-/// `--death-rates` are rates, not capped at 1 but `>= 0`. An empty list
-/// fails.
-fn parse_list(s: &str, ok: impl Fn(f64) -> bool) -> Option<Vec<f64>> {
+/// Parses a comma-separated list of numbers that each keep `rule`:
+/// `--fault-rates` are [`Rule::Probability`]s; `--ber-rates` and
+/// `--death-rates` are [`Rule::Rate`]s. An empty list fails.
+fn parse_list(s: &str, rule: Rule) -> Option<Vec<f64>> {
     let values: Option<Vec<f64>> = s
         .split(',')
         .map(|part| match part.trim().parse::<f64>() {
-            Ok(v) if v.is_finite() && ok(v) => Some(v),
+            Ok(v) if rule.admits(v) => Some(v),
             _ => None,
         })
         .collect();

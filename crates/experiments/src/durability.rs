@@ -31,10 +31,6 @@ use mobistore_workload::Workload;
 use crate::fleet::device_mix;
 use crate::{shared_trace, Scale};
 
-/// The GF(2^8) codec's hard shard ceiling: a stripe can spread over at
-/// most 255 devices.
-pub const MAX_SHARDS: usize = 255;
-
 /// Salt mixed into every per-cell death-schedule seed.
 const DEATH_SALT: u64 = 0x00d0_0dea_d5ee_d000;
 

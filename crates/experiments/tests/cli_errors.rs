@@ -160,6 +160,7 @@ fn malformed_ec_geometries_are_usage_errors() {
     assert_usage_error(&["--ec", "0+2"], "--ec");
     assert_usage_error(&["--ec", "4+0"], "--ec");
     assert_usage_error(&["--ec", "200+100"], "--ec");
+    assert_usage_error(&["--ec", "18446744073709551615+1"], "--ec");
     assert_usage_error(&["--ec", "4+2,0+1"], "--ec");
     assert_usage_error(&["--ec", "4-2"], "--ec");
     assert_usage_error(&["--ec", "banana"], "--ec");

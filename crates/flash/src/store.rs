@@ -28,7 +28,7 @@ use mobistore_device::params::FlashCardParams;
 use mobistore_device::{Device, DeviceError, ReadOutcome, Request, Service, WriteOutcome};
 use mobistore_sim::crashcheck::FIRST_GENERATION;
 use mobistore_sim::energy::{EnergyMeter, Joules};
-use mobistore_sim::fault::{EraseOutcome, FaultConfig, FaultPlan};
+use mobistore_sim::fault::{EraseOutcome, FaultConfig, FaultPlan, RETRY_BACKOFF};
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
 use mobistore_sim::lbn::{LbnTable, MAX_LBN_END};
@@ -473,7 +473,7 @@ impl FlashCardStore {
     ///
     /// # Panics
     ///
-    /// Panics if any rate in `fault` is outside `[0, 1]`.
+    /// Panics where [`FaultConfig::validate`] refuses `fault`.
     pub fn with_faults(mut self, fault: FaultConfig) -> Self {
         self.plan = FaultPlan::new(fault);
         self
@@ -486,8 +486,7 @@ impl FlashCardStore {
     ///
     /// # Panics
     ///
-    /// Panics if `integrity` has a negative or non-finite rate, disordered
-    /// thresholds, or a zero scrub interval.
+    /// Panics where [`IntegrityConfig::validate`] refuses `integrity`.
     pub fn with_integrity(mut self, integrity: IntegrityConfig) -> Self {
         self.next_scrub = match integrity.scrub_interval {
             Some(interval) => SimTime::ZERO + interval,
@@ -516,6 +515,13 @@ impl FlashCardStore {
     /// Returns the card capacity in blocks.
     pub fn capacity_blocks(&self) -> u64 {
         u64::from(self.blocks_per_segment) * self.segments.len() as u64
+    }
+
+    /// Returns the blocks an aged preload can fill: every segment but the
+    /// frontier and the erased reserve (see
+    /// [`preload_aged`](Self::preload_aged)).
+    pub fn fillable_blocks(&self) -> u64 {
+        u64::from(self.blocks_per_segment) * (self.segments.len() as u64 - 2)
     }
 
     /// Returns the number of live (mapped) blocks.
@@ -705,8 +711,8 @@ impl FlashCardStore {
     /// (a card written and then trimmed to nothing has), or if a segment
     /// other than the frontier is not in the erased pool (an earlier aged
     /// preload, even of nothing, leaves them full). Panics too if the
-    /// blocks do not fit in the fillable segments, or on an lbn at or past
-    /// [`MAX_LBN_END`].
+    /// blocks are more than [`fillable_blocks`](Self::fillable_blocks), or
+    /// on an lbn at or past [`MAX_LBN_END`].
     pub fn preload_aged(&mut self, lbns: impl IntoIterator<Item = u64>) {
         // A frontier opens only to take a block, so a frontier with no
         // slot used is segment 0, the one a new card starts with.
@@ -722,7 +728,7 @@ impl FlashCardStore {
         );
         let reserve = self.segments.len() as u32 - 1;
         let fillable = reserve - 1;
-        let capacity = u64::from(fillable) * u64::from(self.blocks_per_segment);
+        let capacity = self.fillable_blocks();
 
         // Fill segments 1..N-1 (0 stays the frontier, N-1 stays erased).
         // Blocks are interleaved round-robin so that consecutive logical
@@ -1476,8 +1482,7 @@ impl Device for FlashCardStore {
                         .params
                         .read_bandwidth
                         .transfer_time(self.config.block_size);
-                    let extra =
-                        (self.plan.config().retry_backoff + block_read) * u64::from(attempts);
+                    let extra = (RETRY_BACKOFF + block_read) * u64::from(attempts);
                     self.backoff.record(extra);
                     dur += extra;
                     retry_extra += extra;
@@ -1622,7 +1627,7 @@ impl Device for FlashCardStore {
                 t: start + wait,
                 kind: FaultKind::WriteRetry { retries },
             });
-            let extra = (self.plan.config().retry_backoff + dur) * u64::from(retries);
+            let extra = (RETRY_BACKOFF + dur) * u64::from(retries);
             self.counters.write_retry_backoff += extra;
             self.backoff.record(extra);
             dur += extra;
@@ -2320,6 +2325,7 @@ mod tests {
         two.preload_aged(std::iter::empty());
         assert_eq!((two.live_blocks(), two.census().free), (0, 256));
         two.check_invariants();
+        assert_eq!((card.fillable_blocks(), two.fillable_blocks()), (256, 0));
         // Overwrites at this utilization still make progress: dead blocks
         // accumulate in the preloaded segments and cleaning reclaims them.
         let mut t = SimTime::ZERO;

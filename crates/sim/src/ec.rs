@@ -27,6 +27,19 @@
 //! Determinism: encoding and decoding are pure functions of their inputs;
 //! no randomness, no floating point, no platform dependence.
 
+/// The codec's shard ceiling: the field has only 255 nonzero points, so
+/// a stripe spreads over at most 255 devices.
+pub const MAX_SHARDS: usize = 255;
+
+/// The codec's geometry rule: `k ≥ 1` data and `m ≥ 1` parity shards,
+/// `k + m` at most [`MAX_SHARDS`].
+pub fn check_geometry(k: usize, m: usize) -> Result<(), EcError> {
+    if k == 0 || m == 0 || k.saturating_add(m) > MAX_SHARDS {
+        return Err(EcError::BadGeometry { k, m });
+    }
+    Ok(())
+}
+
 /// Errors reported by [`ReedSolomon`] construction and decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcError {
@@ -209,11 +222,9 @@ pub fn set_bit(bits: &mut [u64], i: usize, on: bool) {
 }
 
 impl ReedSolomon {
-    /// Builds the code for a `k+m` geometry.
+    /// Builds the code for a `k+m` geometry ([`check_geometry`]).
     pub fn new(k: usize, m: usize) -> Result<Self, EcError> {
-        if k == 0 || m == 0 || k + m > 255 {
-            return Err(EcError::BadGeometry { k, m });
-        }
+        check_geometry(k, m)?;
         let gf = Gf256::new();
         // Vandermonde rows: V[i][j] = alpha^(i*j) for i in 0..k+m. Every
         // square submatrix of V built from distinct rows is invertible.
@@ -698,6 +709,14 @@ mod tests {
             Err(EcError::BadGeometry { .. })
         ));
         assert!(ReedSolomon::new(1, 254).is_ok());
+        // A sum past usize is refused, not overflowed.
+        assert_eq!(
+            check_geometry(usize::MAX, 1),
+            Err(EcError::BadGeometry {
+                k: usize::MAX,
+                m: 1
+            })
+        );
     }
 
     /// Schoolbook GF(2^8) product: the carry-less product of `a` and

@@ -29,6 +29,7 @@
 //!   reclaim on the flash card).
 
 use crate::rng::SimRng;
+use crate::rule::{KnobError, Rule};
 use crate::time::{SimDuration, SimTime};
 
 /// RNG stream selector for device-level (write/erase) fault draws.
@@ -37,6 +38,11 @@ const DEVICE_FAULT_STREAM: u64 = 0x000f_a017_0001;
 const POWER_FAULT_STREAM: u64 = 0x000f_a017_0002;
 /// RNG stream selector for whole-device permanent-death instants.
 const DEVICE_DEATH_STREAM: u64 = 0x000f_a017_0003;
+
+/// The delay a controller waits before each retry: of a card's write
+/// after a transient program failure, and of a card's or flash disk's
+/// read after an ECC failure.
+pub const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(250);
 
 /// Rates and costs of injected faults. All rates default to zero, which
 /// injects nothing and reproduces the fault-free simulator byte for byte.
@@ -54,8 +60,6 @@ pub struct FaultConfig {
     /// Upper bound on transient retries per operation; a real controller
     /// gives up and remaps, we simply stop charging extra time.
     pub max_retries: u32,
-    /// Fixed delay the controller waits before each retry attempt.
-    pub retry_backoff: SimDuration,
     /// Mean interval between power failures (exponentially distributed);
     /// `None` disables power-fail injection.
     pub power_fail_mean: Option<SimDuration>,
@@ -80,7 +84,6 @@ impl FaultConfig {
             erase_fail_rate: 0.0,
             permanent_rate: 0.0,
             max_retries: 3,
-            retry_backoff: SimDuration::from_micros(250),
             power_fail_mean: None,
             fat_scan_bytes: 128 * 1024,
             death_rate: 0.0,
@@ -120,27 +123,18 @@ impl FaultConfig {
             && self.death_rate == 0.0
     }
 
-    /// Validates rates; called by plan constructors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is outside `[0, 1]` or non-finite.
-    fn validate(&self) {
-        for (name, r) in [
-            ("write_fail_rate", self.write_fail_rate),
-            ("erase_fail_rate", self.erase_fail_rate),
-            ("permanent_rate", self.permanent_rate),
-        ] {
-            assert!(
-                r.is_finite() && (0.0..=1.0).contains(&r),
-                "{name} out of range: {r}"
-            );
+    /// Checks every fault knob's rule: the three fault rates are
+    /// probabilities, the death rate a rate, and the power-fail mean a
+    /// period.
+    pub fn validate(&self) -> Result<(), KnobError> {
+        Rule::Probability.check("write_fail_rate", self.write_fail_rate)?;
+        Rule::Probability.check("erase_fail_rate", self.erase_fail_rate)?;
+        Rule::Probability.check("permanent_rate", self.permanent_rate)?;
+        Rule::Rate.check("death_rate", self.death_rate)?;
+        match self.power_fail_mean {
+            Some(mean) => Rule::Period.check("power_fail_mean", mean.as_secs_f64()),
+            None => Ok(()),
         }
-        assert!(
-            self.death_rate.is_finite() && self.death_rate >= 0.0,
-            "death_rate out of range: {}",
-            self.death_rate
-        );
     }
 }
 
@@ -185,9 +179,9 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if any rate in `config` is outside `[0, 1]`.
+    /// Panics where [`FaultConfig::validate`] refuses `config`.
     pub fn new(config: FaultConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         FaultPlan {
             rng: SimRng::seed_with_stream(config.seed, DEVICE_FAULT_STREAM),
             config,
@@ -253,9 +247,13 @@ pub struct PowerFailSchedule {
 impl PowerFailSchedule {
     /// Builds the schedule from `config`, or `None` if power failures are
     /// disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`FaultConfig::validate`] refuses `config`.
     pub fn from_config(config: &FaultConfig) -> Option<Self> {
         let mean = config.power_fail_mean?;
-        assert!(!mean.is_zero(), "power-fail mean interval must be positive");
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut sched = PowerFailSchedule {
             mean,
             rng: SimRng::seed_with_stream(config.seed, POWER_FAULT_STREAM),
@@ -292,20 +290,24 @@ pub struct DeathSchedule {
 }
 
 impl DeathSchedule {
-    /// Draws a death instant for each of `devices` children.
+    /// Draws a death instant for each of `devices` children; one past the
+    /// simulated clock's end never comes.
     ///
     /// # Panics
     ///
-    /// Panics if any rate in `config` is out of range.
+    /// Panics where [`FaultConfig::validate`] refuses `config`.
     pub fn new(config: &FaultConfig, devices: usize) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let deaths = if config.death_rate == 0.0 {
             vec![None; devices]
         } else {
             let mut rng = SimRng::seed_with_stream(config.seed, DEVICE_DEATH_STREAM);
             let mean_secs = 3600.0 / config.death_rate;
             (0..devices)
-                .map(|_| Some(SimTime::from_secs_f64(rng.exponential(mean_secs))))
+                .map(|_| {
+                    SimDuration::try_from_secs_f64(rng.exponential(mean_secs))
+                        .map(|d| SimTime::ZERO + d)
+                })
                 .collect()
         };
         DeathSchedule { deaths }

@@ -28,6 +28,7 @@
 //! the ECC budget and retry threshold.
 
 use crate::rng::SimRng;
+use crate::rule::{KnobError, Rule};
 use crate::time::SimDuration;
 
 /// RNG stream selector for bit-error draws; distinct from the fault
@@ -68,10 +69,6 @@ pub struct IntegrityConfig {
     pub scrub_interval: Option<SimDuration>,
     /// Latency added to a read per block the ECC had to correct.
     pub correction_penalty: SimDuration,
-    /// Delay per read-retry attempt (devices without a fault plan, such
-    /// as the flash disk, use this; the flash card reuses its fault
-    /// plan's `retry_backoff`).
-    pub retry_backoff: SimDuration,
     /// Seed for the bit-error stream. Independent of the workload and
     /// fault seeds so the same trace can be replayed under different
     /// error schedules.
@@ -90,7 +87,6 @@ impl IntegrityConfig {
             relocate_threshold: 6,
             scrub_interval: None,
             correction_penalty: SimDuration::from_micros(20),
-            retry_backoff: SimDuration::from_micros(250),
             seed: 0,
         }
     }
@@ -152,33 +148,20 @@ impl IntegrityConfig {
         errors >= self.relocate_threshold && errors <= self.retry_threshold
     }
 
-    /// Validates rates and budgets; called by plan constructors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is negative or non-finite, or the thresholds
-    /// are not ordered `1 ≤ relocate`, `1 ≤ ecc ≤ retry`.
-    fn validate(&self) {
-        for (name, r) in [
-            ("base_errors", self.base_errors),
-            ("errors_per_erase", self.errors_per_erase),
-            ("retention_per_hour", self.retention_per_hour),
-        ] {
-            assert!(r.is_finite() && r >= 0.0, "{name} out of range: {r}");
-        }
-        assert!(self.ecc_correctable >= 1, "ecc_correctable must be >= 1");
-        assert!(
-            self.retry_threshold >= self.ecc_correctable,
-            "retry_threshold {} below ecc_correctable {}",
-            self.retry_threshold,
-            self.ecc_correctable
-        );
-        assert!(
-            self.relocate_threshold >= 1,
-            "relocate_threshold must be >= 1"
-        );
-        if let Some(interval) = self.scrub_interval {
-            assert!(!interval.is_zero(), "scrub_interval must be positive");
+    /// Checks every integrity knob's rule: the three growth rates are
+    /// rates, the thresholds ordered `1 ≤ ecc ≤ retry` and `1 ≤
+    /// relocate`, and the scrub interval a period.
+    pub fn validate(&self) -> Result<(), KnobError> {
+        Rule::Rate.check("base_errors", self.base_errors)?;
+        Rule::Rate.check("errors_per_erase", self.errors_per_erase)?;
+        Rule::Rate.check("retention_per_hour", self.retention_per_hour)?;
+        Rule::Count.check("ecc_correctable", self.ecc_correctable)?;
+        let ecc = u64::from(self.ecc_correctable);
+        Rule::AtLeast("ecc_correctable", ecc).check("retry_threshold", self.retry_threshold)?;
+        Rule::Count.check("relocate_threshold", self.relocate_threshold)?;
+        match self.scrub_interval {
+            Some(interval) => Rule::Period.check("scrub_interval", interval.as_secs_f64()),
+            None => Ok(()),
         }
     }
 }
@@ -240,10 +223,9 @@ impl IntegrityPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `config` has a negative/non-finite rate or disordered
-    /// thresholds.
+    /// Panics where [`IntegrityConfig::validate`] refuses `config`.
     pub fn new(config: IntegrityConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         IntegrityPlan {
             rng: SimRng::seed_with_stream(config.seed, INTEGRITY_STREAM),
             config,

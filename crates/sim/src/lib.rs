@@ -50,6 +50,8 @@
 //!   ([`span::chrome_trace_json`]) viewable in Perfetto;
 //! * [`prof`] — the process-wide simulated-op counter behind every
 //!   `ops/sec` figure, attributable per target;
+//! * [`rule`] — each configuration knob's rule ([`rule::Rule`]) and the
+//!   typed refusal that names the knob ([`rule::KnobError`]);
 //! * [`crashcheck`] — the differential crash-consistency shadow model
 //!   ([`crashcheck::ShadowModel`]): a device-independent oracle of legal
 //!   post-crash block contents, with typed [`crashcheck::Violation`]s.
@@ -74,6 +76,7 @@ pub mod obs;
 pub mod price;
 pub mod prof;
 pub mod rng;
+pub mod rule;
 pub mod span;
 pub mod stats;
 pub mod time;

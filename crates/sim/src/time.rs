@@ -161,6 +161,13 @@ impl SimDuration {
             .then(|| SimDuration(ns.round() as u64))
     }
 
+    /// `secs` as a usable period, if it rounds to at least 1 ns and fits
+    /// the clock (2^64 ns, about 584 years): the one rule of every
+    /// interval knob.
+    pub fn period(secs: f64) -> Option<Self> {
+        SimDuration::try_from_secs_f64(secs).filter(|d| !d.is_zero())
+    }
+
     /// Creates a duration from fractional milliseconds, rounding to the
     /// nearest nanosecond.
     ///
