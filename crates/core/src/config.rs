@@ -824,6 +824,26 @@ mod tests {
                 Box::new(move || disk().with_integrity(bits(-1.0))),
                 "base_errors",
             ),
+            (
+                "flash disk, correction_penalty MAX",
+                Box::new(move || {
+                    SystemConfig::flash_disk(sdp5_datasheet()).with_integrity(IntegrityConfig {
+                        correction_penalty: SimDuration::MAX,
+                        ..bits(4.0)
+                    })
+                }),
+                "correction_penalty",
+            ),
+            (
+                "disk, fat_scan_bytes MAX under power failures",
+                Box::new(move || {
+                    disk().with_faults(FaultConfig {
+                        fat_scan_bytes: u64::MAX,
+                        ..FaultConfig::none().with_power_failures(SimDuration::from_millis(50))
+                    })
+                }),
+                "fat_scan_bytes",
+            ),
         ];
         let trace = trace40();
         for (row, build, knob) in &rows {
@@ -844,6 +864,15 @@ mod tests {
                 "{row}: {violations:?} vs {e}"
             );
         }
+        // A retry count is linear in time: u32::MAX is refused unrun.
+        let stall = card().with_faults(FaultConfig {
+            max_retries: u32::MAX,
+            ..rate(1.0)
+        });
+        let Err(ConfigError::Knob(e)) = stall.validate() else {
+            panic!("max_retries u32::MAX admitted");
+        };
+        assert_eq!(e.knob, "max_retries");
         // Refused by the run only: torture preloads no filler.
         let aged = |fraction: &str, capacity: u64, fillable: u64| {
             ConfigError::Knob(KnobError {
@@ -872,7 +901,7 @@ mod tests {
         if let BackendConfig::FlashCard { utilization, .. } = &mut bare.backend {
             *utilization = None;
         }
-        let w = mobistore_trace::record::working_set(&trace.ops).len() as u64;
+        let w = mobistore_trace::record::working_set_len(&trace.ops);
         let (run, violations) = both(&bare, &trace);
         let overfull = ConfigError::FlashOverfull {
             working_set_blocks: w,
@@ -882,7 +911,9 @@ mod tests {
         assert_eq!(
             violations,
             [format!(
-                "working set ({w} blocks) exceeds the 0 blocks an aged card can fill"
+                "cannot replay: trace working set ({w} blocks) exceeds the flash \
+                 preallocation bound (0 blocks); increase the flash capacity or the \
+                 utilization"
             )]
         );
     }
@@ -942,8 +973,9 @@ mod tests {
                 permanent_rate: draw(0.1, 2.0),
                 death_rate: draw(0.0, 2.0),
                 power_fail_mean: interval(draw(f64::NAN, 2.0)),
+                max_retries: draw(3.0, 128.0) as u32,
+                fat_scan_bytes: draw(131_072.0, 2e9) as u64,
                 seed: i,
-                ..FaultConfig::none()
             };
             config.integrity = IntegrityConfig {
                 base_errors: draw(0.0, 2.0),
@@ -953,8 +985,8 @@ mod tests {
                 retry_threshold: draw(12.0, 16.0) as u32,
                 relocate_threshold: draw(6.0, 16.0) as u32,
                 scrub_interval: interval(draw(f64::NAN, 2.0)),
+                correction_penalty: interval(draw(2e-5, 2.0)).unwrap_or(SimDuration::MAX),
                 seed: i,
-                ..IntegrityConfig::none()
             };
             let (run, violations) = both(&config, &trace);
             match config.validate() {

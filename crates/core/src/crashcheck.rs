@@ -7,8 +7,8 @@
 //!
 //! * the **flash card** and the **erasure-coded array** keep per-block
 //!   contents, so they are checked differentially. Each crash point
-//!   replays on a fresh, preloaded device, odd boundaries tear the write
-//!   in flight (only a prefix of its blocks reaches media), and a
+//!   replays on a copy of the preloaded device, odd boundaries tear the
+//!   write in flight (only a prefix of its blocks reaches media), and a
 //!   [`ShadowModel`] mirrors every write and trim: after each crash — and
 //!   again once the trace is drained — the recovered `(lbn, generation)`
 //!   mapping must be a legal post-crash state (acknowledged writes
@@ -37,17 +37,15 @@ use mobistore_device::array::ArrayDevice;
 use mobistore_device::disk::{DiskCounters, MagneticDisk};
 use mobistore_device::flashdisk::{FlashDisk, FlashDiskCounters};
 use mobistore_device::{Request, Service};
-use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
+use mobistore_flash::store::FlashCardStore;
 use mobistore_sim::crashcheck::{ShadowModel, Violation};
-use mobistore_sim::fault::DeathSchedule;
 use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::rng::SimRng;
 use mobistore_sim::time::{SimDuration, SimTime};
-use mobistore_trace::record::{working_set, DiskOp, DiskOpKind, Trace};
+use mobistore_trace::record::{working_set_runs, DiskOp, DiskOpKind, Trace};
 
-use crate::backend::Backend;
-use crate::config::{BackendConfig, SystemConfig};
-use crate::simulator::lbn_domain_end;
+use crate::backend::{build, Backend, Purpose, WithDevice};
+use crate::config::SystemConfig;
 
 /// How many operation boundaries receive an injected crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +60,9 @@ pub enum CrashPoints {
 #[derive(Debug, Clone, Copy)]
 pub struct TortureOptions {
     /// Cap on trace operations replayed per crash point (the flash-card
-    /// sweep rebuilds the device for every crash point, so the sweep is
-    /// O(crash points × ops)). Truncation is reported, never silent.
+    /// sweep replays a copy of the device for every crash point, so the
+    /// sweep is O(crash points × ops)). Truncation is reported, never
+    /// silent.
     pub max_ops: usize,
     /// Crash-point sweep density.
     pub crash_points: CrashPoints,
@@ -125,106 +124,28 @@ impl TortureReport {
 
 /// Runs the torture sweep on `config`'s backend.
 ///
-/// A configuration that [`SystemConfig::validate`] refuses, or a trace
-/// whose blocks end past
-/// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END), is refused as
-/// `simulate` refuses it: the report carries the one violation and
-/// nothing is replayed.
+/// The device comes from the crate's one device builder,
+/// `backend::build`, as `simulate`'s does. It is built once over the
+/// replayed prefix, and a block-mapped device is cloned for each crash
+/// point: a card holds the prefix's working set with no filler, and
+/// exactly `m` array children die. A configuration the builder refuses is
+/// refused as `simulate` refuses it: the report carries the one violation
+/// `cannot replay: {e}` and nothing is replayed.
 pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
     let n = trace.ops.len().min(opts.max_ops);
     let ops = &trace.ops[..n];
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        truncated_ops: (trace.ops.len() - n) as u64,
-        ..TortureReport::default()
-    };
-    if let Err(e) = config.validate().and_then(|()| lbn_domain_end(trace)) {
-        report.violations.push(format!("cannot replay: {e}"));
-        return report;
-    }
-    let working = working_set(ops);
     let mut sweep = Sweep {
         ops,
         block_size: trace.block_size,
         opts,
-        report,
+        report: TortureReport {
+            name: config.name.clone(),
+            truncated_ops: (trace.ops.len() - n) as u64,
+            ..TortureReport::default()
+        },
     };
-    let queueing = config.queueing;
-    match &config.backend {
-        BackendConfig::Disk {
-            params,
-            spin_down,
-            seek_model,
-        } => sweep.run("magnetic disk", &[], || {
-            Ok(MagneticDisk::with_policy(params.clone(), *spin_down)
-                .with_queueing(queueing)
-                .with_seek_model(*seek_model)
-                .with_fat_scan_bytes(config.fault.fat_scan_bytes))
-        }),
-        BackendConfig::FlashDisk { params } => sweep.run("flash disk", &[], || {
-            Ok(FlashDisk::new(params.clone()).with_queueing(queueing))
-        }),
-        BackendConfig::FlashCard {
-            params,
-            capacity_bytes,
-            mode,
-            victim_policy,
-            ..
-        } => {
-            let card_config = FlashCardConfig {
-                params: params.clone(),
-                block_size: trace.block_size,
-                capacity_bytes: *capacity_bytes,
-                mode: *mode,
-                victim_policy: *victim_policy,
-                queueing,
-            };
-            sweep.run("flash card", &working, || {
-                let mut card = FlashCardStore::try_new(card_config.clone())
-                    .map_err(|e| format!("cannot build card: {e}"))?
-                    .with_faults(config.fault)
-                    .with_integrity(config.integrity);
-                if working.len() as u64 > card.fillable_blocks() {
-                    return Err(format!(
-                        "working set ({} blocks) exceeds the {} blocks an aged card can fill",
-                        working.len(),
-                        card.fillable_blocks()
-                    ));
-                }
-                card.preload_aged(working.iter().copied());
-                Ok(card)
-            })
-        }
-        BackendConfig::Array {
-            k,
-            m,
-            children,
-            spares,
-            rebuild_rate,
-        } => {
-            // Exactly `m` children die, spread across both the child set
-            // and the replayed window — the worst loss pattern the
-            // geometry claims to tolerate.
-            let span_ns = ops
-                .last()
-                .map_or(0, |op| op.time.saturating_since(SimTime::ZERO).as_nanos());
-            let mut deaths: Vec<Option<SimTime>> = vec![None; children.len()];
-            for d in 0..*m {
-                let child = d * children.len() / *m;
-                let at = span_ns * (d as u64 + 1) / (*m as u64 + 1);
-                deaths[child] = Some(SimTime::from_nanos(at));
-            }
-            sweep.run("ec-array", &working, || {
-                let mut arr = ArrayDevice::try_new(*k, *m, children, trace.block_size)
-                    .and_then(|arr| arr.try_with_rebuild_rate(*rebuild_rate))
-                    .map_err(|e| format!("cannot build array: {e}"))?
-                    .with_queueing(queueing)
-                    .with_deaths(DeathSchedule::explicit(deaths.clone()))
-                    .with_spares(*spares);
-                arr.preload(working.iter().copied());
-                Ok(arr)
-            })
-        }
+    if let Err(e) = build(config, ops, trace.block_size, Purpose::Torture, &mut sweep) {
+        sweep.report.violations.push(format!("cannot replay: {e}"));
     }
     sweep.report
 }
@@ -289,7 +210,7 @@ impl Observer for UncorrectableCollector {
 
 /// The differential oracle: the shadow of legal block contents, and the
 /// losses the device reported along the way.
-struct Oracle {
+pub(crate) struct Oracle {
     shadow: ShadowModel,
     /// Every block reported uncorrectable: the verifier excuses exactly
     /// these.
@@ -299,11 +220,12 @@ struct Oracle {
 }
 
 impl Oracle {
-    /// An oracle for a device preloaded with `preloaded`: the device
-    /// stamps generations in iteration order, and so does the shadow.
-    fn new(preloaded: &[u64]) -> Self {
+    /// An oracle for a device preloaded with the blocks of the runs
+    /// `preloaded`: the device stamps generations in block order, and so
+    /// does the shadow.
+    fn new(preloaded: &[(u64, u64)]) -> Self {
         let mut shadow = ShadowModel::new();
-        for &lbn in preloaded {
+        for lbn in preloaded.iter().flat_map(|&(start, end)| start..end) {
             shadow.write(lbn, 1);
         }
         Oracle {
@@ -334,7 +256,7 @@ impl Oracle {
 }
 
 /// One injected crash, as a device's recovery checks see it.
-struct Crash<B> {
+pub(crate) struct Crash<B> {
     /// The violation prefix naming the crash point and instant.
     ctx: String,
     /// When the power failed.
@@ -353,7 +275,10 @@ struct Crash<B> {
 /// their recovery accounting.
 ///
 /// [`Device`]: mobistore_device::Device
-trait Subject: Backend {
+pub(crate) trait Subject: Backend {
+    /// The device's name in a [`TortureReport`].
+    const NAME: &'static str;
+
     /// Device state the recovery checks compare against.
     type Before;
 
@@ -389,6 +314,7 @@ trait Subject: Backend {
 }
 
 impl Subject for MagneticDisk {
+    const NAME: &'static str = "magnetic disk";
     type Before = DiskCounters;
 
     fn before_crash(&self) -> (DiskCounters, bool) {
@@ -416,6 +342,7 @@ impl Subject for MagneticDisk {
 }
 
 impl Subject for FlashDisk {
+    const NAME: &'static str = "flash disk";
     type Before = FlashDiskCounters;
 
     fn before_crash(&self) -> (FlashDiskCounters, bool) {
@@ -439,6 +366,7 @@ impl Subject for FlashDisk {
 }
 
 impl Subject for FlashCardStore {
+    const NAME: &'static str = "flash card";
     /// The retired segments and the in-flight cleaning victim.
     type Before = (Vec<u32>, Option<u32>);
 
@@ -512,6 +440,7 @@ impl Subject for FlashCardStore {
 }
 
 impl Subject for ArrayDevice {
+    const NAME: &'static str = "ec-array";
     type Before = ();
 
     fn before_crash(&self) -> ((), bool) {
@@ -560,35 +489,29 @@ struct Sweep<'a> {
     report: TortureReport,
 }
 
-impl Sweep<'_> {
-    /// Sweeps the crash points over devices from `build`, each holding
-    /// `preloaded`. A block-mapped device gets a fresh device per crash
-    /// point; any other replays the prefix once, crashing at every point.
-    /// A device that cannot be built ends the sweep with a violation.
-    fn run<D: Subject>(
-        &mut self,
-        device: &'static str,
-        preloaded: &[u64],
-        mut build: impl FnMut() -> Result<D, String>,
-    ) {
-        self.report.device = device;
+impl WithDevice for &mut Sweep<'_> {
+    type Out = ();
+
+    /// Sweeps the crash points over `device`. A block-mapped device
+    /// replays the prefix once per crash point, each time on a copy of the
+    /// preloaded device; any other replays it once, crashing at every
+    /// point.
+    fn run<D: Subject + Clone>(self, device: D) {
+        self.report.device = D::NAME;
         let points = select_points(self.ops.len(), self.opts.crash_points);
-        let runs: Vec<&[usize]> = if D::BLOCK_MAPPED {
-            points.chunks(1).collect()
-        } else {
-            vec![&points]
-        };
-        for crashes in runs {
-            match build() {
-                Ok(dev) => self.replay(dev, crashes, &mut Oracle::new(preloaded)),
-                Err(e) => {
-                    self.report.violations.push(e);
-                    return;
-                }
+        if D::BLOCK_MAPPED {
+            // The builder preloaded the prefix's working set.
+            let preloaded = working_set_runs(self.ops);
+            for k in points {
+                self.replay(device.clone(), &[k], &mut Oracle::new(&preloaded));
             }
+        } else {
+            self.replay(device, &points, &mut Oracle::new(&[]));
         }
     }
+}
 
+impl Sweep<'_> {
     /// Replays the whole prefix on `dev`, crashing before each op in
     /// `crashes`, then verifies the drained contents of a block-mapped
     /// device. A refused write abandons the replay.
@@ -741,6 +664,7 @@ impl Sweep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BackendConfig;
     use mobistore_device::params::{cu140_datasheet, intel_datasheet, sdp5_datasheet};
     use mobistore_trace::record::FileId;
 
@@ -947,7 +871,9 @@ mod tests {
             assert_eq!(
                 report.violations,
                 [format!(
-                    "working set ({blocks} blocks) exceeds the 256 blocks an aged card can fill"
+                    "cannot replay: trace working set ({blocks} blocks) exceeds the flash \
+                     preallocation bound (256 blocks); increase the flash capacity or the \
+                     utilization"
                 )]
             );
         }
@@ -1134,6 +1060,28 @@ mod tests {
         assert_eq!(report.device, "flash disk");
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.crashes, 8);
+    }
+
+    #[test]
+    fn the_flash_disk_is_tortured_with_the_bit_errors_it_is_simulated_with() {
+        use mobistore_sim::integrity::IntegrityConfig;
+        let trace = toy_trace(60);
+        let config = SystemConfig::flash_disk(sdp5_datasheet()).with_integrity(IntegrityConfig {
+            base_errors: 20.0,
+            seed: 3,
+            ..IntegrityConfig::none()
+        });
+        let opts = TortureOptions {
+            max_ops: 60,
+            crash_points: CrashPoints::Sampled(8),
+            ..TortureOptions::default()
+        };
+        let report = torture(&config, &trace, &opts);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert!(
+            report.uncorrectable_blocks > 0,
+            "the flash disk lost no block: built without its integrity plan"
+        );
     }
 
     #[test]

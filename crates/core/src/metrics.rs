@@ -299,18 +299,8 @@ impl Metrics {
         t
     }
 
-    /// Read response-time percentiles (p50/p90/p99/p99.9, milliseconds)
-    /// from the log-bucketed histogram.
-    pub fn read_percentiles(&self) -> Percentiles {
-        self.read_latency.percentiles_ms()
-    }
-
-    /// Write response-time percentiles in milliseconds.
-    pub fn write_percentiles(&self) -> Percentiles {
-        self.write_latency.percentiles_ms()
-    }
-
-    /// Percentiles over all operations' response times, in milliseconds.
+    /// Percentiles over all operations' response times (p50/p90/p99/p99.9,
+    /// milliseconds) from the log-bucketed histogram.
     pub fn overall_percentiles(&self) -> Percentiles {
         self.overall_latency.percentiles_ms()
     }

@@ -15,22 +15,19 @@
 
 use mobistore_cache::dram::{BufferCache, WritePolicy};
 use mobistore_cache::sram::SramWriteBuffer;
-use mobistore_device::array::ArrayDevice;
-use mobistore_device::disk::MagneticDisk;
-use mobistore_device::flashdisk::FlashDisk;
 use mobistore_device::{QueueDiscipline, Request, Service};
-use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
-use mobistore_sim::fault::{DeathSchedule, PowerFailSchedule};
+use mobistore_sim::fault::PowerFailSchedule;
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::lbn::MAX_LBN_END;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
-use mobistore_sim::rule::{KnobError, Rule};
+use mobistore_sim::rule::KnobError;
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
-use mobistore_trace::record::{working_set_runs_and_end, DiskOp, DiskOpKind, Trace};
+use mobistore_trace::record::{DiskOp, DiskOpKind, Trace};
 
-use crate::backend::Backend;
-use crate::config::{BackendConfig, SystemConfig};
+use crate::backend::{build, Backend, Purpose, WithDevice};
+use crate::config::SystemConfig;
+use crate::crashcheck::Subject;
 use crate::metrics::{component, Metrics};
 
 /// Options controlling a simulation run.
@@ -290,147 +287,54 @@ pub fn try_simulate(
     try_simulate_observed(config, trace, options, &mut NoopObserver)
 }
 
-/// Where `trace`'s blocks end (exclusive), or [`ConfigError::LbnDomain`]
-/// if that is past [`MAX_LBN_END`]: the one refusal every entry point that
-/// builds block-mapped devices from a trace applies before building them.
-pub(crate) fn lbn_domain_end(trace: &Trace) -> Result<u64, ConfigError> {
-    in_lbn_domain(trace.blocks_spanned())
-}
-
-/// `end`, or [`ConfigError::LbnDomain`] if it is past [`MAX_LBN_END`].
-fn in_lbn_domain(end: u64) -> Result<u64, ConfigError> {
-    if end > MAX_LBN_END {
-        return Err(ConfigError::LbnDomain { end });
-    }
-    Ok(end)
-}
-
 /// [`try_simulate`], streaming structured [`Event`]s to `obs` as the
 /// simulation progresses.
 ///
-/// This is the one place that looks at the configured backend: it builds
-/// the device (preloading the block-mapped ones with the trace's working
-/// set) and hands it to a simulator monomorphised for that device. Before
-/// building anything it refuses what [`SystemConfig::validate`] refuses,
-/// and a run whose blocks would pass [`MAX_LBN_END`] with
-/// [`ConfigError::LbnDomain`]. The block-mapped devices take where the
-/// trace ends from the pass that finds their working set, so one pass over
-/// the ops serves both. A card's working set, and capacity × utilization,
-/// must fit the blocks an aged card can fill.
+/// The device comes from the crate's one device builder,
+/// `backend::build`, which `torture` shares. Before building anything it
+/// refuses a broken rule, a run whose blocks would pass [`MAX_LBN_END`]
+/// and a card that cannot hold the trace. It preloads a card with the
+/// trace's working set plus §5.2's aged filler, and hands the device to a
+/// simulator monomorphised for it.
 pub fn try_simulate_observed<O: Observer>(
     config: &SystemConfig,
     trace: &Trace,
     options: RunOptions,
     obs: &mut O,
 ) -> Result<Metrics, SimError> {
-    config.validate()?;
-    if options.warm_percent >= 100 {
-        return Err(ConfigError::NothingToMeasure.into());
-    }
-    let queueing = config.queueing;
-    let metrics = match &config.backend {
-        BackendConfig::Disk {
-            params,
-            spin_down,
-            seek_model,
-        } => {
-            lbn_domain_end(trace)?;
-            let disk = MagneticDisk::with_policy(params.clone(), *spin_down)
-                .with_queueing(queueing)
-                .with_seek_model(*seek_model)
-                .with_fat_scan_bytes(config.fault.fat_scan_bytes);
-            Simulator::new(config, trace, disk, obs).run(trace, options)
-        }
-        BackendConfig::FlashDisk { params } => {
-            lbn_domain_end(trace)?;
-            let fd = FlashDisk::new(params.clone())
-                .with_queueing(queueing)
-                .with_integrity(config.integrity);
-            Simulator::new(config, trace, fd, obs).run(trace, options)
-        }
-        BackendConfig::FlashCard {
-            params,
-            capacity_bytes,
-            utilization,
-            mode,
-            victim_policy,
-        } => {
-            let (working, end) = working_set_runs_and_end(&trace.ops);
-            let end = in_lbn_domain(end)?;
-            let w: u64 = working.iter().map(|(start, end)| end - start).sum();
-            let card = FlashCardStore::try_new(FlashCardConfig {
-                params: params.clone(),
-                block_size: trace.block_size,
-                capacity_bytes: *capacity_bytes,
-                mode: *mode,
-                victim_policy: *victim_policy,
-                queueing,
-            })
-            .map_err(ConfigError::DeviceGeometry)?;
-            let capacity = card.capacity_blocks();
-            let target = utilization.map_or(w, |frac| (capacity as f64 * frac).round() as u64);
-            if w > target {
-                return Err(ConfigError::FlashOverfull {
-                    working_set_blocks: w,
-                    target_blocks: target,
-                }
-                .into());
-            }
-            let fillable = card.fillable_blocks();
-            if target > fillable {
-                return Err(match *utilization {
-                    Some(frac) => ConfigError::Knob(KnobError {
-                        knob: "utilization",
-                        value: format!("{frac:?} of {capacity} blocks"),
-                        rule: Rule::AtMost("the blocks an aged card can fill", fillable),
-                    }),
-                    // Without a utilization the target is the working set.
-                    None => ConfigError::FlashOverfull {
-                        working_set_blocks: w,
-                        target_blocks: fillable,
-                    },
-                }
-                .into());
-            }
-            // §5.2's setup: the working set plus filler up to the target
-            // utilization, in the aged layout — spread across all segments,
-            // so free space exists as cleanable garbage rather than
-            // pristine erased segments. The filler follows the trace's
-            // blocks and must stay inside the lbn domain too.
-            let filler_base = end.max(working.last().map_or(0, |&(_, run_end)| run_end));
-            let filler_end = filler_base.saturating_add(target - w);
-            if filler_end > MAX_LBN_END {
-                return Err(ConfigError::LbnDomain { end: filler_end }.into());
-            }
-            let mut card = card
-                .with_faults(config.fault)
-                .with_integrity(config.integrity);
-            let blocks = working.into_iter().flat_map(|(start, end)| start..end);
-            card.preload_aged(blocks.chain(filler_base..filler_end));
-            Simulator::new(config, trace, card, obs).run(trace, options)
-        }
-        BackendConfig::Array {
-            k,
-            m,
-            children,
-            spares,
-            rebuild_rate,
-        } => {
-            let (working, end) = working_set_runs_and_end(&trace.ops);
-            in_lbn_domain(end)?;
-            let mut arr = ArrayDevice::try_new(*k, *m, children, trace.block_size)
-                .and_then(|arr| arr.try_with_rebuild_rate(*rebuild_rate))
-                .map_err(ConfigError::DeviceGeometry)?
-                .with_queueing(queueing)
-                .with_deaths(DeathSchedule::new(&config.fault, children.len()))
-                .with_spares(*spares);
-            // Every block the trace reads gets a generation-stamped stripe
-            // to decode (the crash checker preloads the same way).
-            arr.preload(working.into_iter().flat_map(|(start, end)| start..end));
-            Simulator::new(config, trace, arr, obs).run(trace, options)
-        }
+    let replay = Replay {
+        config,
+        trace,
+        options,
+        obs,
     };
-    Ok(metrics)
+    Ok(build(
+        config,
+        &trace.ops,
+        trace.block_size,
+        Purpose::Simulate,
+        replay,
+    )??)
+}
+
+/// One run of [`try_simulate_observed`], waiting for its device.
+struct Replay<'a, O> {
+    config: &'a SystemConfig,
+    trace: &'a Trace,
+    options: RunOptions,
+    obs: &'a mut O,
+}
+
+impl<O: Observer> WithDevice for Replay<'_, O> {
+    type Out = Result<Metrics, ConfigError>;
+
+    fn run<D: Subject + Clone>(self, device: D) -> Self::Out {
+        if self.options.warm_percent >= 100 {
+            return Err(ConfigError::NothingToMeasure);
+        }
+        let sim = Simulator::new(self.config, self.trace, device, self.obs);
+        Ok(sim.run(self.trace, self.options))
+    }
 }
 
 /// Block lists one op fills and the next op reuses, so that once they

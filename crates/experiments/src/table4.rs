@@ -77,14 +77,6 @@ impl DeviceConfig {
         };
         cfg.with_dram(dram_bytes)
     }
-
-    /// True for the magnetic-disk rows.
-    pub fn is_disk(self) -> bool {
-        matches!(
-            self,
-            DeviceConfig::Cu140Measured | DeviceConfig::Cu140Datasheet | DeviceConfig::KhDatasheet
-        )
-    }
 }
 
 /// Results for one trace (one sub-table of Table 4).

@@ -98,13 +98,4 @@ impl BenchRun {
             self.bytes as f64 / 1024.0 / self.total.as_secs_f64()
         }
     }
-
-    /// Instantaneous throughput per request in Kbytes/s, given the request
-    /// size (Figure 1(b)'s y-axis).
-    pub fn instantaneous_kib_s(&self, chunk_bytes: u64) -> Vec<f64> {
-        self.chunk_latencies_ms
-            .iter()
-            .map(|ms| chunk_bytes as f64 / 1024.0 / (ms / 1000.0))
-            .collect()
-    }
 }

@@ -123,13 +123,15 @@ impl FaultConfig {
             && self.death_rate == 0.0
     }
 
-    /// Checks every fault knob's rule: the three fault rates are
-    /// probabilities, the death rate a rate, and the power-fail mean a
-    /// period.
+    /// Checks every fault knob's rule: the fault rates are probabilities,
+    /// the death rate a rate, the power-fail mean a period, and the retries
+    /// (each costs time) and FAT bytes (read on recovery) are capped.
     pub fn validate(&self) -> Result<(), KnobError> {
         Rule::Probability.check("write_fail_rate", self.write_fail_rate)?;
         Rule::Probability.check("erase_fail_rate", self.erase_fail_rate)?;
         Rule::Probability.check("permanent_rate", self.permanent_rate)?;
+        Rule::AtMost("64 retries", 64).check("max_retries", self.max_retries)?;
+        Rule::AtMost("1 GiB", 1 << 30).check("fat_scan_bytes", self.fat_scan_bytes as f64)?;
         Rule::Rate.check("death_rate", self.death_rate)?;
         match self.power_fail_mean {
             Some(mean) => Rule::Period.check("power_fail_mean", mean.as_secs_f64()),
@@ -346,13 +348,6 @@ impl DeathSchedule {
     pub fn is_empty(&self) -> bool {
         self.deaths.is_empty()
     }
-
-    /// Devices dead at or before `at`, in child order.
-    pub fn dead_at(&self, at: SimTime) -> Vec<usize> {
-        (0..self.deaths.len())
-            .filter(|&i| self.dead_by(i, at))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -456,7 +451,6 @@ mod tests {
             assert_eq!(sched.death_of(i), None);
             assert!(!sched.dead_by(i, SimTime::from_secs_f64(1e9)));
         }
-        assert!(sched.dead_at(SimTime::from_secs_f64(1e9)).is_empty());
     }
 
     #[test]

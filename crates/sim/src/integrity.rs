@@ -149,8 +149,8 @@ impl IntegrityConfig {
     }
 
     /// Checks every integrity knob's rule: the three growth rates are
-    /// rates, the thresholds ordered `1 ≤ ecc ≤ retry` and `1 ≤
-    /// relocate`, and the scrub interval a period.
+    /// rates, the thresholds ordered `1 ≤ ecc ≤ retry` and `1 ≤ relocate`,
+    /// the scrub interval a period, and the correction penalty capped.
     pub fn validate(&self) -> Result<(), KnobError> {
         Rule::Rate.check("base_errors", self.base_errors)?;
         Rule::Rate.check("errors_per_erase", self.errors_per_erase)?;
@@ -159,6 +159,8 @@ impl IntegrityConfig {
         let ecc = u64::from(self.ecc_correctable);
         Rule::AtLeast("ecc_correctable", ecc).check("retry_threshold", self.retry_threshold)?;
         Rule::Count.check("relocate_threshold", self.relocate_threshold)?;
+        let penalty = self.correction_penalty.as_secs_f64();
+        Rule::AtMost("one second", 1).check("correction_penalty", penalty)?;
         match self.scrub_interval {
             Some(interval) => Rule::Period.check("scrub_interval", interval.as_secs_f64()),
             None => Ok(()),

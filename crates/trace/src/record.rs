@@ -167,30 +167,23 @@ impl Trace {
     /// Saturates at `u64::MAX` for a hand-built op whose range would
     /// overflow, so callers can compare it against a bound.
     pub fn blocks_spanned(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| op.lbn.saturating_add(u64::from(op.blocks)))
-            .max()
-            .unwrap_or(0)
+        blocks_spanned(&self.ops)
     }
 }
 
-/// The distinct blocks `ops` read or write (trims excluded), ascending:
-/// the data a block-mapped device must hold before a replay (§5.2
-/// preallocates it).
-pub fn working_set(ops: &[DiskOp]) -> Vec<u64> {
-    let runs = working_set_runs(ops);
-    let mut blocks =
-        Vec::with_capacity(runs.iter().map(|(start, end)| end - start).sum::<u64>() as usize);
-    for (start, end) in runs {
-        blocks.extend(start..end);
-    }
-    blocks
+/// [`Trace::blocks_spanned`] of a list of ops.
+pub fn blocks_spanned(ops: &[DiskOp]) -> u64 {
+    ops.iter()
+        .map(|op| op.lbn.saturating_add(u64::from(op.blocks)))
+        .max()
+        .unwrap_or(0)
 }
 
-/// [`working_set`] as ascending, disjoint `(start, end)` block ranges,
-/// read back from a paged bitmap of the blocks, so that the memory
-/// follows the 4,096-lbn pages the ops touch, not the op count.
+/// The distinct blocks `ops` read or write (trims excluded), as
+/// ascending, disjoint `(start, end)` block ranges: the data a
+/// block-mapped device must hold before a replay (§5.2 preallocates it).
+/// They are read back from a paged bitmap of the blocks, so that the
+/// memory follows the 4,096-lbn pages the ops touch, not the op count.
 pub fn working_set_runs(ops: &[DiskOp]) -> Vec<(u64, u64)> {
     working_set_runs_and_end(ops).0
 }
@@ -203,8 +196,8 @@ pub fn working_set_runs_and_end(ops: &[DiskOp]) -> (Vec<(u64, u64)>, u64) {
     (set.runs(), end)
 }
 
-/// The number of blocks in [`working_set`], counted from the same bitmap
-/// as [`working_set_runs`] without building the runs.
+/// The number of blocks in [`working_set_runs`], counted from the same
+/// bitmap without building the runs.
 pub fn working_set_len(ops: &[DiskOp]) -> u64 {
     BlockBitmap::of(ops).0.len()
 }
@@ -426,9 +419,9 @@ mod tests {
             file: FileId(0),
         };
         let ops = [op(Write, 4, 3), op(Read, 2, 3), op(Trim, 100, 2)];
-        assert_eq!(working_set(&ops), vec![2, 3, 4, 5, 6]);
+        assert_eq!(working_set_runs(&ops), [(2, 7)]);
         assert_eq!(working_set_len(&ops), 5);
-        assert!(working_set(&[]).is_empty());
+        assert!(working_set_runs(&[]).is_empty());
         assert_eq!(working_set_len(&[]), 0);
         // Nested (20..30 holds 22..25), adjacent (30..32 after 20..30),
         // overlapping (40..45 and 43..48), duplicate and zero-block ops;
@@ -444,8 +437,7 @@ mod tests {
             op(Read, 20, 0),
             op(Trim, 32, 8),
         ];
-        let want: Vec<u64> = (20..32).chain(40..48).collect();
-        assert_eq!(working_set(&ops), want);
+        assert_eq!(working_set_runs(&ops), [(20, 32), (40, 48)]);
         check_against_reference(&ops, "nested");
 
         // Single blocks on either side of a word (63/64) and of a page

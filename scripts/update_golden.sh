@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Regenerates the golden snapshot fixtures under tests/golden/.
+# Regenerates the golden snapshot fixtures under tests/golden/ and the
+# full-scale record results_full.txt.
 #
 # Run after an *intentional* output change, then review the diff:
-#   scripts/update_golden.sh && git diff tests/golden
+#   scripts/update_golden.sh && git diff tests/golden results_full.txt
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,4 +41,9 @@ if [ "$rc" -ne 9 ]; then
     exit 1
 fi
 
-echo "# fixtures updated; review with: git diff tests/golden" >&2
+# The full-scale record: the whole stdout of every target at scale 1,
+# the numbers EXPERIMENTS.md quotes. CI compares it at two job counts.
+echo "# rendering the full-scale record" >&2
+./target/release/repro --seed 1994 2>/dev/null > results_full.txt
+
+echo "# fixtures updated; review with: git diff tests/golden results_full.txt" >&2
