@@ -84,7 +84,7 @@ pub struct BufferCache {
     capacity_mib: f64,
     block_size: u64,
     /// The cached blocks; a block's dirty bit (write-back only) lives in
-    /// its LRU node.
+    /// its LRU slot.
     lru: LruSet,
     policy: WritePolicy,
     /// One access's time, and its energy above refresh.
@@ -227,6 +227,7 @@ impl BufferCache {
     /// returns an eviction the caller may need to flush. A clean insert
     /// (write-through, or a fill after a read miss) clears the block's
     /// dirty bit.
+    #[inline]
     pub fn insert(&mut self, lbn: u64, dirty: bool) -> Option<Evicted> {
         let mark_dirty = dirty && self.policy == WritePolicy::WriteBack;
         let (old, was_dirty) = self.lru.insert_dirty(lbn, mark_dirty)?;

@@ -2,30 +2,33 @@
 //!
 //! The buffer cache needs O(1) lookup, O(1) touch (move to front), and O(1)
 //! eviction of the least-recently-used block. This is a classic
-//! doubly-linked list threaded through a slab of nodes, with an
-//! [`LbnTable`] index from key to slab slot — no unsafe code, no external
-//! crates. Each node also carries the cache's dirty bit, so write-back
-//! state needs no second lookup.
+//! doubly-linked list threaded through a slab, with an [`LbnTable`] index
+//! from key to slab slot — no unsafe code, no external crates. The slab
+//! keeps each slot's links, key and dirty bit in three arrays, so a touch
+//! reads and writes 8-byte links alone, and write-back state needs no
+//! second lookup.
 
-use mobistore_sim::lbn::LbnTable;
+use std::num::NonZeroU32;
 
-/// Slab index of no node (the list's ends).
+use mobistore_sim::lbn::{LbnTable, MAX_LBN_END};
+
+/// Slab slot of no entry (the list's ends).
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
-struct Node {
-    key: u64,
+// Keys are stored as `u32`: every key below the domain's end fits.
+const _: () = assert!(MAX_LBN_END <= 1 << 32);
+
+/// A slot's neighbours in recency order.
+#[derive(Debug, Clone, Copy)]
+struct Link {
     prev: u32,
     next: u32,
-    /// The block holds unwritten data (write-back caching).
-    dirty: bool,
 }
 
 /// An LRU set of lbn keys with a fixed capacity in entries.
 ///
-/// Keys index an [`LbnTable`], so they must lie below
-/// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END); lookups of larger
-/// keys simply miss.
+/// Keys index an [`LbnTable`], so they must lie below [`MAX_LBN_END`];
+/// lookups of larger keys simply miss.
 ///
 /// # Examples
 ///
@@ -41,12 +44,20 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct LruSet {
     capacity: usize,
-    index: LbnTable<u32>,
-    nodes: Vec<Node>,
+    /// Key → slab slot + 1 (4 bytes an entry, where `Option<u32>` takes 8).
+    index: LbnTable<NonZeroU32>,
+    /// Each slot's links; a free slot's are stale.
+    links: Vec<Link>,
+    /// Each slot's key.
+    keys: Vec<u32>,
+    /// Each slot's dirty bit: the block holds unwritten data (write-back
+    /// caching). A free slot's is clear.
+    dirt: Vec<bool>,
+    /// Slots a removal freed.
     free: Vec<u32>,
     head: u32,
     tail: u32,
-    /// Nodes whose dirty bit is set.
+    /// Slots whose dirty bit is set.
     dirty: usize,
 }
 
@@ -58,10 +69,13 @@ impl LruSet {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
+        let slots = capacity.min(4096);
         LruSet {
             capacity,
             index: LbnTable::new(),
-            nodes: Vec::with_capacity(capacity.min(4096)),
+            links: Vec::with_capacity(slots),
+            keys: Vec::with_capacity(slots),
+            dirt: Vec::with_capacity(slots),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -90,12 +104,12 @@ impl LruSet {
     }
 
     /// Marks `key` most-recently-used; returns false if absent.
+    #[inline]
     pub fn touch(&mut self, key: u64) -> bool {
-        let Some(&idx) = self.index.get(key) else {
+        let Some(idx) = self.slot(key) else {
             return false;
         };
-        self.unlink(idx);
-        self.push_front(idx);
+        self.move_to_front(idx);
         true
     }
 
@@ -105,14 +119,15 @@ impl LruSet {
     ///
     /// # Panics
     ///
-    /// Panics if `key` is at or past
-    /// [`MAX_LBN_END`](mobistore_sim::lbn::MAX_LBN_END).
+    /// Panics if `key` is at or past [`MAX_LBN_END`], before anything
+    /// changes.
     pub fn insert(&mut self, key: u64) -> Option<u64> {
         self.place(key).1.map(|(old, _)| old)
     }
 
     /// [`insert`](Self::insert) that also sets `key`'s dirty bit to
     /// `dirty`; returns the evicted key with its dirty bit.
+    #[inline]
     pub(crate) fn insert_dirty(&mut self, key: u64, dirty: bool) -> Option<(u64, bool)> {
         let (idx, evicted) = self.place(key);
         self.set_dirty(idx, dirty);
@@ -127,14 +142,10 @@ impl LruSet {
     /// Clears every dirty bit, appending the keys that had one to `out`
     /// in no particular order.
     pub(crate) fn take_dirty(&mut self, out: &mut Vec<u64>) {
-        let mut cursor = self.head;
-        while cursor != NIL {
-            let node = &mut self.nodes[cursor as usize];
-            if node.dirty {
-                node.dirty = false;
-                out.push(node.key);
+        for (dirty, &key) in self.dirt.iter_mut().zip(&self.keys) {
+            if std::mem::take(dirty) {
+                out.push(u64::from(key));
             }
-            cursor = node.next;
         }
         self.dirty = 0;
     }
@@ -144,6 +155,7 @@ impl LruSet {
         let Some(idx) = self.index.remove(key) else {
             return false;
         };
+        let idx = idx.get() - 1;
         self.set_dirty(idx, false);
         self.unlink(idx);
         self.free.push(idx);
@@ -155,7 +167,7 @@ impl LruSet {
         if self.tail == NIL {
             return None;
         }
-        let key = self.nodes[self.tail as usize].key;
+        let key = u64::from(self.keys[self.tail as usize]);
         self.remove(key);
         Some(key)
     }
@@ -168,54 +180,71 @@ impl LruSet {
         }
     }
 
-    /// Touches `key`, or inserts it clean as most-recently-used, evicting
-    /// the LRU key (returned with its dirty bit) if the set is full.
-    /// Returns `key`'s slab index.
+    /// `key`'s slab slot, if present.
+    #[inline]
+    fn slot(&self, key: u64) -> Option<u32> {
+        self.index.get(key).map(|idx| idx.get() - 1)
+    }
+
+    /// Touches `key`, or inserts it clean as most-recently-used. A full
+    /// set gives the LRU key's slot to `key` in place and returns the LRU
+    /// key with its dirty bit. Returns `key`'s slab slot.
+    #[inline]
     fn place(&mut self, key: u64) -> (u32, Option<(u64, bool)>) {
-        if let Some(&idx) = self.index.get(key) {
-            self.unlink(idx);
-            self.push_front(idx);
+        if let Some(idx) = self.slot(key) {
+            self.move_to_front(idx);
             return (idx, None);
         }
-        let evicted = if self.index.len() == self.capacity {
-            let lru_idx = self.tail;
-            debug_assert_ne!(lru_idx, NIL);
-            let node = &self.nodes[lru_idx as usize];
-            let old = (node.key, node.dirty);
-            self.remove(old.0);
-            Some(old)
-        } else {
-            None
-        };
-        let node = Node {
-            key,
-            prev: NIL,
-            next: NIL,
-            dirty: false,
-        };
+        assert!(
+            key < MAX_LBN_END,
+            "lbn {key} is outside the table's domain (below 2^32)"
+        );
+        if self.index.len() == self.capacity {
+            let idx = self.tail;
+            debug_assert_ne!(idx, NIL);
+            let slot = idx as usize;
+            let old = (u64::from(self.keys[slot]), self.dirt[slot]);
+            self.index.remove(old.0);
+            self.set_dirty(idx, false);
+            self.keys[slot] = key as u32;
+            self.index.insert(key, Self::entry(idx));
+            self.move_to_front(idx);
+            return (idx, Some(old));
+        }
         let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
+            Some(idx) => {
+                self.keys[idx as usize] = key as u32;
+                idx
             }
             None => {
-                let i = u32::try_from(self.nodes.len())
+                let idx = u32::try_from(self.links.len())
                     .ok()
                     .filter(|&i| i != NIL)
                     .expect("LRU slab outgrew u32 indices");
-                self.nodes.push(node);
-                i
+                self.links.push(Link {
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.keys.push(key as u32);
+                self.dirt.push(false);
+                idx
             }
         };
-        self.index.insert(key, idx);
+        self.index.insert(key, Self::entry(idx));
         self.push_front(idx);
-        (idx, evicted)
+        (idx, None)
+    }
+
+    /// The index entry of slab slot `idx`, which is below `NIL`.
+    #[inline]
+    fn entry(idx: u32) -> NonZeroU32 {
+        NonZeroU32::MIN.saturating_add(idx)
     }
 
     fn set_dirty(&mut self, idx: u32, dirty: bool) {
-        let node = &mut self.nodes[idx as usize];
-        if node.dirty != dirty {
-            node.dirty = dirty;
+        let flag = &mut self.dirt[idx as usize];
+        if *flag != dirty {
+            *flag = dirty;
             if dirty {
                 self.dirty += 1;
             } else {
@@ -224,30 +253,36 @@ impl LruSet {
         }
     }
 
+    /// Makes `idx`, which is linked, the most recent slot.
+    #[inline]
+    fn move_to_front(&mut self, idx: u32) {
+        if idx != self.head {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
+    }
+
     fn unlink(&mut self, idx: u32) {
-        let node = &self.nodes[idx as usize];
-        let (prev, next) = (node.prev, node.next);
+        let Link { prev, next } = self.links[idx as usize];
         if prev != NIL {
-            self.nodes[prev as usize].next = next;
+            self.links[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next as usize].prev = prev;
+            self.links[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        let node = &mut self.nodes[idx as usize];
-        node.prev = NIL;
-        node.next = NIL;
     }
 
     fn push_front(&mut self, idx: u32) {
-        let node = &mut self.nodes[idx as usize];
-        node.prev = NIL;
-        node.next = self.head;
+        self.links[idx as usize] = Link {
+            prev: NIL,
+            next: self.head,
+        };
         if self.head != NIL {
-            self.nodes[self.head as usize].prev = idx;
+            self.links[self.head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -267,9 +302,9 @@ impl Iterator for MruIter<'_> {
         if self.cursor == NIL {
             return None;
         }
-        let node = &self.set.nodes[self.cursor as usize];
-        self.cursor = node.next;
-        Some(node.key)
+        let idx = self.cursor as usize;
+        self.cursor = self.set.links[idx].next;
+        Some(u64::from(self.set.keys[idx]))
     }
 }
 
@@ -362,7 +397,30 @@ mod tests {
         }
         assert!(lru.len() <= 8);
         // The slab should not grow past capacity + churn slack.
-        assert!(lru.nodes.len() <= 16, "slab leaked: {}", lru.nodes.len());
+        assert!(lru.links.len() <= 16, "slab leaked: {}", lru.links.len());
+    }
+
+    #[test]
+    fn a_refused_key_changes_nothing() {
+        // 2^32 + 5 would store as 5 if it were truncated to its low 32
+        // bits.
+        let far = 1 << 32 | 5;
+        let mut lru = LruSet::new(2);
+        lru.insert(5);
+        lru.insert(7);
+        let order = |lru: &LruSet| lru.iter_mru().collect::<Vec<u64>>();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lru.insert(far)))
+            .expect_err("a key past the domain is refused");
+        let message = refused
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(message.contains("outside the table's domain"), "{message}");
+        assert_eq!(order(&lru), [7, 5], "nothing was evicted");
+        assert!(!lru.contains(far));
+        assert!(!lru.touch(far));
+        assert!(!lru.remove(far));
+        assert_eq!(order(&lru), [7, 5]);
+        assert_eq!(lru.len(), 2);
     }
 
     #[test]

@@ -153,11 +153,13 @@ impl SramWriteBuffer {
 
     /// True if a write of `nblocks` would fit (blocks already buffered
     /// overwrite in place and consume no new space).
+    #[inline]
     pub fn fits(&self, lbns: &[u64]) -> bool {
         self.blocks.len() + self.incoming(lbns) <= self.capacity_blocks
     }
 
     /// How many of `lbns` are not buffered yet.
+    #[inline]
     fn incoming(&self, lbns: &[u64]) -> usize {
         lbns.iter().filter(|&&lbn| !self.contains(lbn)).count()
     }
@@ -200,6 +202,7 @@ impl SramWriteBuffer {
     }
 
     /// True if the block is buffered (a read of it needs no disk access).
+    #[inline]
     pub fn contains(&self, lbn: u64) -> bool {
         self.index.get(lbn).is_some()
     }

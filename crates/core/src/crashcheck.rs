@@ -45,7 +45,7 @@ use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_trace::record::{working_set_runs, DiskOp, DiskOpKind, Trace};
 
 use crate::backend::{build, Backend, Purpose, WithDevice};
-use crate::config::SystemConfig;
+use crate::config::{BackendConfig, SystemConfig};
 
 /// How many operation boundaries receive an injected crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +140,7 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
         opts,
         report: TortureReport {
             name: config.name.clone(),
+            device: device_name(&config.backend),
             truncated_ops: (trace.ops.len() - n) as u64,
             ..TortureReport::default()
         },
@@ -148,6 +149,17 @@ pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> T
         sweep.report.violations.push(format!("cannot replay: {e}"));
     }
     sweep.report
+}
+
+/// The backend's name in a [`TortureReport`], known before anything is
+/// built, so a refused configuration is named too.
+fn device_name(backend: &BackendConfig) -> &'static str {
+    match backend {
+        BackendConfig::Disk { .. } => "magnetic disk",
+        BackendConfig::FlashDisk { .. } => "flash disk",
+        BackendConfig::FlashCard { .. } => "flash card",
+        BackendConfig::Array { .. } => "ec-array",
+    }
 }
 
 /// The op-boundary indices to crash at, in ascending order.
@@ -276,9 +288,6 @@ pub(crate) struct Crash<B> {
 ///
 /// [`Device`]: mobistore_device::Device
 pub(crate) trait Subject: Backend {
-    /// The device's name in a [`TortureReport`].
-    const NAME: &'static str;
-
     /// Device state the recovery checks compare against.
     type Before;
 
@@ -314,7 +323,6 @@ pub(crate) trait Subject: Backend {
 }
 
 impl Subject for MagneticDisk {
-    const NAME: &'static str = "magnetic disk";
     type Before = DiskCounters;
 
     fn before_crash(&self) -> (DiskCounters, bool) {
@@ -342,7 +350,6 @@ impl Subject for MagneticDisk {
 }
 
 impl Subject for FlashDisk {
-    const NAME: &'static str = "flash disk";
     type Before = FlashDiskCounters;
 
     fn before_crash(&self) -> (FlashDiskCounters, bool) {
@@ -366,7 +373,6 @@ impl Subject for FlashDisk {
 }
 
 impl Subject for FlashCardStore {
-    const NAME: &'static str = "flash card";
     /// The retired segments and the in-flight cleaning victim.
     type Before = (Vec<u32>, Option<u32>);
 
@@ -440,7 +446,6 @@ impl Subject for FlashCardStore {
 }
 
 impl Subject for ArrayDevice {
-    const NAME: &'static str = "ec-array";
     type Before = ();
 
     fn before_crash(&self) -> ((), bool) {
@@ -497,7 +502,6 @@ impl WithDevice for &mut Sweep<'_> {
     /// preloaded device; any other replays it once, crashing at every
     /// point.
     fn run<D: Subject + Clone>(self, device: D) {
-        self.report.device = D::NAME;
         let points = select_points(self.ops.len(), self.opts.crash_points);
         if D::BLOCK_MAPPED {
             // The builder preloaded the prefix's working set.
@@ -868,6 +872,7 @@ mod tests {
             let report =
                 std::panic::catch_unwind(|| torture(&card_config(), &reads(blocks), &opts))
                     .expect("a working set past the fillable blocks is a violation, not a panic");
+            assert_eq!(report.device, "flash card", "a refused card is named");
             assert_eq!(
                 report.violations,
                 [format!(

@@ -22,6 +22,7 @@ use mobistore_sim::lbn::MAX_LBN_END;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
 use mobistore_sim::rule::KnobError;
 use mobistore_sim::span::{Span, SpanKind};
+use mobistore_sim::stats::OnlineStats;
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_trace::record::{DiskOp, DiskOpKind, Trace};
 
@@ -353,6 +354,7 @@ struct OpBuffers {
 
 impl OpBuffers {
     /// Replaces `lbns` with the blocks of `op`.
+    #[inline]
     fn fill_lbns(&mut self, op: &DiskOp) {
         self.lbns.clear();
         self.lbns.extend(op.lbn..op.lbn + u64::from(op.blocks));
@@ -369,7 +371,9 @@ struct Simulator<'o, D, O: Observer> {
     block_size: u64,
     read_ms: LatencyRecorder,
     write_ms: LatencyRecorder,
-    all_ms: LatencyRecorder,
+    /// The moments of every measured response. Its histogram is the read
+    /// and write histograms merged, built once at the end.
+    all_ms: OnlineStats,
     last_completion: SimTime,
     /// Pending power-failure instants (fault injection); `None` when the
     /// configuration disables them.
@@ -390,8 +394,6 @@ struct Simulator<'o, D, O: Observer> {
     /// Critical-path device service time accumulated by the current
     /// operation.
     op_service: SimDuration,
-    /// Reused per-op block lists; an op takes them and puts them back.
-    buffers: OpBuffers,
     obs: &'o mut O,
 }
 
@@ -418,7 +420,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
             block_size,
             read_ms: LatencyRecorder::new(),
             write_ms: LatencyRecorder::new(),
-            all_ms: LatencyRecorder::new(),
+            all_ms: OnlineStats::new(),
             last_completion: SimTime::ZERO,
             power_fails: PowerFailSchedule::from_config(&config.fault),
             lost_dirty_blocks: 0,
@@ -427,7 +429,6 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
             uncorrectable_reads: 0,
             op_queue: SimDuration::ZERO,
             op_service: SimDuration::ZERO,
-            buffers: OpBuffers::default(),
             obs,
         }
     }
@@ -439,6 +440,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         mobistore_sim::prof::add_ops(trace.ops.len() as u64);
         let warm_count = trace.ops.len() * options.warm_percent as usize / 100;
 
+        let mut buffers = OpBuffers::default();
         let mut measure_start = SimTime::ZERO;
         for (i, op) in trace.ops.iter().enumerate() {
             // Failures due before this operation strike first, so the op
@@ -449,7 +451,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
                 self.reset_at_boundary(op.time, options.reset_wear_at_warm);
             }
             let record = i >= warm_count;
-            self.step(op, record);
+            self.step(op, record, &mut buffers);
         }
 
         let end = self
@@ -458,7 +460,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         self.finalize(measure_start, end)
     }
 
-    fn step(&mut self, op: &DiskOp, record: bool) {
+    fn step(&mut self, op: &DiskOp, record: bool, s: &mut OpBuffers) {
         let kind = match op.kind {
             DiskOpKind::Read => OpKind::Read,
             DiskOpKind::Write => OpKind::Write,
@@ -474,18 +476,18 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         });
         let response = match op.kind {
             DiskOpKind::Read => {
-                let response = self.do_read(op);
+                let response = self.do_read(op, s);
                 if record {
-                    self.read_ms.record(response);
-                    self.all_ms.record(response);
+                    let ms = self.read_ms.record(response);
+                    self.all_ms.record(ms);
                 }
                 response
             }
             DiskOpKind::Write => {
-                let response = self.do_write(op);
+                let response = self.do_write(op, s);
                 if record {
-                    self.write_ms.record(response);
-                    self.all_ms.record(response);
+                    let ms = self.write_ms.record(response);
+                    self.all_ms.record(ms);
                 }
                 response
             }
@@ -514,9 +516,8 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         ));
     }
 
-    fn do_read(&mut self, op: &DiskOp) -> SimDuration {
+    fn do_read(&mut self, op: &DiskOp, s: &mut OpBuffers) -> SimDuration {
         let now = op.time;
-        let mut s = std::mem::take(&mut self.buffers);
         s.fill_lbns(op);
 
         // Without DRAM every block misses.
@@ -550,7 +551,6 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
                 }
             }
         }
-        self.buffers = s;
         response
     }
 
@@ -604,9 +604,8 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         self.op_service += svc.end.saturating_since(svc.start);
     }
 
-    fn do_write(&mut self, op: &DiskOp) -> SimDuration {
+    fn do_write(&mut self, op: &DiskOp, s: &mut OpBuffers) -> SimDuration {
         let now = op.time;
-        let mut s = std::mem::take(&mut self.buffers);
         s.fill_lbns(op);
 
         let mut dram_time = SimDuration::ZERO;
@@ -614,7 +613,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
             dram_time = cache.write(now, &s.lbns, &mut s.flushes, self.obs);
         }
 
-        let response = match self.write_policy {
+        match self.write_policy {
             WritePolicy::WriteBack if self.dram.is_some() => {
                 // Dirty data stays in DRAM; only evictions reach storage,
                 // off the critical path of this write.
@@ -622,9 +621,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
                 dram_time
             }
             _ => dram_time + self.write_to_backend(now, op, &s.lbns, &mut s.drained),
-        };
-        self.buffers = s;
-        response
+        }
     }
 
     /// Sends a write through the non-volatile path; returns its response
@@ -804,7 +801,7 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         }
         self.read_ms = LatencyRecorder::new();
         self.write_ms = LatencyRecorder::new();
-        self.all_ms = LatencyRecorder::new();
+        self.all_ms = OnlineStats::new();
     }
 
     fn finalize(mut self, measure_start: SimTime, end: SimTime) -> Metrics {
@@ -840,7 +837,11 @@ impl<'o, D: Backend, O: Observer> Simulator<'o, D, O> {
         m.overall_response_ms = self.all_ms.summary();
         m.read_latency = self.read_ms.into_histogram();
         m.write_latency = self.write_ms.into_histogram();
-        m.overall_latency = self.all_ms.into_histogram();
+        // Bucket counts are integers, so the merge is exactly the
+        // histogram of every measured response, its length the longer of
+        // the two.
+        m.overall_latency = m.read_latency.clone();
+        m.overall_latency.merge(&m.write_latency);
         m.duration = span;
         m.lost_dirty_blocks = self.lost_dirty_blocks;
         m.rejected_writes = self.rejected_writes;
@@ -1272,6 +1273,82 @@ mod tests {
         let measured = m.read_response_ms.count + m.write_response_ms.count;
         assert_eq!(m.overall_latency.count(), measured);
         assert_eq!(m.read_latency.count() + m.write_latency.count(), measured);
+    }
+
+    #[test]
+    fn response_recorders_match_a_per_op_fold_of_the_completions() {
+        use mobistore_sim::fault::FaultConfig;
+        use mobistore_sim::obs::RecordingObserver;
+        use mobistore_sim::stats::Summary;
+        let card = || SystemConfig::flash_card(intel_datasheet()).with_flash_capacity(16 * MIB);
+        let mut runs = Vec::new();
+        for trace in [small_trace(300, 50), miss_trace(400, 100)] {
+            for cfg in [
+                SystemConfig::disk(cu140_datasheet()),
+                SystemConfig::flash_disk(sdp5_datasheet()),
+                card(),
+            ] {
+                runs.push((cfg, trace.clone()));
+            }
+        }
+        let power = FaultConfig::with_rate(0.0, 9).with_power_failures(SimDuration::from_secs(30));
+        runs.push((card().with_faults(power), small_trace(300, 1000)));
+        let bits = |s: Summary| {
+            [s.count, s.mean.to_bits(), s.max.to_bits()]
+                .into_iter()
+                .chain([s.min, s.std, s.sum].map(f64::to_bits))
+                .collect::<Vec<u64>>()
+        };
+        for (cfg, trace) in &runs {
+            let mut obs = RecordingObserver::default();
+            let m = simulate_observed(cfg, trace, RunOptions::default(), &mut obs);
+            // The pre-derivation fold: three recorders, each fed every
+            // measured response in op order.
+            let warm_count = trace.ops.len() / 10;
+            let mut read = LatencyRecorder::new();
+            let mut write = LatencyRecorder::new();
+            let mut all = LatencyRecorder::new();
+            let completions = obs.events.iter().filter_map(|e| match e {
+                Event::OpCompleted { kind, response, .. } => Some((*kind, *response)),
+                _ => None,
+            });
+            for (kind, response) in completions.skip(warm_count) {
+                let split = match kind {
+                    OpKind::Read => &mut read,
+                    OpKind::Write => &mut write,
+                    OpKind::Trim => continue,
+                };
+                split.record(response);
+                all.record(response);
+            }
+            let name = format!("{} on {} ops", cfg.name, trace.ops.len());
+            assert!(
+                read.summary().count > 0 && write.summary().count > 0,
+                "{name}"
+            );
+            for (what, got, want) in [
+                ("read", m.read_response_ms, &read),
+                ("write", m.write_response_ms, &write),
+                ("overall", m.overall_response_ms, &all),
+            ] {
+                assert_eq!(bits(got), bits(want.summary()), "{name}: {what} moments");
+            }
+            for (what, got, want) in [
+                ("read", &m.read_latency, &read),
+                ("write", &m.write_latency, &write),
+                ("overall", &m.overall_latency, &all),
+            ] {
+                assert_eq!(got, want.histogram(), "{name}: {what} histogram");
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{:?}", want.histogram()),
+                    "{name}"
+                );
+            }
+            if cfg.fault.power_fail_mean.is_some() {
+                assert!(m.fault_totals().power_failures > 0, "{name}");
+            }
+        }
     }
 
     #[test]

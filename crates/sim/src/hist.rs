@@ -284,11 +284,15 @@ impl LatencyRecorder {
         }
     }
 
-    /// Records one response time.
+    /// Records one response time; returns it in milliseconds, the value
+    /// the moments took, so a caller can fold it elsewhere without
+    /// converting it again.
     #[inline]
-    pub fn record(&mut self, response: SimDuration) {
-        self.stats.record(response.as_millis_f64());
+    pub fn record(&mut self, response: SimDuration) -> f64 {
+        let ms = response.as_millis_f64();
+        self.stats.record(ms);
         self.hist.record(response.as_nanos());
+        ms
     }
 
     /// The frozen moment summary (Table 4's mean/max/σ columns).

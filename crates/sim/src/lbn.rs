@@ -15,12 +15,13 @@
 //!
 //! The bound caps the top level, not the pages. Pages are never freed,
 //! and a page costs 4,096 entries of `Option<T>` (64 KiB for the flash
-//! card's 16-byte entries, 32 KiB for a `u32`) whether it holds one key
-//! or all of them. Dense keys cost a few bytes each (the generated
-//! workloads end below 33,000: nine pages), but sparse keys cost a page
-//! each: a hand-built trace that writes one block every 4,096 lbns costs
-//! the card's map and the DRAM cache's index about 96 KiB per op, where a
-//! hash-map entry cost tens of bytes.
+//! card's 16-byte entries, 32 KiB for a `u32`, 16 KiB for the DRAM
+//! cache's `NonZeroU32`) whether it holds one key or all of them. Dense
+//! keys cost a few bytes each (the generated workloads end below 33,000:
+//! nine pages), but sparse keys cost a page each: a hand-built trace that
+//! writes one block every 4,096 lbns costs the card's map and the DRAM
+//! cache's index about 80 KiB per op, where a hash-map entry cost tens of
+//! bytes.
 
 use std::fmt;
 
